@@ -19,11 +19,8 @@ from .linear_code import (
     LLR_MAX,
     AlistFormatError,
     BinaryCode,
-    DecodeStatus,
     RankDeficiencyError,
     RepetitionExtendedCode,
-    decode_bp,
-    decode_repetition,
     decode_soft_batch,
     encode,
     extend_repetition,
@@ -58,13 +55,9 @@ from .mutual_info import (
     mi_qpsk,
 )
 from .receiver import (
-    FrameContext,
-    FrameResult,
     PairedRun,
     SimResult,
-    make_frame,
     paired_genie_vs_bpsk,
-    receive_frame,
     run_point,
     snr_at_ber,
     wilson_interval,

@@ -1,4 +1,4 @@
-"""GF(2) linear block codes: generator-matrix encoding, sum-product
+"""GF(2) linear block codes: generator-matrix encoding, batched sum-product
 belief-propagation decoding, repetition-extended low-rate codes, and the
 alist interchange format for sparse parity-check matrices.
 
@@ -96,14 +96,6 @@ def gf2_inv(a: np.ndarray) -> np.ndarray:
 # Code objects
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DecodeStatus:
-    """Outcome of one decode: converged at iteration `iterations`, or not."""
-
-    converged: bool
-    iterations: int
-
-
 class _BpGraph:
     """Edge-list view of a parity-check matrix, precomputed for BP.
 
@@ -117,9 +109,7 @@ class _BpGraph:
         order = np.lexsort((check_of, var_of))  # variable-major
         self.var_of_edge = var_of[order]
         self.check_of_edge = check_of[order]
-        self.n_edges = self.var_of_edge.size
         self.n_vars = n
-        self.n_checks = m
 
         counts_v = np.bincount(self.var_of_edge, minlength=n)
         if np.any(counts_v == 0):
@@ -333,42 +323,15 @@ def _bp_batch(graph: _BpGraph, llr: np.ndarray, max_iter: int):
     return bits, converged, iterations
 
 
-def decode_bp(code: BinaryCode, llr_in: np.ndarray, max_iter: int = 50):
-    """Sum-product decode one LLR vector; returns (info bits, DecodeStatus).
-
-    Early exit on a zero syndrome.  Inputs and messages are clipped at
-    +-LLR_MAX; a posterior that is identically zero is treated as carrying
-    no decision, so a total erasure reports MaxIter rather than success.
-    """
-    if code.parity is None:
-        raise ValueError("decode_bp requires a code with a parity-check matrix")
-    llr_in = np.asarray(llr_in, dtype=np.float64)
-    if llr_in.shape != (code.n,):
-        raise ValueError(f"llr length {llr_in.shape} != code length {code.n}")
-    bits, conv, iters = _bp_batch(code._graph, llr_in[None, :], max_iter)
-    status = DecodeStatus(converged=bool(conv[0]), iterations=int(iters[0]))
-    return code.info_from_codeword(bits[0]), status
-
-
-def decode_repetition(code: RepetitionExtendedCode, llr_in: np.ndarray,
-                      max_iter: int = 50):
-    """Soft-combine the repeated copies, then BP-decode the base code.
-
-    Copies of one base bit are independent observations of the same bit, so
-    their LLRs add; k_rep identical copies of LLR x are equivalent to a
-    single observation at k_rep * x.
-    """
-    llr_in = np.asarray(llr_in, dtype=np.float64)
-    if llr_in.shape != (code.n,):
-        raise ValueError(f"llr length {llr_in.shape} != code length {code.n}")
-    combined = llr_in.reshape(code.base.n, code.k_rep).sum(axis=1)
-    return decode_bp(code.base, combined, max_iter=max_iter)
-
-
 def decode_soft_batch(code, llrs: np.ndarray, max_iter: int = 50):
-    """Batched decode; rows of ``llrs`` are independent frames.
+    """Sum-product decode a batch; rows of ``llrs`` are independent frames.
 
-    Same arithmetic per row as :func:`decode_bp` / :func:`decode_repetition`.
+    A row decodes the same in any batch, including a batch of one.  For a
+    repetition-extended code the copies of each base bit are independent
+    observations of it, so their LLRs add before BP on the base code.
+    Early exit per row on a zero syndrome; inputs and messages are clipped
+    at +-LLR_MAX, and a row whose posterior is identically zero carries no
+    decision, so a total erasure reports ``max_iter`` without converging.
     Returns (info bits (B, k), converged (B,), iterations (B,)).
     """
     llrs = np.asarray(llrs, dtype=np.float64)

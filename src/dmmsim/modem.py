@@ -18,8 +18,8 @@ map the imaginary-axis pair back onto standard BPSK with no polarity flip.
 
 Quarter-turn rotations are implemented as exact multiplications by the unit
 constants 1, 1j, -1, -1j, which IEEE-754 evaluates without rounding; the
-receiver's derotate-then-demap path is therefore bit-exact, not just
-accurate to rounding.
+mapper and the receiver's derotate-then-demap step select by the axis bit
+and are bitwise equal to the :func:`rotate`-based forms.
 
 LLR sign convention everywhere: positive LLR means bit 0 is more likely.
 """
@@ -105,7 +105,8 @@ def rotate(z, beta) -> np.ndarray:
 
 def dmm_map(v1, v2, es: float = 1.0) -> np.ndarray:
     """Map one bit pair (or arrays of pairs) onto the four-point set."""
-    return rotate(map_bpsk(v1, es), beta_from_bits(v2))
+    s = map_bpsk(v1, es)
+    return np.where(np.asarray(v2, dtype=bool), s * 1j, s)
 
 
 def demod_v2_hard(y, constellation: Constellation | None = None):
@@ -149,8 +150,18 @@ def derotate_and_llr_v1(y, beta_hat, es: float, sigma2: float) -> np.ndarray:
     After derotation the symbol is ordinary BPSK in the real dimension, so
     the per-bit information is ``2 sqrt(es) Re(y') / sigma2``.  Rotation
     preserves amplitudes, so no SNR is lost in this step.
+
+    ``beta_hat`` must be 0 or pi/2 per symbol, so derotation selects Re(y)
+    or Im(y).
     """
     if not sigma2 > 0:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
-    y_back = rotate(y, np.negative(beta_hat))
-    return 2.0 * math.sqrt(es) * y_back.real / sigma2
+    beta_hat = np.asarray(beta_hat, dtype=np.float64)
+    axis = beta_hat == HALF_PI
+    if not np.all(axis | (beta_hat == 0.0)):
+        raise ValueError("beta_hat must be 0 or pi/2 for every symbol")
+    y = np.asarray(y, dtype=np.complex128)
+    # subtracting the other component times 0.0 gives zeros the sign that the
+    # complex product with the unit constant 1 or -1j would give them
+    y_back = np.where(axis, y.imag - y.real * 0.0, y.real - y.imag * 0.0)
+    return 2.0 * math.sqrt(es) * y_back / sigma2

@@ -88,7 +88,11 @@ class DiscreteInput:
 
 @dataclass(frozen=True)
 class MiResult:
-    """Mutual information estimate in bits per channel use."""
+    """Mutual information estimate in bits per channel use.
+
+    ``est_error`` is a 95% half-width for Monte-Carlo; for quadrature it is at
+    least ``tol``, and above ``tol`` when the node cap stopped convergence.
+    """
 
     value: float
     method: str
@@ -150,8 +154,10 @@ def _entropy_2d(points: np.ndarray, probs: np.ndarray, sigma2: float,
     return -acc / math.pi / LN2
 
 
-def _adaptive(f, tol: float, start: int = 64, cap: int = 512):
-    """Double the node count until successive estimates differ by < tol."""
+def _adaptive(f, tol: float, start: int = 64, cap: int = 256):
+    """Double the node count until successive estimates differ by < tol or
+    ``cap`` nodes are used (numpy's Gauss-Hermite weights are NaN beyond 256).
+    Returns (last estimate, last change)."""
     nodes = start
     prev = f(nodes)
     while nodes < cap:
@@ -159,9 +165,9 @@ def _adaptive(f, tol: float, start: int = 64, cap: int = 512):
         cur = f(nodes)
         delta = abs(cur - prev)
         if delta < tol:
-            return cur, delta
+            break
         prev = cur
-    return prev, tol  # cap reached; report the requested tolerance as the bound
+    return cur, delta
 
 
 def _mixture_entropy(points, probs, sigma2, *, real: bool, tol: float):

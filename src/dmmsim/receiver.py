@@ -15,6 +15,10 @@ polarity LLRs that are bit-identical to a plain BPSK link observing the
 same (isometrically re-expressed) noise, which is what
 :func:`paired_genie_vs_bpsk` exercises.
 
+All four schemes run through one batched pipeline, :func:`_receive_batch`:
+``bpsk_baseline`` is the same receiver with no axis stream, and
+``uncoded`` additionally has no code and decides polarity by hard sign.
+
 Frames are keyed by index: data bits come from stream 1 and channel noise
 from stream 0 of a counter-based generator, so results do not depend on
 batch size, worker count, or execution order.
@@ -36,6 +40,7 @@ from .channel import (
     ebn0_to_esn0,
     esn0_to_ebn0,
     noise_block,
+    sigma2_to_snr_db,
     snr_to_sigma2,
 )
 
@@ -44,112 +49,6 @@ DATA_STREAM = 1  # channel noise occupies stream 0 of each frame's generator
 SCHEMES = ("dmm_realistic", "dmm_genie", "bpsk_baseline", "uncoded")
 
 _BATCH_FRAMES = 64  # internal work unit; results are batch-size invariant
-
-
-@dataclass(frozen=True)
-class FrameContext:
-    """Everything the receiver needs for one stored frame, plus the truth
-    needed to score it."""
-
-    y: np.ndarray
-    code1: linear_code.BinaryCode
-    code2: object
-    es: float
-    sigma2: float
-    c1: np.ndarray
-    c2: np.ndarray
-    v1: np.ndarray
-    v2: np.ndarray
-    beta: np.ndarray
-
-    def __post_init__(self):
-        if self.y.shape != self.v1.shape or self.y.shape != self.v2.shape:
-            raise ValueError("stored symbols and code bits must share length")
-        if self.code1.n != self.y.size or self.code2.n != self.y.size:
-            raise ValueError(
-                f"both codewords must match the frame length {self.y.size}; "
-                f"got {self.code1.n} and {self.code2.n}"
-            )
-
-
-@dataclass(frozen=True)
-class FrameResult:
-    c1_hat: np.ndarray
-    c2_hat: np.ndarray
-    bit_errors_1: int
-    bit_errors_2: int
-    beta_hat_errors: int
-    status1: linear_code.DecodeStatus
-    status2: linear_code.DecodeStatus
-
-
-def frame_data(code1, code2, seed: int, frame_index: int):
-    """The two info words of a frame, deterministic in (seed, frame_index)."""
-    rng = block_rng(seed, frame_index, stream=DATA_STREAM)
-    c1 = rng.integers(0, 2, size=code1.k, dtype=np.uint8)
-    c2 = rng.integers(0, 2, size=code2.k, dtype=np.uint8)
-    return c1, c2
-
-
-def make_frame(code1, code2, cfg: ChannelConfig, frame_index: int) -> FrameContext:
-    """Encode, map, rotate and transmit one frame."""
-    c1, c2 = frame_data(code1, code2, cfg.seed, frame_index)
-    v1 = linear_code.encode(code1, c1)
-    v2 = linear_code.encode(code2, c2)
-    beta = modem.beta_from_bits(v2)
-    s = modem.rotate(modem.map_bpsk(v1, cfg.es), beta)
-    y = s + noise_block(cfg, frame_index, s.size)
-    return FrameContext(y=y, code1=code1, code2=code2, es=cfg.es, sigma2=cfg.sigma2,
-                        c1=c1, c2=c2, v1=v1, v2=v2, beta=beta)
-
-
-def _decode(code, llr, max_iter):
-    if isinstance(code, linear_code.RepetitionExtendedCode):
-        return linear_code.decode_repetition(code, llr, max_iter=max_iter)
-    return linear_code.decode_bp(code, llr, max_iter=max_iter)
-
-
-def reencode_rotation(code2, c2_hat: np.ndarray) -> np.ndarray:
-    """Rebuild the rotation pattern the transmitter would have used."""
-    return modem.beta_from_bits(linear_code.encode(code2, c2_hat))
-
-
-def stage1_llrs(y, beta_hat, es: float, sigma2: float) -> np.ndarray:
-    """Derotate stored symbols with the estimated pattern and demap polarity."""
-    return modem.derotate_and_llr_v1(y, beta_hat, es, sigma2)
-
-
-def receive_frame(ctx: FrameContext, mode: str = "realistic",
-                  max_iter: int = 50) -> FrameResult:
-    """Run the two-stage procedure on one stored frame.
-
-    mode "realistic" rebuilds the rotation pattern from the decoded second
-    stream; mode "genie" uses the true pattern.  Decoder failures are
-    reported in the statuses, never raised.
-    """
-    if mode not in ("realistic", "genie"):
-        raise ValueError(f"mode must be 'realistic' or 'genie', got {mode!r}")
-    constellation = modem.Constellation.quadrature_pair(ctx.es)
-    llr2 = modem.llr_v2(ctx.y, constellation, ctx.sigma2)
-    c2_hat, status2 = _decode(ctx.code2, llr2, max_iter)
-
-    if mode == "genie":
-        beta_hat = ctx.beta
-    else:
-        beta_hat = reencode_rotation(ctx.code2, c2_hat)
-
-    llr1 = stage1_llrs(ctx.y, beta_hat, ctx.es, ctx.sigma2)
-    c1_hat, status1 = linear_code.decode_bp(ctx.code1, llr1, max_iter=max_iter)
-
-    return FrameResult(
-        c1_hat=c1_hat,
-        c2_hat=c2_hat,
-        bit_errors_1=int(np.count_nonzero(c1_hat != ctx.c1)),
-        bit_errors_2=int(np.count_nonzero(c2_hat != ctx.c2)),
-        beta_hat_errors=int(np.count_nonzero(beta_hat != ctx.beta)),
-        status1=status1,
-        status2=status2,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +139,7 @@ def _resolve_point(snr_db, convention, es, rate1, rate_overall):
         return snr_db, snr_to_sigma2(snr_db, es, "es_n0_complex")
     if convention == "es_n0_per_dim":
         sigma2 = snr_to_sigma2(snr_db, es, "es_n0_per_dim")
-        return snr_db, sigma2
+        return sigma2_to_snr_db(sigma2, es, "es_n0_complex"), sigma2
     if convention == "eb_n0_stream1":
         es_n0 = ebn0_to_esn0(snr_db, rate1)
         return es_n0, snr_to_sigma2(es_n0, es, "es_n0_complex")
@@ -250,12 +149,11 @@ def _resolve_point(snr_db, convention, es, rate1, rate_overall):
     raise ValueError(f"unknown SNR convention {convention!r}")
 
 
-def _batch_indices(start: int, count: int):
-    return np.arange(start, start + count, dtype=np.int64)
-
-
 def _accumulate(stop_min_fe, stop_max_frames, frames_done, fe_done, frame_err_flags):
-    """How many frames of this batch count, and why we stop (or None)."""
+    """How many frames of this batch count, and why we stop (or None).
+
+    When both rules fire on the same frame, the reason is ``max_frames``.
+    """
     take = len(frame_err_flags)
     reason = None
     cum = fe_done + np.cumsum(frame_err_flags)
@@ -282,7 +180,8 @@ def run_point(scheme: str, code1=None, code2=None, *, snr_db: float,
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
-    if scheme in ("dmm_realistic", "dmm_genie"):
+    dmm = scheme in ("dmm_realistic", "dmm_genie")
+    if dmm:
         if code1 is None or code2 is None:
             raise ValueError(f"{scheme} needs code1 and code2")
         if code1.n != code2.n:
@@ -298,6 +197,9 @@ def run_point(scheme: str, code1=None, code2=None, *, snr_db: float,
     else:
         rate1, rate2 = 1.0, 0.0
     rate_overall = rate1 + rate2
+    polarity_code = None if scheme == "uncoded" else code1
+    axis_code = code2 if dmm else None
+    n_sym = uncoded_block_bits if polarity_code is None else code1.n
 
     es_n0_db, sigma2 = _resolve_point(snr_db, snr_convention, es, rate1, rate_overall)
     cfg = ChannelConfig(sigma2=sigma2, seed=seed, es=es)
@@ -307,18 +209,10 @@ def run_point(scheme: str, code1=None, code2=None, *, snr_db: float,
     stop_reason = "max_frames"
 
     while frames < max_frames:
-        want = min(_BATCH_FRAMES, max_frames - frames)
-        idx = _batch_indices(frames, want)
-        if scheme == "uncoded":
-            e1, bflags = _uncoded_batch(cfg, idx, uncoded_block_bits)
-            e2 = berr = np.zeros(want, dtype=np.int64)
-        elif scheme == "bpsk_baseline":
-            e1, bflags = _bpsk_batch(code1, cfg, idx, max_iter)
-            e2 = berr = np.zeros(want, dtype=np.int64)
-        else:
-            e1, e2, berr = _dmm_batch(code1, code2, cfg, idx, max_iter,
-                                      genie=(scheme == "dmm_genie"))
-            bflags = (e1 + e2) > 0
+        idx = np.arange(frames, min(frames + _BATCH_FRAMES, max_frames), dtype=np.int64)
+        e1, e2, berr = _receive_batch(polarity_code, axis_code, cfg, idx, n_sym,
+                                      max_iter, genie=(scheme == "dmm_genie"))
+        bflags = (e1 + e2) > 0
         take, reason = _accumulate(min_frame_errors, max_frames, frames, fe, bflags)
         frames += take
         fe += int(np.sum(bflags[:take]))
@@ -329,9 +223,8 @@ def run_point(scheme: str, code1=None, code2=None, *, snr_db: float,
             stop_reason = reason
             break
 
-    k1 = uncoded_block_bits if scheme == "uncoded" else code1.k
-    k2 = code2.k if scheme in ("dmm_realistic", "dmm_genie") else 0
-    n_sym = uncoded_block_bits if scheme == "uncoded" else code1.n
+    k1 = n_sym if polarity_code is None else code1.k
+    k2 = code2.k if dmm else 0
     return SimResult(
         scheme=scheme,
         code1_name=(code1.name or "code1") if code1 is not None else "",
@@ -345,69 +238,61 @@ def run_point(scheme: str, code1=None, code2=None, *, snr_db: float,
         frames=frames, frame_errors=fe,
         bits1=frames * k1, errors1=errors1,
         bits2=frames * k2, errors2=errors2,
-        beta_symbols=frames * n_sym if scheme in ("dmm_realistic", "dmm_genie") else 0,
+        beta_symbols=frames * n_sym if dmm else 0,
         beta_errors=beta_errors,
         stop_reason=stop_reason,
         wall_time_s=time.perf_counter() - t0,
     )
 
 
-def _uncoded_batch(cfg, indices, block_bits):
-    errors = np.empty(indices.size, dtype=np.int64)
+def _frame_batch(cfg, indices, n, ks):
+    """Info words and channel noise of a batch of frames, keyed by index.
+
+    Frame i draws one info word per length in ``ks``, in that order, from
+    stream DATA_STREAM of block i, and its n noise samples from stream 0.
+    Returns (list of (B, k) uint8 arrays, (B, n) complex noise).
+    """
+    words = [np.empty((indices.size, k), dtype=np.uint8) for k in ks]
+    noise = np.empty((indices.size, n), dtype=np.complex128)
     for j, i in enumerate(indices):
         rng = block_rng(cfg.seed, int(i), stream=DATA_STREAM)
-        bits = rng.integers(0, 2, size=block_bits, dtype=np.uint8)
-        y = modem.map_bpsk(bits, cfg.es) + noise_block(cfg, int(i), block_bits)
-        errors[j] = np.count_nonzero((y.real < 0).astype(np.uint8) != bits)
-    return errors, errors > 0
+        for w in words:
+            w[j] = rng.integers(0, 2, size=w.shape[1], dtype=np.uint8)
+        noise[j] = noise_block(cfg, int(i), n)
+    return words, noise
 
 
-def _bpsk_batch(code1, cfg, indices, max_iter):
-    b = indices.size
-    c1 = np.empty((b, code1.k), dtype=np.uint8)
-    y = np.empty((b, code1.n), dtype=np.complex128)
-    for j, i in enumerate(indices):
-        rng = block_rng(cfg.seed, int(i), stream=DATA_STREAM)
-        c1[j] = rng.integers(0, 2, size=code1.k, dtype=np.uint8)
-        y[j] = noise_block(cfg, int(i), code1.n)
-    v1 = linear_code.encode(code1, c1)
-    y += modem.map_bpsk(v1, cfg.es)
-    llr1 = 2.0 * math.sqrt(cfg.es) * y.real / cfg.sigma2
-    c1_hat, _, _ = linear_code.decode_soft_batch(code1, llr1, max_iter=max_iter)
-    errors = np.count_nonzero(c1_hat != c1, axis=1)
-    return errors, errors > 0
+def _receive_batch(code1, code2, cfg, indices, n, max_iter, genie: bool):
+    """Transmit and receive a batch of frames of n symbols each.
 
+    Without ``code2`` there is no axis stream: every symbol stays on the real
+    axis (``bpsk_baseline``).  Without ``code1`` the polarity bits are sent
+    uncoded and decided by the sign of their LLR (``uncoded``).
+    Returns per-frame (stream-1 bit errors, stream-2 bit errors, rotation
+    errors).
+    """
+    k1 = n if code1 is None else code1.k
+    words, noise = _frame_batch(cfg, indices, n, (k1,) if code2 is None else (k1, code2.k))
+    c1 = words[0]
+    v1 = c1 if code1 is None else linear_code.encode(code1, c1)
+    v2 = v2_hat = 0 if code2 is None else linear_code.encode(code2, words[1])
+    y = modem.dmm_map(v1, v2, cfg.es) + noise
 
-def _dmm_batch(code1, code2, cfg, indices, max_iter, genie: bool):
-    b = indices.size
-    c1 = np.empty((b, code1.k), dtype=np.uint8)
-    c2 = np.empty((b, code2.k), dtype=np.uint8)
-    noise = np.empty((b, code1.n), dtype=np.complex128)
-    for j, i in enumerate(indices):
-        rng = block_rng(cfg.seed, int(i), stream=DATA_STREAM)
-        c1[j] = rng.integers(0, 2, size=code1.k, dtype=np.uint8)
-        c2[j] = rng.integers(0, 2, size=code2.k, dtype=np.uint8)
-        noise[j] = noise_block(cfg, int(i), code1.n)
-    v1 = linear_code.encode(code1, c1)
-    v2 = linear_code.encode(code2, c2)
-    beta = modem.beta_from_bits(v2)
-    y = modem.rotate(modem.map_bpsk(v1, cfg.es), beta) + noise
+    errors2 = beta_errors = np.zeros(indices.size, dtype=np.int64)
+    if code2 is not None:
+        llr2 = modem.llr_v2(y, modem.Constellation.quadrature_pair(cfg.es), cfg.sigma2)
+        c2_hat, _, _ = linear_code.decode_soft_batch(code2, llr2, max_iter=max_iter)
+        errors2 = np.count_nonzero(c2_hat != words[1], axis=1)
+        if not genie:
+            v2_hat = linear_code.encode(code2, c2_hat)
+            beta_errors = np.count_nonzero(v2_hat != v2, axis=1)
 
-    constellation = modem.Constellation.quadrature_pair(cfg.es)
-    llr2 = modem.llr_v2(y, constellation, cfg.sigma2)
-    c2_hat, _, _ = linear_code.decode_soft_batch(code2, llr2, max_iter=max_iter)
-
-    if genie:
-        beta_hat = beta
+    llr1 = modem.derotate_and_llr_v1(y, modem.beta_from_bits(v2_hat), cfg.es, cfg.sigma2)
+    if code1 is None:
+        c1_hat = llr1 < 0
     else:
-        beta_hat = modem.beta_from_bits(linear_code.encode(code2, c2_hat))
-    llr1 = modem.derotate_and_llr_v1(y, beta_hat, cfg.es, cfg.sigma2)
-    c1_hat, _, _ = linear_code.decode_soft_batch(code1, llr1, max_iter=max_iter)
-
-    errors1 = np.count_nonzero(c1_hat != c1, axis=1)
-    errors2 = np.count_nonzero(c2_hat != c2, axis=1)
-    beta_errors = np.count_nonzero(beta_hat != beta, axis=1)
-    return errors1, errors2, beta_errors
+        c1_hat, _, _ = linear_code.decode_soft_batch(code1, llr1, max_iter=max_iter)
+    return np.count_nonzero(c1_hat != c1, axis=1), errors2, beta_errors
 
 
 # ---------------------------------------------------------------------------
@@ -434,29 +319,21 @@ def paired_genie_vs_bpsk(code1, code2, cfg: ChannelConfig, frames: int,
     derotated frame.  Rotation is an isometry, so the two LLR streams should
     agree bit for bit; any difference is an implementation defect.
     """
-    lg = np.empty((frames, code1.n))
-    lb = np.empty((frames, code1.n))
-    eg = np.empty(frames, dtype=np.int64)
-    eb = np.empty(frames, dtype=np.int64)
-    for i in range(frames):
-        c1, c2 = frame_data(code1, code2, cfg.seed, i)
-        v1 = linear_code.encode(code1, c1)
-        beta = modem.beta_from_bits(linear_code.encode(code2, c2))
-        x1 = modem.map_bpsk(v1, cfg.es)
-        n = noise_block(cfg, i, code1.n)
+    (c1, c2), n = _frame_batch(cfg, np.arange(frames), code1.n, (code1.k, code2.k))
+    v1 = linear_code.encode(code1, c1)
+    v2 = linear_code.encode(code2, c2)
+    beta = modem.beta_from_bits(v2)
 
-        y = modem.rotate(x1, beta) + n
-        llr_genie = stage1_llrs(y, beta, cfg.es, cfg.sigma2)
-        y_bpsk = x1 + modem.rotate(n, -beta)
-        llr_bpsk = stage1_llrs(y_bpsk, 0.0, cfg.es, cfg.sigma2)
+    y = modem.dmm_map(v1, v2, cfg.es) + n
+    llr_genie = modem.derotate_and_llr_v1(y, beta, cfg.es, cfg.sigma2)
+    y_bpsk = modem.map_bpsk(v1, cfg.es) + modem.rotate(n, -beta)
+    llr_bpsk = modem.derotate_and_llr_v1(y_bpsk, 0.0, cfg.es, cfg.sigma2)
 
-        lg[i] = llr_genie
-        lb[i] = llr_bpsk
-        g_hat, _ = linear_code.decode_bp(code1, llr_genie, max_iter=max_iter)
-        b_hat, _ = linear_code.decode_bp(code1, llr_bpsk, max_iter=max_iter)
-        eg[i] = np.count_nonzero(g_hat != c1)
-        eb[i] = np.count_nonzero(b_hat != c1)
-    return PairedRun(llr_genie=lg, llr_bpsk=lb, errors_genie=eg, errors_bpsk=eb)
+    g_hat, _, _ = linear_code.decode_soft_batch(code1, llr_genie, max_iter=max_iter)
+    b_hat, _, _ = linear_code.decode_soft_batch(code1, llr_bpsk, max_iter=max_iter)
+    return PairedRun(llr_genie=llr_genie, llr_bpsk=llr_bpsk,
+                     errors_genie=np.count_nonzero(g_hat != c1, axis=1),
+                     errors_bpsk=np.count_nonzero(b_hat != c1, axis=1))
 
 
 def snr_at_ber(snr_db: np.ndarray, ber: np.ndarray, target: float):

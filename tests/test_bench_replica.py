@@ -1,0 +1,49 @@
+"""The benchmark's traced replica of the receiver must match run_sweep.
+
+``perfbench/tracing.py`` rebuilds the batch pipeline from public functions
+to time each stage, and fails loudly when its error totals drift from
+``run_point``'s.  This runs that comparison on a short sweep of every
+traced scheme, so a receiver change that breaks the replica fails here.
+"""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+from dmmsim import cli
+from dmmsim.config import SweepConfig
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+FRAMES = 128  # two batches
+
+CASES = [
+    # scheme, codes, expected frame errors, expected rotation errors
+    ("dmm_realistic", dict(code1="ldpc_r12_n256", code2="ldpc_r14_n64", code2_repeat=4),
+     24, 784),
+    ("bpsk_baseline", dict(code1="ldpc_r12_n256"), 21, 0),
+    ("uncoded", dict(uncoded_block_bits=256), 128, 0),
+]
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        yield importlib.import_module("tracing")
+
+
+@pytest.mark.parametrize("scheme,codes,frame_errors,beta_errors", CASES,
+                         ids=[c[0] for c in CASES])
+def test_traced_replica_matches_run_sweep(tracing, scheme, codes, frame_errors,
+                                          beta_errors):
+    cfg = SweepConfig(scheme=scheme, snr_grid_db=(-1.0,), stop_min_frame_errors=FRAMES + 1,
+                      stop_max_frames=FRAMES, master_seed=3, **codes)
+    (row,), _ = cli.run_sweep(cfg)
+    counters = {s: tracing.BpCounters(cfg.max_bp_iterations) for s in ("bp1", "bp2")}
+    totals = tracing.traced_sweep(tracing.Tracer(), cfg, counters)
+    tracing.check_sweep_totals(cfg, row, totals)
+    # the comparison is not vacuous: there are errors to disagree about
+    assert totals["frames"] == FRAMES
+    assert totals["frame_errors"] == frame_errors
+    assert totals["beta_errors"] == beta_errors

@@ -7,8 +7,6 @@ from dmmsim import (
     AlistFormatError,
     RankDeficiencyError,
     BinaryCode,
-    decode_bp,
-    decode_repetition,
     decode_soft_batch,
     encode,
     extend_repetition,
@@ -140,9 +138,9 @@ def test_decode_noiseless(code24):
     rng = np.random.default_rng(1)
     info = rng.integers(0, 2, code24.k, dtype=np.uint8)
     llr = (1.0 - 2.0 * encode(code24, info)) * 30.0
-    est, status = decode_bp(code24, llr)
-    assert np.array_equal(est, info)
-    assert status.converged and status.iterations <= 1
+    est, conv, iters = decode_soft_batch(code24, llr[None, :])
+    assert np.array_equal(est[0], info)
+    assert conv[0] and iters[0] <= 1
 
 
 def test_decode_single_flip_matches_ml(code24):
@@ -150,39 +148,39 @@ def test_decode_single_flip_matches_ml(code24):
     # BP must correct every flip position and agree with exhaustive ML
     from dmmsim.linear_code import LLR_MAX
 
-    for pos in range(code24.n):
-        llr = np.full(code24.n, LLR_MAX)
-        llr[pos] = -15.0
-        est, status = decode_bp(code24, llr)
-        ml_info, _ = ml_decode_batch(code24, llr[None, :])
-        assert status.converged
-        assert not est.any()
-        assert np.array_equal(est, ml_info[0])
+    llrs = np.full((code24.n, code24.n), LLR_MAX)
+    np.fill_diagonal(llrs, -15.0)  # row pos flips bit pos
+    est, conv, _ = decode_soft_batch(code24, llrs)
+    ml_info, _ = ml_decode_batch(code24, llrs)
+    assert np.all(conv)
+    assert not est.any()
+    assert np.array_equal(est, ml_info)
 
 
 def test_decode_total_erasure(hamming):
-    est, status = decode_bp(hamming, np.zeros(hamming.n))
-    assert not status.converged
-    assert status.iterations == 50
+    est, conv, iters = decode_soft_batch(hamming, np.zeros((1, hamming.n)))
+    assert not conv[0]
+    assert iters[0] == 50
 
 
 def test_decode_requires_parity():
     code = BinaryCode(generator=np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8))
     with pytest.raises(ValueError):
-        decode_bp(code, np.zeros(3))
+        decode_soft_batch(code, np.zeros((1, 3)))
 
 
 def test_decode_batch_matches_single(code24):
+    # row i of a batch decodes exactly like a batch of one holding row i
     rng = np.random.default_rng(3)
     infos = rng.integers(0, 2, (16, code24.k), dtype=np.uint8)
     llrs = (1.0 - 2.0 * encode(code24, infos)) * 4.0
     llrs += rng.normal(0, 2.0, llrs.shape)
     batch_info, conv, iters = decode_soft_batch(code24, llrs)
     for i in range(16):
-        single, status = decode_bp(code24, llrs[i])
-        assert np.array_equal(batch_info[i], single)
-        assert conv[i] == status.converged
-        assert iters[i] == status.iterations
+        single, conv1, iters1 = decode_soft_batch(code24, llrs[i:i + 1])
+        assert np.array_equal(batch_info[i], single[0])
+        assert conv[i] == conv1[0]
+        assert iters[i] == iters1[0]
 
 
 def test_repetition_combining_equivalence(code64_r14):
@@ -190,19 +188,20 @@ def test_repetition_combining_equivalence(code64_r14):
     rng = np.random.default_rng(4)
     rep = extend_repetition(code64_r14, 3)
     llr_base = rng.normal(0, 2.0, code64_r14.n)
-    est_rep, st_rep = decode_repetition(rep, np.repeat(llr_base, 3))
-    est_dir, st_dir = decode_bp(code64_r14, 3.0 * llr_base)
+    est_rep, conv_rep, iters_rep = decode_soft_batch(rep, np.repeat(llr_base, 3)[None, :])
+    est_dir, conv_dir, iters_dir = decode_soft_batch(code64_r14, 3.0 * llr_base[None, :])
     assert np.array_equal(est_rep, est_dir)
-    assert st_rep == st_dir
+    assert conv_rep[0] == conv_dir[0]
+    assert iters_rep[0] == iters_dir[0]
 
 
 def test_repetition_cancellation_is_erasure(hamming):
     rep = extend_repetition(hamming, 2)
-    llr = np.zeros(rep.n)
-    llr[0::2] = +3.0
-    llr[1::2] = -3.0
-    est, status = decode_repetition(rep, llr)
-    assert not status.converged  # combined LLRs are exactly zero everywhere
+    llr = np.zeros((1, rep.n))
+    llr[0, 0::2] = +3.0
+    llr[0, 1::2] = -3.0
+    est, conv, _ = decode_soft_batch(rep, llr)
+    assert not conv[0]  # combined LLRs are exactly zero everywhere
 
 
 def test_repetition_monte_carlo_gain(code64_r14):
@@ -214,22 +213,19 @@ def test_repetition_monte_carlo_gain(code64_r14):
     rep = extend_repetition(code64_r14, 4)
     es_n0_db = -4.0
     sigma2 = snr_to_sigma2(es_n0_db)
-    fails_base = fails_rep = 0
+    cfg = ChannelConfig(sigma2=sigma2, seed=99)
     frames = 1000
-    for i in range(frames):
-        rng = block_rng(99, i, stream=1)
-        info = rng.integers(0, 2, code64_r14.k, dtype=np.uint8)
-        cw = encode(code64_r14, info)
-        cfg = ChannelConfig(sigma2=sigma2, seed=99)
-        y = map_bpsk(cw) + noise_block(cfg, 2 * i, cw.size)
-        llr = 2.0 * y.real / sigma2
-        est, _ = decode_bp(code64_r14, llr)
-        fails_base += not np.array_equal(est, info)
+    infos = np.stack([block_rng(99, i, stream=1).integers(0, 2, code64_r14.k, dtype=np.uint8)
+                      for i in range(frames)])
+    cw = encode(code64_r14, infos)
+    noise = np.stack([noise_block(cfg, 2 * i, code64_r14.n) for i in range(frames)])
+    est, _, _ = decode_soft_batch(code64_r14, 2.0 * (map_bpsk(cw) + noise).real / sigma2)
+    fails_base = np.count_nonzero(np.any(est != infos, axis=1))
 
-        cw_rep = encode(rep, info)
-        y_rep = map_bpsk(cw_rep) + noise_block(cfg, 2 * i + 1, cw_rep.size)
-        est_rep, _ = decode_repetition(rep, 2.0 * y_rep.real / sigma2)
-        fails_rep += not np.array_equal(est_rep, info)
+    cw_rep = encode(rep, infos)
+    noise_rep = np.stack([noise_block(cfg, 2 * i + 1, rep.n) for i in range(frames)])
+    est_rep, _, _ = decode_soft_batch(rep, 2.0 * (map_bpsk(cw_rep) + noise_rep).real / sigma2)
+    fails_rep = np.count_nonzero(np.any(est_rep != infos, axis=1))
     assert fails_base > 100 * max(1, fails_rep)
     assert fails_rep < 5
 

@@ -75,12 +75,24 @@ def test_dmm_energy_invariance(v1, v2, es):
     assert abs(s) ** 2 == pytest.approx(es, rel=1e-12)
 
 
+def _bits_equal(a, b) -> bool:
+    """Bitwise equality of complex or float arrays, zero signs included."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def test_dmm_map_equals_rotated_bpsk():
     for v1 in (0, 1):
         for v2 in (0, 1):
             direct = dmm_map(v1, v2, 3.0)
             composed = rotate(map_bpsk(v1, 3.0), beta_from_bits(v2))
-            assert direct == composed
+            assert _bits_equal(direct, composed)
+    rng = np.random.default_rng(3)
+    v1 = rng.integers(0, 2, (8, 64))
+    v2 = rng.integers(0, 2, (8, 64))
+    for es in (1.0, 0.3, 7.0):
+        assert _bits_equal(dmm_map(v1, v2, es),
+                           rotate(map_bpsk(v1, es), beta_from_bits(v2)))
 
 
 def test_constellation_energy_validation():
@@ -166,3 +178,34 @@ def test_derotate_examples():
 def test_derotate_preserves_magnitude(re, im, beta):
     y = complex(re, im)
     assert abs(rotate(y, -beta)) == pytest.approx(abs(y), rel=1e-12, abs=0.0)
+
+
+def _derotate_reference(y, beta, es, sigma2):
+    """The float-angle formula that bit-select derotation replaced."""
+    return 2.0 * math.sqrt(es) * rotate(y, -beta).real / sigma2
+
+
+def test_derotate_bitwise_equals_rotate_reference():
+    rng = np.random.default_rng(5)
+    # components drawn from a pool holding exact zeros of both signs
+    pool = np.concatenate([[0.0, -0.0], rng.normal(scale=2.0, size=6)])
+    y = np.empty((16, 128), dtype=np.complex128)
+    y.real = rng.choice(pool, y.shape)
+    y.imag = rng.choice(pool, y.shape)
+    assert np.signbit(y.real[y.real == 0]).any() and np.signbit(y.imag[y.imag == 0]).any()
+    bits = rng.integers(0, 2, y.shape)
+    for beta in (beta_from_bits(bits), beta_from_bits(bits[0]), 0.0, HALF_PI):
+        for es, sigma2 in ((1.0, 0.5), (2.5, 1.7)):
+            assert _bits_equal(derotate_and_llr_v1(y, beta, es, sigma2),
+                               _derotate_reference(y, beta, es, sigma2))
+    for z in (0.0, -0.0, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0)):
+        for beta in (0.0, HALF_PI):
+            assert _bits_equal(derotate_and_llr_v1(z, beta, 1.0, 0.5),
+                               _derotate_reference(z, beta, 1.0, 0.5))
+
+
+@pytest.mark.parametrize("beta", [-HALF_PI, math.pi, 0.1, np.array([0.0, HALF_PI, 1.0])])
+def test_derotate_rejects_other_angles(beta):
+    # bit-select derotation is only right for the two angles of beta_from_bits
+    with pytest.raises(ValueError):
+        derotate_and_llr_v1(np.ones(3, dtype=np.complex128), beta, 1.0, 0.5)

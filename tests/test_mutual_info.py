@@ -108,6 +108,16 @@ def test_qpsk_gray_decomposition():
         assert q == pytest.approx(2.0 * b, abs=1e-5)
 
 
+def test_quadrature_reports_nonconvergence_at_node_cap():
+    # 1e-14 is out of reach within the node cap: the result stays finite and
+    # its error bound exceeds the request instead of echoing it
+    capped = mi_awgn(DiscreteInput.qpsk(), 0.3, tol=1e-14)
+    ref = mi_awgn(DiscreteInput.qpsk(), 0.3, tol=1e-6)
+    assert math.isfinite(capped.value)
+    assert capped.est_error > 1e-14
+    assert abs(capped.value - ref.value) <= capped.est_error
+
+
 def test_quadrature_vs_monte_carlo():
     for db in (-6.0, 0.0, 6.0):
         quad = mi_bpsk(db)

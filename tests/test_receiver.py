@@ -6,16 +6,16 @@ import pytest
 import dmmsim.receiver as receiver_mod
 from dmmsim import (
     ChannelConfig,
+    beta_from_bits,
+    derotate_and_llr_v1,
+    dmm_map,
     encode,
-    make_frame,
     paired_genie_vs_bpsk,
-    receive_frame,
     run_point,
     snr_at_ber,
     wilson_interval,
 )
 from dmmsim.channel import snr_to_sigma2
-from dmmsim.receiver import reencode_rotation, stage1_llrs
 
 from oracles import bpsk_ber_theory, two_proportion_z
 
@@ -36,31 +36,28 @@ def _cfg(es_n0_db, seed, es=1.0):
 def test_noiseless_frame_exact(dmm_pair):
     code1, code2 = dmm_pair
     cfg = ChannelConfig(sigma2=1e-20, seed=0)
-    ctx = make_frame(code1, code2, cfg, 0)
-    for mode in ("realistic", "genie"):
-        res = receive_frame(ctx, mode=mode)
-        assert res.bit_errors_1 == 0
-        assert res.bit_errors_2 == 0
-        assert res.beta_hat_errors == 0
-        assert np.array_equal(res.c1_hat, ctx.c1)
-        assert np.array_equal(res.c2_hat, ctx.c2)
+    for genie in (False, True):
+        e1, e2, berr = receiver_mod._receive_batch(code1, code2, cfg, np.arange(4),
+                                                   code1.n, 50, genie=genie)
+        assert not e1.any()
+        assert not e2.any()
+        assert not berr.any()
 
 
 def test_receive_frame_rejects_unknown_mode(dmm_pair):
+    # the receiver mode is part of the scheme name; an unknown one is refused
     code1, code2 = dmm_pair
-    ctx = make_frame(code1, code2, _cfg(2.0, 1), 0)
     with pytest.raises(ValueError):
-        receive_frame(ctx, mode="oracle")
+        run_point("dmm_oracle", code1, code2, snr_db=2.0, seed=1)
 
 
 def test_reencoding_consistency(dmm_pair):
     # exact second-stream decode implies the exact rotation pattern (linearity)
     code1, code2 = dmm_pair
-    ctx = make_frame(code1, code2, _cfg(3.0, 7), 4)
-    res = receive_frame(ctx, mode="realistic")
-    assert np.array_equal(res.c2_hat, ctx.c2)
-    assert np.array_equal(reencode_rotation(code2, res.c2_hat), ctx.beta)
-    assert res.beta_hat_errors == 0
+    e1, e2, berr = receiver_mod._receive_batch(code1, code2, _cfg(3.0, 7), np.arange(8),
+                                               code1.n, 50, genie=False)
+    assert e2[4] == 0 and berr[4] == 0
+    assert not berr[e2 == 0].any()
 
 
 def test_fault_injection_flips_exactly_affected_symbols(dmm_pair):
@@ -69,18 +66,22 @@ def test_fault_injection_flips_exactly_affected_symbols(dmm_pair):
     # and their polarity LLRs collapse to noise-only projections
     code1, code2 = dmm_pair
     cfg = ChannelConfig(sigma2=1e-12, seed=3)
-    ctx = make_frame(code1, code2, cfg, 1)
+    (c1, c2), noise = receiver_mod._frame_batch(cfg, np.array([1]), code1.n,
+                                                (code1.k, code2.k))
+    v2 = encode(code2, c2[0])
+    beta = beta_from_bits(v2)
+    y = dmm_map(encode(code1, c1[0]), v2, cfg.es) + noise[0]
 
-    c2_bad = ctx.c2.copy()
+    c2_bad = c2[0].copy()
     c2_bad[5] ^= 1
-    beta_bad = reencode_rotation(code2, c2_bad)
-    affected = np.nonzero(beta_bad != ctx.beta)[0]
-    expected = np.nonzero(encode(code2, ctx.c2) != encode(code2, c2_bad))[0]
+    beta_bad = beta_from_bits(encode(code2, c2_bad))
+    affected = np.nonzero(beta_bad != beta)[0]
+    expected = np.nonzero(v2 != encode(code2, c2_bad))[0]
     assert np.array_equal(affected, expected)
     assert affected.size > 0
 
-    llr_bad = stage1_llrs(ctx.y, beta_bad, cfg.es, cfg.sigma2)
-    llr_good = stage1_llrs(ctx.y, ctx.beta, cfg.es, cfg.sigma2)
+    llr_bad = derotate_and_llr_v1(y, beta_bad, cfg.es, cfg.sigma2)
+    llr_good = derotate_and_llr_v1(y, beta, cfg.es, cfg.sigma2)
     untouched = np.setdiff1d(np.arange(code1.n), affected)
     assert np.array_equal(llr_bad[untouched], llr_good[untouched])
     # wrongly derotated symbols project the (here: negligible) noise onto the
@@ -152,6 +153,15 @@ def test_run_point_stop_on_frame_errors(dmm_pair):
     assert res.frame_errors == 12  # stops exactly at the threshold frame
 
 
+def test_run_point_stop_rules_tie():
+    # every frame is in error, so both stop rules fire on the last frame;
+    # the point is labelled max_frames
+    res = run_point("uncoded", snr_db=-10.0, seed=4, min_frame_errors=10,
+                    max_frames=10, uncoded_block_bits=256)
+    assert res.frames == res.frame_errors == 10
+    assert res.stop_reason == "max_frames"
+
+
 def _stat_fields(res):
     return (res.frames, res.frame_errors, res.errors1, res.errors2,
             res.beta_errors, res.bits1, res.bits2, res.stop_reason)
@@ -205,6 +215,9 @@ def test_snr_conventions_affect_sigma2(dmm_pair):
                   snr_convention="es_n0_per_dim", **common)
     assert a.sigma2 == pytest.approx(0.5)
     assert b.sigma2 == pytest.approx(1.0)
+    assert b.es_n0_db == pytest.approx(-3.0103, abs=1e-4)  # complex reading
+    assert b.eb_n0_stream1_db == pytest.approx(b.es_n0_db - 10 * math.log10(b.rate1),
+                                               abs=1e-12)
     c = run_point("dmm_genie", code1, code2, snr_db=3.0103,
                   snr_convention="eb_n0_stream1", **common)
     assert c.es_n0_db == pytest.approx(0.0, abs=1e-4)
