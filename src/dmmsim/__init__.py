@@ -41,7 +41,6 @@ from .modem import (
 from .mutual_info import (
     CLAIMED_GAIN_DB,
     RECORD_GAP_DB,
-    DiscreteInput,
     GapRecord,
     MiResult,
     awgn_entropy,

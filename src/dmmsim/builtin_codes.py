@@ -19,7 +19,7 @@ import functools
 
 import numpy as np
 
-from .linear_code import BinaryCode, gf2_rank, generator_from_parity
+from .linear_code import BinaryCode, gf2_rank, generator_from_parity, load_alist
 
 
 def peg_parity(n: int, dv: int, dc: int, seed: int = 0) -> np.ndarray:
@@ -135,8 +135,6 @@ def resolve_code(ref: str) -> BinaryCode:
     if ref in _FACTORIES:
         return builtin_code(ref)
     if ref.endswith(".alist"):
-        from .linear_code import load_alist
-
         return load_alist(ref)
     raise ValueError(
         f"code reference {ref!r} is neither a builtin name nor an .alist path; "

@@ -119,15 +119,15 @@ def sigma2_to_snr_db(sigma2: float, es: float = 1.0,
     return 10.0 * math.log10(es / n0)
 
 
-def ebn0_to_esn0(eb_n0_db: float, rate: float, bits_per_symbol: float = 1.0) -> float:
+def ebn0_to_esn0(eb_n0_db: float, rate: float) -> float:
     """Es/N0 in dB from Eb/N0 in dB at the given info rate."""
-    if not (rate > 0 and bits_per_symbol > 0):
-        raise ValueError("rate and bits_per_symbol must be positive")
-    return eb_n0_db + 10.0 * math.log10(rate * bits_per_symbol)
+    if not rate > 0:
+        raise ValueError(f"rate must be positive, got {rate}")
+    return eb_n0_db + 10.0 * math.log10(rate)
 
 
-def esn0_to_ebn0(es_n0_db: float, rate: float, bits_per_symbol: float = 1.0) -> float:
+def esn0_to_ebn0(es_n0_db: float, rate: float) -> float:
     """Eb/N0 in dB from Es/N0 in dB at the given info rate."""
-    if not (rate > 0 and bits_per_symbol > 0):
-        raise ValueError("rate and bits_per_symbol must be positive")
-    return es_n0_db - 10.0 * math.log10(rate * bits_per_symbol)
+    if not rate > 0:
+        raise ValueError(f"rate must be positive, got {rate}")
+    return es_n0_db - 10.0 * math.log10(rate)

@@ -8,6 +8,7 @@ errors, reported with the file name and line number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .channel import SNR_CONVENTIONS
@@ -17,12 +18,14 @@ GRID_CONVENTIONS = SNR_CONVENTIONS + ("eb_n0_overall", "eb_n0_stream1")
 
 
 class ConfigError(ValueError):
-    """Bad config file; message carries path and 1-based line number."""
+    """Bad config file; message carries path and the 1-based line number of
+    the offending key (``line`` is None when the key is absent)."""
 
-    def __init__(self, path: str, line: int, message: str):
+    def __init__(self, path: str, line: int | None, message: str):
         self.path = path
         self.line = line
-        super().__init__(f"{path}:{line}: {message}")
+        where = path if line is None else f"{path}:{line}"
+        super().__init__(f"{where}: {message}")
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,7 @@ def read_kv_file(path) -> dict:
 def _take(kv: dict, path: str, key: str, conv, default=None, required=False):
     if key not in kv:
         if required:
-            raise ConfigError(path, 0, f"missing required key {key!r}")
+            raise ConfigError(path, None, f"missing required key {key!r}")
         return default
     value, lineno = kv.pop(key)
     try:
@@ -98,12 +101,27 @@ def _reject_unknown(kv: dict, path: str):
         raise ConfigError(path, lineno, f"unknown key {key!r}")
 
 
+def _checker(kv: dict, path: str):
+    """``require(ok, key, message)``: raise at ``key``'s line unless ``ok``."""
+    lines = {key: lineno for key, (_, lineno) in kv.items()}
+
+    def require(ok, key: str, message: str):
+        if not ok:
+            raise ConfigError(path, lines.get(key), message)
+
+    return require
+
+
+def _positive(x: float) -> bool:
+    return x > 0 and math.isfinite(x)
+
+
 def load_sweep_config(path) -> SweepConfig:
     path = str(path)
     kv = read_kv_file(path)
+    require = _checker(kv, path)
     scheme = _take(kv, path, "scheme", str, required=True)
-    if scheme not in SCHEMES:
-        raise ConfigError(path, 0, f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    require(scheme in SCHEMES, "scheme", f"scheme must be one of {SCHEMES}, got {scheme!r}")
     cfg = SweepConfig(
         scheme=scheme,
         snr_grid_db=_take(kv, path, "snr_grid_db", _grid, required=True),
@@ -121,23 +139,25 @@ def load_sweep_config(path) -> SweepConfig:
         source=path,
     )
     _reject_unknown(kv, path)
-    if cfg.snr_convention not in GRID_CONVENTIONS:
-        raise ConfigError(path, 0,
-                          f"snr_convention must be one of {GRID_CONVENTIONS}")
-    if cfg.scheme in ("dmm_realistic", "dmm_genie") and not (cfg.code1 and cfg.code2):
-        raise ConfigError(path, 0, f"scheme {cfg.scheme} requires code1 and code2")
-    if cfg.scheme == "bpsk_baseline" and not cfg.code1:
-        raise ConfigError(path, 0, "scheme bpsk_baseline requires code1")
-    if cfg.code2_repeat < 1:
-        raise ConfigError(path, 0, "code2_repeat must be >= 1")
-    if cfg.stop_min_frame_errors < 1 or cfg.stop_max_frames < 1:
-        raise ConfigError(path, 0, "stop rule values must be >= 1")
+    require(cfg.snr_convention in GRID_CONVENTIONS, "snr_convention",
+            f"snr_convention must be one of {GRID_CONVENTIONS}")
+    if cfg.scheme in ("dmm_realistic", "dmm_genie"):
+        require(cfg.code1 and cfg.code2, "scheme",
+                f"scheme {cfg.scheme} requires code1 and code2")
+    if cfg.scheme == "bpsk_baseline":
+        require(cfg.code1, "scheme", "scheme bpsk_baseline requires code1")
+    for key in ("code2_repeat", "stop_min_frame_errors", "stop_max_frames",
+                "max_bp_iterations", "uncoded_block_bits"):
+        require(getattr(cfg, key) >= 1, key, f"{key} must be >= 1")
+    require(_positive(cfg.symbol_energy), "symbol_energy",
+            "symbol_energy must be positive and finite")
     return cfg
 
 
 def load_capacity_config(path) -> CapacityConfig:
     path = str(path)
     kv = read_kv_file(path)
+    require = _checker(kv, path)
     cfg = CapacityConfig(
         snr_grid_db=_take(kv, path, "snr_grid_db", _grid, required=True),
         symbol_energy=_take(kv, path, "symbol_energy", float, default=1.0),
@@ -146,6 +166,6 @@ def load_capacity_config(path) -> CapacityConfig:
         source=path,
     )
     _reject_unknown(kv, path)
-    if cfg.symbol_energy <= 0 or cfg.quadrature_tol_bits <= 0:
-        raise ConfigError(path, 0, "symbol_energy and quadrature_tol_bits must be positive")
+    for key in ("symbol_energy", "quadrature_tol_bits"):
+        require(_positive(getattr(cfg, key)), key, f"{key} must be positive and finite")
     return cfg

@@ -11,6 +11,7 @@ message buffers per call, so codes can be shared freely across workers.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -334,6 +335,8 @@ def decode_soft_batch(code, llrs: np.ndarray, max_iter: int = 50):
     decision, so a total erasure reports ``max_iter`` without converging.
     Returns (info bits (B, k), converged (B,), iterations (B,)).
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     llrs = np.asarray(llrs, dtype=np.float64)
     if llrs.ndim != 2 or llrs.shape[1] != code.n:
         raise ValueError(f"expected (B, {code.n}) LLRs, got {llrs.shape}")
@@ -434,7 +437,6 @@ def load_alist(path) -> BinaryCode:
                 f"{path}:{lineno + 1}: row {i + 1} adjacency disagrees with columns"
             )
 
-    import os
     return generator_from_parity(h, name=os.path.basename(path))
 
 

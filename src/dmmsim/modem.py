@@ -21,6 +21,10 @@ constants 1, 1j, -1, -1j, which IEEE-754 evaluates without rounding; the
 mapper and the receiver's derotate-then-demap step select by the axis bit
 and are bitwise equal to the :func:`rotate`-based forms.
 
+:class:`Constellation` is the package's only finite-input type: the axis
+demapper reads its points and axis labels, and ``mutual_info`` integrates
+over its points and priors.
+
 LLR sign convention everywhere: positive LLR means bit 0 is more likely.
 """
 
@@ -44,32 +48,54 @@ _EXACT_PHASORS = (
 
 @dataclass(frozen=True)
 class Constellation:
-    """Ordered four-point signal set with common symbol energy."""
+    """Finite signal set: complex points and their prior probabilities."""
 
     points: np.ndarray
-    es: float
+    probs: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.complex128)
-        if pts.shape != (4,):
-            raise ValueError(f"expected 4 points, got shape {pts.shape}")
-        if not self.es > 0:
-            raise ValueError(f"es must be positive, got {self.es}")
-        energy = np.abs(pts) ** 2
-        if not np.allclose(energy, self.es, rtol=1e-12, atol=0.0):
-            raise ValueError("all points must have energy es")
+        pts = np.asarray(self.points, dtype=np.complex128).ravel()
+        if pts.size < 2:
+            raise ValueError("need at least two constellation points")
+        if not np.all(np.isfinite(pts.view(np.float64))):
+            raise ValueError("constellation points must be finite")
+        pr = np.asarray(self.probs, dtype=np.float64).ravel()
+        if pr.shape != pts.shape:
+            raise ValueError("probs must match points")
+        if np.any(pr < 0) or abs(pr.sum() - 1.0) > 1e-12:
+            raise ValueError("probs must be nonnegative and sum to 1 within 1e-12")
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "probs", pr)
+
+    @classmethod
+    def uniform(cls, points) -> "Constellation":
+        points = np.asarray(points, dtype=np.complex128).ravel()
+        return cls(points=points, probs=np.full(points.size, 1.0 / points.size))
+
+    @classmethod
+    def bpsk(cls, es: float = 1.0) -> "Constellation":
+        a = math.sqrt(es)
+        return cls.uniform([a, -a])
+
+    @classmethod
+    def qpsk(cls, es: float = 1.0) -> "Constellation":
+        a = math.sqrt(es / 2.0)
+        return cls.uniform([a + 1j * a, -a + 1j * a, -a - 1j * a, a - 1j * a])
 
     @classmethod
     def quadrature_pair(cls, es: float = 1.0) -> "Constellation":
-        """The canonical layout: +re, +im, -re, -im, each at energy es."""
+        """The rotation-keyed four-point set: +re, +im, -re, -im, each at energy es."""
         a = math.sqrt(es)
-        return cls(points=np.array([a, 1j * a, -a, -1j * a]), es=es)
+        return cls.uniform([a, 1j * a, -a, -1j * a])
+
+    @property
+    def is_real(self) -> bool:
+        return bool(np.all(self.points.imag == 0.0))
 
     @property
     def axis_labels(self) -> np.ndarray:
         """Second-stream bit carried by each point (0 = real axis pair)."""
-        return np.array([0, 1, 0, 1], dtype=np.uint8)
+        return demod_v2_hard(self.points)
 
 
 def map_bpsk(bits, es: float = 1.0) -> np.ndarray:
@@ -109,20 +135,12 @@ def dmm_map(v1, v2, es: float = 1.0) -> np.ndarray:
     return np.where(np.asarray(v2, dtype=bool), s * 1j, s)
 
 
-def demod_v2_hard(y, constellation: Constellation | None = None):
+def demod_v2_hard(y) -> np.ndarray:
     """Hard decision on the axis bit: 1 iff the point is nearest the
-    imaginary-axis pair.
-
-    For the canonical layout this is ``|im(y)| > |re(y)|``; exact ties go to
-    0.  With an explicit constellation the nearest point decides and ties go
-    to the earliest point in the listed order.
+    imaginary-axis pair, that is ``|im(y)| > |re(y)|``; exact ties go to 0.
     """
     y = np.asarray(y, dtype=np.complex128)
-    if constellation is None:
-        return (np.abs(y.imag) > np.abs(y.real)).astype(np.uint8)
-    d2 = np.abs(y[..., None] - constellation.points) ** 2
-    nearest = np.argmin(d2, axis=-1)
-    return constellation.axis_labels[nearest]
+    return (np.abs(y.imag) > np.abs(y.real)).astype(np.uint8)
 
 
 def llr_v2(y, constellation: Constellation, sigma2: float) -> np.ndarray:

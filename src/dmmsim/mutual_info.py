@@ -1,13 +1,16 @@
 """Mutual information of finite signal sets over AWGN, and the composite
 achievable-rate audit for the two-stream scheme.
 
-The received-signal density is a Gaussian mixture over the constellation
-points.  I(X;Y) is evaluated as H(Y) - H(N), with H(Y) integrated either by
-adaptive Gauss-Hermite quadrature (node count doubled until the estimate
-moves by less than ``tol`` bits) or by seeded Monte-Carlo sampling with a
-confidence interval.  Real-axis-only sets use the scalar channel; anything
-two-dimensional uses the planar integral and the matching two-dimensional
-noise entropy, so one-dimensional and complex bookkeeping never mix.
+The input is a :class:`~dmmsim.modem.Constellation`, the same type the
+receiver demaps against.  The received-signal density is a Gaussian mixture
+over its points.  I(X;Y) is evaluated as H(Y) - H(N), with H(Y) integrated
+either by adaptive Gauss-Hermite quadrature (node count doubled until the
+estimate moves by less than ``tol`` bits) or by seeded Monte-Carlo sampling
+with a confidence interval.  One code path serves both dimensions: a
+real-axis-only set is carried as float points and integrated on the line
+against one-dimensional noise entropy, anything else as complex points in
+the plane against the two-dimensional noise entropy, so one-dimensional and
+complex bookkeeping never mix.
 
 The composite rate of the two-stream scheme is the polarity-stream term
 plus the axis-stream term.  The axis term is defined as the mutual
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import snr_to_sigma2
+from .modem import Constellation
 
 LN2 = math.log(2.0)
 
@@ -37,53 +41,6 @@ RECORD_GAP_DB = 0.0045
 #: The published gain claim for the scheme audited here is internally
 #: inconsistent by a factor of ten; both readings are carried verbatim.
 CLAIMED_GAIN_DB = (0.052, 0.52)
-
-
-@dataclass(frozen=True)
-class DiscreteInput:
-    """Finite channel input: constellation points and their priors."""
-
-    points: np.ndarray
-    probs: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.complex128).ravel()
-        if pts.size < 2:
-            raise ValueError("need at least two constellation points")
-        if not np.all(np.isfinite(pts.view(np.float64))):
-            raise ValueError("constellation points must be finite")
-        pr = np.asarray(self.probs, dtype=np.float64).ravel()
-        if pr.shape != pts.shape:
-            raise ValueError("probs must match points")
-        if np.any(pr < 0) or abs(pr.sum() - 1.0) > 1e-12:
-            raise ValueError("probs must be nonnegative and sum to 1 within 1e-12")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "probs", pr)
-
-    @classmethod
-    def uniform(cls, points) -> "DiscreteInput":
-        points = np.asarray(points, dtype=np.complex128).ravel()
-        return cls(points=points, probs=np.full(points.size, 1.0 / points.size))
-
-    @classmethod
-    def bpsk(cls, es: float = 1.0) -> "DiscreteInput":
-        a = math.sqrt(es)
-        return cls.uniform([a, -a])
-
-    @classmethod
-    def qpsk(cls, es: float = 1.0) -> "DiscreteInput":
-        a = math.sqrt(es / 2.0)
-        return cls.uniform([a + 1j * a, -a + 1j * a, -a - 1j * a, a - 1j * a])
-
-    @classmethod
-    def quadrature_pair(cls, es: float = 1.0) -> "DiscreteInput":
-        """The rotation-keyed four-point set: +re, +im, -re, -im."""
-        a = math.sqrt(es)
-        return cls.uniform([a, 1j * a, -a, -1j * a])
-
-    @property
-    def is_real(self) -> bool:
-        return bool(np.all(self.points.imag == 0.0))
 
 
 @dataclass(frozen=True)
@@ -101,68 +58,64 @@ class MiResult:
 
 def awgn_entropy(sigma2: float) -> float:
     """Differential entropy, in bits, of N(0, sigma2) in one real dimension."""
+    _check(sigma2)
+    return math.log2(math.sqrt(2.0 * math.pi * math.e * sigma2))
+
+
+def _check(sigma2: float, method: str = "quadrature") -> None:
     if not (sigma2 > 0 and math.isfinite(sigma2)):
         raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
-    return math.log2(math.sqrt(2.0 * math.pi * math.e * sigma2))
+    if method not in ("quadrature", "monte_carlo"):
+        raise ValueError(f"unknown method {method!r}; use 'quadrature' or 'monte_carlo'")
+
+
+def _dim(points: np.ndarray) -> int:
+    """1 for points on the line (float), 2 for points in the plane (complex)."""
+    return 1 if points.dtype.kind == "f" else 2
 
 
 # ---------------------------------------------------------------------------
 # Gaussian-mixture entropies
 # ---------------------------------------------------------------------------
 
-def _log_mixture_1d(y: np.ndarray, points: np.ndarray, probs: np.ndarray,
-                    sigma2: float) -> np.ndarray:
-    expo = (
-        np.log(probs)
-        - (y[..., None] - points) ** 2 / (2.0 * sigma2)
-        - 0.5 * math.log(2.0 * math.pi * sigma2)
-    )
-    return np.logaddexp.reduce(expo, axis=-1)
-
-
-def _log_mixture_2d(y: np.ndarray, points: np.ndarray, probs: np.ndarray,
-                    sigma2: float) -> np.ndarray:
+def _log_mixture(y: np.ndarray, points: np.ndarray, probs: np.ndarray,
+                 sigma2: float) -> np.ndarray:
+    """Log density of the received point; real ``points`` mean the line."""
     expo = (
         np.log(probs)
         - np.abs(y[..., None] - points) ** 2 / (2.0 * sigma2)
-        - math.log(2.0 * math.pi * sigma2)
+        - 0.5 * _dim(points) * math.log(2.0 * math.pi * sigma2)
     )
     return np.logaddexp.reduce(expo, axis=-1)
 
 
-def _entropy_1d(points: np.ndarray, probs: np.ndarray, sigma2: float,
-                nodes: int) -> float:
-    t, w = np.polynomial.hermite.hermgauss(nodes)
-    offs = math.sqrt(2.0 * sigma2) * t
-    acc = 0.0
-    for pk, xk in zip(probs, points.real):
-        logp = _log_mixture_1d(xk + offs, points.real, probs, sigma2)
-        acc += pk * float(w @ logp)
-    return -acc / math.sqrt(math.pi) / LN2
-
-
-def _entropy_2d(points: np.ndarray, probs: np.ndarray, sigma2: float,
-                nodes: int) -> float:
+def _entropy(points: np.ndarray, probs: np.ndarray, sigma2: float, nodes: int) -> float:
+    """H(Y) in bits by Gauss-Hermite quadrature around each point, on the line
+    or on the tensor grid in the plane."""
     t, w = np.polynomial.hermite.hermgauss(nodes)
     scale = math.sqrt(2.0 * sigma2)
-    offs = scale * (t[:, None] + 1j * t[None, :])
-    w2 = w[:, None] * w[None, :]
+    if _dim(points) == 1:
+        offs = scale * t
+        weigh, norm = (lambda logp: w @ logp), math.sqrt(math.pi)
+    else:
+        offs = scale * (t[:, None] + 1j * t[None, :])
+        w2 = w[:, None] * w[None, :]
+        weigh, norm = (lambda logp: np.sum(w2 * logp)), math.pi
     acc = 0.0
     for pk, xk in zip(probs, points):
-        logp = _log_mixture_2d(xk + offs, points, probs, sigma2)
-        acc += pk * float(np.sum(w2 * logp))
-    return -acc / math.pi / LN2
+        acc += pk * float(weigh(_log_mixture(xk + offs, points, probs, sigma2)))
+    return -acc / norm / LN2
 
 
-def _adaptive(f, tol: float, start: int = 64, cap: int = 256):
-    """Double the node count until successive estimates differ by < tol or
-    ``cap`` nodes are used (numpy's Gauss-Hermite weights are NaN beyond 256).
-    Returns (last estimate, last change)."""
-    nodes = start
-    prev = f(nodes)
-    while nodes < cap:
+def _mixture_entropy(points, probs, sigma2, tol: float):
+    """Double the node count from 64 until successive estimates differ by
+    < tol or 256 nodes are used (numpy's Gauss-Hermite weights are NaN beyond
+    256).  Returns (last estimate, last change)."""
+    nodes = 64
+    prev = _entropy(points, probs, sigma2, nodes)
+    while nodes < 256:
         nodes *= 2
-        cur = f(nodes)
+        cur = _entropy(points, probs, sigma2, nodes)
         delta = abs(cur - prev)
         if delta < tol:
             break
@@ -170,17 +123,34 @@ def _adaptive(f, tol: float, start: int = 64, cap: int = 256):
     return cur, delta
 
 
-def _mixture_entropy(points, probs, sigma2, *, real: bool, tol: float):
-    if real:
-        return _adaptive(lambda k: _entropy_1d(points, probs, sigma2, k), tol)
-    return _adaptive(lambda k: _entropy_2d(points, probs, sigma2, k), tol)
+# ---------------------------------------------------------------------------
+# Monte-Carlo sampling
+# ---------------------------------------------------------------------------
+
+def _mc_draw(points, probs, sigma2: float, samples: int, seed: int):
+    """Seeded draw of transmitted point indices and received samples, the
+    samples in the points' own dimension."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    idx = rng.choice(points.size, size=samples, p=probs)
+    x = points[idx]
+    if _dim(x) == 1:
+        return idx, x + rng.standard_normal(samples) * math.sqrt(sigma2)
+    noise = rng.standard_normal(2 * samples) * math.sqrt(sigma2)
+    return idx, x + noise[0::2] + 1j * noise[1::2]
+
+
+def _mc_result(log_ratio: np.ndarray) -> MiResult:
+    """Mean of per-sample log-likelihood ratios (nats) with a 95% half-width."""
+    samples = log_ratio / LN2
+    half = 1.96 * float(np.std(samples, ddof=1)) / math.sqrt(samples.size)
+    return MiResult(value=float(np.mean(samples)), method="monte_carlo", est_error=half)
 
 
 # ---------------------------------------------------------------------------
 # Mutual information
 # ---------------------------------------------------------------------------
 
-def mi_awgn(inp: DiscreteInput, sigma2: float, method: str = "quadrature", *,
+def mi_awgn(inp: Constellation, sigma2: float, method: str = "quadrature", *,
             tol: float = 1e-6, mc_samples: int = 200_000, seed: int = 0) -> MiResult:
     """I(X;Y) in bits per channel use for a finite input over AWGN.
 
@@ -188,40 +158,21 @@ def mi_awgn(inp: DiscreteInput, sigma2: float, method: str = "quadrature", *,
     line against one-dimensional noise entropy; otherwise in the plane
     against the two-dimensional noise entropy.
     """
-    if not (sigma2 > 0 and math.isfinite(sigma2)):
-        raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
-    real = inp.is_real
+    _check(sigma2, method)
+    pts = inp.points.real if inp.is_real else inp.points
     if method == "quadrature":
-        h_y, err = _mixture_entropy(inp.points, inp.probs, sigma2, real=real, tol=tol)
-        h_n = awgn_entropy(sigma2) * (1 if real else 2)
+        h_y, err = _mixture_entropy(pts, inp.probs, sigma2, tol)
+        h_n = awgn_entropy(sigma2) * _dim(pts)
         return MiResult(value=h_y - h_n, method="quadrature", est_error=max(err, tol))
-    if method == "monte_carlo":
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        idx = rng.choice(inp.points.size, size=mc_samples, p=inp.probs)
-        x = inp.points[idx]
-        if real:
-            y = x.real + rng.standard_normal(mc_samples) * math.sqrt(sigma2)
-            log_cond = (
-                -((y - x.real) ** 2) / (2.0 * sigma2)
-                - 0.5 * math.log(2.0 * math.pi * sigma2)
-            )
-            log_marg = _log_mixture_1d(y, inp.points.real, inp.probs, sigma2)
-        else:
-            noise = rng.standard_normal(2 * mc_samples) * math.sqrt(sigma2)
-            y = x + noise[0::2] + 1j * noise[1::2]
-            log_cond = (
-                -np.abs(y - x) ** 2 / (2.0 * sigma2)
-                - math.log(2.0 * math.pi * sigma2)
-            )
-            log_marg = _log_mixture_2d(y, inp.points, inp.probs, sigma2)
-        samples = (log_cond - log_marg) / LN2
-        half = 1.96 * float(np.std(samples, ddof=1)) / math.sqrt(mc_samples)
-        return MiResult(value=float(np.mean(samples)), method="monte_carlo",
-                        est_error=half)
-    raise ValueError(f"unknown method {method!r}; use 'quadrature' or 'monte_carlo'")
+    idx, y = _mc_draw(pts, inp.probs, sigma2, mc_samples, seed)
+    log_cond = (
+        -np.abs(y - pts[idx]) ** 2 / (2.0 * sigma2)
+        - 0.5 * _dim(pts) * math.log(2.0 * math.pi * sigma2)
+    )
+    return _mc_result(log_cond - _log_mixture(y, pts, inp.probs, sigma2))
 
 
-def mi_binary_label(inp: DiscreteInput, labels, sigma2: float,
+def mi_binary_label(inp: Constellation, labels, sigma2: float,
                     method: str = "quadrature", *, tol: float = 1e-6,
                     mc_samples: int = 200_000, seed: int = 0) -> MiResult:
     """I(B;Y) where B is a binary label attached to each constellation point.
@@ -230,55 +181,34 @@ def mi_binary_label(inp: DiscreteInput, labels, sigma2: float,
     label before knowing anything else; the remaining points inside a label
     class act as self-interference.
     """
-    if not (sigma2 > 0 and math.isfinite(sigma2)):
-        raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
+    _check(sigma2, method)
     labels = np.asarray(labels, dtype=np.uint8).ravel()
     if labels.shape != inp.points.shape or not set(np.unique(labels)) <= {0, 1}:
         raise ValueError("labels must be one 0/1 value per point")
     if len(set(np.unique(labels))) < 2:
         raise ValueError("both label values must occur")
-    real = inp.is_real
+    pts = inp.points.real if inp.is_real else inp.points
     p_label = np.array([inp.probs[labels == b].sum() for b in (0, 1)])
+    # each label class as a mixture of its own points
+    classes = [(pts[labels == b], inp.probs[labels == b] / p_label[b]) for b in (0, 1)]
 
     if method == "quadrature":
-        h_y, err = _mixture_entropy(inp.points, inp.probs, sigma2, real=real, tol=tol)
+        h_y, err = _mixture_entropy(pts, inp.probs, sigma2, tol)
         h_cond = 0.0
         err_total = err
-        for b in (0, 1):
-            sel = labels == b
-            h_b, err_b = _mixture_entropy(
-                inp.points[sel], inp.probs[sel] / p_label[b], sigma2,
-                real=real, tol=tol,
-            )
+        for b, (cls_pts, cls_probs) in enumerate(classes):
+            h_b, err_b = _mixture_entropy(cls_pts, cls_probs, sigma2, tol)
             h_cond += p_label[b] * h_b
             err_total += p_label[b] * err_b
         return MiResult(value=h_y - h_cond, method="quadrature",
                         est_error=max(err_total, tol))
-    if method == "monte_carlo":
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        idx = rng.choice(inp.points.size, size=mc_samples, p=inp.probs)
-        x = inp.points[idx]
-        b = labels[idx]
-        log_mix = _log_mixture_1d if real else _log_mixture_2d
-        if real:
-            y = x.real + rng.standard_normal(mc_samples) * math.sqrt(sigma2)
-        else:
-            noise = rng.standard_normal(2 * mc_samples) * math.sqrt(sigma2)
-            y = x + noise[0::2] + 1j * noise[1::2]
-        pts = inp.points.real if real else inp.points
-        log_marg = log_mix(y, pts, inp.probs, sigma2)
-        log_cond = np.empty(mc_samples)
-        for lab in (0, 1):
-            sel_pts = labels == lab
-            rows = b == lab
-            log_cond[rows] = log_mix(
-                y[rows], pts[sel_pts], inp.probs[sel_pts] / p_label[lab], sigma2
-            )
-        samples = (log_cond - log_marg) / LN2
-        half = 1.96 * float(np.std(samples, ddof=1)) / math.sqrt(mc_samples)
-        return MiResult(value=float(np.mean(samples)), method="monte_carlo",
-                        est_error=half)
-    raise ValueError(f"unknown method {method!r}; use 'quadrature' or 'monte_carlo'")
+    idx, y = _mc_draw(pts, inp.probs, sigma2, mc_samples, seed)
+    b = labels[idx]
+    log_cond = np.empty(mc_samples)
+    for lab, (cls_pts, cls_probs) in enumerate(classes):
+        rows = b == lab
+        log_cond[rows] = _log_mixture(y[rows], cls_pts, cls_probs, sigma2)
+    return _mc_result(log_cond - _log_mixture(y, pts, inp.probs, sigma2))
 
 
 # ---------------------------------------------------------------------------
@@ -287,26 +217,25 @@ def mi_binary_label(inp: DiscreteInput, labels, sigma2: float,
 
 def mi_bpsk(es_n0_db: float, es: float = 1.0, **kw) -> MiResult:
     sigma2 = snr_to_sigma2(es_n0_db, es)
-    return mi_awgn(DiscreteInput.bpsk(es), sigma2, **kw)
+    return mi_awgn(Constellation.bpsk(es), sigma2, **kw)
 
 
 def mi_qpsk(es_n0_db: float, es: float = 1.0, **kw) -> MiResult:
     sigma2 = snr_to_sigma2(es_n0_db, es)
-    return mi_awgn(DiscreteInput.qpsk(es), sigma2, **kw)
+    return mi_awgn(Constellation.qpsk(es), sigma2, **kw)
 
 
 def mi_axis(es_n0_db: float, es: float = 1.0, **kw) -> MiResult:
     """Information carried by the axis bit of the four-point rotated set."""
     sigma2 = snr_to_sigma2(es_n0_db, es)
-    return mi_binary_label(
-        DiscreteInput.quadrature_pair(es), [0, 1, 0, 1], sigma2, **kw
-    )
+    c = Constellation.quadrature_pair(es)
+    return mi_binary_label(c, c.axis_labels, sigma2, **kw)
 
 
 def mi_joint_4point(es_n0_db: float, es: float = 1.0, **kw) -> MiResult:
     """Joint information of the full four-point rotated set (both bits)."""
     sigma2 = snr_to_sigma2(es_n0_db, es)
-    return mi_awgn(DiscreteInput.quadrature_pair(es), sigma2, **kw)
+    return mi_awgn(Constellation.quadrature_pair(es), sigma2, **kw)
 
 
 def composite_abr(es1_n0_db: float, es2_n0_db: float, es: float = 1.0,

@@ -68,6 +68,14 @@ def llr_v2_bruteforce(y, points, labels, sigma2):
     return math.log(num / den)
 
 
+def nearest_point_labels(y, points, labels):
+    """Label of the nearest point to each sample; exact ties go to the
+    earliest point in the listed order."""
+    y = np.asarray(y, dtype=np.complex128)
+    d2 = np.abs(y[..., None] - np.asarray(points, dtype=np.complex128)) ** 2
+    return np.asarray(labels)[np.argmin(d2, axis=-1)]
+
+
 def mi_bpsk_quad_oracle(es, sigma2):
     """BPSK mutual information by scipy adaptive quadrature (bits/use).
 

@@ -62,14 +62,50 @@ def test_unknown_key_rejected_with_line(tmp_path):
 
 def test_bad_scheme_rejected(tmp_path):
     bad = SWEEP_CFG.replace("dmm_realistic", "psk_supreme")
-    with pytest.raises(ConfigError, match="scheme"):
+    with pytest.raises(ConfigError, match=r"s\.cfg:1: scheme"):
         load_sweep_config(write(tmp_path, "s.cfg", bad))
 
 
 def test_missing_code_rejected(tmp_path):
     bad = SWEEP_CFG.replace("code2 = ldpc_r14_n64\n", "")
-    with pytest.raises(ConfigError, match="code1 and code2"):
+    with pytest.raises(ConfigError, match=r"s\.cfg:1: .*code1 and code2"):
         load_sweep_config(write(tmp_path, "s.cfg", bad))
+
+
+def test_missing_required_key_has_no_line(tmp_path):
+    bad = SWEEP_CFG.replace("snr_grid_db = -1.0, 0.5\n", "")
+    with pytest.raises(ConfigError, match=r"s\.cfg: missing required key 'snr_grid_db'") as err:
+        load_sweep_config(write(tmp_path, "s.cfg", bad))
+    assert err.value.line is None
+
+
+BAD_SWEEP_VALUES = [
+    # (text replaced, replacement ending in the bad "key = value"), line of that key
+    (("code2_repeat = 4", "code2_repeat = 0"), 4),
+    (("stop_min_frame_errors = 10", "stop_min_frame_errors = 0"), 7),
+    (("stop_max_frames = 60", "stop_max_frames = -3"), 8),
+    (("master_seed = 42", "master_seed = 42\nmax_bp_iterations = 0"), 10),
+    (("master_seed = 42", "master_seed = 42\nuncoded_block_bits = 0"), 10),
+    (("master_seed = 42", "master_seed = 42\nsymbol_energy = 0"), 10),
+    (("master_seed = 42", "master_seed = 42\nsymbol_energy = nan"), 10),
+]
+
+
+@pytest.mark.parametrize("edit,line", BAD_SWEEP_VALUES,
+                         ids=[e[1].rsplit("\n", 1)[-1] for e, _ in BAD_SWEEP_VALUES])
+def test_bad_sweep_value_rejected_at_its_line(tmp_path, edit, line):
+    path = write(tmp_path, "s.cfg", SWEEP_CFG.replace(*edit))
+    key = edit[1].rsplit("\n", 1)[-1].split(" =")[0]
+    with pytest.raises(ConfigError, match=rf"s\.cfg:{line}: {key} must be"):
+        load_sweep_config(path)
+
+
+@pytest.mark.parametrize("extra", ["symbol_energy = 0", "quadrature_tol_bits = -1e-6"])
+def test_bad_capacity_value_rejected_at_its_line(tmp_path, extra):
+    path = write(tmp_path, "c.cfg", CAPACITY_CFG.replace("quadrature_tol_bits = 1e-6\n", "")
+                 + extra + "\n")
+    with pytest.raises(ConfigError, match=rf"c\.cfg:2: {extra.split(' =')[0]} must be"):
+        load_capacity_config(path)
 
 
 def test_duplicate_key_rejected(tmp_path):
@@ -79,7 +115,7 @@ def test_duplicate_key_rejected(tmp_path):
 
 def test_bad_convention_rejected(tmp_path):
     bad = SWEEP_CFG.replace("es_n0_complex", "db_per_furlong")
-    with pytest.raises(ConfigError, match="snr_convention"):
+    with pytest.raises(ConfigError, match=r"s\.cfg:6: snr_convention"):
         load_sweep_config(write(tmp_path, "s.cfg", bad))
 
 

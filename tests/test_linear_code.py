@@ -12,6 +12,7 @@ from dmmsim import (
     extend_repetition,
     generator_from_parity,
     load_alist,
+    run_point,
     save_alist,
 )
 from dmmsim.linear_code import gf2_inv, gf2_matmul, gf2_rank, gf2_rref
@@ -167,6 +168,18 @@ def test_decode_requires_parity():
     code = BinaryCode(generator=np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8))
     with pytest.raises(ValueError):
         decode_soft_batch(code, np.zeros((1, 3)))
+
+
+def test_decode_rejects_nonpositive_max_iter(hamming):
+    # zero iterations used to return all-zero words without an error
+    llrs = np.full((2, hamming.n), 3.0)
+    for max_iter in (0, -1):
+        with pytest.raises(ValueError, match="max_iter"):
+            decode_soft_batch(hamming, llrs, max_iter=max_iter)
+    with pytest.raises(ValueError, match="max_iter"):
+        run_point("bpsk_baseline", hamming, snr_db=10.0, max_frames=8, max_iter=0)
+    bits, conv, iters = decode_soft_batch(hamming, llrs, max_iter=1)
+    assert not bits.any() and conv.all() and np.array_equal(iters, [1, 1])
 
 
 def test_decode_batch_matches_single(code24):

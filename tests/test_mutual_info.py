@@ -6,7 +6,7 @@ import pytest
 from dmmsim import (
     CLAIMED_GAIN_DB,
     RECORD_GAP_DB,
-    DiscreteInput,
+    Constellation,
     awgn_entropy,
     composite_abr,
     gap_report,
@@ -64,7 +64,7 @@ def test_mi_bpsk_saturates():
 def test_mi_bpsk_against_scipy_quadrature():
     for snr_db in (-5.0, -2.8, 0.0, 4.0):
         sigma2 = snr_to_sigma2(snr_db, 1.0)
-        mine = mi_awgn(DiscreteInput.bpsk(1.0), sigma2).value
+        mine = mi_awgn(Constellation.bpsk(1.0), sigma2).value
         ref = mi_bpsk_quad_oracle(1.0, sigma2)
         assert mine == pytest.approx(ref, abs=2e-6)
 
@@ -111,8 +111,8 @@ def test_qpsk_gray_decomposition():
 def test_quadrature_reports_nonconvergence_at_node_cap():
     # 1e-14 is out of reach within the node cap: the result stays finite and
     # its error bound exceeds the request instead of echoing it
-    capped = mi_awgn(DiscreteInput.qpsk(), 0.3, tol=1e-14)
-    ref = mi_awgn(DiscreteInput.qpsk(), 0.3, tol=1e-6)
+    capped = mi_awgn(Constellation.qpsk(), 0.3, tol=1e-14)
+    ref = mi_awgn(Constellation.qpsk(), 0.3, tol=1e-6)
     assert math.isfinite(capped.value)
     assert capped.est_error > 1e-14
     assert abs(capped.value - ref.value) <= capped.est_error
@@ -198,17 +198,19 @@ def test_gap_report_carries_claims():
 
 def test_discrete_input_validation():
     with pytest.raises(ValueError):
-        DiscreteInput(points=np.array([1.0 + 0j]), probs=np.array([1.0]))
+        Constellation(points=np.array([1.0 + 0j]), probs=np.array([1.0]))
     with pytest.raises(ValueError):
-        DiscreteInput(points=np.array([1.0, -1.0]), probs=np.array([0.6, 0.6]))
+        Constellation(points=np.array([1.0, -1.0]), probs=np.array([0.6, 0.6]))
     with pytest.raises(ValueError):
-        DiscreteInput(points=np.array([1.0, -1.0]), probs=np.array([1.2, -0.2]))
+        Constellation(points=np.array([1.0, -1.0]), probs=np.array([1.2, -0.2]))
 
 
 def test_mi_awgn_validation():
     with pytest.raises(ValueError):
-        mi_awgn(DiscreteInput.bpsk(), 0.0)
+        mi_awgn(Constellation.bpsk(), 0.0)
     with pytest.raises(ValueError):
-        mi_awgn(DiscreteInput.bpsk(), 1.0, method="bogus")
+        mi_awgn(Constellation.bpsk(), 1.0, method="bogus")
     with pytest.raises(ValueError):
-        mi_binary_label(DiscreteInput.bpsk(), [0, 0], 1.0)
+        mi_binary_label(Constellation.bpsk(), [0, 0], 1.0)
+    with pytest.raises(ValueError):
+        mi_binary_label(Constellation.bpsk(), [0, 1], 1.0, method="bogus")
