@@ -7,6 +7,10 @@ breaking ties by lowest degree and then by a seeded priority order.  The
 construction is repeated with the next seed until the matrix has full row
 rank, so every name maps to one fixed, reproducible code.
 
+The matrices ship with the package as canonical alist files in ``codes/``,
+so a process loads a fixture instead of growing it; :func:`fixture_parity`
+grows it again and is the reference those files are tested against.
+
 Lengths are desk scale (tens to a few thousand bits).  The rate-1/2 and
 rate-1/4 families mirror the code-rate structure of the simulated scheme;
 the rate-1/4 members are the bases for repetition-extended rate-1/8 and
@@ -16,6 +20,7 @@ rate-1/16 codes.
 from __future__ import annotations
 
 import functools
+from importlib import resources
 
 import numpy as np
 
@@ -85,11 +90,25 @@ def peg_parity(n: int, dv: int, dc: int, seed: int = 0) -> np.ndarray:
     return h
 
 
-def _full_rank_peg(n: int, dv: int, dc: int, seed: int, name: str) -> BinaryCode:
+#: PEG parameters (n, dv, dc, first seed) of each LDPC fixture.
+PEG_FIXTURES = {
+    "ldpc_r12_n24": (24, 3, 6, 11),
+    "ldpc_r14_n64": (64, 3, 4, 21),
+    "ldpc_r12_n256": (256, 3, 6, 31),
+    "ldpc_r14_n512": (512, 3, 4, 41),
+    "ldpc_r14_n1024": (1024, 3, 4, 51),
+    "ldpc_r12_n2048": (2048, 3, 6, 61),
+}
+
+
+def fixture_parity(name: str) -> np.ndarray:
+    """Grow the parity-check matrix of an LDPC fixture: the first full-rank
+    PEG matrix from its seed on."""
+    n, dv, dc, seed = PEG_FIXTURES[name]
     for attempt in range(16):
         h = peg_parity(n, dv, dc, seed=seed + attempt)
         if gf2_rank(h) == h.shape[0]:
-            return generator_from_parity(h, name=name)
+            return h
     raise RuntimeError(f"no full-rank PEG matrix found for {name} near seed {seed}")
 
 
@@ -105,34 +124,25 @@ def _hamming_7_4() -> BinaryCode:
     return generator_from_parity(h, name="hamming_7_4")
 
 
-_FACTORIES = {
-    "hamming_7_4": _hamming_7_4,
-    "ldpc_r12_n24": lambda: _full_rank_peg(24, 3, 6, seed=11, name="ldpc_r12_n24"),
-    "ldpc_r14_n64": lambda: _full_rank_peg(64, 3, 4, seed=21, name="ldpc_r14_n64"),
-    "ldpc_r12_n256": lambda: _full_rank_peg(256, 3, 6, seed=31, name="ldpc_r12_n256"),
-    "ldpc_r14_n512": lambda: _full_rank_peg(512, 3, 4, seed=41, name="ldpc_r14_n512"),
-    "ldpc_r14_n1024": lambda: _full_rank_peg(1024, 3, 4, seed=51, name="ldpc_r14_n1024"),
-    "ldpc_r12_n2048": lambda: _full_rank_peg(2048, 3, 6, seed=61, name="ldpc_r12_n2048"),
-}
-
-BUILTIN_CODE_NAMES = tuple(sorted(_FACTORIES))
+BUILTIN_CODE_NAMES = tuple(sorted(("hamming_7_4", *PEG_FIXTURES)))
 
 
 @functools.lru_cache(maxsize=None)
 def builtin_code(name: str) -> BinaryCode:
-    """Construct (once per process) the named fixture code."""
-    try:
-        factory = _FACTORIES[name]
-    except KeyError:
+    """Load (once per process) the named fixture code."""
+    if name == "hamming_7_4":
+        return _hamming_7_4()
+    if name not in PEG_FIXTURES:
         raise KeyError(
             f"unknown builtin code {name!r}; available: {', '.join(BUILTIN_CODE_NAMES)}"
-        ) from None
-    return factory()
+        )
+    with resources.as_file(resources.files(__package__) / "codes" / f"{name}.alist") as path:
+        return load_alist(path, name=name)
 
 
 def resolve_code(ref: str) -> BinaryCode:
     """Map a config reference to a code: builtin name or path to .alist file."""
-    if ref in _FACTORIES:
+    if ref in BUILTIN_CODE_NAMES:
         return builtin_code(ref)
     if ref.endswith(".alist"):
         return load_alist(ref)

@@ -5,6 +5,17 @@ alist interchange format for sparse parity-check matrices.
 Bit vectors are plain numpy arrays with values in {0, 1}; LLR vectors are
 float arrays with the package-wide sign convention (positive favours bit 0).
 
+The BP decoder keeps its messages check-major in a fixed-degree layout: a
+batch of check-side messages is a (B, m, dc) array and the variable side a
+(B, n, dv) array, dc and dv the largest check and variable degrees.  Codes
+with more than one degree are padded after the real edges of each row with
+neutral entries (log-magnitude 0, no zero, no sign on the check side, a 0.0
+message on the variable side), so the same reshape reductions serve every
+code.  The sums keep ``np.add.reduceat``'s association, so a regular code,
+or any code whose padded rows are at most eight wide, decodes to the bits
+of an edge-list decoder with ``reduceat`` sums; wider padded rows may round
+differently in the last bit.
+
 Code objects are immutable after construction.  Decoding allocates its own
 message buffers per call, so codes can be shared freely across workers.
 """
@@ -98,33 +109,43 @@ def gf2_inv(a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class _BpGraph:
-    """Edge-list view of a parity-check matrix, precomputed for BP.
+    """Fixed-degree, check-major view of a parity-check matrix for BP.
 
-    Edges are kept in variable-major order; a stable permutation regroups
-    them check-major.  All arrays are immutable after construction.
+    Edge slots form an (m, dc) grid, dc the largest check degree: row i holds
+    the variables of check i in ascending order, padded at the end.  The
+    variable side is an (n, dv) grid of slot indices, dv the largest variable
+    degree, each row in ascending check order and padded at the end with slot
+    ``m * dc``, one past the grid.  All arrays are immutable after
+    construction.
     """
 
     def __init__(self, parity: np.ndarray):
         m, n = parity.shape
-        check_of, var_of = np.nonzero(parity)
-        order = np.lexsort((check_of, var_of))  # variable-major
-        self.var_of_edge = var_of[order]
-        self.check_of_edge = check_of[order]
-        self.n_vars = n
-
-        counts_v = np.bincount(self.var_of_edge, minlength=n)
-        if np.any(counts_v == 0):
+        check_of, var_of = np.nonzero(parity)  # check-major, ascending variable
+        deg_v = np.bincount(var_of, minlength=n)
+        if np.any(deg_v == 0):
             raise ValueError("parity-check matrix has an unconnected column")
-        self.var_starts = np.concatenate(([0], np.cumsum(counts_v)[:-1]))
-
-        self.perm_to_check = np.argsort(self.check_of_edge, kind="stable")
-        self.perm_from_check = np.argsort(self.perm_to_check, kind="stable")
-        counts_c = np.bincount(self.check_of_edge, minlength=m)
-        if np.any(counts_c == 0):
+        deg_c = np.bincount(check_of, minlength=m)
+        if np.any(deg_c == 0):
             raise ValueError("parity-check matrix has an empty row")
-        self.check_starts = np.concatenate(([0], np.cumsum(counts_c)[:-1]))
-        self.var_of_edge_c = self.var_of_edge[self.perm_to_check]
-        self.check_of_edge_c = self.check_of_edge[self.perm_to_check]
+        dc, dv = int(deg_c.max()), int(deg_v.max())
+        self.check_shape = (m, dc)
+        self.var_shape = (n, dv)
+
+        edge = np.arange(check_of.size)
+        slot = check_of * dc + edge - (np.cumsum(deg_c) - deg_c)[check_of]
+        self.var_of_slot = np.zeros(m * dc, dtype=np.intp)
+        self.var_of_slot[slot] = var_of
+        # padded check slots, or None for a code with one check degree
+        self.pad_slots = None
+        if slot.size < m * dc:
+            self.pad_slots = np.ones(m * dc, dtype=bool)
+            self.pad_slots[slot] = False
+
+        by_var = np.argsort(var_of, kind="stable")  # ascending check per variable
+        v = var_of[by_var]
+        self.slot_of_var = np.full(n * dv, m * dc, dtype=np.intp)
+        self.slot_of_var[v * dv + edge - (np.cumsum(deg_v) - deg_v)[v]] = slot[by_var]
 
 
 @dataclass(frozen=True)
@@ -257,6 +278,27 @@ def encode(code, info: np.ndarray) -> np.ndarray:
 # Belief-propagation decoding
 # ---------------------------------------------------------------------------
 
+def _degree_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, associated as ``np.add.reduceat`` does: the
+    first term plus numpy's sum of the rest, which adds fewer than eight
+    terms left to right (spelled out below, as numpy is slow on a short
+    axis) and more in its pairwise order."""
+    if 2 < x.shape[-1] <= 8:
+        rest = x[..., 1] + x[..., 2]
+        for j in range(3, x.shape[-1]):
+            rest += x[..., j]
+        return x[..., 0] + rest
+    return x[..., 0] + x[..., 1:].sum(axis=-1)
+
+
+def _parity(x: np.ndarray) -> np.ndarray:
+    """XOR of a boolean array along its last axis."""
+    acc = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        acc ^= x[..., j]
+    return acc
+
+
 def _bp_batch(graph: _BpGraph, llr: np.ndarray, max_iter: int):
     """Sum-product decoding of a batch of LLR rows.
 
@@ -269,47 +311,57 @@ def _bp_batch(graph: _BpGraph, llr: np.ndarray, max_iter: int):
     Returns (hard codewords, converged flags, iteration counts).
     """
     b = llr.shape[0]
-    llr_clipped = np.clip(llr, -LLR_MAX, LLR_MAX)
+    m, dc = graph.check_shape
+    n, dv = graph.var_shape
+    slots = m * dc
 
-    bits = np.zeros((b, graph.n_vars), dtype=np.uint8)
+    bits = np.zeros((b, n), dtype=np.uint8)
     converged = np.zeros(b, dtype=bool)
     iterations = np.full(b, max_iter, dtype=np.int64)
 
-    starts = graph.check_starts
-    edge_check = graph.check_of_edge_c
-
     # rows still iterating; converged rows are dropped from the working set
     rows = np.arange(b)
-    base = llr_clipped
-    lq = np.clip(base[:, graph.var_of_edge], -LLR_MAX, LLR_MAX)
+    base = np.clip(llr, -LLR_MAX, LLR_MAX)
+    lq = np.clip(base[:, graph.var_of_slot], -LLR_MAX, LLR_MAX)
 
     for it in range(1, max_iter + 1):
-        # check update, edges regrouped check-major
-        t = np.tanh(lq[:, graph.perm_to_check] / 2.0)
+        # check update on the (rows, m, dc) grid, in place where a message
+        # is not read again
+        t = np.tanh(np.divide(lq, 2.0, out=lq), out=lq)
+        if graph.pad_slots is not None:
+            t[:, graph.pad_slots] = 1.0  # log-magnitude 0, not zero, not negative
+        t = t.reshape(-1, m, dc)
         zero = t == 0.0
-        log_abs = np.log(np.where(zero, 1.0, np.abs(t)))
-        neg = (t < 0.0).astype(np.int64)
+        erasures = zero.any()  # exact-zero messages are rare; skip their bookkeeping
+        neg = t < 0.0
+        mag = np.abs(t, out=t)
+        if erasures:
+            mag = np.where(zero, 1.0, mag)
+        log_abs = np.log(mag, out=mag)
+        ext = np.exp(np.subtract(_degree_sum(log_abs)[..., None], log_abs, out=log_abs),
+                     out=log_abs)
+        if erasures:  # another edge of the check is an erasure
+            ext = np.where(np.count_nonzero(zero, axis=-1)[..., None] > zero, 0.0, ext)
+        # the other signs of the check are odd: multiply by -1.0, so 0.0 -> -0.0
+        ext *= 1.0 - 2.0 * (_parity(neg)[..., None] ^ neg)
+        ext = np.arctanh(np.clip(ext, -_TANH_CAP, _TANH_CAP, out=ext), out=ext)
+        # one trailing 0.0 column: the message of every padded variable slot
+        lr = np.empty((rows.size, slots + 1))
+        lr[:, slots] = 0.0
+        np.multiply(2.0, ext.reshape(-1, slots), out=lr[:, :slots])
 
-        log_sum = np.add.reduceat(log_abs, starts, axis=1)[:, edge_check]
-        zero_sum = np.add.reduceat(zero.astype(np.int64), starts, axis=1)[:, edge_check]
-        neg_sum = np.add.reduceat(neg, starts, axis=1)[:, edge_check]
+        # variable update and posterior; the syndrome reads the posterior
+        # gathered to the check slots
+        post = base + _degree_sum(np.take(lr, graph.slot_of_var, axis=1).reshape(-1, n, dv))
+        lq = np.take(post, graph.var_of_slot, axis=1)
+        on_check = lq < 0
+        if graph.pad_slots is not None:
+            on_check &= ~graph.pad_slots
+        ok = ~np.any(_parity(on_check.reshape(-1, m, dc)), axis=1) & np.any(post != 0.0, axis=1)
+        lq -= lr[:, :slots]
+        np.clip(lq, -LLR_MAX, LLR_MAX, out=lq)
 
-        ext_prod = np.exp(log_sum - log_abs)
-        ext_prod[(zero_sum - zero) > 0] = 0.0
-        ext_prod[((neg_sum - neg) % 2) == 1] *= -1.0
-        lr_c = 2.0 * np.arctanh(np.clip(ext_prod, -_TANH_CAP, _TANH_CAP))
-        lr = lr_c[:, graph.perm_from_check]
-
-        # variable update and posterior
-        post = base + np.add.reduceat(lr, graph.var_starts, axis=1)
-        lq = np.clip(post[:, graph.var_of_edge] - lr, -LLR_MAX, LLR_MAX)
-
-        new_bits = (post < 0).astype(np.uint8)
-        par = np.add.reduceat(new_bits[:, graph.var_of_edge_c].astype(np.int64),
-                              starts, axis=1)
-        ok = ~np.any(par % 2, axis=1) & np.any(post != 0.0, axis=1)
-
-        bits[rows] = new_bits
+        bits[rows] = post < 0
         if np.any(ok):
             done = rows[ok]
             iterations[done] = it
@@ -333,6 +385,9 @@ def decode_soft_batch(code, llrs: np.ndarray, max_iter: int = 50):
     Early exit per row on a zero syndrome; inputs and messages are clipped
     at +-LLR_MAX, and a row whose posterior is identically zero carries no
     decision, so a total erasure reports ``max_iter`` without converging.
+    Messages live in the fixed-degree, check-major layout described in the
+    module docstring; bits, flags and iteration counts equal those of the
+    edge-list ``reduceat`` decoder kept as ``tests/oracles.bp_reference``.
     Returns (info bits (B, k), converged (B,), iterations (B,)).
     """
     if max_iter < 1:
@@ -376,12 +431,12 @@ def generator_from_parity(h: np.ndarray, name: str = "") -> BinaryCode:
     return BinaryCode(generator=g, parity=h, name=name, info_positions=free)
 
 
-def load_alist(path) -> BinaryCode:
+def load_alist(path, name: str | None = None) -> BinaryCode:
     """Read a parity-check matrix in alist format and derive its generator.
 
     Field order: ``n m``, max degrees, column degrees, row degrees, then one
     adjacency line per column and per row with 1-based indices (zero padding
-    tolerated).
+    tolerated).  The code is named ``name``, or by default after the file.
     """
     path = str(path)
     with open(path, "r", encoding="ascii") as fh:
@@ -437,7 +492,7 @@ def load_alist(path) -> BinaryCode:
                 f"{path}:{lineno + 1}: row {i + 1} adjacency disagrees with columns"
             )
 
-    return generator_from_parity(h, name=os.path.basename(path))
+    return generator_from_parity(h, name=name or os.path.basename(path))
 
 
 def save_alist(code_or_parity, path) -> None:

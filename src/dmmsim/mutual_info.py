@@ -47,8 +47,11 @@ CLAIMED_GAIN_DB = (0.052, 0.52)
 class MiResult:
     """Mutual information estimate in bits per channel use.
 
-    ``est_error`` is a 95% half-width for Monte-Carlo; for quadrature it is at
-    least ``tol``, and above ``tol`` when the node cap stopped convergence.
+    ``value`` lies in [0, H(X)], H(X) the entropy of the input (or label)
+    priors: quadrature and sampling errors can step outside that range, and
+    are clamped back into it.  ``est_error`` is a 95% half-width for
+    Monte-Carlo; for quadrature it is at least ``tol``, and above ``tol``
+    when the node cap stopped convergence.
     """
 
     value: float
@@ -67,6 +70,12 @@ def _check(sigma2: float, method: str = "quadrature") -> None:
         raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
     if method not in ("quadrature", "monte_carlo"):
         raise ValueError(f"unknown method {method!r}; use 'quadrature' or 'monte_carlo'")
+
+
+def _clamp(value, probs: np.ndarray) -> float:
+    """``value`` clamped into [0, H(X)], H(X) in bits for these priors."""
+    p = probs[probs > 0]
+    return float(min(max(value, 0.0), -np.sum(p * np.log2(p))))
 
 
 def _dim(points: np.ndarray) -> int:
@@ -139,11 +148,13 @@ def _mc_draw(points, probs, sigma2: float, samples: int, seed: int):
     return idx, x + noise[0::2] + 1j * noise[1::2]
 
 
-def _mc_result(log_ratio: np.ndarray) -> MiResult:
-    """Mean of per-sample log-likelihood ratios (nats) with a 95% half-width."""
+def _mc_result(log_ratio: np.ndarray, probs: np.ndarray) -> MiResult:
+    """Mean of per-sample log-likelihood ratios (nats) with a 95% half-width,
+    for an input with priors ``probs``."""
     samples = log_ratio / LN2
     half = 1.96 * float(np.std(samples, ddof=1)) / math.sqrt(samples.size)
-    return MiResult(value=float(np.mean(samples)), method="monte_carlo", est_error=half)
+    return MiResult(value=_clamp(np.mean(samples), probs), method="monte_carlo",
+                    est_error=half)
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +174,14 @@ def mi_awgn(inp: Constellation, sigma2: float, method: str = "quadrature", *,
     if method == "quadrature":
         h_y, err = _mixture_entropy(pts, inp.probs, sigma2, tol)
         h_n = awgn_entropy(sigma2) * _dim(pts)
-        return MiResult(value=h_y - h_n, method="quadrature", est_error=max(err, tol))
+        return MiResult(value=_clamp(h_y - h_n, inp.probs), method="quadrature",
+                        est_error=max(err, tol))
     idx, y = _mc_draw(pts, inp.probs, sigma2, mc_samples, seed)
     log_cond = (
         -np.abs(y - pts[idx]) ** 2 / (2.0 * sigma2)
         - 0.5 * _dim(pts) * math.log(2.0 * math.pi * sigma2)
     )
-    return _mc_result(log_cond - _log_mixture(y, pts, inp.probs, sigma2))
+    return _mc_result(log_cond - _log_mixture(y, pts, inp.probs, sigma2), inp.probs)
 
 
 def mi_binary_label(inp: Constellation, labels, sigma2: float,
@@ -200,7 +212,7 @@ def mi_binary_label(inp: Constellation, labels, sigma2: float,
             h_b, err_b = _mixture_entropy(cls_pts, cls_probs, sigma2, tol)
             h_cond += p_label[b] * h_b
             err_total += p_label[b] * err_b
-        return MiResult(value=h_y - h_cond, method="quadrature",
+        return MiResult(value=_clamp(h_y - h_cond, p_label), method="quadrature",
                         est_error=max(err_total, tol))
     idx, y = _mc_draw(pts, inp.probs, sigma2, mc_samples, seed)
     b = labels[idx]
@@ -208,7 +220,7 @@ def mi_binary_label(inp: Constellation, labels, sigma2: float,
     for lab, (cls_pts, cls_probs) in enumerate(classes):
         rows = b == lab
         log_cond[rows] = _log_mixture(y[rows], cls_pts, cls_probs, sigma2)
-    return _mc_result(log_cond - _log_mixture(y, pts, inp.probs, sigma2))
+    return _mc_result(log_cond - _log_mixture(y, pts, inp.probs, sigma2), p_label)
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,12 @@ def run_point(scheme: str, code1=None, code2=None, *, snr_db: float,
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
+    if max_frames < 1:
+        raise ValueError(f"max_frames must be >= 1, got {max_frames}")
+    if min_frame_errors < 1:
+        raise ValueError(f"min_frame_errors must be >= 1, got {min_frame_errors}")
+    if scheme == "uncoded" and uncoded_block_bits < 1:
+        raise ValueError(f"uncoded_block_bits must be >= 1, got {uncoded_block_bits}")
     dmm = scheme in ("dmm_realistic", "dmm_genie")
     if dmm:
         if code1 is None or code2 is None:

@@ -54,6 +54,74 @@ def ml_decode_batch(code, llrs):
     return infos[best], cws[best]
 
 
+def bp_reference(parity, llr, max_iter):
+    """Sum-product decoding on an edge list, with ``np.add.reduceat`` sums.
+
+    This is the decoder the package shipped before its fixed-degree
+    layout, kept as the reference the package must match bit for bit.
+    Edges are variable-major; a stable permutation regroups them
+    check-major.  Returns (hard codewords, converged flags, iteration
+    counts) for the rows of ``llr``.
+    """
+    llr_max, tanh_cap = 30.0, 1.0 - 1e-13
+    m, n = parity.shape
+    check_of, var_of = np.nonzero(parity)
+    order = np.lexsort((check_of, var_of))  # variable-major
+    var_of_edge = var_of[order]
+    check_of_edge = check_of[order]
+    var_starts = np.concatenate(([0], np.cumsum(np.bincount(var_of_edge, minlength=n))[:-1]))
+    perm_to_check = np.argsort(check_of_edge, kind="stable")
+    perm_from_check = np.argsort(perm_to_check, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(check_of_edge, minlength=m))[:-1]))
+    var_of_edge_c = var_of_edge[perm_to_check]
+    edge_check = check_of_edge[perm_to_check]
+
+    b = llr.shape[0]
+    bits = np.zeros((b, n), dtype=np.uint8)
+    converged = np.zeros(b, dtype=bool)
+    iterations = np.full(b, max_iter, dtype=np.int64)
+    rows = np.arange(b)
+    base = np.clip(llr, -llr_max, llr_max)
+    lq = np.clip(base[:, var_of_edge], -llr_max, llr_max)
+
+    for it in range(1, max_iter + 1):
+        t = np.tanh(lq[:, perm_to_check] / 2.0)
+        zero = t == 0.0
+        log_abs = np.log(np.where(zero, 1.0, np.abs(t)))
+        neg = (t < 0.0).astype(np.int64)
+
+        log_sum = np.add.reduceat(log_abs, starts, axis=1)[:, edge_check]
+        zero_sum = np.add.reduceat(zero.astype(np.int64), starts, axis=1)[:, edge_check]
+        neg_sum = np.add.reduceat(neg, starts, axis=1)[:, edge_check]
+
+        ext_prod = np.exp(log_sum - log_abs)
+        ext_prod[(zero_sum - zero) > 0] = 0.0
+        ext_prod[((neg_sum - neg) % 2) == 1] *= -1.0
+        lr_c = 2.0 * np.arctanh(np.clip(ext_prod, -tanh_cap, tanh_cap))
+        lr = lr_c[:, perm_from_check]
+
+        post = base + np.add.reduceat(lr, var_starts, axis=1)
+        lq = np.clip(post[:, var_of_edge] - lr, -llr_max, llr_max)
+
+        new_bits = (post < 0).astype(np.uint8)
+        par = np.add.reduceat(new_bits[:, var_of_edge_c].astype(np.int64), starts, axis=1)
+        ok = ~np.any(par % 2, axis=1) & np.any(post != 0.0, axis=1)
+
+        bits[rows] = new_bits
+        if np.any(ok):
+            done = rows[ok]
+            iterations[done] = it
+            converged[done] = True
+            keep = ~ok
+            if not np.any(keep):
+                break
+            rows = rows[keep]
+            base = base[keep]
+            lq = lq[keep]
+
+    return bits, converged, iterations
+
+
 def llr_v2_bruteforce(y, points, labels, sigma2):
     """Axis-bit LLR by direct evaluation of the four Gaussian likelihoods."""
     y = complex(y)

@@ -1,3 +1,5 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from dmmsim import (
     AlistFormatError,
     RankDeficiencyError,
     BinaryCode,
+    builtin_code,
     decode_soft_batch,
     encode,
     extend_repetition,
@@ -15,9 +18,10 @@ from dmmsim import (
     run_point,
     save_alist,
 )
-from dmmsim.linear_code import gf2_inv, gf2_matmul, gf2_rank, gf2_rref
+from dmmsim.builtin_codes import BUILTIN_CODE_NAMES, PEG_FIXTURES, fixture_parity
+from dmmsim.linear_code import LLR_MAX, _degree_sum, gf2_inv, gf2_matmul, gf2_rank, gf2_rref
 
-from oracles import all_codewords, gf2_encode_reference, ml_decode_batch
+from oracles import all_codewords, bp_reference, gf2_encode_reference, ml_decode_batch
 
 DATA = __file__.rsplit("/", 1)[0] + "/data"
 
@@ -194,6 +198,85 @@ def test_decode_batch_matches_single(code24):
         assert np.array_equal(batch_info[i], single[0])
         assert conv[i] == conv1[0]
         assert iters[i] == iters1[0]
+
+
+def _irregular_code():
+    """Checks of degree 1 to 14 and variables of degree 1 to 10: padding on
+    both sides of the graph, and rows wider than eight on both sides."""
+    rng = np.random.default_rng(12)
+    h = (rng.random((20, 40)) < 0.15).astype(np.uint8)
+    h[np.arange(20), np.arange(20)] = 1
+    h[:, 20:] = 0
+    h[np.arange(1, 20), 21 + np.arange(19)] = 1
+    h[1, 20] = 1
+    h[0] = 0
+    h[0, 5] = 1  # a degree-1 check
+    h[2, 0] = 1
+    h[1, 2:12] = 1  # a wide check
+    return generator_from_parity(h, name="irregular_20_40")
+
+
+@pytest.mark.parametrize("width", range(1, 13))
+def test_degree_sum_matches_reduceat(width):
+    rng = np.random.default_rng(width)
+    x = rng.normal(size=(3, 50, width)) * 10.0 ** rng.uniform(-3, 3, (3, 50, width))
+    want = np.add.reduceat(x.reshape(3, -1), np.arange(0, 50 * width, width), axis=1)
+    assert np.array_equal(_degree_sum(x), want)
+    assert np.array_equal(_degree_sum(x[:1]), want[:1])
+
+
+def _reference_code(name, toy_code):
+    if name in BUILTIN_CODE_NAMES:
+        return builtin_code(name)
+    return {
+        "toy_6_3": lambda: toy_code,
+        "hamming74.alist": lambda: load_alist(f"{DATA}/hamming74.alist"),
+        "ldpc_r14_n64x4": lambda: extend_repetition(builtin_code("ldpc_r14_n64"), 4),
+        "irregular_20_40": _irregular_code,
+    }[name]()
+
+
+@pytest.mark.parametrize("name", BUILTIN_CODE_NAMES + (
+    "toy_6_3", "hamming74.alist", "ldpc_r14_n64x4", "irregular_20_40"))
+def test_decode_matches_reference(name, toy_code):
+    # the fixed-degree decoder gives the reduceat decoder's bits, flags and
+    # iteration counts exactly, on noisy frames at several SNRs and on edge rows
+    code = _reference_code(name, toy_code)
+    inner = code.base if hasattr(code, "base") else code
+    rng = np.random.default_rng(7)
+    cw = encode(code, rng.integers(0, 2, (6, code.k), dtype=np.uint8))
+    llrs = np.concatenate([2.0 * ((1.0 - 2.0 * cw) + rng.normal(0, s, cw.shape)) / s ** 2
+                           for s in (0.5, 0.8, 1.0, 1.3)])
+    llrs[1, ::5] = 0.0  # exact zeros among the inputs
+    llrs[2] = 0.0  # total erasure
+    llrs[3] = np.where(llrs[3] < 0, -LLR_MAX, LLR_MAX)  # saturated
+    llrs[4] *= 1e3  # far beyond the clip
+    llrs[5] = -0.0
+
+    def reference(rows, max_iter):
+        if inner is not code:
+            rows = rows.reshape(rows.shape[0], inner.n, code.k_rep).sum(axis=2)
+        bits, conv, iters = bp_reference(inner.parity, rows, max_iter)
+        return inner.info_from_codeword(bits), conv, iters
+
+    cases = [(llrs, 50), (llrs, 1), (llrs, 3)] + [(llrs[i:i + 1], 50) for i in (0, 2, 3, 20)]
+    for rows, max_iter in cases:
+        got = decode_soft_batch(code, rows, max_iter=max_iter)
+        want = reference(rows, max_iter)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("name", sorted(PEG_FIXTURES))
+def test_builtin_alist_matches_peg(name, tmp_path):
+    # each shipped alist is what PEG grows for its name, written canonically
+    shipped = resources.files("dmmsim").joinpath("codes", f"{name}.alist").read_bytes()
+    save_alist(fixture_parity(name), tmp_path / "peg.alist")
+    assert (tmp_path / "peg.alist").read_bytes() == shipped
+    code = builtin_code(name)
+    assert code.name == name
+    save_alist(code, tmp_path / "again.alist")
+    assert (tmp_path / "again.alist").read_bytes() == shipped
 
 
 def test_repetition_combining_equivalence(code64_r14):

@@ -61,6 +61,25 @@ def test_mi_bpsk_saturates():
     assert mi_bpsk(10.0).value <= 1.0 + 1e-9
 
 
+def test_mi_respects_entropy_ceiling():
+    # at 40 dB quadrature used to overshoot: 2.0000000000000053 bits for the
+    # four-point set and 1.0000000000000036 for BPSK, as numpy floats
+    for fn, ceiling in ((mi_bpsk, 1.0), (mi_qpsk, 2.0), (mi_axis, 1.0),
+                        (mi_joint_4point, 2.0)):
+        for method in ("quadrature", "monte_carlo"):
+            r = fn(40.0, method=method, mc_samples=2000)
+            assert type(r.value) is float
+            assert r.value == ceiling
+    # a non-uniform input: the ceiling is H(X) of its priors, not log2 of its size
+    skewed = Constellation(points=np.array([1.0, -1.0]), probs=np.array([0.9, 0.1]))
+    h_x = -(0.9 * math.log2(0.9) + 0.1 * math.log2(0.1))
+    r = mi_awgn(skewed, snr_to_sigma2(40.0, 1.0))
+    assert 0.0 <= r.value <= h_x
+    assert r.value == pytest.approx(h_x, abs=1e-9)
+    assert type(mi_bpsk(-40.0, method="monte_carlo", mc_samples=2000).value) is float
+    assert mi_bpsk(-40.0, method="monte_carlo", mc_samples=2000).value >= 0.0
+
+
 def test_mi_bpsk_against_scipy_quadrature():
     for snr_db in (-5.0, -2.8, 0.0, 4.0):
         sigma2 = snr_to_sigma2(snr_db, 1.0)

@@ -206,6 +206,25 @@ def test_run_point_validation(dmm_pair):
         run_point("dmm_genie", code1, short, snr_db=0.0)  # length mismatch
 
 
+def test_run_point_rejects_bad_counts(dmm_pair):
+    # these used to return rows with ber1=nan (or bits1=0) instead of failing
+    code1, code2 = dmm_pair
+    with pytest.raises(ValueError, match="uncoded_block_bits"):
+        run_point("uncoded", snr_db=3.0, max_frames=2, uncoded_block_bits=0)
+    with pytest.raises(ValueError, match="max_frames"):
+        run_point("uncoded", snr_db=3.0, max_frames=0)
+    with pytest.raises(ValueError, match="max_frames"):
+        run_point("dmm_realistic", code1, code2, snr_db=0.0, max_frames=-1)
+    with pytest.raises(ValueError, match="min_frame_errors"):
+        run_point("bpsk_baseline", code1, snr_db=0.0, max_frames=4, min_frame_errors=0)
+    # the block size only matters without a code
+    res = run_point("bpsk_baseline", code1, snr_db=3.0, max_frames=1, uncoded_block_bits=0)
+    assert res.frames == 1 and res.bits1 == code1.k
+    res = run_point("uncoded", snr_db=3.0, max_frames=1, min_frame_errors=1,
+                    uncoded_block_bits=1)
+    assert res.frames == 1 and res.bits1 == 1
+
+
 def test_snr_conventions_affect_sigma2(dmm_pair):
     code1, code2 = dmm_pair
     common = dict(seed=1, min_frame_errors=5, max_frames=20)
