@@ -48,6 +48,7 @@ from .mutual_info import (
     gap_report,
     mi_awgn,
     mi_axis,
+    mi_axis_and_joint,
     mi_binary_label,
     mi_bpsk,
     mi_joint_4point,

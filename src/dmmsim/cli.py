@@ -39,7 +39,7 @@ from .config import (
     load_sweep_config,
 )
 from .linear_code import AlistFormatError, extend_repetition, gf2_matmul, load_alist
-from .mutual_info import mi_axis, mi_bpsk, mi_joint_4point, mi_qpsk
+from .mutual_info import mi_axis_and_joint, mi_bpsk, mi_qpsk
 from .receiver import run_point
 
 ENV_PREFIX = "DMMSIM_"
@@ -191,15 +191,17 @@ def _sweep_metadata(cfg: SweepConfig, seed, threads) -> list:
 # ---------------------------------------------------------------------------
 
 def run_capacity(cfg: CapacityConfig):
-    """MI curves on the grid: polarity/QPSK/axis/joint and the composite audit."""
+    """MI curves on the grid: polarity/QPSK/axis/joint and the composite audit.
+
+    The axis and joint columns share one quadrature of the four-point H(Y)
+    per grid point."""
     rows = []
     tol = cfg.quadrature_tol_bits
     es = cfg.symbol_energy
     for snr in cfg.snr_grid_db:
         bpsk = mi_bpsk(snr, es, tol=tol).value
         qpsk = mi_qpsk(snr, es, tol=tol).value
-        axis = mi_axis(snr, es, tol=tol).value
-        joint = mi_joint_4point(snr, es, tol=tol).value
+        axis, joint = (r.value for r in mi_axis_and_joint(snr, es, tol=tol))
         composite = bpsk + axis
         rows.append((snr, bpsk, qpsk, axis, composite, joint, composite - joint))
     return rows

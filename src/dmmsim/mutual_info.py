@@ -10,7 +10,18 @@ with a confidence interval.  One code path serves both dimensions: a
 real-axis-only set is carried as float points and integrated on the line
 against one-dimensional noise entropy, anything else as complex points in
 the plane against the two-dimensional noise entropy, so one-dimensional and
-complex bookkeeping never mix.
+complex bookkeeping never mix.  Points with zero prior are dropped first;
+they add nothing to the mixture.
+
+Quadrature shares what it can within a call, and memoizes nothing
+across calls.  The Gauss-Hermite nodes and weights of each node count
+(64, 128, 256) are computed on first use and then shared as read-only
+arrays.  The log-sum-exp over the mixture's 2 or 4 points is a chain of
+``np.logaddexp`` over columns (:func:`~dmmsim.modem.log_sum_exp`), bitwise
+the ``np.logaddexp.reduce`` it replaces.  :func:`mi_axis_and_joint` gives
+the axis and joint four-point values from one quadrature of the four-point
+H(Y), which both subtract from; each equals its separate call bit for bit.
+MI values and entropies are never cached: asking twice integrates twice.
 
 The composite rate of the two-stream scheme is the polarity-stream term
 plus the axis-stream term.  The axis term is defined as the mutual
@@ -24,13 +35,14 @@ inspectable number rather than an assertion.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import snr_to_sigma2
-from .modem import Constellation
+from .modem import Constellation, log_sum_exp
 
 LN2 = math.log(2.0)
 
@@ -73,9 +85,21 @@ def _check(sigma2: float, method: str = "quadrature") -> None:
 
 
 def _clamp(value, probs: np.ndarray) -> float:
-    """``value`` clamped into [0, H(X)], H(X) in bits for these priors."""
+    """``value`` clamped into [0, H(X)], H(X) in bits for these priors; a
+    value that is not finite raises instead of passing through."""
+    if not math.isfinite(value):
+        raise ValueError(f"mutual information estimate is not finite: {value}")
     p = probs[probs > 0]
     return float(min(max(value, 0.0), -np.sum(p * np.log2(p))))
+
+
+def _support(inp: Constellation):
+    """The points with positive prior (float if the set is real), their
+    priors, and the mask that kept them.  A zero-prior point contributes
+    nothing to a mixture, so dropping it changes no bit."""
+    keep = inp.probs > 0
+    pts = inp.points.real if inp.is_real else inp.points
+    return pts[keep], inp.probs[keep], keep
 
 
 def _dim(points: np.ndarray) -> int:
@@ -87,6 +111,16 @@ def _dim(points: np.ndarray) -> int:
 # Gaussian-mixture entropies
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _gauss_hermite(nodes: int):
+    """Gauss-Hermite nodes and weights for ``nodes`` points, computed on first
+    use and shared read-only after that."""
+    t, w = np.polynomial.hermite.hermgauss(nodes)
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
+
+
 def _log_mixture(y: np.ndarray, points: np.ndarray, probs: np.ndarray,
                  sigma2: float) -> np.ndarray:
     """Log density of the received point; real ``points`` mean the line."""
@@ -95,13 +129,13 @@ def _log_mixture(y: np.ndarray, points: np.ndarray, probs: np.ndarray,
         - np.abs(y[..., None] - points) ** 2 / (2.0 * sigma2)
         - 0.5 * _dim(points) * math.log(2.0 * math.pi * sigma2)
     )
-    return np.logaddexp.reduce(expo, axis=-1)
+    return log_sum_exp(expo, range(points.size))
 
 
 def _entropy(points: np.ndarray, probs: np.ndarray, sigma2: float, nodes: int) -> float:
     """H(Y) in bits by Gauss-Hermite quadrature around each point, on the line
     or on the tensor grid in the plane."""
-    t, w = np.polynomial.hermite.hermgauss(nodes)
+    t, w = _gauss_hermite(nodes)
     scale = math.sqrt(2.0 * sigma2)
     if _dim(points) == 1:
         offs = scale * t
@@ -161,6 +195,46 @@ def _mc_result(log_ratio: np.ndarray, probs: np.ndarray) -> MiResult:
 # Mutual information
 # ---------------------------------------------------------------------------
 
+def _quad_joint(h_y, pts, probs, sigma2: float, tol: float) -> MiResult:
+    """I(X;Y) = H(Y) - H(N) from ``h_y`` = (H(Y), its last change)."""
+    value, err = h_y
+    h_n = awgn_entropy(sigma2) * _dim(pts)
+    return MiResult(value=_clamp(value - h_n, probs), method="quadrature",
+                    est_error=float(max(err, tol)))
+
+
+def _quad_label(h_y, classes, p_label, sigma2: float, tol: float) -> MiResult:
+    """I(B;Y) = H(Y) - H(Y|B) from ``h_y`` = (H(Y), its last change) and the
+    label classes."""
+    value, err_total = h_y
+    h_cond = 0.0
+    for b, (cls_pts, cls_probs) in enumerate(classes):
+        h_b, err_b = _mixture_entropy(cls_pts, cls_probs, sigma2, tol)
+        h_cond += p_label[b] * h_b
+        err_total += p_label[b] * err_b
+    return MiResult(value=_clamp(value - h_cond, p_label), method="quadrature",
+                    est_error=float(max(err_total, tol)))
+
+
+def _label_classes(inp: Constellation, labels):
+    """Validate one 0/1 label per point and split the supported points into
+    the two label classes.  Returns (points, priors, labels, label priors,
+    [(class points, class priors) for label 0 and 1])."""
+    labels = np.asarray(labels, dtype=np.uint8).ravel()
+    if labels.shape != inp.points.shape or not set(np.unique(labels)) <= {0, 1}:
+        raise ValueError("labels must be one 0/1 value per point")
+    if len(set(np.unique(labels))) < 2:
+        raise ValueError("both label values must occur")
+    pts, probs, keep = _support(inp)
+    labels = labels[keep]
+    p_label = np.array([probs[labels == b].sum() for b in (0, 1)])
+    if not np.all(p_label > 0):
+        raise ValueError("both label values must have positive prior")
+    # each label class as a mixture of its own points
+    classes = [(pts[labels == b], probs[labels == b] / p_label[b]) for b in (0, 1)]
+    return pts, probs, labels, p_label, classes
+
+
 def mi_awgn(inp: Constellation, sigma2: float, method: str = "quadrature", *,
             tol: float = 1e-6, mc_samples: int = 200_000, seed: int = 0) -> MiResult:
     """I(X;Y) in bits per channel use for a finite input over AWGN.
@@ -170,18 +244,16 @@ def mi_awgn(inp: Constellation, sigma2: float, method: str = "quadrature", *,
     against the two-dimensional noise entropy.
     """
     _check(sigma2, method)
-    pts = inp.points.real if inp.is_real else inp.points
+    pts, probs, _ = _support(inp)
     if method == "quadrature":
-        h_y, err = _mixture_entropy(pts, inp.probs, sigma2, tol)
-        h_n = awgn_entropy(sigma2) * _dim(pts)
-        return MiResult(value=_clamp(h_y - h_n, inp.probs), method="quadrature",
-                        est_error=max(err, tol))
-    idx, y = _mc_draw(pts, inp.probs, sigma2, mc_samples, seed)
+        return _quad_joint(_mixture_entropy(pts, probs, sigma2, tol), pts, probs,
+                           sigma2, tol)
+    idx, y = _mc_draw(pts, probs, sigma2, mc_samples, seed)
     log_cond = (
         -np.abs(y - pts[idx]) ** 2 / (2.0 * sigma2)
         - 0.5 * _dim(pts) * math.log(2.0 * math.pi * sigma2)
     )
-    return _mc_result(log_cond - _log_mixture(y, pts, inp.probs, sigma2), inp.probs)
+    return _mc_result(log_cond - _log_mixture(y, pts, probs, sigma2), probs)
 
 
 def mi_binary_label(inp: Constellation, labels, sigma2: float,
@@ -191,36 +263,20 @@ def mi_binary_label(inp: Constellation, labels, sigma2: float,
 
     This is the information available to a receiver that must decide the
     label before knowing anything else; the remaining points inside a label
-    class act as self-interference.
+    class act as self-interference.  Both label values need positive prior.
     """
     _check(sigma2, method)
-    labels = np.asarray(labels, dtype=np.uint8).ravel()
-    if labels.shape != inp.points.shape or not set(np.unique(labels)) <= {0, 1}:
-        raise ValueError("labels must be one 0/1 value per point")
-    if len(set(np.unique(labels))) < 2:
-        raise ValueError("both label values must occur")
-    pts = inp.points.real if inp.is_real else inp.points
-    p_label = np.array([inp.probs[labels == b].sum() for b in (0, 1)])
-    # each label class as a mixture of its own points
-    classes = [(pts[labels == b], inp.probs[labels == b] / p_label[b]) for b in (0, 1)]
-
+    pts, probs, labels, p_label, classes = _label_classes(inp, labels)
     if method == "quadrature":
-        h_y, err = _mixture_entropy(pts, inp.probs, sigma2, tol)
-        h_cond = 0.0
-        err_total = err
-        for b, (cls_pts, cls_probs) in enumerate(classes):
-            h_b, err_b = _mixture_entropy(cls_pts, cls_probs, sigma2, tol)
-            h_cond += p_label[b] * h_b
-            err_total += p_label[b] * err_b
-        return MiResult(value=_clamp(h_y - h_cond, p_label), method="quadrature",
-                        est_error=max(err_total, tol))
-    idx, y = _mc_draw(pts, inp.probs, sigma2, mc_samples, seed)
+        return _quad_label(_mixture_entropy(pts, probs, sigma2, tol), classes, p_label,
+                           sigma2, tol)
+    idx, y = _mc_draw(pts, probs, sigma2, mc_samples, seed)
     b = labels[idx]
     log_cond = np.empty(mc_samples)
     for lab, (cls_pts, cls_probs) in enumerate(classes):
         rows = b == lab
         log_cond[rows] = _log_mixture(y[rows], cls_pts, cls_probs, sigma2)
-    return _mc_result(log_cond - _log_mixture(y, pts, inp.probs, sigma2), p_label)
+    return _mc_result(log_cond - _log_mixture(y, pts, probs, sigma2), p_label)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +304,19 @@ def mi_joint_4point(es_n0_db: float, es: float = 1.0, **kw) -> MiResult:
     """Joint information of the full four-point rotated set (both bits)."""
     sigma2 = snr_to_sigma2(es_n0_db, es)
     return mi_awgn(Constellation.quadrature_pair(es), sigma2, **kw)
+
+
+def mi_axis_and_joint(es_n0_db: float, es: float = 1.0, *, tol: float = 1e-6):
+    """``(mi_axis, mi_joint_4point)`` by quadrature, from one evaluation of
+    the four-point H(Y): both are H(Y) minus a conditional entropy, so each
+    value equals the separate call's bit for bit."""
+    sigma2 = snr_to_sigma2(es_n0_db, es)
+    _check(sigma2)
+    c = Constellation.quadrature_pair(es)
+    pts, probs, _, p_label, classes = _label_classes(c, c.axis_labels)
+    h_y = _mixture_entropy(pts, probs, sigma2, tol)
+    return (_quad_label(h_y, classes, p_label, sigma2, tol),
+            _quad_joint(h_y, pts, probs, sigma2, tol))
 
 
 def composite_abr(es1_n0_db: float, es2_n0_db: float, es: float = 1.0,

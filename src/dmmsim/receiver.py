@@ -323,9 +323,20 @@ def paired_genie_vs_bpsk(code1, code2, cfg: ChannelConfig, frames: int,
     The genie receiver sees y = Rot(x1) + n and derotates exactly; the BPSK
     link sees x1 + Rot^{-1}(n), the same noise realization expressed in the
     derotated frame.  Rotation is an isometry, so the two LLR streams should
-    agree bit for bit; any difference is an implementation defect.
+    agree bit for bit; any difference is an implementation defect.  Frames
+    are decoded in batches of ``_BATCH_FRAMES``.
     """
-    (c1, c2), n = _frame_batch(cfg, np.arange(frames), code1.n, (code1.k, code2.k))
+    if frames < 1:
+        raise ValueError(f"frames must be >= 1, got {frames}")
+    parts = [_paired_batch(code1, code2, cfg, np.arange(i, min(i + _BATCH_FRAMES, frames)),
+                           max_iter)
+             for i in range(0, frames, _BATCH_FRAMES)]
+    return PairedRun(*(np.concatenate(field) for field in zip(*parts)))
+
+
+def _paired_batch(code1, code2, cfg, indices, max_iter):
+    """Genie and BPSK LLRs and error counts of one batch of frames."""
+    (c1, c2), n = _frame_batch(cfg, indices, code1.n, (code1.k, code2.k))
     v1 = linear_code.encode(code1, c1)
     v2 = linear_code.encode(code2, c2)
     beta = modem.beta_from_bits(v2)
@@ -337,9 +348,8 @@ def paired_genie_vs_bpsk(code1, code2, cfg: ChannelConfig, frames: int,
 
     g_hat, _, _ = linear_code.decode_soft_batch(code1, llr_genie, max_iter=max_iter)
     b_hat, _, _ = linear_code.decode_soft_batch(code1, llr_bpsk, max_iter=max_iter)
-    return PairedRun(llr_genie=llr_genie, llr_bpsk=llr_bpsk,
-                     errors_genie=np.count_nonzero(g_hat != c1, axis=1),
-                     errors_bpsk=np.count_nonzero(b_hat != c1, axis=1))
+    return (llr_genie, llr_bpsk, np.count_nonzero(g_hat != c1, axis=1),
+            np.count_nonzero(b_hat != c1, axis=1))
 
 
 def snr_at_ber(snr_db: np.ndarray, ber: np.ndarray, target: float):

@@ -15,8 +15,9 @@ from dmmsim import (
     map_bpsk,
     rotate,
 )
+from dmmsim.modem import log_sum_exp
 
-from oracles import llr_v2_bruteforce, nearest_point_labels
+from oracles import llr_v2_bruteforce, llr_v2_reference, nearest_point_labels
 
 HALF_PI = math.pi / 2
 
@@ -154,6 +155,44 @@ def test_llr_v2_against_bruteforce():
         assert llr_v2(y, c, sigma2) == pytest.approx(
             llr_v2_bruteforce(y, c.points, labels, sigma2), rel=1e-9, abs=1e-12
         )
+
+
+def test_llr_v2_bit_identical_to_reference():
+    rng = np.random.default_rng(21)
+    # every combination of +-0.0 and +-1.0 parts (complex() keeps -0.0)
+    signed_zeros = np.array([complex(a, b) for a in (0.0, -0.0, 1.0, -1.0)
+                             for b in (0.0, -0.0, 1.0, -1.0)])
+    for es in (1.0, 2.0):
+        c = Constellation.quadrature_pair(es)
+        noisy = dmm_map(rng.integers(0, 2, (64, 2048)), rng.integers(0, 2, (64, 2048)), es)
+        noisy = noisy + rng.normal(scale=0.8, size=noisy.shape) \
+            + 1j * rng.normal(scale=0.8, size=noisy.shape)
+        for y, sigma2 in ((noisy, 0.64), (noisy, 1e-6), (signed_zeros, 0.5),
+                          (signed_zeros, 1e-6)):
+            mine = llr_v2(y, c, sigma2)
+            ref = llr_v2_reference(y, c.points, c.axis_labels, sigma2)
+            assert mine.shape == ref.shape
+            assert np.array_equal(mine.view(np.int64), ref.view(np.int64))
+    # at sigma2 = 1e-6 all four likelihoods of nearly every sample underflow,
+    # so only the log domain gives finite LLRs
+    expo = -np.abs(noisy[..., None] - c.points) ** 2 / (2.0 * 1e-6)
+    assert np.mean(~np.any(np.exp(expo), axis=-1)) > 0.99
+    assert np.all(np.isfinite(llr_v2(noisy, c, 1e-6)))
+
+
+def test_log_sum_exp_bit_identical_to_reduce():
+    rng = np.random.default_rng(5)
+    x = rng.normal(scale=30.0, size=(1000, 6))
+    x[::7, 1] = -np.inf
+    x[::11, 2] = x[::11, 0]  # exact ties take logaddexp's x == y branch
+    x[::13, :] = -0.0  # a one-column reduce turns -0.0 into 0.0
+    x[::17, 3] = np.inf
+    for cols in ([], [0], [1], [3], [0, 1], [2, 0], [0, 2, 4], [1, 3], list(range(6))):
+        ref = np.logaddexp.reduce(x[:, cols], axis=-1)
+        assert np.array_equal(log_sum_exp(x, cols).view(np.int64), ref.view(np.int64))
+    # a set without imaginary-axis points: the axis bit is certainly 0
+    y = rng.normal(size=100) + 1j * rng.normal(size=100)
+    assert np.all(llr_v2(y, Constellation.bpsk(), 1.0) == np.inf)
 
 
 def test_llr_v2_rejects_bad_sigma():

@@ -12,14 +12,17 @@ from dmmsim import (
     gap_report,
     mi_awgn,
     mi_axis,
+    mi_axis_and_joint,
     mi_binary_label,
     mi_bpsk,
     mi_joint_4point,
     mi_qpsk,
 )
+from dmmsim import cli, mutual_info
 from dmmsim.channel import snr_to_sigma2
+from dmmsim.config import CapacityConfig
 
-from oracles import mi_bpsk_quad_oracle
+from oracles import log_mixture_reference, mi_bpsk_quad_oracle, mixture_entropy_reference
 
 
 # ---------------------------------------------------------------------------
@@ -233,3 +236,142 @@ def test_mi_awgn_validation():
         mi_binary_label(Constellation.bpsk(), [0, 0], 1.0)
     with pytest.raises(ValueError):
         mi_binary_label(Constellation.bpsk(), [0, 1], 1.0, method="bogus")
+
+
+# ---------------------------------------------------------------------------
+# bit-identity with the reference mixture code
+# ---------------------------------------------------------------------------
+
+NAMED_CURVES = (mi_bpsk, mi_qpsk, mi_axis, mi_joint_4point)
+SKEWED_REAL = Constellation(points=np.array([1.0, -0.5, 2.0]),
+                            probs=np.array([0.5, 0.3, 0.2]))
+SKEWED_PLANE = Constellation(points=np.array([1, 1j, -1, -1j, 0.5 + 0.5j]),
+                             probs=np.array([0.3, 0.1, 0.2, 0.25, 0.15]))
+SKEWED_LABELS = ((SKEWED_REAL, [0, 1, 1]), (SKEWED_PLANE, [0, 1, 0, 1, 1]))
+
+
+def _bits(result):
+    return np.array([result.value, result.est_error]).view(np.int64)
+
+
+def _results():
+    out = []
+    for fn in NAMED_CURVES:
+        for db in (-40.0, -10.0, 0.0, 10.0, 40.0):
+            for es in (1.0, 2.0):
+                out.append(fn(db, es))
+    for inp, labels in SKEWED_LABELS:
+        for sigma2 in (0.1, 1.0):
+            for method in ("quadrature", "monte_carlo"):
+                kw = dict(method=method, mc_samples=5000, seed=3)
+                out.append(mi_awgn(inp, sigma2, **kw))
+                out.append(mi_binary_label(inp, labels, sigma2, **kw))
+    return out
+
+
+def test_mi_bit_identical_to_reference_mixture(monkeypatch):
+    mine = _results()
+    with monkeypatch.context() as m:
+        m.setattr(mutual_info, "_mixture_entropy", mixture_entropy_reference)
+        m.setattr(mutual_info, "_log_mixture", log_mixture_reference)
+        ref = _results()
+    assert len(mine) == len(ref) == 56
+    for a, b in zip(mine, ref):
+        assert a.method == b.method
+        assert np.array_equal(_bits(a), _bits(b))
+
+
+def test_axis_and_joint_share_bits_with_separate_calls():
+    for db in (-40.0, -10.0, -2.5, 0.0, 10.0, 40.0):
+        for es in (1.0, 2.0):
+            axis, joint = mi_axis_and_joint(db, es, tol=1e-6)
+            assert np.array_equal(_bits(axis), _bits(mi_axis(db, es)))
+            assert np.array_equal(_bits(joint), _bits(mi_joint_4point(db, es)))
+
+
+# ---------------------------------------------------------------------------
+# no repeated work: node tables cached, H(Y) shared within a call only
+# ---------------------------------------------------------------------------
+
+def test_gauss_hermite_tables_are_cached_read_only():
+    t, w = mutual_info._gauss_hermite(64)
+    assert mutual_info._gauss_hermite(64)[0] is t
+    ref_t, ref_w = np.polynomial.hermite.hermgauss(64)
+    assert np.array_equal(t, ref_t) and np.array_equal(w, ref_w)
+    for arr in (t, w):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+def test_run_capacity_evaluates_each_mixture_once(monkeypatch):
+    calls = []
+    entropy = mutual_info._entropy
+
+    def counting_entropy(points, probs, sigma2, nodes):
+        calls.append((points.tobytes(), probs.tobytes(), sigma2, nodes))
+        return entropy(points, probs, sigma2, nodes)
+
+    monkeypatch.setattr(mutual_info, "_entropy", counting_entropy)
+    cfg = CapacityConfig(snr_grid_db=(-4.0, 0.0, 4.0))
+    four = Constellation.quadrature_pair(1.0).points.tobytes()
+    first = cli.run_capacity(cfg)
+    n_first = len(calls)
+    # no mixture is integrated twice at the same node count ...
+    assert len(set(calls)) == n_first
+    # ... and the four-point set's adaptive sequence starts once per grid point
+    assert sum(c[0] == four and c[3] == 64 for c in calls) == len(cfg.snr_grid_db)
+    # a repeated call does the same quadrature again: nothing is memoized
+    assert cli.run_capacity(cfg) == first
+    assert len(calls) == 2 * n_first
+
+
+# ---------------------------------------------------------------------------
+# zero priors and non-finite values
+# ---------------------------------------------------------------------------
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_label_class_without_prior_rejected():
+    inp = Constellation(points=np.array([1, -1, 1j, -1j]), probs=np.array([.5, .5, 0, 0]))
+    for method in ("quadrature", "monte_carlo"):
+        with pytest.raises(ValueError, match="positive prior"):
+            mi_binary_label(inp, [0, 0, 1, 1], 1.0, method=method, mc_samples=2000)
+
+
+def test_clamp_rejects_nonfinite():
+    probs = np.array([0.5, 0.5])
+    for bad in (math.nan, np.float64("nan"), math.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            mutual_info._clamp(bad, probs)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_zero_prior_points_change_no_bit():
+    # a zero-prior point is dropped before quadrature and sampling, which is
+    # exact: the results equal those of the set without it, bit for bit
+    cases = (
+        (Constellation(points=np.array([1.0, 3.0, -0.5, 2.0]),
+                       probs=np.array([0.5, 0.0, 0.3, 0.2])), [0, 1, 1, 1],
+         SKEWED_REAL, [0, 1, 1]),
+        (Constellation(points=np.array([1, 1j, 2j, -1, -1j, 0.5 + 0.5j]),
+                       probs=np.array([0.3, 0.1, 0.0, 0.2, 0.25, 0.15])), [0, 1, 0, 0, 1, 1],
+         SKEWED_PLANE, [0, 1, 0, 1, 1]),
+    )
+    for padded, padded_labels, plain, labels in cases:
+        for method in ("quadrature", "monte_carlo"):
+            kw = dict(method=method, mc_samples=5000, seed=7)
+            assert np.array_equal(_bits(mi_awgn(padded, 0.4, **kw)),
+                                  _bits(mi_awgn(plain, 0.4, **kw)))
+            assert np.array_equal(_bits(mi_binary_label(padded, padded_labels, 0.4, **kw)),
+                                  _bits(mi_binary_label(plain, labels, 0.4, **kw)))
+
+
+def test_est_error_is_python_float():
+    for method in ("quadrature", "monte_carlo"):
+        kw = dict(method=method, mc_samples=2000)
+        for r in (mi_awgn(SKEWED_PLANE, 0.5, **kw),
+                  mi_binary_label(SKEWED_PLANE, [0, 1, 0, 1, 1], 0.5, **kw),
+                  mi_axis(0.0, **kw), mi_bpsk(0.0, **kw)):
+            assert type(r.value) is float
+            assert type(r.est_error) is float
+    for r in mi_axis_and_joint(0.0):
+        assert type(r.value) is float and type(r.est_error) is float

@@ -96,6 +96,33 @@ def test_genie_llrs_bit_identical_to_bpsk(dmm_pair):
     assert np.array_equal(pr.errors_genie, pr.errors_bpsk)
 
 
+def test_paired_run_batch_size_invariance(dmm_pair, monkeypatch):
+    # 20 frames at a frame error rate near one half: the chunked run must
+    # return the same LLRs and error counts as one batch of all frames
+    code1, code2 = dmm_pair
+    cfg = _cfg(-1.5, 12)
+    monkeypatch.setattr(receiver_mod, "_BATCH_FRAMES", 20)
+    whole = paired_genie_vs_bpsk(code1, code2, cfg, frames=20)
+    monkeypatch.setattr(receiver_mod, "_BATCH_FRAMES", 7)
+    decode, rows = receiver_mod.linear_code.decode_soft_batch, []
+
+    def counting_decode(code, llr, **kw):
+        rows.append(llr.shape[0])
+        return decode(code, llr, **kw)
+
+    monkeypatch.setattr(receiver_mod.linear_code, "decode_soft_batch", counting_decode)
+    chunked = paired_genie_vs_bpsk(code1, code2, cfg, frames=20)
+    assert rows == [7, 7, 7, 7, 6, 6]  # genie and BPSK decode per chunk
+    assert chunked.llr_genie.shape == (20, code1.n)
+    for field in ("llr_genie", "llr_bpsk", "errors_genie", "errors_bpsk"):
+        a, b = getattr(whole, field), getattr(chunked, field)
+        assert a.dtype == b.dtype
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    assert 0 < np.count_nonzero(whole.errors_genie) < 20
+    with pytest.raises(ValueError):
+        paired_genie_vs_bpsk(code1, code2, cfg, frames=0)
+
+
 def test_genie_statistically_equal_to_bpsk_baseline(dmm_pair):
     # independent constructions (not the paired harness): two-proportion
     # z-test on stream-1 bit errors at a level with plenty of errors
