@@ -6,14 +6,13 @@ from .channel import (
     GAUSSIAN_METHOD,
     SNR_CONVENTIONS,
     ChannelConfig,
-    SnrPoint,
     block_rng,
     ebn0_to_esn0,
     esn0_to_ebn0,
+    frame_keys,
     noise_block,
     sigma2_to_snr_db,
     snr_to_sigma2,
-    transmit,
 )
 from .linear_code import (
     LLR_MAX,

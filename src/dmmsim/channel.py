@@ -17,11 +17,16 @@ was produced under.
 Noise is drawn from a counter-based Philox generator keyed by
 ``(seed, block_index, stream)``.  Trial *i* therefore sees the same noise no
 matter how many workers run a sweep or in which order blocks complete.
+:func:`block_rng` and :func:`noise_block` define one block's streams;
+:func:`frame_keys` works out the same Philox keys for a whole batch of
+blocks at once, so a batch can re-key one generator per block instead of
+building a new one.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,26 +50,8 @@ class ChannelConfig:
             raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
         if not (self.es > 0 and math.isfinite(self.es)):
             raise ValueError(f"es must be positive and finite, got {self.es}")
-
-
-@dataclass(frozen=True)
-class SnrPoint:
-    """One operating point: symbol SNR plus the info rate used for Eb/N0.
-
-    ``rate`` is in information bits per channel symbol (code rate times bits
-    per symbol), so ``eb_n0_db = es_n0_db - 10 log10(rate)``.
-    """
-
-    es_n0_db: float
-    rate: float = 1.0
-
-    def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
-
-    @property
-    def eb_n0_db(self) -> float:
-        return self.es_n0_db - 10.0 * math.log10(self.rate)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def block_rng(seed: int, block_index: int, stream: int = 0) -> np.random.Generator:
@@ -77,17 +64,94 @@ def block_rng(seed: int, block_index: int, stream: int = 0) -> np.random.Generat
     return np.random.Generator(np.random.Philox(ss))
 
 
+# numpy.random.SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFF_FFFF
+_POOL_WORDS = 4
+_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
+_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MIX_L, _MIX_R = 0xCA01_F9DD, 0x4973_F715
+_STREAMS = 2  # noise on stream 0, data bits on stream 1
+
+
+def _hashmix(value, const):
+    """SeedSequence's hashmix: (mixed value, next hash constant)."""
+    value = value ^ const
+    const = const * _MULT_A & _MASK32
+    value = value * const & _MASK32
+    return value ^ value >> 16, const
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two 32-bit words."""
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def frame_keys(seed: int, indices) -> np.ndarray:
+    """Philox keys of blocks ``indices`` on streams 0 and 1.
+
+    Returns a (B, 2, 2) uint64 array whose ``[b, s]`` row equals
+    ``SeedSequence(entropy=seed, spawn_key=(indices[b], s)).generate_state(2,
+    np.uint64)``, the key of ``block_rng(seed, indices[b], s)``.  The seed's
+    part of the SeedSequence hash runs once, in Python ints; the spawn-key
+    words and the output mix run for all blocks at once, in uint64 arrays
+    masked to 32 bits.  Each index must be one spawn-key word, i.e. lie in
+    [0, 2**32).
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    indices = np.asarray(indices)
+    if indices.ndim != 1:
+        raise ValueError(f"indices must be one-dimensional, got shape {indices.shape}")
+    if indices.size and (indices.min() < 0 or indices.max() > _MASK32):
+        raise ValueError("block indices must lie in [0, 2**32)")
+
+    # the seed's 32-bit words, zero-padded to the pool size (a spawn key follows)
+    words = [seed & _MASK32]
+    while seed := seed >> 32:
+        words.append(seed & _MASK32)
+    words += [0] * (_POOL_WORDS - len(words))
+    pool, const = [], _INIT_A
+    for word in words[:_POOL_WORDS]:
+        h, const = _hashmix(word, const)
+        pool.append(h)
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                h, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], h)
+    for word in words[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            h, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], h)
+
+    # spawn-key word 0: the block index, for every block at once
+    index_words = indices.astype(np.uint64)
+    for dst in range(_POOL_WORDS):
+        h, const = _hashmix(index_words, const)
+        pool[dst] = _mix(pool[dst], h)
+
+    keys = np.empty((indices.size, _STREAMS, 2), dtype=np.uint64)
+    for stream in range(_STREAMS):
+        # spawn-key word 1, then generate_state's four words, paired little-endian
+        stream_const, out_const, state = const, _INIT_B, []
+        for dst in range(_POOL_WORDS):
+            h, stream_const = _hashmix(stream, stream_const)
+            word = _mix(pool[dst], h) ^ out_const
+            out_const = out_const * _MULT_B & _MASK32
+            word = word * out_const & _MASK32
+            state.append(word ^ word >> 16)
+        keys[:, stream, 0] = state[0] | state[1] << 32
+        keys[:, stream, 1] = state[2] | state[3] << 32
+    return keys
+
+
 def noise_block(cfg: ChannelConfig, block_index: int, n: int) -> np.ndarray:
     """Complex AWGN vector of length ``n`` for the given block index."""
     z = block_rng(cfg.seed, block_index, stream=0).standard_normal(2 * n)
     z *= math.sqrt(cfg.sigma2)
     return z[0::2] + 1j * z[1::2]
-
-
-def transmit(block: np.ndarray, cfg: ChannelConfig, block_index: int = 0) -> np.ndarray:
-    """y = x + n, with n fully determined by (cfg.seed, block_index)."""
-    block = np.asarray(block, dtype=np.complex128)
-    return block + noise_block(cfg, block_index, block.size)
 
 
 def snr_to_sigma2(es_n0_db: float, es: float = 1.0,

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .channel import SNR_CONVENTIONS
-from .receiver import SCHEMES
+from .receiver import MAX_FRAMES, SCHEMES
 
 GRID_CONVENTIONS = SNR_CONVENTIONS + ("eb_n0_overall", "eb_n0_stream1")
 
@@ -149,6 +149,9 @@ def load_sweep_config(path) -> SweepConfig:
     for key in ("code2_repeat", "stop_min_frame_errors", "stop_max_frames",
                 "max_bp_iterations", "uncoded_block_bits"):
         require(getattr(cfg, key) >= 1, key, f"{key} must be >= 1")
+    require(cfg.stop_max_frames <= MAX_FRAMES, "stop_max_frames",
+            "stop_max_frames must be <= 2**32 (a frame index is one 32-bit seed word)")
+    require(cfg.master_seed >= 0, "master_seed", "master_seed must be >= 0")
     require(_positive(cfg.symbol_energy), "symbol_energy",
             "symbol_energy must be positive and finite")
     return cfg

@@ -147,6 +147,19 @@ class _BpGraph:
         self.slot_of_var = np.full(n * dv, m * dc, dtype=np.intp)
         self.slot_of_var[v * dv + edge - (np.cumsum(deg_v) - deg_v)[v]] = slot[by_var]
 
+    def annihilates(self, generator: np.ndarray) -> bool:
+        """Whether every row of ``generator`` satisfies every check (G H^T = 0).
+
+        Each check XORs the bit-packed generator columns of its variables;
+        padded slots contribute nothing.
+        """
+        m, dc = self.check_shape
+        cols = np.ascontiguousarray(np.packbits(generator, axis=0).T)  # (n, ceil(k/8))
+        at_slot = cols[self.var_of_slot]
+        if self.pad_slots is not None:
+            at_slot[self.pad_slots] = 0
+        return not np.bitwise_xor.reduce(at_slot.reshape(m, dc, -1), axis=1).any()
+
 
 @dataclass(frozen=True)
 class BinaryCode:
@@ -177,10 +190,11 @@ class BinaryCode:
                 raise ValueError(
                     f"parity width {h.shape[1]} does not match code length {n}"
                 )
-            if np.any(gf2_matmul(g, h.T)):
+            graph = _BpGraph(h)
+            if not graph.annihilates(g):
                 raise ValueError("generator and parity are inconsistent: G H^T != 0")
             object.__setattr__(self, "parity", h)
-            object.__setattr__(self, "_graph", _BpGraph(h))
+            object.__setattr__(self, "_graph", graph)
         if self.info_positions is not None:
             pos = np.asarray(self.info_positions, dtype=np.int64)
             if pos.shape != (k,):

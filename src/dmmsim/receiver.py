@@ -21,7 +21,9 @@ All four schemes run through one batched pipeline, :func:`_receive_batch`:
 
 Frames are keyed by index: data bits come from stream 1 and channel noise
 from stream 0 of a counter-based generator, so results do not depend on
-batch size, worker count, or execution order.
+batch size, worker count, or execution order.  A batch works out its
+frames' Philox keys at once and re-keys one generator per frame; the
+streams are those of ``channel.block_rng``.
 """
 
 from __future__ import annotations
@@ -36,10 +38,9 @@ from . import linear_code, modem
 from .channel import (
     GAUSSIAN_METHOD,
     ChannelConfig,
-    block_rng,
     ebn0_to_esn0,
     esn0_to_ebn0,
-    noise_block,
+    frame_keys,
     sigma2_to_snr_db,
     snr_to_sigma2,
 )
@@ -49,6 +50,7 @@ DATA_STREAM = 1  # channel noise occupies stream 0 of each frame's generator
 SCHEMES = ("dmm_realistic", "dmm_genie", "bpsk_baseline", "uncoded")
 
 _BATCH_FRAMES = 64  # internal work unit; results are batch-size invariant
+MAX_FRAMES = 2**32  # a frame index is one 32-bit SeedSequence spawn-key word
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +182,8 @@ def run_point(scheme: str, code1=None, code2=None, *, snr_db: float,
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
-    if max_frames < 1:
-        raise ValueError(f"max_frames must be >= 1, got {max_frames}")
+    if not 1 <= max_frames <= MAX_FRAMES:
+        raise ValueError(f"max_frames must be in [1, 2**32], got {max_frames}")
     if min_frame_errors < 1:
         raise ValueError(f"min_frame_errors must be >= 1, got {min_frame_errors}")
     if scheme == "uncoded" and uncoded_block_bits < 1:
@@ -255,16 +257,33 @@ def _frame_batch(cfg, indices, n, ks):
     """Info words and channel noise of a batch of frames, keyed by index.
 
     Frame i draws one info word per length in ``ks``, in that order, from
-    stream DATA_STREAM of block i, and its n noise samples from stream 0.
-    Returns (list of (B, k) uint8 arrays, (B, n) complex noise).
+    stream DATA_STREAM of block i, and its n noise samples from stream 0:
+    the streams of ``block_rng`` and ``noise_block``.  The batch's Philox
+    keys are worked out at once by ``frame_keys``, and one generator is
+    re-keyed per frame and stream (counter 0, empty buffer) instead of being
+    built anew.  Returns (list of (B, k) uint8 arrays, (B, n) complex noise).
     """
+    keys = frame_keys(cfg.seed, indices)
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    key = {"counter": np.zeros(4, dtype=np.uint64), "key": None}
+    state = {"bit_generator": "Philox", "state": key,
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,  # empty
+             "has_uint32": 0, "uinteger": 0}
     words = [np.empty((indices.size, k), dtype=np.uint8) for k in ks]
     noise = np.empty((indices.size, n), dtype=np.complex128)
-    for j, i in enumerate(indices):
-        rng = block_rng(cfg.seed, int(i), stream=DATA_STREAM)
+    z = np.empty(2 * n)  # one reused row: a (B, 2n) buffer costs memory, not time
+    scale = math.sqrt(cfg.sigma2)
+    for j in range(indices.size):
+        key["key"] = keys[j, DATA_STREAM]
+        bitgen.state = state
         for w in words:
             w[j] = rng.integers(0, 2, size=w.shape[1], dtype=np.uint8)
-        noise[j] = noise_block(cfg, int(i), n)
+        key["key"] = keys[j, 0]
+        bitgen.state = state
+        rng.standard_normal(out=z)
+        z *= scale
+        noise[j] = z[0::2] + 1j * z[1::2]
     return words, noise
 
 

@@ -12,6 +12,9 @@ import numpy as np
 from scipy import integrate
 from scipy.special import erfc
 
+from dmmsim.channel import block_rng, noise_block
+from dmmsim.receiver import DATA_STREAM
+
 
 def q_function(x):
     """Gaussian tail probability."""
@@ -122,6 +125,23 @@ def bp_reference(parity, llr, max_iter):
             lq = lq[keep]
 
     return bits, converged, iterations
+
+
+def frame_batch_reference(cfg, indices, n, ks):
+    """Info words and channel noise of a batch of frames, keyed by index.
+
+    The receiver's frame generator before it keyed whole batches at once:
+    a new ``block_rng`` per frame for the data and ``noise_block`` for the
+    noise.  Returns (list of (B, k) uint8 arrays, (B, n) complex noise).
+    """
+    words = [np.empty((indices.size, k), dtype=np.uint8) for k in ks]
+    noise = np.empty((indices.size, n), dtype=np.complex128)
+    for j, i in enumerate(indices):
+        rng = block_rng(cfg.seed, int(i), stream=DATA_STREAM)
+        for w in words:
+            w[j] = rng.integers(0, 2, size=w.shape[1], dtype=np.uint8)
+        noise[j] = noise_block(cfg, int(i), n)
+    return words, noise
 
 
 def llr_v2_bruteforce(y, points, labels, sigma2):

@@ -8,27 +8,25 @@ from scipy import stats
 
 from dmmsim import (
     ChannelConfig,
-    SnrPoint,
     block_rng,
     ebn0_to_esn0,
     esn0_to_ebn0,
+    frame_keys,
     noise_block,
     sigma2_to_snr_db,
     snr_to_sigma2,
-    transmit,
 )
 
 
 def test_near_noiseless_limit():
     cfg = ChannelConfig(sigma2=1e-30, seed=0)
     x = np.array([1.0 + 1j, -2.0 - 0.5j])
-    assert np.allclose(transmit(x, cfg, 0), x, rtol=0, atol=1e-12)
+    assert np.allclose(x + noise_block(cfg, 0, x.size), x, rtol=0, atol=1e-12)
 
 
 def test_determinism_same_seed_and_block():
     cfg = ChannelConfig(sigma2=0.3, seed=123)
-    x = np.zeros(64, dtype=np.complex128)
-    assert np.array_equal(transmit(x, cfg, 5), transmit(x, cfg, 5))
+    assert np.array_equal(noise_block(cfg, 5, 64), noise_block(cfg, 5, 64))
 
 
 def test_blocks_are_distinct_streams():
@@ -96,8 +94,8 @@ def test_ebn0_round_trip(db, rate):
 
 
 def test_snr_point_relation():
-    p = SnrPoint(es_n0_db=-2.0, rate=9 / 16)
-    assert p.eb_n0_db == pytest.approx(-2.0 - 10 * math.log10(9 / 16))
+    # rate in info bits per channel symbol: Eb/N0 = Es/N0 - 10 log10(rate)
+    assert esn0_to_ebn0(-2.0, 9 / 16) == pytest.approx(-2.0 - 10 * math.log10(9 / 16))
 
 
 def test_invalid_parameters():
@@ -112,10 +110,48 @@ def test_invalid_parameters():
     with pytest.raises(ValueError):
         ebn0_to_esn0(0.0, 0.0)
     with pytest.raises(ValueError):
-        SnrPoint(es_n0_db=0.0, rate=0.0)
+        esn0_to_ebn0(0.0, 0.0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        ChannelConfig(sigma2=1.0, seed=-4)
 
 
 def test_block_rng_streams_differ():
     a = block_rng(1, 0, stream=0).standard_normal(8)
     b = block_rng(1, 0, stream=1).standard_normal(8)
     assert not np.allclose(a, b)
+
+
+KEY_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 3)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(KEY_SEEDS) | st.integers(0, 2**140),
+       st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8))
+def test_frame_keys_match_seed_sequence(seed, indices):
+    keys = frame_keys(seed, np.array(indices, dtype=np.int64))
+    assert keys.shape == (len(indices), 2, 2) and keys.dtype == np.uint64
+    for b, i in enumerate(indices):
+        for stream in (0, 1):
+            ss = np.random.SeedSequence(entropy=seed, spawn_key=(i, stream))
+            assert np.array_equal(keys[b, stream], ss.generate_state(2, np.uint64))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", KEY_SEEDS)
+def test_frame_keys_at_the_word_edges(seed):
+    indices = np.array([0, 1, 2**31, 2**32 - 1], dtype=np.int64)
+    keys = frame_keys(seed, indices)
+    for b, i in enumerate(indices):
+        for stream in (0, 1):
+            want = block_rng(seed, int(i), stream).bit_generator.state["state"]["key"]
+            assert np.array_equal(keys[b, stream], want)
+
+
+def test_frame_keys_reject_what_they_cannot_hash():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        frame_keys(-1, np.arange(3))
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+        frame_keys(1, np.array([2**32]))
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+        frame_keys(1, np.array([-1]))

@@ -84,6 +84,8 @@ BAD_SWEEP_VALUES = [
     (("code2_repeat = 4", "code2_repeat = 0"), 4),
     (("stop_min_frame_errors = 10", "stop_min_frame_errors = 0"), 7),
     (("stop_max_frames = 60", "stop_max_frames = -3"), 8),
+    (("stop_max_frames = 60", "stop_max_frames = 4294967297"), 8),
+    (("master_seed = 42", "master_seed = -4"), 9),
     (("master_seed = 42", "master_seed = 42\nmax_bp_iterations = 0"), 10),
     (("master_seed = 42", "master_seed = 42\nuncoded_block_bits = 0"), 10),
     (("master_seed = 42", "master_seed = 42\nsymbol_energy = 0"), 10),

@@ -236,6 +236,22 @@ def _reference_code(name, toy_code):
     }[name]()
 
 
+@pytest.mark.parametrize("name", ["ldpc_r12_n2048", "irregular_20_40", "toy_6_3"])
+def test_one_flipped_generator_bit_is_inconsistent(name, toy_code):
+    # G H^T = 0 is checked through the sparse H; padded check slots (the
+    # irregular code) must add nothing, and any single flipped bit is caught
+    code = _reference_code(name, toy_code)
+    assert (code._graph.pad_slots is not None) == (name == "irregular_20_40")
+    assert code._graph.annihilates(code.generator)
+    k, n = code.generator.shape
+    for row, col in ((0, 0), (k - 1, n - 1), (k // 2, n // 3)):
+        bad = code.generator.copy()
+        bad[row, col] ^= 1
+        assert gf2_matmul(bad, code.parity.T).any()
+        with pytest.raises(ValueError, match="inconsistent"):
+            BinaryCode(generator=bad, parity=code.parity)
+
+
 @pytest.mark.parametrize("name", BUILTIN_CODE_NAMES + (
     "toy_6_3", "hamming74.alist", "ldpc_r14_n64x4", "irregular_20_40"))
 def test_decode_matches_reference(name, toy_code):

@@ -17,7 +17,7 @@ from dmmsim import (
 )
 from dmmsim.channel import snr_to_sigma2
 
-from oracles import bpsk_ber_theory, two_proportion_z
+from oracles import bpsk_ber_theory, frame_batch_reference, two_proportion_z
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +87,22 @@ def test_fault_injection_flips_exactly_affected_symbols(dmm_pair):
     # wrongly derotated symbols project the (here: negligible) noise onto the
     # polarity axis, so their LLRs are tiny compared to the clean ones
     assert np.max(np.abs(llr_bad[affected])) < 1e-3 * np.min(np.abs(llr_good[untouched]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("ks,n,start", [((128, 16), 256, 0), ((1024, 128), 2048, 0),
+                                        ((13, 7), 13, 0), ((1,), 1, 0), ((128, 16), 256, 4093)])
+@pytest.mark.parametrize("seed", [0, 77, 2**64 + 5])
+def test_frame_batch_bitwise_equal_to_reference(ks, n, start, seed):
+    cfg = ChannelConfig(sigma2=0.37, seed=seed)
+    indices = np.arange(start, start + 9, dtype=np.int64)
+    words, noise = receiver_mod._frame_batch(cfg, indices, n, ks)
+    want_words, want_noise = frame_batch_reference(cfg, indices, n, ks)
+    assert len(words) == len(want_words)
+    for w, want in zip(words, want_words):
+        assert w.dtype == want.dtype and np.array_equal(w, want)
+    assert noise.dtype == want_noise.dtype and noise.shape == want_noise.shape
+    assert np.array_equal(noise.view(np.int64), want_noise.view(np.int64))
 
 
 def test_genie_llrs_bit_identical_to_bpsk(dmm_pair):
@@ -244,12 +260,23 @@ def test_run_point_rejects_bad_counts(dmm_pair):
         run_point("dmm_realistic", code1, code2, snr_db=0.0, max_frames=-1)
     with pytest.raises(ValueError, match="min_frame_errors"):
         run_point("bpsk_baseline", code1, snr_db=0.0, max_frames=4, min_frame_errors=0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        run_point("uncoded", snr_db=3.0, max_frames=2, seed=-4)
     # the block size only matters without a code
     res = run_point("bpsk_baseline", code1, snr_db=3.0, max_frames=1, uncoded_block_bits=0)
     assert res.frames == 1 and res.bits1 == code1.k
     res = run_point("uncoded", snr_db=3.0, max_frames=1, min_frame_errors=1,
                     uncoded_block_bits=1)
     assert res.frames == 1 and res.bits1 == 1
+
+
+def test_run_point_frame_indices_fit_one_seed_word():
+    # frame i is keyed by the spawn-key word i, so indices stop at 2**32 - 1
+    with pytest.raises(ValueError, match="max_frames"):
+        run_point("uncoded", snr_db=3.0, max_frames=2**32 + 1, uncoded_block_bits=8)
+    res = run_point("uncoded", snr_db=-10.0, max_frames=2**32, min_frame_errors=1,
+                    uncoded_block_bits=64)
+    assert res.frames == 1 and res.stop_reason == "min_frame_errors"
 
 
 def test_snr_conventions_affect_sigma2(dmm_pair):
