@@ -23,7 +23,6 @@ from .linear_code import (
     decode_soft_batch,
     encode,
     extend_repetition,
-    generator_from_parity,
     load_alist,
     save_alist,
 )

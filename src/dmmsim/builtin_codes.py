@@ -24,7 +24,7 @@ from importlib import resources
 
 import numpy as np
 
-from .linear_code import BinaryCode, gf2_rank, generator_from_parity, load_alist
+from .linear_code import BinaryCode, gf2_rank, load_alist
 
 
 def peg_parity(n: int, dv: int, dc: int, seed: int = 0) -> np.ndarray:
@@ -121,7 +121,7 @@ def _hamming_7_4() -> BinaryCode:
         ],
         dtype=np.uint8,
     )
-    return generator_from_parity(h, name="hamming_7_4")
+    return BinaryCode(h, name="hamming_7_4")
 
 
 BUILTIN_CODE_NAMES = tuple(sorted(("hamming_7_4", *PEG_FIXTURES)))

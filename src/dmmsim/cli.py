@@ -38,7 +38,7 @@ from .config import (
     load_capacity_config,
     load_sweep_config,
 )
-from .linear_code import AlistFormatError, extend_repetition, gf2_matmul, load_alist
+from .linear_code import AlistFormatError, extend_repetition, load_alist
 from .mutual_info import mi_axis_and_joint, mi_bpsk, mi_qpsk
 from .receiver import run_point
 
@@ -90,11 +90,18 @@ def write_csv(stream, metadata: list, header: tuple, rows: list,
         stream.write(f"# {line}\n")
 
 
+class UsageError(ValueError):
+    """Bad command-line flag or environment override; the message names it."""
+
+
 def _env_default(name: str, conv, fallback):
     raw = os.environ.get(ENV_PREFIX + name)
     if raw is None:
         return fallback
-    return conv(raw)
+    try:
+        return conv(raw)
+    except ValueError:
+        raise UsageError(f"{ENV_PREFIX}{name}: bad value {raw!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +230,10 @@ def _capacity_metadata(cfg: CapacityConfig) -> list:
 # ---------------------------------------------------------------------------
 
 def run_codeinfo(path: str, stream) -> None:
-    code = load_alist(path)
+    code = load_alist(path)  # BinaryCode checks G H^T = 0 as it derives G
     h = code.parity
     col_deg = h.sum(axis=0)
     row_deg = h.sum(axis=1)
-    ok = not np.any(gf2_matmul(code.generator, h.T))
     stream.write(f"file: {path}\n")
     stream.write(f"n (columns / code length): {code.n}\n")
     stream.write(f"m (rows / checks): {h.shape[0]}\n")
@@ -237,7 +243,7 @@ def run_codeinfo(path: str, stream) -> None:
                  f"mean {col_deg.mean():.3f}\n")
     stream.write(f"row degrees: min {row_deg.min()} max {row_deg.max()} "
                  f"mean {row_deg.mean():.3f}\n")
-    stream.write(f"G H^T = 0: {'yes' if ok else 'NO'}\n")
+    stream.write("G H^T = 0: yes\n")
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +297,9 @@ def main(argv=None) -> int:
             cfg = load_sweep_config(args.config)
             seed = args.seed if args.seed is not None else _env_default("SEED", int, None)
             threads = args.threads if args.threads is not None else _env_default("THREADS", int, 1)
+            if threads < 1:
+                where = "--threads" if args.threads is not None else ENV_PREFIX + "THREADS"
+                raise UsageError(f"{where} must be >= 1, got {threads}")
             t0 = time.time()
             rows, walltimes = run_sweep(cfg, seed=seed, threads=threads)
             meta = _sweep_metadata(cfg, seed, threads)
@@ -311,7 +320,7 @@ def main(argv=None) -> int:
             _emit(_resolve_out(args.out, cfg.out), meta, CAPACITY_COLUMNS, rows, trailing)
         else:
             run_codeinfo(args.alist, sys.stdout)
-    except (ConfigError, AlistFormatError) as exc:
+    except (ConfigError, AlistFormatError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, OSError) as exc:

@@ -9,12 +9,9 @@ errors, reported with the file name and line number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
-from .channel import SNR_CONVENTIONS
-from .receiver import MAX_FRAMES, SCHEMES
-
-GRID_CONVENTIONS = SNR_CONVENTIONS + ("eb_n0_overall", "eb_n0_stream1")
+from .receiver import GRID_CONVENTIONS, MAX_FRAMES, SCHEMES
 
 
 class ConfigError(ValueError):
@@ -88,6 +85,14 @@ def _take(kv: dict, path: str, key: str, conv, default=None, required=False):
         raise ConfigError(path, lineno, f"bad value for {key!r}: {exc}") from None
 
 
+def _defaulted(cls, kv: dict, path: str) -> dict:
+    """Keyword values for each field of ``cls`` with a default, ``source``
+    aside, in field order: the key's value converted by the type of the
+    default, or the default itself when the key is absent."""
+    return {f.name: _take(kv, path, f.name, type(f.default), default=f.default)
+            for f in fields(cls) if f.default is not MISSING and f.name != "source"}
+
+
 def _grid(value: str) -> tuple:
     toks = [t for t in value.replace(",", " ").split() if t]
     if not toks:
@@ -125,20 +130,12 @@ def load_sweep_config(path) -> SweepConfig:
     cfg = SweepConfig(
         scheme=scheme,
         snr_grid_db=_take(kv, path, "snr_grid_db", _grid, required=True),
-        snr_convention=_take(kv, path, "snr_convention", str, default="es_n0_complex"),
-        code1=_take(kv, path, "code1", str, default=""),
-        code2=_take(kv, path, "code2", str, default=""),
-        code2_repeat=_take(kv, path, "code2_repeat", int, default=1),
-        symbol_energy=_take(kv, path, "symbol_energy", float, default=1.0),
-        stop_min_frame_errors=_take(kv, path, "stop_min_frame_errors", int, default=100),
-        stop_max_frames=_take(kv, path, "stop_max_frames", int, default=1_000_000),
-        master_seed=_take(kv, path, "master_seed", int, default=1),
-        max_bp_iterations=_take(kv, path, "max_bp_iterations", int, default=50),
-        uncoded_block_bits=_take(kv, path, "uncoded_block_bits", int, default=4096),
-        out=_take(kv, path, "out", str, default=""),
+        **_defaulted(SweepConfig, kv, path),
         source=path,
     )
     _reject_unknown(kv, path)
+    require(all(map(math.isfinite, cfg.snr_grid_db)), "snr_grid_db",
+            "snr_grid_db must be finite")
     require(cfg.snr_convention in GRID_CONVENTIONS, "snr_convention",
             f"snr_convention must be one of {GRID_CONVENTIONS}")
     if cfg.scheme in ("dmm_realistic", "dmm_genie"):
@@ -163,12 +160,12 @@ def load_capacity_config(path) -> CapacityConfig:
     require = _checker(kv, path)
     cfg = CapacityConfig(
         snr_grid_db=_take(kv, path, "snr_grid_db", _grid, required=True),
-        symbol_energy=_take(kv, path, "symbol_energy", float, default=1.0),
-        quadrature_tol_bits=_take(kv, path, "quadrature_tol_bits", float, default=1e-6),
-        out=_take(kv, path, "out", str, default=""),
+        **_defaulted(CapacityConfig, kv, path),
         source=path,
     )
     _reject_unknown(kv, path)
+    require(all(map(math.isfinite, cfg.snr_grid_db)), "snr_grid_db",
+            "snr_grid_db must be finite")
     for key in ("symbol_energy", "quadrature_tol_bits"):
         require(_positive(getattr(cfg, key)), key, f"{key} must be positive and finite")
     return cfg

@@ -1,6 +1,7 @@
-"""GF(2) linear block codes: generator-matrix encoding, batched sum-product
-belief-propagation decoding, repetition-extended low-rate codes, and the
-alist interchange format for sparse parity-check matrices.
+"""GF(2) linear block codes, each defined by its parity-check matrix H: a
+systematic generator derived from H, generator-matrix encoding, batched
+sum-product belief-propagation decoding, repetition-extended low-rate codes,
+and the alist interchange format for sparse parity-check matrices.
 
 Bit vectors are plain numpy arrays with values in {0, 1}; LLR vectors are
 float arrays with the package-wide sign convention (positive favours bit 0).
@@ -91,19 +92,6 @@ def gf2_rank(a: np.ndarray) -> int:
     return len(gf2_rref(a)[1])
 
 
-def gf2_inv(a: np.ndarray) -> np.ndarray:
-    """Inverse of a square GF(2) matrix."""
-    a = np.asarray(a, dtype=np.uint8)
-    k = a.shape[0]
-    if a.shape != (k, k):
-        raise ValueError(f"matrix must be square, got {a.shape}")
-    aug = np.concatenate([a & 1, np.eye(k, dtype=np.uint8)], axis=1)
-    rref, pivots = gf2_rref(aug)
-    if len(pivots) < k or np.any(pivots[:k] != np.arange(k)):
-        raise ValueError("matrix is singular over GF(2)")
-    return rref[:, k:]
-
-
 # ---------------------------------------------------------------------------
 # Code objects
 # ---------------------------------------------------------------------------
@@ -163,52 +151,43 @@ class _BpGraph:
 
 @dataclass(frozen=True)
 class BinaryCode:
-    """A binary linear block code given by its generator matrix.
+    """A binary linear block code defined by its parity-check matrix.
 
-    ``generator`` is k x n over GF(2) with full row rank.  ``parity`` is the
-    optional m x n check matrix satisfying G H^T = 0; BP decoding requires it.
-    ``info_positions``, when given, are n-indices where the codeword equals
-    the info word (systematic placement, possibly permuted).
+    ``parity`` is m x n over GF(2) with full row rank, 0 < m < n.  The k x n
+    generator is derived from it by Gaussian elimination, pivoting on the
+    first nonzero column: the n - m non-pivot columns, ``info_positions``,
+    carry the info word unchanged, and each pivot column is the parity bit
+    its row of the reduced H determines.  Raises RankDeficiencyError when
+    the rows of H are dependent.
     """
 
-    generator: np.ndarray
-    parity: np.ndarray | None = None
+    parity: np.ndarray
     name: str = ""
-    info_positions: np.ndarray | None = None
-    _graph: _BpGraph | None = field(default=None, repr=False, compare=False)
-    _recovery: tuple | None = field(default=None, repr=False, compare=False)
+    generator: np.ndarray = field(init=False)
+    info_positions: np.ndarray = field(init=False)
+    _graph: _BpGraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        g = np.ascontiguousarray(np.asarray(self.generator, dtype=np.uint8) & 1)
+        h = np.ascontiguousarray(np.asarray(self.parity, dtype=np.uint8) & 1)
+        m, n = h.shape
+        if not 0 < m < n:
+            raise ValueError(f"parity must be m x n with 0 < m < n, got {h.shape}")
+        rref, pivots = gf2_rref(h)
+        if len(pivots) < m:
+            raise RankDeficiencyError(achieved_rank=len(pivots), rows=m)
+        free = np.setdiff1d(np.arange(n), pivots)
+        g = np.zeros((free.size, n), dtype=np.uint8)
+        g[np.arange(free.size), free] = 1
+        # codeword constraint: bits at pivot columns equal rref[:, free] @ info
+        g[:, pivots] = rref[:, free].T
+        graph = _BpGraph(h)
+        # a safety check on gf2_rref: every derived generator row satisfies H
+        if not graph.annihilates(g):
+            raise ValueError("generator and parity are inconsistent: G H^T != 0")
+        object.__setattr__(self, "parity", h)
         object.__setattr__(self, "generator", g)
-        k, n = g.shape
-        if k == 0 or n == 0 or k >= n:
-            raise ValueError(f"generator must be k x n with 0 < k < n, got {g.shape}")
-        if self.parity is not None:
-            h = np.ascontiguousarray(np.asarray(self.parity, dtype=np.uint8) & 1)
-            if h.shape[1] != n:
-                raise ValueError(
-                    f"parity width {h.shape[1]} does not match code length {n}"
-                )
-            graph = _BpGraph(h)
-            if not graph.annihilates(g):
-                raise ValueError("generator and parity are inconsistent: G H^T != 0")
-            object.__setattr__(self, "parity", h)
-            object.__setattr__(self, "_graph", graph)
-        if self.info_positions is not None:
-            pos = np.asarray(self.info_positions, dtype=np.int64)
-            if pos.shape != (k,):
-                raise ValueError("info_positions must list one column per info bit")
-            if not np.array_equal(g[:, pos], np.eye(k, dtype=np.uint8)):
-                raise ValueError("generator columns at info_positions must be identity")
-            object.__setattr__(self, "info_positions", pos)
-            object.__setattr__(self, "_recovery", (pos, None))
-        else:
-            rref, pivots = gf2_rref(g)
-            if len(pivots) < k:
-                raise ValueError(f"generator rows are dependent: rank {len(pivots)} < {k}")
-            ainv = gf2_inv(g[:, pivots])
-            object.__setattr__(self, "_recovery", (pivots, ainv))
+        object.__setattr__(self, "info_positions", free)
+        object.__setattr__(self, "_graph", graph)
 
     @property
     def k(self) -> int:
@@ -224,11 +203,7 @@ class BinaryCode:
 
     def info_from_codeword(self, codeword: np.ndarray) -> np.ndarray:
         """Recover the info word from a (possibly batched) codeword."""
-        cols, ainv = self._recovery
-        picked = np.asarray(codeword, dtype=np.uint8)[..., cols]
-        if ainv is None:
-            return picked
-        return gf2_matmul(picked, ainv)
+        return np.asarray(codeword, dtype=np.uint8)[..., self.info_positions]
 
 
 @dataclass(frozen=True)
@@ -237,7 +212,7 @@ class RepetitionExtendedCode:
 
     Copies of bit m occupy the adjacent output positions
     [m*k_rep, (m+1)*k_rep); AWGN is memoryless so block placement costs
-    nothing and keeps the expansion map trivial.
+    nothing.
     """
 
     base: BinaryCode
@@ -262,10 +237,6 @@ class RepetitionExtendedCode:
     @property
     def name(self) -> str:
         return f"{self.base.name or 'code'}x{self.k_rep}"
-
-    def expansion_map(self) -> np.ndarray:
-        """(base length, k_rep) array of output indices per base code bit."""
-        return np.arange(self.n, dtype=np.int64).reshape(self.base.n, self.k_rep)
 
 
 def extend_repetition(base: BinaryCode, k_rep: int) -> RepetitionExtendedCode:
@@ -414,39 +385,16 @@ def decode_soft_batch(code, llrs: np.ndarray, max_iter: int = 50):
         inner = code.base
     else:
         inner = code
-    if inner.parity is None:
-        raise ValueError("BP decoding requires a code with a parity-check matrix")
     bits, conv, iters = _bp_batch(inner._graph, llrs, max_iter)
     return inner.info_from_codeword(bits), conv, iters
 
 
 # ---------------------------------------------------------------------------
-# Parity -> generator and the alist interchange format
+# The alist interchange format
 # ---------------------------------------------------------------------------
 
-def generator_from_parity(h: np.ndarray, name: str = "") -> BinaryCode:
-    """Systematic (up to column choice) generator for a parity-check matrix.
-
-    Gaussian elimination over GF(2), pivoting on the first nonzero column.
-    The non-pivot columns carry the info bits.  Raises RankDeficiencyError
-    when the rows of H are dependent.
-    """
-    h = np.asarray(h, dtype=np.uint8) & 1
-    m, n = h.shape
-    rref, pivots = gf2_rref(h)
-    if len(pivots) < m:
-        raise RankDeficiencyError(achieved_rank=len(pivots), rows=m)
-    free = np.setdiff1d(np.arange(n), pivots)
-    k = free.size
-    g = np.zeros((k, n), dtype=np.uint8)
-    g[np.arange(k), free] = 1
-    # codeword constraint: bits at pivot columns equal rref[:, free] @ info
-    g[:, pivots] = rref[:, free].T
-    return BinaryCode(generator=g, parity=h, name=name, info_positions=free)
-
-
 def load_alist(path, name: str | None = None) -> BinaryCode:
-    """Read a parity-check matrix in alist format and derive its generator.
+    """Read a parity-check matrix in alist format as a code.
 
     Field order: ``n m``, max degrees, column degrees, row degrees, then one
     adjacency line per column and per row with 1-based indices (zero padding
@@ -506,7 +454,7 @@ def load_alist(path, name: str | None = None) -> BinaryCode:
                 f"{path}:{lineno + 1}: row {i + 1} adjacency disagrees with columns"
             )
 
-    return generator_from_parity(h, name=name or os.path.basename(path))
+    return BinaryCode(h, name=name or os.path.basename(path))
 
 
 def save_alist(code_or_parity, path) -> None:
@@ -518,8 +466,6 @@ def save_alist(code_or_parity, path) -> None:
     """
     if isinstance(code_or_parity, BinaryCode):
         h = code_or_parity.parity
-        if h is None:
-            raise ValueError("code has no parity-check matrix to save")
     else:
         h = np.asarray(code_or_parity, dtype=np.uint8) & 1
     m, n = h.shape

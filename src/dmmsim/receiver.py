@@ -36,7 +36,7 @@ import numpy as np
 
 from . import linear_code, modem
 from .channel import (
-    GAUSSIAN_METHOD,
+    SNR_CONVENTIONS,
     ChannelConfig,
     ebn0_to_esn0,
     esn0_to_ebn0,
@@ -95,7 +95,6 @@ class SimResult:
     beta_errors: int
     stop_reason: str
     wall_time_s: float
-    gaussian_method: str = GAUSSIAN_METHOD
 
     @property
     def fer(self) -> float:
@@ -131,6 +130,11 @@ class SimResult:
         return wilson_interval(self.frame_errors, self.frames)
 
 
+#: The conventions a grid SNR value may be declared in; _resolve_point reads
+#: each of them
+GRID_CONVENTIONS = SNR_CONVENTIONS + ("eb_n0_overall", "eb_n0_stream1")
+
+
 def _resolve_point(snr_db, convention, es, rate1, rate_overall):
     """Interpret a grid value under the declared convention.
 
@@ -148,7 +152,7 @@ def _resolve_point(snr_db, convention, es, rate1, rate_overall):
     if convention == "eb_n0_overall":
         es_n0 = ebn0_to_esn0(snr_db, rate_overall)
         return es_n0, snr_to_sigma2(es_n0, es, "es_n0_complex")
-    raise ValueError(f"unknown SNR convention {convention!r}")
+    raise ValueError(f"unknown SNR convention {convention!r}; pick one of {GRID_CONVENTIONS}")
 
 
 def _accumulate(stop_min_fe, stop_max_frames, frames_done, fe_done, frame_err_flags):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dmmsim import builtin_code, extend_repetition, generator_from_parity
+from dmmsim import BinaryCode, builtin_code, extend_repetition
 
 
 @pytest.fixture(scope="session")
@@ -41,4 +41,4 @@ def toy_code():
         ],
         dtype=np.uint8,
     )
-    return generator_from_parity(h, name="toy_6_3")
+    return BinaryCode(h, name="toy_6_3")

@@ -13,6 +13,7 @@ from scipy import integrate
 from scipy.special import erfc
 
 from dmmsim.channel import block_rng, noise_block
+from dmmsim.linear_code import RankDeficiencyError, gf2_rref
 from dmmsim.receiver import DATA_STREAM
 
 
@@ -125,6 +126,32 @@ def bp_reference(parity, llr, max_iter):
             lq = lq[keep]
 
     return bits, converged, iterations
+
+
+def generator_from_parity_reference(h: np.ndarray, name: str = ""):
+    """Systematic (up to column choice) generator for a parity-check matrix.
+
+    Gaussian elimination over GF(2), pivoting on the first nonzero column.
+    The non-pivot columns carry the info bits.  Raises RankDeficiencyError
+    when the rows of H are dependent.
+
+    This is the function the package used to build a code from H before
+    ``BinaryCode`` derived its generator itself, kept verbatim but for its
+    return value: (generator, parity, info_positions), the arrays it handed
+    to the code object.
+    """
+    h = np.asarray(h, dtype=np.uint8) & 1
+    m, n = h.shape
+    rref, pivots = gf2_rref(h)
+    if len(pivots) < m:
+        raise RankDeficiencyError(achieved_rank=len(pivots), rows=m)
+    free = np.setdiff1d(np.arange(n), pivots)
+    k = free.size
+    g = np.zeros((k, n), dtype=np.uint8)
+    g[np.arange(k), free] = 1
+    # codeword constraint: bits at pivot columns equal rref[:, free] @ info
+    g[:, pivots] = rref[:, free].T
+    return g, h, free
 
 
 def frame_batch_reference(cfg, indices, n, ks):

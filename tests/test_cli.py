@@ -82,6 +82,8 @@ def test_missing_required_key_has_no_line(tmp_path):
 BAD_SWEEP_VALUES = [
     # (text replaced, replacement ending in the bad "key = value"), line of that key
     (("code2_repeat = 4", "code2_repeat = 0"), 4),
+    (("snr_grid_db = -1.0, 0.5", "snr_grid_db = -1.0, nan"), 5),
+    (("snr_grid_db = -1.0, 0.5", "snr_grid_db = -1.0 inf 0.5"), 5),
     (("stop_min_frame_errors = 10", "stop_min_frame_errors = 0"), 7),
     (("stop_max_frames = 60", "stop_max_frames = -3"), 8),
     (("stop_max_frames = 60", "stop_max_frames = 4294967297"), 8),
@@ -102,11 +104,20 @@ def test_bad_sweep_value_rejected_at_its_line(tmp_path, edit, line):
         load_sweep_config(path)
 
 
-@pytest.mark.parametrize("extra", ["symbol_energy = 0", "quadrature_tol_bits = -1e-6"])
-def test_bad_capacity_value_rejected_at_its_line(tmp_path, extra):
-    path = write(tmp_path, "c.cfg", CAPACITY_CFG.replace("quadrature_tol_bits = 1e-6\n", "")
-                 + extra + "\n")
-    with pytest.raises(ConfigError, match=rf"c\.cfg:2: {extra.split(' =')[0]} must be"):
+BAD_CAPACITY_VALUES = [
+    # (text replaced, the bad "key = value"), line of that key
+    (("quadrature_tol_bits = 1e-6", "symbol_energy = 0"), 2),
+    (("quadrature_tol_bits = 1e-6", "quadrature_tol_bits = -1e-6"), 2),
+    (("snr_grid_db = -6 -3 0 3 6", "snr_grid_db = 0 nan 1"), 1),
+    (("snr_grid_db = -6 -3 0 3 6", "snr_grid_db = -inf 0"), 1),
+]
+
+
+@pytest.mark.parametrize("edit,line", BAD_CAPACITY_VALUES,
+                         ids=[e[1] for e, _ in BAD_CAPACITY_VALUES])
+def test_bad_capacity_value_rejected_at_its_line(tmp_path, edit, line):
+    path = write(tmp_path, "c.cfg", CAPACITY_CFG.replace(*edit))
+    with pytest.raises(ConfigError, match=rf"c\.cfg:{line}: {edit[1].split(' =')[0]} must be"):
         load_capacity_config(path)
 
 
@@ -131,6 +142,23 @@ def test_cli_exit_code_on_config_error(tmp_path, capsys):
     assert main(["sweep", path]) == 2
     err = capsys.readouterr().err
     assert "s.cfg:10" in err and "mystery_knob" in err
+
+
+@pytest.mark.parametrize("flag,env,named", [
+    ("-3", None, "--threads"), ("0", None, "--threads"),
+    (None, "0", "DMMSIM_THREADS"), (None, "-2", "DMMSIM_THREADS"),
+    (None, "two", "DMMSIM_THREADS"),
+], ids=["flag -3", "flag 0", "env 0", "env -2", "env two"])
+def test_threads_below_one_rejected(tmp_path, capsys, monkeypatch, flag, env, named):
+    # a worker count below one used to run serially and stamp "# threads = -3"
+    path = write(tmp_path, "s.cfg", SWEEP_CFG)
+    out = tmp_path / "out.csv"
+    if env is not None:
+        monkeypatch.setenv("DMMSIM_THREADS", env)
+    argv = ["sweep", path, "--out", str(out)] + (["--threads", flag] if flag else [])
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

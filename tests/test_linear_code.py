@@ -13,15 +13,20 @@ from dmmsim import (
     decode_soft_batch,
     encode,
     extend_repetition,
-    generator_from_parity,
     load_alist,
     run_point,
     save_alist,
 )
 from dmmsim.builtin_codes import BUILTIN_CODE_NAMES, PEG_FIXTURES, fixture_parity
-from dmmsim.linear_code import LLR_MAX, _degree_sum, gf2_inv, gf2_matmul, gf2_rank, gf2_rref
+from dmmsim.linear_code import LLR_MAX, _degree_sum, gf2_matmul, gf2_rank, gf2_rref
 
-from oracles import all_codewords, bp_reference, gf2_encode_reference, ml_decode_batch
+from oracles import (
+    all_codewords,
+    bp_reference,
+    generator_from_parity_reference,
+    gf2_encode_reference,
+    ml_decode_batch,
+)
 
 DATA = __file__.rsplit("/", 1)[0] + "/data"
 
@@ -39,13 +44,7 @@ def test_rref_identity_pivots():
 def test_rank_and_inverse():
     a = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 0]], dtype=np.uint8)
     assert gf2_rank(a) == 3
-    inv = gf2_inv(a)
-    assert np.array_equal(gf2_matmul(a, inv), np.eye(3, dtype=np.uint8))
-
-
-def test_singular_inverse_raises():
-    with pytest.raises(ValueError):
-        gf2_inv(np.array([[1, 1], [1, 1]], dtype=np.uint8))
+    assert gf2_rank(np.array([[1, 1], [1, 1]], dtype=np.uint8)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -53,9 +52,12 @@ def test_singular_inverse_raises():
 # ---------------------------------------------------------------------------
 
 def test_encode_identity_generator():
-    code = BinaryCode(generator=np.concatenate([np.eye(3, dtype=np.uint8),
-                                                np.eye(3, dtype=np.uint8)], axis=1))
-    assert np.array_equal(encode(code, [1, 0, 1])[:3], [1, 0, 1])
+    # H = [I | I] asks c_j = c_{j+3}: info in the last three bits, G = [I | I]
+    eye = np.eye(3, dtype=np.uint8)
+    code = BinaryCode(np.concatenate([eye, eye], axis=1))
+    assert np.array_equal(code.generator, np.concatenate([eye, eye], axis=1))
+    assert list(code.info_positions) == [3, 4, 5]
+    assert np.array_equal(encode(code, [1, 0, 1]), [1, 0, 1, 1, 0, 1])
 
 
 def test_encode_all_zero_info(hamming):
@@ -63,10 +65,12 @@ def test_encode_all_zero_info(hamming):
 
 
 def test_encode_hand_example():
-    # hand GF(2) multiply: [1,1] @ [[1,0,1],[0,1,1]] = [1,1,0]
-    g = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)
-    code = BinaryCode(generator=g)
-    assert np.array_equal(encode(code, [1, 1]), [1, 1, 0])
+    # single parity check c0 + c1 + c2 = 0: pivot column 0, info in bits 1
+    # and 2, G = [[1,1,0],[1,0,1]]; hand GF(2) multiply: [1,1] @ G = [0,1,1]
+    code = BinaryCode(np.array([[1, 1, 1]], dtype=np.uint8))
+    assert np.array_equal(code.generator, [[1, 1, 0], [1, 0, 1]])
+    assert np.array_equal(encode(code, [1, 1]), [0, 1, 1])
+    assert np.array_equal(encode(code, [0, 1]), [1, 0, 1])
 
 
 def test_encode_against_reference(toy_code):
@@ -128,13 +132,6 @@ def test_extend_repetition_invalid(hamming):
         extend_repetition(hamming, 0)
 
 
-def test_expansion_map(hamming):
-    rep = extend_repetition(hamming, 2)
-    m = rep.expansion_map()
-    assert m.shape == (hamming.n, 2)
-    assert np.array_equal(m.ravel(), np.arange(rep.n))
-
-
 # ---------------------------------------------------------------------------
 # BP decoding
 # ---------------------------------------------------------------------------
@@ -166,12 +163,6 @@ def test_decode_total_erasure(hamming):
     est, conv, iters = decode_soft_batch(hamming, np.zeros((1, hamming.n)))
     assert not conv[0]
     assert iters[0] == 50
-
-
-def test_decode_requires_parity():
-    code = BinaryCode(generator=np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8))
-    with pytest.raises(ValueError):
-        decode_soft_batch(code, np.zeros((1, 3)))
 
 
 def test_decode_rejects_nonpositive_max_iter(hamming):
@@ -213,7 +204,7 @@ def _irregular_code():
     h[0, 5] = 1  # a degree-1 check
     h[2, 0] = 1
     h[1, 2:12] = 1  # a wide check
-    return generator_from_parity(h, name="irregular_20_40")
+    return BinaryCode(h, name="irregular_20_40")
 
 
 @pytest.mark.parametrize("width", range(1, 13))
@@ -248,8 +239,23 @@ def test_one_flipped_generator_bit_is_inconsistent(name, toy_code):
         bad = code.generator.copy()
         bad[row, col] ^= 1
         assert gf2_matmul(bad, code.parity.T).any()
-        with pytest.raises(ValueError, match="inconsistent"):
-            BinaryCode(generator=bad, parity=code.parity)
+        assert not code._graph.annihilates(bad)
+
+
+@pytest.mark.parametrize("name", BUILTIN_CODE_NAMES + (
+    "toy_6_3", "hamming74.alist", "irregular_20_40"))
+def test_derived_generator_matches_reference(name, toy_code):
+    # BinaryCode derives the generator and info positions that the old
+    # parity -> generator function built, bit for bit
+    code = _reference_code(name, toy_code)
+    g, h, free = generator_from_parity_reference(code.parity)
+    assert np.array_equal(code.generator, g) and code.generator.dtype == g.dtype
+    assert np.array_equal(code.parity, h) and code.parity.dtype == h.dtype
+    assert np.array_equal(code.info_positions, free)
+    assert code.info_positions.dtype == np.int64
+    again = BinaryCode(code.parity.astype(np.int64), name=code.name)
+    for field in ("generator", "parity", "info_positions"):
+        assert np.array_equal(getattr(again, field), getattr(code, field))
 
 
 @pytest.mark.parametrize("name", BUILTIN_CODE_NAMES + (
@@ -356,7 +362,7 @@ def test_generator_from_parity_hamming_exhaustive(hamming):
 def test_generator_from_parity_rank_deficient():
     h = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1]], dtype=np.uint8)
     with pytest.raises(RankDeficiencyError) as exc:
-        generator_from_parity(h)
+        BinaryCode(h)
     assert exc.value.achieved_rank == 2
 
 
