@@ -9,7 +9,8 @@ rank, so every name maps to one fixed, reproducible code.
 
 The matrices ship with the package as canonical alist files in ``codes/``,
 so a process loads a fixture instead of growing it; :func:`fixture_parity`
-grows it again and is the reference those files are tested against.
+grows it again and is the reference those files are tested against.  The
+(7,4) Hamming code ships there too, so every builtin code is a file.
 
 Lengths are desk scale (tens to a few thousand bits).  The rate-1/2 and
 rate-1/4 families mirror the code-rate structure of the simulated scheme;
@@ -112,27 +113,13 @@ def fixture_parity(name: str) -> np.ndarray:
     raise RuntimeError(f"no full-rank PEG matrix found for {name} near seed {seed}")
 
 
-def _hamming_7_4() -> BinaryCode:
-    h = np.array(
-        [
-            [1, 0, 1, 0, 1, 0, 1],
-            [0, 1, 1, 0, 0, 1, 1],
-            [0, 0, 0, 1, 1, 1, 1],
-        ],
-        dtype=np.uint8,
-    )
-    return BinaryCode(h, name="hamming_7_4")
-
-
 BUILTIN_CODE_NAMES = tuple(sorted(("hamming_7_4", *PEG_FIXTURES)))
 
 
 @functools.lru_cache(maxsize=None)
 def builtin_code(name: str) -> BinaryCode:
     """Load (once per process) the named fixture code."""
-    if name == "hamming_7_4":
-        return _hamming_7_4()
-    if name not in PEG_FIXTURES:
+    if name not in BUILTIN_CODE_NAMES:
         raise KeyError(
             f"unknown builtin code {name!r}; available: {', '.join(BUILTIN_CODE_NAMES)}"
         )

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import os
 import sys
 import time
@@ -118,22 +119,18 @@ def _sweep_codes(cfg: SweepConfig):
     return code1, code2
 
 
-def _sweep_one(cfg: SweepConfig, code1, code2, snr_db: float, seed: int):
+def _sweep_one(cfg: SweepConfig, code1, code2, snr_db: float):
     res = run_point(
         cfg.scheme, code1, code2,
         snr_db=snr_db,
         snr_convention=cfg.snr_convention,
         es=cfg.symbol_energy,
-        seed=seed,
+        seed=cfg.master_seed,
         min_frame_errors=cfg.stop_min_frame_errors,
         max_frames=cfg.stop_max_frames,
         max_iter=cfg.max_bp_iterations,
         uncoded_block_bits=cfg.uncoded_block_bits,
     )
-    fer_ci = res.fer_ci
-    b1_ci = res.ber1_ci
-    b2_ci = res.ber2_ci
-    bo_ci = res.ber_overall_ci
     row = (
         res.scheme, res.code1_name, res.code2_name, res.snr_convention, res.snr_db,
         res.es_n0_db, res.eb_n0_stream1_db, res.eb_n0_overall_db,
@@ -141,11 +138,11 @@ def _sweep_one(cfg: SweepConfig, code1, code2, snr_db: float, seed: int):
         res.rate1, res.rate2, res.rate_overall,
         res.seed, res.max_iter,
         cfg.stop_min_frame_errors, cfg.stop_max_frames,
-        res.frames, res.frame_errors, res.fer, fer_ci[0], fer_ci[1],
-        res.bits1, res.errors1, res.ber1, b1_ci[0], b1_ci[1],
-        res.bits2, res.errors2, res.ber2, b2_ci[0], b2_ci[1],
+        res.frames, res.frame_errors, res.fer, *res.fer_ci,
+        res.bits1, res.errors1, res.ber1, *res.ber1_ci,
+        res.bits2, res.errors2, res.ber2, *res.ber2_ci,
         res.bits1 + res.bits2, res.errors1 + res.errors2,
-        res.ber_overall, bo_ci[0], bo_ci[1],
+        res.ber_overall, *res.ber_overall_ci,
         res.beta_symbols, res.beta_errors,
         res.beta_errors / res.beta_symbols if res.beta_symbols else float("nan"),
         res.stop_reason,
@@ -157,11 +154,10 @@ def _pool_worker(args):
     return _sweep_one(*args)
 
 
-def run_sweep(cfg: SweepConfig, seed: int | None = None, threads: int = 1):
+def run_sweep(cfg: SweepConfig, threads: int = 1):
     """All grid points of a sweep, in grid order.  Returns (rows, walltimes)."""
     code1, code2 = _sweep_codes(cfg)
-    use_seed = cfg.master_seed if seed is None else seed
-    jobs = [(cfg, code1, code2, snr, use_seed) for snr in cfg.snr_grid_db]
+    jobs = [(cfg, code1, code2, snr) for snr in cfg.snr_grid_db]
     if threads > 1 and len(jobs) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_pool_worker, jobs))
@@ -188,7 +184,7 @@ def _sweep_metadata(cfg: SweepConfig, seed, threads) -> list:
             "master_seed", "max_bp_iterations", "uncoded_block_bits",
         )
     ]
-    meta.append(f"effective seed = {cfg.master_seed if seed is None else seed}")
+    meta.append(f"effective seed = {seed}")
     meta.append(f"threads = {threads}")
     return meta
 
@@ -296,13 +292,17 @@ def main(argv=None) -> int:
         if args.verb == "sweep":
             cfg = load_sweep_config(args.config)
             seed = args.seed if args.seed is not None else _env_default("SEED", int, None)
+            if seed is not None and seed < 0:
+                where = "--seed" if args.seed is not None else ENV_PREFIX + "SEED"
+                raise UsageError(f"{where} must be >= 0, got {seed}")
             threads = args.threads if args.threads is not None else _env_default("THREADS", int, 1)
             if threads < 1:
                 where = "--threads" if args.threads is not None else ENV_PREFIX + "THREADS"
                 raise UsageError(f"{where} must be >= 1, got {threads}")
+            run_cfg = cfg if seed is None else dataclasses.replace(cfg, master_seed=seed)
             t0 = time.time()
-            rows, walltimes = run_sweep(cfg, seed=seed, threads=threads)
-            meta = _sweep_metadata(cfg, seed, threads)
+            rows, walltimes = run_sweep(run_cfg, threads=threads)
+            meta = _sweep_metadata(cfg, run_cfg.master_seed, threads)
             meta.append(f"generated: {time.strftime('%Y-%m-%dT%H:%M:%S%z')}")
             trailing = [
                 f"walltime point={i} snr_db={snr} {wt:.3f}s"

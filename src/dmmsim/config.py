@@ -3,7 +3,9 @@
 The format is deliberately plain: one ``key = value`` per line, ``#``
 comments, blank lines ignored.  Units live in the key names (``*_db``,
 ``*_frames``) so a config diff is self-explanatory.  Unknown keys are
-errors, reported with the file name and line number.
+errors, reported with the file name and line number; so are code keys that
+the scheme does not send, or that do not resolve to a code of the right
+length.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, field, fields
 
-from .receiver import GRID_CONVENTIONS, MAX_FRAMES, SCHEMES
+from .builtin_codes import resolve_code
+from .receiver import GRID_CONVENTIONS, MAX_FRAMES, SCHEME_CODES, SCHEMES
 
 
 class ConfigError(ValueError):
@@ -138,11 +141,12 @@ def load_sweep_config(path) -> SweepConfig:
             "snr_grid_db must be finite")
     require(cfg.snr_convention in GRID_CONVENTIONS, "snr_convention",
             f"snr_convention must be one of {GRID_CONVENTIONS}")
-    if cfg.scheme in ("dmm_realistic", "dmm_genie"):
-        require(cfg.code1 and cfg.code2, "scheme",
-                f"scheme {cfg.scheme} requires code1 and code2")
-    if cfg.scheme == "bpsk_baseline":
-        require(cfg.code1, "scheme", "scheme bpsk_baseline requires code1")
+    sent = SCHEME_CODES[cfg.scheme]
+    require(all(getattr(cfg, key) for key in sent), "scheme",
+            f"scheme {cfg.scheme} requires {' and '.join(sent)}")
+    for key in ("code1", "code2"):
+        require(key in sent or not getattr(cfg, key), key,
+                f"{key} is not sent by scheme {cfg.scheme}")
     for key in ("code2_repeat", "stop_min_frame_errors", "stop_max_frames",
                 "max_bp_iterations", "uncoded_block_bits"):
         require(getattr(cfg, key) >= 1, key, f"{key} must be >= 1")
@@ -151,6 +155,16 @@ def load_sweep_config(path) -> SweepConfig:
     require(cfg.master_seed >= 0, "master_seed", "master_seed must be >= 0")
     require(_positive(cfg.symbol_energy), "symbol_energy",
             "symbol_energy must be positive and finite")
+    length = {}
+    for key in sent:
+        try:
+            length[key] = resolve_code(getattr(cfg, key)).n
+        except (ValueError, OSError) as exc:
+            require(False, key, f"{key}: {exc}")
+    if len(length) == 2:
+        require(length["code1"] == length["code2"] * cfg.code2_repeat, "code2",
+                f"code2 length {length['code2']} x code2_repeat {cfg.code2_repeat} must "
+                f"equal code1 length {length['code1']}")
     return cfg
 
 

@@ -15,9 +15,10 @@ polarity LLRs that are bit-identical to a plain BPSK link observing the
 same (isometrically re-expressed) noise, which is what
 :func:`paired_genie_vs_bpsk` exercises.
 
-All four schemes run through one batched pipeline, :func:`_receive_batch`:
-``bpsk_baseline`` is the same receiver with no axis stream, and
-``uncoded`` additionally has no code and decides polarity by hard sign.
+:func:`_receive_batch` is the only receiver: it serves all four schemes
+and both sides of the genie/BPSK pairing.  ``bpsk_baseline`` is the same
+receiver with no axis stream, and ``uncoded`` additionally has no code and
+decides polarity by hard sign.  Frames come in from :func:`_frame_batch`.
 
 Frames are keyed by index: data bits come from stream 1 and channel noise
 from stream 0 of a counter-based generator, so results do not depend on
@@ -47,7 +48,10 @@ from .channel import (
 
 DATA_STREAM = 1  # channel noise occupies stream 0 of each frame's generator
 
-SCHEMES = ("dmm_realistic", "dmm_genie", "bpsk_baseline", "uncoded")
+#: the codes each scheme sends, by argument (and config key) name
+SCHEME_CODES = {"dmm_realistic": ("code1", "code2"), "dmm_genie": ("code1", "code2"),
+                "bpsk_baseline": ("code1",), "uncoded": ()}
+SCHEMES = tuple(SCHEME_CODES)
 
 _BATCH_FRAMES = 64  # internal work unit; results are batch-size invariant
 MAX_FRAMES = 2**32  # a frame index is one 32-bit SeedSequence spawn-key word
@@ -192,26 +196,24 @@ def run_point(scheme: str, code1=None, code2=None, *, snr_db: float,
         raise ValueError(f"min_frame_errors must be >= 1, got {min_frame_errors}")
     if scheme == "uncoded" and uncoded_block_bits < 1:
         raise ValueError(f"uncoded_block_bits must be >= 1, got {uncoded_block_bits}")
-    dmm = scheme in ("dmm_realistic", "dmm_genie")
-    if dmm:
-        if code1 is None or code2 is None:
-            raise ValueError(f"{scheme} needs code1 and code2")
-        if code1.n != code2.n:
-            raise ValueError(
-                f"codeword lengths must match (one symbol carries one bit of each): "
-                f"{code1.n} != {code2.n}"
-            )
-        rate1, rate2 = code1.rate, code2.rate
-    elif scheme == "bpsk_baseline":
-        if code1 is None:
-            raise ValueError("bpsk_baseline needs code1")
-        rate1, rate2 = code1.rate, 0.0
-    else:
-        rate1, rate2 = 1.0, 0.0
+    sent = SCHEME_CODES[scheme]
+    if any({"code1": code1, "code2": code2}[key] is None for key in sent):
+        raise ValueError(f"{scheme} needs {' and '.join(sent)}")
+    polarity_code = code1 if "code1" in sent else None
+    axis_code = code2 if "code2" in sent else None
+    dmm = axis_code is not None
+    if dmm and code1.n != code2.n:
+        raise ValueError(
+            f"codeword lengths must match (one symbol carries one bit of each): "
+            f"{code1.n} != {code2.n}"
+        )
+    rate1 = 1.0 if polarity_code is None else code1.rate
+    rate2 = code2.rate if dmm else 0.0
     rate_overall = rate1 + rate2
-    polarity_code = None if scheme == "uncoded" else code1
-    axis_code = code2 if dmm else None
     n_sym = uncoded_block_bits if polarity_code is None else code1.n
+    k1 = n_sym if polarity_code is None else code1.k
+    k2 = code2.k if dmm else 0
+    ks = (k1, k2) if dmm else (k1,)
 
     es_n0_db, sigma2 = _resolve_point(snr_db, snr_convention, es, rate1, rate_overall)
     cfg = ChannelConfig(sigma2=sigma2, seed=seed, es=es)
@@ -220,10 +222,11 @@ def run_point(scheme: str, code1=None, code2=None, *, snr_db: float,
     frames = fe = errors1 = errors2 = beta_errors = 0
     stop_reason = "max_frames"
 
-    while frames < max_frames:
-        idx = np.arange(frames, min(frames + _BATCH_FRAMES, max_frames), dtype=np.int64)
-        e1, e2, berr = _receive_batch(polarity_code, axis_code, cfg, idx, n_sym,
-                                      max_iter, genie=(scheme == "dmm_genie"))
+    for idx in _batches(max_frames):
+        # frames, noise and LLRs go with their batch
+        e1, e2, berr = _receive_batch(polarity_code, axis_code, cfg,
+                                      *_frame_batch(cfg, idx, n_sym, ks), max_iter,
+                                      genie=(scheme == "dmm_genie"))[:3]
         bflags = (e1 + e2) > 0
         take, reason = _accumulate(min_frame_errors, max_frames, frames, fe, bflags)
         frames += take
@@ -235,12 +238,10 @@ def run_point(scheme: str, code1=None, code2=None, *, snr_db: float,
             stop_reason = reason
             break
 
-    k1 = n_sym if polarity_code is None else code1.k
-    k2 = code2.k if dmm else 0
     return SimResult(
         scheme=scheme,
-        code1_name=(code1.name or "code1") if code1 is not None else "",
-        code2_name=(code2.name or "code2") if k2 else "",
+        code1_name=(code1.name or "code1") if polarity_code is not None else "",
+        code2_name=(code2.name or "code2") if dmm else "",
         rate1=rate1, rate2=rate2, rate_overall=rate_overall,
         snr_db=snr_db, snr_convention=snr_convention,
         es_n0_db=es_n0_db,
@@ -291,23 +292,28 @@ def _frame_batch(cfg, indices, n, ks):
     return words, noise
 
 
-def _receive_batch(code1, code2, cfg, indices, n, max_iter, genie: bool):
-    """Transmit and receive a batch of frames of n symbols each.
+def _batches(count):
+    """Frame indices 0..count-1 in ``_BATCH_FRAMES``-sized arrays."""
+    for start in range(0, count, _BATCH_FRAMES):
+        yield np.arange(start, min(start + _BATCH_FRAMES, count), dtype=np.int64)
+
+
+def _receive_batch(code1, code2, cfg, words, noise, max_iter, genie: bool):
+    """Transmit and receive a batch of frames: the info words ``words``
+    (stream 1, then stream 2) over the (B, n) channel noise ``noise``.
 
     Without ``code2`` there is no axis stream: every symbol stays on the real
     axis (``bpsk_baseline``).  Without ``code1`` the polarity bits are sent
     uncoded and decided by the sign of their LLR (``uncoded``).
     Returns per-frame (stream-1 bit errors, stream-2 bit errors, rotation
-    errors).
+    errors) and the (B, n) stream-1 LLRs.
     """
-    k1 = n if code1 is None else code1.k
-    words, noise = _frame_batch(cfg, indices, n, (k1,) if code2 is None else (k1, code2.k))
     c1 = words[0]
     v1 = c1 if code1 is None else linear_code.encode(code1, c1)
     v2 = v2_hat = 0 if code2 is None else linear_code.encode(code2, words[1])
     y = modem.dmm_map(v1, v2, cfg.es) + noise
 
-    errors2 = beta_errors = np.zeros(indices.size, dtype=np.int64)
+    errors2 = beta_errors = np.zeros(len(noise), dtype=np.int64)
     if code2 is not None:
         llr2 = modem.llr_v2(y, modem.Constellation.quadrature_pair(cfg.es), cfg.sigma2)
         c2_hat, _, _ = linear_code.decode_soft_batch(code2, llr2, max_iter=max_iter)
@@ -321,7 +327,7 @@ def _receive_batch(code1, code2, cfg, indices, n, max_iter, genie: bool):
         c1_hat = llr1 < 0
     else:
         c1_hat, _, _ = linear_code.decode_soft_batch(code1, llr1, max_iter=max_iter)
-    return np.count_nonzero(c1_hat != c1, axis=1), errors2, beta_errors
+    return np.count_nonzero(c1_hat != c1, axis=1), errors2, beta_errors, llr1
 
 
 # ---------------------------------------------------------------------------
@@ -343,36 +349,25 @@ def paired_genie_vs_bpsk(code1, code2, cfg: ChannelConfig, frames: int,
                          max_iter: int = 50) -> PairedRun:
     """Run ``frames`` frames through both links with shared noise.
 
-    The genie receiver sees y = Rot(x1) + n and derotates exactly; the BPSK
-    link sees x1 + Rot^{-1}(n), the same noise realization expressed in the
-    derotated frame.  Rotation is an isometry, so the two LLR streams should
-    agree bit for bit; any difference is an implementation defect.  Frames
-    are decoded in batches of ``_BATCH_FRAMES``.
+    Both links are :func:`_receive_batch`, the receiver of every sweep row.
+    The ``dmm_genie`` side sees y = Rot(x1) + n and derotates by the true
+    rotation; the ``bpsk_baseline`` side sees x1 + Rot^{-1}(n), the same noise
+    expressed in the derotated frame by the general-angle ``modem.rotate``.
+    Rotation is an isometry, so the two LLR streams should agree bit for bit;
+    any difference is an implementation defect.
     """
     if frames < 1:
         raise ValueError(f"frames must be >= 1, got {frames}")
-    parts = [_paired_batch(code1, code2, cfg, np.arange(i, min(i + _BATCH_FRAMES, frames)),
-                           max_iter)
-             for i in range(0, frames, _BATCH_FRAMES)]
+    parts = []
+    for idx in _batches(frames):
+        words, noise = _frame_batch(cfg, idx, code1.n, (code1.k, code2.k))
+        beta = modem.beta_from_bits(linear_code.encode(code2, words[1]))
+        e_genie, _, _, llr_genie = _receive_batch(code1, code2, cfg, words, noise, max_iter,
+                                                  genie=True)
+        e_bpsk, _, _, llr_bpsk = _receive_batch(code1, None, cfg, words[:1],
+                                                modem.rotate(noise, -beta), max_iter, genie=False)
+        parts.append((llr_genie, llr_bpsk, e_genie, e_bpsk))
     return PairedRun(*(np.concatenate(field) for field in zip(*parts)))
-
-
-def _paired_batch(code1, code2, cfg, indices, max_iter):
-    """Genie and BPSK LLRs and error counts of one batch of frames."""
-    (c1, c2), n = _frame_batch(cfg, indices, code1.n, (code1.k, code2.k))
-    v1 = linear_code.encode(code1, c1)
-    v2 = linear_code.encode(code2, c2)
-    beta = modem.beta_from_bits(v2)
-
-    y = modem.dmm_map(v1, v2, cfg.es) + n
-    llr_genie = modem.derotate_and_llr_v1(y, beta, cfg.es, cfg.sigma2)
-    y_bpsk = modem.map_bpsk(v1, cfg.es) + modem.rotate(n, -beta)
-    llr_bpsk = modem.derotate_and_llr_v1(y_bpsk, 0.0, cfg.es, cfg.sigma2)
-
-    g_hat, _, _ = linear_code.decode_soft_batch(code1, llr_genie, max_iter=max_iter)
-    b_hat, _, _ = linear_code.decode_soft_batch(code1, llr_bpsk, max_iter=max_iter)
-    return (llr_genie, llr_bpsk, np.count_nonzero(g_hat != c1, axis=1),
-            np.count_nonzero(b_hat != c1, axis=1))
 
 
 def snr_at_ber(snr_db: np.ndarray, ber: np.ndarray, target: float):

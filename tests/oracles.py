@@ -12,9 +12,10 @@ import numpy as np
 from scipy import integrate
 from scipy.special import erfc
 
+from dmmsim import linear_code, modem
 from dmmsim.channel import block_rng, noise_block
 from dmmsim.linear_code import RankDeficiencyError, gf2_rref
-from dmmsim.receiver import DATA_STREAM
+from dmmsim.receiver import DATA_STREAM, _frame_batch
 
 
 def q_function(x):
@@ -169,6 +170,28 @@ def frame_batch_reference(cfg, indices, n, ks):
             w[j] = rng.integers(0, 2, size=w.shape[1], dtype=np.uint8)
         noise[j] = noise_block(cfg, int(i), n)
     return words, noise
+
+
+def paired_batch_reference(code1, code2, cfg, indices, max_iter):
+    """Genie and BPSK LLRs and error counts of one batch of frames.
+
+    The genie/BPSK pairing as a second copy of the receiver, before both of
+    its sides became calls of ``receiver._receive_batch``.
+    """
+    (c1, c2), n = _frame_batch(cfg, indices, code1.n, (code1.k, code2.k))
+    v1 = linear_code.encode(code1, c1)
+    v2 = linear_code.encode(code2, c2)
+    beta = modem.beta_from_bits(v2)
+
+    y = modem.dmm_map(v1, v2, cfg.es) + n
+    llr_genie = modem.derotate_and_llr_v1(y, beta, cfg.es, cfg.sigma2)
+    y_bpsk = modem.map_bpsk(v1, cfg.es) + modem.rotate(n, -beta)
+    llr_bpsk = modem.derotate_and_llr_v1(y_bpsk, 0.0, cfg.es, cfg.sigma2)
+
+    g_hat, _, _ = linear_code.decode_soft_batch(code1, llr_genie, max_iter=max_iter)
+    b_hat, _, _ = linear_code.decode_soft_batch(code1, llr_bpsk, max_iter=max_iter)
+    return (llr_genie, llr_bpsk, np.count_nonzero(g_hat != c1, axis=1),
+            np.count_nonzero(b_hat != c1, axis=1))
 
 
 def llr_v2_bruteforce(y, points, labels, sigma2):

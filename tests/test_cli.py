@@ -161,6 +161,46 @@ def test_threads_below_one_rejected(tmp_path, capsys, monkeypatch, flag, env, na
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,env,named", [("-4", None, "--seed"), (None, "-4", "DMMSIM_SEED")],
+                         ids=["flag -4", "env -4"])
+def test_seed_below_zero_rejected(tmp_path, capsys, monkeypatch, flag, env, named):
+    # a negative seed used to exit 1 from deep in the run, naming neither source
+    path = write(tmp_path, "s.cfg", SWEEP_CFG)
+    out = tmp_path / "out.csv"
+    if env is not None:
+        monkeypatch.setenv("DMMSIM_SEED", env)
+    argv = ["sweep", path, "--out", str(out)] + (["--seed", flag] if flag else [])
+    assert main(argv) == 2
+    assert f"{named} must be >= 0, got -4" in capsys.readouterr().err
+    assert not out.exists()
+
+
+BAD_CODE_KEYS = [
+    # (text replaced, replacement), line of the offending key, message
+    (("scheme = dmm_realistic", "scheme = uncoded"), 2, "code1 is not sent by scheme uncoded"),
+    (("scheme = dmm_realistic", "scheme = bpsk_baseline"), 3,
+     "code2 is not sent by scheme bpsk_baseline"),
+    (("code2 = ldpc_r14_n64", "code2 = nosuchcode"), 3, "code2: code reference 'nosuchcode'"),
+    (("code1 = ldpc_r12_n256", "code1 = missing.alist"), 2, "code1: .*No such file"),
+    (("code1 = ldpc_r12_n256", "code1 = {tmp}/empty.alist"), 2, "code1: .*empty file"),
+    (("code2_repeat = 4", "code2_repeat = 2"), 3,
+     "code2 length 64 x code2_repeat 2 must equal code1 length 256"),
+]
+
+
+@pytest.mark.parametrize("edit,line,message", BAD_CODE_KEYS,
+                         ids=["uncoded code1", "bpsk code2", "unknown code2", "missing alist",
+                              "empty alist", "length mismatch"])
+def test_bad_code_key_rejected_at_its_line(tmp_path, capsys, edit, line, message):
+    (tmp_path / "empty.alist").write_text("")
+    text = SWEEP_CFG.replace(edit[0], edit[1].format(tmp=tmp_path))
+    path = write(tmp_path, "s.cfg", text)
+    with pytest.raises(ConfigError, match=rf"s\.cfg:{line}: {message}"):
+        load_sweep_config(path)
+    assert main(["sweep", path, "--out", str(tmp_path / "out.csv")]) == 2
+    assert f"s.cfg:{line}: " in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # sweep verb
 # ---------------------------------------------------------------------------

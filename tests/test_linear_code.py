@@ -301,6 +301,20 @@ def test_builtin_alist_matches_peg(name, tmp_path):
     assert (tmp_path / "again.alist").read_bytes() == shipped
 
 
+def test_builtin_hamming_alist_matches_literal(tmp_path):
+    # the shipped file is the textbook (7,4) Hamming H, written canonically
+    h = np.array([[1, 0, 1, 0, 1, 0, 1],
+                  [0, 1, 1, 0, 0, 1, 1],
+                  [0, 0, 0, 1, 1, 1, 1]], dtype=np.uint8)
+    shipped = resources.files("dmmsim").joinpath("codes", "hamming_7_4.alist").read_bytes()
+    save_alist(h, tmp_path / "h.alist")
+    assert (tmp_path / "h.alist").read_bytes() == shipped
+    with open(f"{DATA}/hamming74.alist", "rb") as fh:
+        assert fh.read() == shipped
+    code = builtin_code("hamming_7_4")
+    assert code.name == "hamming_7_4" and np.array_equal(code.parity, h)
+
+
 def test_repetition_combining_equivalence(code64_r14):
     # K identical copies at llr x decode exactly like one observation at K*x
     rng = np.random.default_rng(4)

@@ -17,7 +17,12 @@ from dmmsim import (
 )
 from dmmsim.channel import snr_to_sigma2
 
-from oracles import bpsk_ber_theory, frame_batch_reference, two_proportion_z
+from oracles import (
+    bpsk_ber_theory,
+    frame_batch_reference,
+    paired_batch_reference,
+    two_proportion_z,
+)
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +34,13 @@ def _cfg(es_n0_db, seed, es=1.0):
     return ChannelConfig(sigma2=snr_to_sigma2(es_n0_db, es), seed=seed, es=es)
 
 
+def _receive(code1, code2, cfg, frames, genie):
+    """Per-frame error counts of frames 0..frames-1 through the receiver."""
+    words, noise = receiver_mod._frame_batch(cfg, np.arange(frames), code1.n,
+                                             (code1.k, code2.k))
+    return receiver_mod._receive_batch(code1, code2, cfg, words, noise, 50, genie=genie)[:3]
+
+
 # ---------------------------------------------------------------------------
 # frame-level behaviour
 # ---------------------------------------------------------------------------
@@ -37,8 +49,7 @@ def test_noiseless_frame_exact(dmm_pair):
     code1, code2 = dmm_pair
     cfg = ChannelConfig(sigma2=1e-20, seed=0)
     for genie in (False, True):
-        e1, e2, berr = receiver_mod._receive_batch(code1, code2, cfg, np.arange(4),
-                                                   code1.n, 50, genie=genie)
+        e1, e2, berr = _receive(code1, code2, cfg, 4, genie)
         assert not e1.any()
         assert not e2.any()
         assert not berr.any()
@@ -54,8 +65,7 @@ def test_receive_frame_rejects_unknown_mode(dmm_pair):
 def test_reencoding_consistency(dmm_pair):
     # exact second-stream decode implies the exact rotation pattern (linearity)
     code1, code2 = dmm_pair
-    e1, e2, berr = receiver_mod._receive_batch(code1, code2, _cfg(3.0, 7), np.arange(8),
-                                               code1.n, 50, genie=False)
+    e1, e2, berr = _receive(code1, code2, _cfg(3.0, 7), 8, genie=False)
     assert e2[4] == 0 and berr[4] == 0
     assert not berr[e2 == 0].any()
 
@@ -120,15 +130,16 @@ def test_paired_run_batch_size_invariance(dmm_pair, monkeypatch):
     monkeypatch.setattr(receiver_mod, "_BATCH_FRAMES", 20)
     whole = paired_genie_vs_bpsk(code1, code2, cfg, frames=20)
     monkeypatch.setattr(receiver_mod, "_BATCH_FRAMES", 7)
-    decode, rows = receiver_mod.linear_code.decode_soft_batch, []
+    decode, rows = receiver_mod.linear_code.decode_soft_batch, {id(code1): [], id(code2): []}
 
     def counting_decode(code, llr, **kw):
-        rows.append(llr.shape[0])
+        rows[id(code)].append(llr.shape[0])
         return decode(code, llr, **kw)
 
     monkeypatch.setattr(receiver_mod.linear_code, "decode_soft_batch", counting_decode)
     chunked = paired_genie_vs_bpsk(code1, code2, cfg, frames=20)
-    assert rows == [7, 7, 7, 7, 6, 6]  # genie and BPSK decode per chunk
+    assert rows[id(code1)] == [7, 7, 7, 7, 6, 6]  # genie and BPSK decode per chunk
+    assert rows[id(code2)] == [7, 7, 6]  # the genie receiver also decodes stream 2
     assert chunked.llr_genie.shape == (20, code1.n)
     for field in ("llr_genie", "llr_bpsk", "errors_genie", "errors_bpsk"):
         a, b = getattr(whole, field), getattr(chunked, field)
@@ -137,6 +148,19 @@ def test_paired_run_batch_size_invariance(dmm_pair, monkeypatch):
     assert 0 < np.count_nonzero(whole.errors_genie) < 20
     with pytest.raises(ValueError):
         paired_genie_vs_bpsk(code1, code2, cfg, frames=0)
+
+
+@pytest.mark.parametrize("snr_db", [-3.0, -1.0, 1.5])
+def test_paired_run_bitwise_equal_to_reference(dmm_pair, snr_db):
+    # both sides now run the sweep receiver; the old second copy is the oracle
+    code1, code2 = dmm_pair
+    cfg, frames = _cfg(snr_db, 7), 150  # not a multiple of the batch size
+    pr = paired_genie_vs_bpsk(code1, code2, cfg, frames=frames)
+    want = paired_batch_reference(code1, code2, cfg, np.arange(frames), 50)
+    for field, w in zip(("llr_genie", "llr_bpsk", "errors_genie", "errors_bpsk"), want):
+        got = getattr(pr, field)
+        assert got.dtype == w.dtype and got.shape == w.shape
+        assert np.array_equal(got.view(np.int64), w.view(np.int64))
 
 
 def test_genie_statistically_equal_to_bpsk_baseline(dmm_pair):
@@ -268,6 +292,15 @@ def test_run_point_rejects_bad_counts(dmm_pair):
     res = run_point("uncoded", snr_db=3.0, max_frames=1, min_frame_errors=1,
                     uncoded_block_bits=1)
     assert res.frames == 1 and res.bits1 == 1
+
+
+def test_run_point_names_only_sent_codes(dmm_pair):
+    # uncoded used to name a code1 it was given but never sent
+    code1, code2 = dmm_pair
+    res = run_point("uncoded", code1, code2, snr_db=3.0, max_frames=1, uncoded_block_bits=8)
+    assert (res.code1_name, res.code2_name) == ("", "")
+    res = run_point("bpsk_baseline", code1, code2, snr_db=3.0, max_frames=1)
+    assert (res.code1_name, res.code2_name) == (code1.name, "")
 
 
 def test_run_point_frame_indices_fit_one_seed_word():
