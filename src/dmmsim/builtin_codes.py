@@ -25,7 +25,7 @@ from importlib import resources
 
 import numpy as np
 
-from .linear_code import BinaryCode, gf2_rank, load_alist
+from .linear_code import BinaryCode, _parse_alist, gf2_rank, load_alist
 
 
 def peg_parity(n: int, dv: int, dc: int, seed: int = 0) -> np.ndarray:
@@ -128,12 +128,23 @@ def builtin_code(name: str) -> BinaryCode:
 
 
 def resolve_code(ref: str) -> BinaryCode:
-    """Map a config reference to a code: builtin name or path to .alist file."""
+    """Map a config reference to a code: builtin name or path to .alist file.
+
+    A file is parsed once per process for each content it has had, so a
+    sweep that checks its codes while loading the config and then runs them
+    reads each file twice but row-reduces it once, and an edited file is
+    loaded again."""
     if ref in BUILTIN_CODE_NAMES:
         return builtin_code(ref)
     if ref.endswith(".alist"):
-        return load_alist(ref)
+        with open(ref, "rb") as fh:
+            return _alist_code(ref, fh.read())
     raise ValueError(
         f"code reference {ref!r} is neither a builtin name nor an .alist path; "
         f"builtins: {', '.join(BUILTIN_CODE_NAMES)}"
     )
+
+
+@functools.lru_cache(maxsize=8)
+def _alist_code(path: str, data: bytes) -> BinaryCode:
+    return _parse_alist(data.decode("ascii"), path)

@@ -5,7 +5,7 @@ comments, blank lines ignored.  Units live in the key names (``*_db``,
 ``*_frames``) so a config diff is self-explanatory.  Unknown keys are
 errors, reported with the file name and line number; so are code keys that
 the scheme does not send, or that do not resolve to a code of the right
-length.
+length, and a ``code2_repeat`` other than 1 for a scheme without ``code2``.
 """
 
 from __future__ import annotations
@@ -147,6 +147,8 @@ def load_sweep_config(path) -> SweepConfig:
     for key in ("code1", "code2"):
         require(key in sent or not getattr(cfg, key), key,
                 f"{key} is not sent by scheme {cfg.scheme}")
+    require("code2" in sent or cfg.code2_repeat == 1, "code2_repeat",
+            f"code2_repeat must be 1 for scheme {cfg.scheme}, which sends no code2")
     for key in ("code2_repeat", "stop_min_frame_errors", "stop_max_frames",
                 "max_bp_iterations", "uncoded_block_bits"):
         require(getattr(cfg, key) >= 1, key, f"{key} must be >= 1")

@@ -6,6 +6,15 @@ and the alist interchange format for sparse parity-check matrices.
 Bit vectors are plain numpy arrays with values in {0, 1}; LLR vectors are
 float arrays with the package-wide sign convention (positive favours bit 0).
 
+The GF(2) arithmetic runs on bit-packed rows: bit j of a row is bit j % 64
+of little-endian ``uint64`` word j // 64, the last word zero-padded, so one
+XOR adds 64 columns.  Row reduction eliminates whole words, and a code keeps
+its generator as a 4-bit Four-Russians table (every XOR combination of each
+group of four generator rows, ``(ceil(k/4), 16, ceil(n/64))`` words, about
+1 MiB at n = 2048, k = 1024), so encoding is a table gather and an XOR
+reduction.  Both give the bits of a plain GF(2) product, with no floating
+point involved.
+
 The BP decoder keeps its messages check-major in a fixed-degree layout: a
 batch of check-side messages is a (B, m, dc) array and the variable side a
 (B, n, dv) array, dc and dv the largest check and variable degrees.  Codes
@@ -54,38 +63,62 @@ class RankDeficiencyError(ValueError):
 # GF(2) linear algebra
 # ---------------------------------------------------------------------------
 
-def gf2_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product over GF(2).  Accumulates in float64 (exact below 2^53)."""
-    prod = np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
-    return (prod % 2.0).astype(np.uint8)
+#: the word type of packed rows; little-endian, so its bytes unpack in bit order
+_WORD = np.dtype("<u8")
+_BIT = [np.uint64(1) << np.uint64(b) for b in range(64)]
+
+
+def _pack_rows(bits: np.ndarray) -> np.ndarray:
+    """0/1 rows packed into words, bit j of a row at bit j % 64 of word j // 64."""
+    rows, cols = bits.shape
+    out = np.zeros((rows, -(-cols // 64) * 8), dtype=np.uint8)
+    out[:, :-(-cols // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return out.view(_WORD)
+
+
+def _unpack_rows(words: np.ndarray, cols: int) -> np.ndarray:
+    """The first ``cols`` bits of each row of packed words, as uint8 0/1."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=cols, bitorder="little")
 
 
 def gf2_rref(a: np.ndarray):
     """Reduced row echelon form over GF(2).
 
-    Returns ``(rref, pivot_cols)``.  Pivoting takes the first nonzero column
-    left to right, so the result is deterministic.
+    Returns ``(rref, pivot_cols)``: ``rref`` is a uint8 0/1 array shaped like
+    ``a`` (taken mod 2).  Pivoting takes the first nonzero column left to
+    right, so the result is deterministic.
+
+    Rows are reduced as packed words (see the module docstring): a column is
+    read with one mask on its word, and the pivot row is swapped and XORed
+    into every other row holding the pivot bit a whole row at a time.  The
+    RREF of a matrix is unique, so this is the result of a bit-by-bit
+    elimination (kept as ``tests/oracles.gf2_rref_reference``).
     """
-    r = np.array(a, dtype=np.uint8, copy=True) & 1
-    rows, cols = r.shape
+    bits = np.asarray(a, dtype=np.uint8) & 1
+    rows, cols = bits.shape
+    r = _pack_rows(bits)
+    words = [r[:, w] for w in range(r.shape[1])]
     pivots = []
     rank = 0
     for col in range(cols):
-        hot = np.nonzero(r[rank:, col])[0]
-        if hot.size == 0:
+        hot = (words[col >> 6] & _BIT[col & 63]).nonzero()[0]
+        i = hot.searchsorted(rank)
+        if i == hot.size:
             continue
-        pivot = rank + hot[0]
+        pivot = hot[i]
+        row = r[pivot].copy()  # zero before the pivot column
         if pivot != rank:
-            r[[rank, pivot]] = r[[pivot, rank]]
-        others = np.nonzero(r[:, col])[0]
-        others = others[others != rank]
-        if others.size:
-            r[others] ^= r[rank]
+            r[pivot] = r[rank]
+            hot[i] = rank
+        reduced = r.take(hot, axis=0)
+        reduced ^= row  # the pivot's slot too: it is overwritten next
+        r[hot] = reduced
+        r[rank] = row
         pivots.append(col)
         rank += 1
         if rank == rows:
             break
-    return r, np.array(pivots, dtype=np.int64)
+    return _unpack_rows(r, cols), np.array(pivots, dtype=np.int64)
 
 
 def gf2_rank(a: np.ndarray) -> int:
@@ -103,13 +136,15 @@ class _BpGraph:
     the variables of check i in ascending order, padded at the end.  The
     variable side is an (n, dv) grid of slot indices, dv the largest variable
     degree, each row in ascending check order and padded at the end with slot
-    ``m * dc``, one past the grid.  All arrays are immutable after
-    construction.
+    ``m * dc``, one past the grid.  ``parity`` is a uint8 0/1 matrix.  All
+    arrays are immutable after construction.
     """
 
     def __init__(self, parity: np.ndarray):
         m, n = parity.shape
-        check_of, var_of = np.nonzero(parity)  # check-major, ascending variable
+        # check-major, ascending variable; a 0/1 byte is a bool, which numpy
+        # scans far faster than uint8
+        check_of, var_of = np.divmod(np.flatnonzero(parity.view(bool)), n)
         deg_v = np.bincount(var_of, minlength=n)
         if np.any(deg_v == 0):
             raise ValueError("parity-check matrix has an unconnected column")
@@ -142,7 +177,7 @@ class _BpGraph:
         padded slots contribute nothing.
         """
         m, dc = self.check_shape
-        cols = np.ascontiguousarray(np.packbits(generator, axis=0).T)  # (n, ceil(k/8))
+        cols = np.packbits(generator.T, axis=1)  # (n, ceil(k/8))
         at_slot = cols[self.var_of_slot]
         if self.pad_slots is not None:
             at_slot[self.pad_slots] = 0
@@ -158,7 +193,8 @@ class BinaryCode:
     first nonzero column: the n - m non-pivot columns, ``info_positions``,
     carry the info word unchanged, and each pivot column is the parity bit
     its row of the reduced H determines.  Raises RankDeficiencyError when
-    the rows of H are dependent.
+    the rows of H are dependent.  ``encode`` reads the generator from its
+    4-bit table (see ``_nibble_table``), built here once.
     """
 
     parity: np.ndarray
@@ -166,6 +202,7 @@ class BinaryCode:
     generator: np.ndarray = field(init=False)
     info_positions: np.ndarray = field(init=False)
     _graph: _BpGraph = field(init=False, repr=False, compare=False)
+    _encode_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = np.ascontiguousarray(np.asarray(self.parity, dtype=np.uint8) & 1)
@@ -175,19 +212,25 @@ class BinaryCode:
         rref, pivots = gf2_rref(h)
         if len(pivots) < m:
             raise RankDeficiencyError(achieved_rank=len(pivots), rows=m)
-        free = np.setdiff1d(np.arange(n), pivots)
-        g = np.zeros((free.size, n), dtype=np.uint8)
-        g[np.arange(free.size), free] = 1
-        # codeword constraint: bits at pivot columns equal rref[:, free] @ info
-        g[:, pivots] = rref[:, free].T
+        is_free = np.ones(n, dtype=bool)
+        is_free[pivots] = False
+        free = np.flatnonzero(is_free)
+        # G by columns, one row per code bit: unit vectors at the info
+        # positions and, at each pivot, the codeword constraint (the bit
+        # equals its row of rref[:, free] @ info)
+        g_cols = np.zeros((n, free.size), dtype=np.uint8)
+        g_cols[free, np.arange(free.size)] = 1
+        g_cols[pivots] = rref[:, free]
+        g = np.ascontiguousarray(g_cols.T)
         graph = _BpGraph(h)
         # a safety check on gf2_rref: every derived generator row satisfies H
-        if not graph.annihilates(g):
+        if not graph.annihilates(g_cols.T):
             raise ValueError("generator and parity are inconsistent: G H^T != 0")
         object.__setattr__(self, "parity", h)
         object.__setattr__(self, "generator", g)
         object.__setattr__(self, "info_positions", free)
         object.__setattr__(self, "_graph", graph)
+        object.__setattr__(self, "_encode_table", _nibble_table(g))
 
     @property
     def k(self) -> int:
@@ -248,15 +291,54 @@ def extend_repetition(base: BinaryCode, k_rep: int) -> RepetitionExtendedCode:
 # Encoding
 # ---------------------------------------------------------------------------
 
+#: the value of each bit of a group of four info bits in its table index
+_NIBBLE = np.array([1, 2, 4, 8], dtype=np.uint8)
+#: table words gathered per XOR reduction in ``encode`` (512 KiB)
+_ENCODE_CHUNK_WORDS = 1 << 16
+
+
+def _nibble_table(generator: np.ndarray) -> np.ndarray:
+    """The Four-Russians table of a k x n generator, (ceil(k/4), 16, ceil(n/64))
+    packed words: entry [i, v] is the XOR of the rows 4i + j for each set bit
+    j of v, rows past k being zero."""
+    k, n = generator.shape
+    rows = np.zeros((-(-k // 4) * 4, -(-n // 64)), dtype=_WORD)
+    rows[:k] = _pack_rows(generator)
+    rows = rows.reshape(-1, 4, rows.shape[1])
+    table = np.zeros((rows.shape[0], 16, rows.shape[2]), dtype=_WORD)
+    for j in range(4):
+        table[:, 1 << j:2 << j] = table[:, :1 << j] ^ rows[:, j, None]
+    return table
+
+
 def encode(code, info: np.ndarray) -> np.ndarray:
-    """Codeword(s) for info word(s); last axis must equal code.k."""
+    """Codeword(s) for info word(s); last axis must equal code.k.
+
+    Info values count mod 2.  Each group of four info bits picks one entry of
+    the code's table, and a codeword is the XOR of its picks, reduced a chunk
+    of groups at a time so the gathered words stay near 512 KiB, then
+    unpacked to uint8 bits.  A repetition-extended code encodes its base code
+    and repeats each bit.
+    """
     info = np.asarray(info, dtype=np.uint8)
     if info.shape[-1] != code.k:
         raise ValueError(f"info length {info.shape[-1]} != code dimension {code.k}")
-    if isinstance(code, RepetitionExtendedCode):
-        inner = gf2_matmul(info, code.base.generator)
-        return np.repeat(inner, code.k_rep, axis=-1)
-    return gf2_matmul(info, code.generator)
+    base = code.base if isinstance(code, RepetitionExtendedCode) else code
+    table = base._encode_table
+    groups, _, words = table.shape
+    flat = info.reshape(-1, code.k)
+    bits = np.zeros((flat.shape[0], groups * 4), dtype=np.uint8)
+    np.bitwise_and(flat, 1, out=bits[:, :code.k])
+    picks = bits.reshape(-1, groups, 4) @ _NIBBLE
+    acc = np.zeros((flat.shape[0], words), dtype=_WORD)
+    step = max(1, _ENCODE_CHUNK_WORDS // max(1, flat.shape[0] * words))
+    for start in range(0, groups, step):
+        part = slice(start, start + step)
+        acc ^= np.bitwise_xor.reduce(table[np.arange(groups)[part], picks[:, part]], axis=1)
+    codeword = _unpack_rows(acc, base.n).reshape(info.shape[:-1] + (base.n,))
+    if base is not code:
+        return np.repeat(codeword, code.k_rep, axis=-1)
+    return codeword
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +484,12 @@ def load_alist(path, name: str | None = None) -> BinaryCode:
     """
     path = str(path)
     with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+        return _parse_alist(fh.read(), path, name)
+
+
+def _parse_alist(text: str, path: str, name: str | None = None) -> BinaryCode:
+    """The code in alist ``text``; errors name ``path`` and the 1-based line."""
+    lines = text.splitlines()
 
     def ints(lineno: int, expect: int | None = None) -> list[int]:
         if lineno >= len(lines):
@@ -426,34 +513,38 @@ def load_alist(path, name: str | None = None) -> BinaryCode:
     col_deg = ints(2, n)
     row_deg = ints(3, m)
 
-    h = np.zeros((m, n), dtype=np.uint8)
-    for j in range(n):
-        lineno = 4 + j
+    # the 1-based columns of each row, ascending, as the column lines give them
+    row_cols = [[] for _ in range(m)]
+    for j in range(1, n + 1):
+        lineno = 3 + j
         entries = [v for v in ints(lineno) if v != 0]
-        if len(entries) != col_deg[j]:
+        if len(entries) != col_deg[j - 1]:
             raise AlistFormatError(
-                f"{path}:{lineno + 1}: column {j + 1} lists {len(entries)} rows, "
-                f"degree says {col_deg[j]}"
+                f"{path}:{lineno + 1}: column {j} lists {len(entries)} rows, "
+                f"degree says {col_deg[j - 1]}"
             )
         for v in entries:
             if not 1 <= v <= m:
                 raise AlistFormatError(
                     f"{path}:{lineno + 1}: row index {v} out of range 1..{m}"
                 )
-            if h[v - 1, j]:
+            cols = row_cols[v - 1]
+            if cols and cols[-1] == j:
                 raise AlistFormatError(
                     f"{path}:{lineno + 1}: duplicate entry for row {v}"
                 )
-            h[v - 1, j] = 1
+            cols.append(j)
     for i in range(m):
         lineno = 4 + n + i
         entries = [v for v in ints(lineno) if v != 0]
-        cols = np.nonzero(h[i])[0] + 1
-        if sorted(entries) != sorted(cols.tolist()) or len(entries) != row_deg[i]:
+        if sorted(entries) != row_cols[i] or len(entries) != row_deg[i]:
             raise AlistFormatError(
                 f"{path}:{lineno + 1}: row {i + 1} adjacency disagrees with columns"
             )
 
+    h = np.zeros((m, n), dtype=np.uint8)
+    h[np.repeat(np.arange(m), [len(cols) for cols in row_cols]),
+      np.concatenate(row_cols, dtype=np.intp) - 1] = 1
     return BinaryCode(h, name=name or os.path.basename(path))
 
 

@@ -14,7 +14,7 @@ from scipy.special import erfc
 
 from dmmsim import linear_code, modem
 from dmmsim.channel import block_rng, noise_block
-from dmmsim.linear_code import RankDeficiencyError, gf2_rref
+from dmmsim.linear_code import RankDeficiencyError
 from dmmsim.receiver import DATA_STREAM, _frame_batch
 
 
@@ -26,6 +26,46 @@ def q_function(x):
 def bpsk_ber_theory(eb_n0_db):
     """Uncoded antipodal-signalling bit error rate over AWGN."""
     return q_function(np.sqrt(2.0 * 10.0 ** (np.asarray(eb_n0_db, dtype=float) / 10.0)))
+
+
+def gf2_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product over GF(2).  Accumulates in float64 (exact below 2^53).
+
+    The package's encode product before the table encode, kept verbatim.
+    """
+    prod = np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
+    return (prod % 2.0).astype(np.uint8)
+
+
+def gf2_rref_reference(a: np.ndarray):
+    """Reduced row echelon form over GF(2).
+
+    Returns ``(rref, pivot_cols)``.  Pivoting takes the first nonzero column
+    left to right, so the result is deterministic.
+
+    The package's elimination on uint8 rows, one bit per byte, before it
+    moved to packed words; kept verbatim but for its name.
+    """
+    r = np.array(a, dtype=np.uint8, copy=True) & 1
+    rows, cols = r.shape
+    pivots = []
+    rank = 0
+    for col in range(cols):
+        hot = np.nonzero(r[rank:, col])[0]
+        if hot.size == 0:
+            continue
+        pivot = rank + hot[0]
+        if pivot != rank:
+            r[[rank, pivot]] = r[[pivot, rank]]
+        others = np.nonzero(r[:, col])[0]
+        others = others[others != rank]
+        if others.size:
+            r[others] ^= r[rank]
+        pivots.append(col)
+        rank += 1
+        if rank == rows:
+            break
+    return r, np.array(pivots, dtype=np.int64)
 
 
 def gf2_encode_reference(generator, info):
@@ -143,7 +183,7 @@ def generator_from_parity_reference(h: np.ndarray, name: str = ""):
     """
     h = np.asarray(h, dtype=np.uint8) & 1
     m, n = h.shape
-    rref, pivots = gf2_rref(h)
+    rref, pivots = gf2_rref_reference(h)
     if len(pivots) < m:
         raise RankDeficiencyError(achieved_rank=len(pivots), rows=m)
     free = np.setdiff1d(np.arange(n), pivots)

@@ -13,9 +13,9 @@ import numpy as np
 import dmmsim as d
 from dmmsim.channel import ChannelConfig, snr_to_sigma2
 from dmmsim.cli import main as cli_main
-from dmmsim.linear_code import gf2_matmul, gf2_rank
+from dmmsim.linear_code import gf2_rank
 
-from oracles import bpsk_ber_theory, ml_decode_batch
+from oracles import bpsk_ber_theory, gf2_matmul, ml_decode_batch
 
 
 def _report(num: int, desc: str, passed: bool, detail: str = "") -> bool:

@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+from dmmsim import builtin_codes, save_alist
 from dmmsim.cli import main
 from dmmsim.config import ConfigError, load_capacity_config, load_sweep_config
 
@@ -92,6 +94,8 @@ BAD_SWEEP_VALUES = [
     (("master_seed = 42", "master_seed = 42\nuncoded_block_bits = 0"), 10),
     (("master_seed = 42", "master_seed = 42\nsymbol_energy = 0"), 10),
     (("master_seed = 42", "master_seed = 42\nsymbol_energy = nan"), 10),
+    (("scheme = dmm_realistic\ncode1 = ldpc_r12_n256\ncode2 = ldpc_r14_n64\ncode2_repeat = 4",
+      "scheme = bpsk_baseline\ncode1 = ldpc_r12_n256\ncode2_repeat = 4"), 3),
 ]
 
 
@@ -199,6 +203,50 @@ def test_bad_code_key_rejected_at_its_line(tmp_path, capsys, edit, line, message
         load_sweep_config(path)
     assert main(["sweep", path, "--out", str(tmp_path / "out.csv")]) == 2
     assert f"s.cfg:{line}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scheme,codes", [("bpsk_baseline", "code1 = ldpc_r12_n24\n"),
+                                          ("uncoded", "")], ids=["bpsk_baseline", "uncoded"])
+def test_code2_repeat_without_code2_rejected(tmp_path, capsys, scheme, codes):
+    # used to exit 0 and stamp "# config code2_repeat = 4" on a CSV with no code2
+    text = f"scheme = {scheme}\n{codes}code2_repeat = 4\nsnr_grid_db = 3\nstop_max_frames = 8\n"
+    path = write(tmp_path, "s.cfg", text)
+    out = tmp_path / "out.csv"
+    assert main(["sweep", path, "--out", str(out)]) == 2
+    line = 3 if codes else 2
+    assert f"s.cfg:{line}: code2_repeat must be 1 for scheme {scheme}" in capsys.readouterr().err
+    assert not out.exists()
+    assert load_sweep_config(write(tmp_path, "ok.cfg", text.replace("= 4", "= 1"))).code2_repeat == 1
+
+
+def test_sweep_parses_an_alist_code_once(tmp_path, monkeypatch):
+    # the loader resolves code1 to check it and the run resolves it again:
+    # the file is parsed and row-reduced once
+    parsed = []
+
+    def counting_parse(text, path, name=None):
+        parsed.append(path)
+        return parse(text, path, name)
+
+    parse = builtin_codes._parse_alist
+    monkeypatch.setattr(builtin_codes, "_parse_alist", counting_parse)
+    alist = tmp_path / "c24.alist"
+    save_alist(builtin_codes.builtin_code("ldpc_r12_n24"), alist)
+    path = write(tmp_path, "s.cfg", f"scheme = bpsk_baseline\ncode1 = {alist}\n"
+                                    "snr_grid_db = 2 3\nstop_max_frames = 16\n")
+    assert main(["sweep", path, "--out", str(tmp_path / "out.csv")]) == 0
+    assert parsed == [str(alist)]
+
+
+def test_edited_alist_code_reloads(tmp_path):
+    alist = tmp_path / "c.alist"
+    save_alist(builtin_codes.builtin_code("ldpc_r12_n24"), alist)
+    first = builtin_codes.resolve_code(str(alist))
+    assert builtin_codes.resolve_code(str(alist)) is first
+    save_alist(builtin_codes.builtin_code("hamming_7_4"), alist)
+    second = builtin_codes.resolve_code(str(alist))
+    assert (first.n, second.n) == (24, 7) and second.name == "c.alist"
+    assert np.array_equal(second.parity, builtin_codes.builtin_code("hamming_7_4").parity)
 
 
 # ---------------------------------------------------------------------------

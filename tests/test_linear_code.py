@@ -1,3 +1,4 @@
+import hashlib
 from importlib import resources
 
 import numpy as np
@@ -9,6 +10,7 @@ from dmmsim import (
     AlistFormatError,
     RankDeficiencyError,
     BinaryCode,
+    RepetitionExtendedCode,
     builtin_code,
     decode_soft_batch,
     encode,
@@ -18,13 +20,15 @@ from dmmsim import (
     save_alist,
 )
 from dmmsim.builtin_codes import BUILTIN_CODE_NAMES, PEG_FIXTURES, fixture_parity
-from dmmsim.linear_code import LLR_MAX, _degree_sum, gf2_matmul, gf2_rank, gf2_rref
+from dmmsim.linear_code import LLR_MAX, _degree_sum, gf2_rank, gf2_rref
 
 from oracles import (
     all_codewords,
     bp_reference,
     generator_from_parity_reference,
     gf2_encode_reference,
+    gf2_matmul,
+    gf2_rref_reference,
     ml_decode_batch,
 )
 
@@ -45,6 +49,130 @@ def test_rank_and_inverse():
     a = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 0]], dtype=np.uint8)
     assert gf2_rank(a) == 3
     assert gf2_rank(np.array([[1, 1], [1, 1]], dtype=np.uint8)) == 1
+
+
+def _assert_rref_matches_reference(a):
+    r, piv = gf2_rref(a)
+    want_r, want_piv = gf2_rref_reference(a)
+    assert r.dtype == want_r.dtype and r.shape == want_r.shape
+    assert r.tobytes() == want_r.tobytes()
+    assert piv.dtype == want_piv.dtype and piv.tobytes() == want_piv.tobytes()
+
+
+WORD_EDGE_WIDTHS = [1, 63, 64, 65, 128, 129]
+
+
+@settings(max_examples=150, deadline=None)
+@given(cols=st.one_of(st.sampled_from(WORD_EDGE_WIDTHS), st.integers(1, 300)),
+       shape=st.sampled_from(["tall", "square", "wide"]),
+       density=st.floats(0.05, 0.5),
+       duplicates=st.integers(0, 4),
+       zero_cols=st.integers(0, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_rref_matches_reference(cols, shape, density, duplicates, zero_cols, seed):
+    # the packed elimination gives the bitwise one's RREF and pivots, byte
+    # for byte, across word edges, shapes, densities and dependent rows
+    rows = {"tall": cols + 1 + cols // 2, "square": cols, "wide": max(1, cols // 3)}[shape]
+    rng = np.random.default_rng(seed)
+    a = (rng.random((rows, cols)) < density).astype(np.uint8)
+    for _ in range(duplicates):  # rank-deficient: one row copied onto another
+        src, dst = rng.integers(0, rows, 2)
+        a[dst] = a[src]
+    a[:, rng.integers(0, cols, zero_cols)] = 0  # all-zero columns
+    _assert_rref_matches_reference(a)
+
+
+@pytest.mark.parametrize("cols", WORD_EDGE_WIDTHS + [300])
+def test_rref_word_edges_and_values_mod_2(cols):
+    # the last column of a word and the first of the next; entries count mod 2
+    rng = np.random.default_rng(cols)
+    a = rng.integers(0, 4, (cols // 2 + 1, cols)) * (rng.random((cols // 2 + 1, cols)) < 0.3)
+    a[0, cols - 1] = 1
+    a[-1, :] = 2
+    _assert_rref_matches_reference(a)
+    _assert_rref_matches_reference(a.astype(np.uint8).T)
+    _assert_rref_matches_reference(np.zeros((3, cols), dtype=np.uint8))
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 70), extra=st.integers(1, 70), duplicates=st.integers(0, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_code_construction_matches_reference(m, extra, duplicates, seed):
+    # generator and info positions, or the achieved rank of a dependent H
+    rng = np.random.default_rng(seed)
+    h = (rng.random((m, m + extra)) < 0.2).astype(np.uint8)
+    h[np.arange(m), rng.permutation(m + extra)[:m]] = 1
+    h[rng.integers(0, m, m + extra), np.arange(m + extra)] = 1
+    for _ in range(duplicates):
+        src, dst = rng.integers(0, m, 2)
+        h[dst] = h[src]
+    try:
+        g, _, free = generator_from_parity_reference(h)
+    except RankDeficiencyError as want:
+        with pytest.raises(RankDeficiencyError) as got:
+            BinaryCode(h)
+        assert (got.value.achieved_rank, got.value.rows) == (want.achieved_rank, want.rows)
+        return
+    try:
+        code = BinaryCode(h)
+    except ValueError as exc:  # an all-zero row or column has no BP graph
+        assert "unconnected column" in str(exc) or "empty row" in str(exc)
+        return
+    assert code.generator.tobytes() == g.tobytes()
+    assert code.info_positions.tobytes() == free.tobytes()
+
+
+def _digest(a: np.ndarray) -> str:
+    return hashlib.sha256(f"{a.dtype.str}{a.shape}".encode() + a.tobytes()).hexdigest()
+
+
+#: SHA-256 of (generator, parity, info_positions), each over dtype, shape and
+#: bytes, as the elimination on one byte per bit derived them
+BUILTIN_DIGESTS = {
+    "hamming_7_4": (
+        "7277485dbb736ed393582a1cb3a7a83d89f0a8a8ff2e58cc7f586723497c7e18",
+        "d0ecf940003fe133b8a1ce90a1a30326f2ac37ea6caccf0a9c1eddcdc53f494d",
+        "3f1501c990e3706b3f6adf43458e40f435f21269fb1f09fbef1619ce2a24979d",
+    ),
+    "ldpc_r12_n2048": (
+        "6c968a113489d79dca3928209a54953dd3009ac6ea445b2baa05a6ffb68318fa",
+        "01af6caafd7e272c757504f15f0947f3d1a1cd6014e1f61463f2690534c82f35",
+        "77e58f0d2a6359bbaf724e599c8db9968528b15767f557361b93aa858cbde712",
+    ),
+    "ldpc_r12_n24": (
+        "a143922e99d01b22ce5dff4514619ef571c59cd8e3a507bc7a465c06756c4a7f",
+        "efc0ab674a851b7b52b26dcbfb18fa0928d8b75caf4162e4bc6e28f79179a6dd",
+        "7b8245e39de8a33e3837b6aef539ba15af37c76f0e139ddc2ce48c0f780e5674",
+    ),
+    "ldpc_r12_n256": (
+        "7fda233c1a6248d500cfae8d57708fb365016992cfbba52519b5bf6d690d8549",
+        "430d441af407d22d961686bc2a595bd9f46369ae73363ca44c57ad29d3ed5fbb",
+        "d2f23b640a9cdd68e8d0c28e8ce4b3904fb40acf11b349c90406b8a19cf5ad25",
+    ),
+    "ldpc_r14_n1024": (
+        "41f3c50594a37d9923e7e8eef1afac54536b5af7da4819e8c73047ce04d1ad8e",
+        "0ab5e34fa65b2630bc665a71d016d6a93b85ee8b08c365b09e39283868259090",
+        "c15b3ab2ca77518477927217164b6548e2f3cd8560c1211eebfd504e2e89e5cc",
+    ),
+    "ldpc_r14_n512": (
+        "453fd22f9c89c4558b0162cb81b56cf6fb06ee63a188e22adc4222b962b0c7ca",
+        "20db0499ad24197743df896e2f28de75acc61187ba81d6b7821e36bc4e5fc331",
+        "442bba2bfa9e52187b9bae5124b9e126a112354f682de869cf558502674cd898",
+    ),
+    "ldpc_r14_n64": (
+        "193722d28de94451e49c7934bd11ea4905bd1bd703df27238cafd7aa97cbb2cc",
+        "576b0527f06935d4bbe3cbc162ff316486ff06938b4d972f78345f1c0a81bbd1",
+        "10db045fea5001290eadf5066b95f1c1a899c3c11735bc998a6696a1785ceb15",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BUILTIN_CODE_NAMES)
+def test_builtin_code_arrays_unchanged(name):
+    code = builtin_code(name)
+    got = tuple(_digest(getattr(code, f)) for f in ("generator", "parity", "info_positions"))
+    assert got == BUILTIN_DIGESTS[name]
+    assert code.generator.flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +212,36 @@ def test_encode_against_reference(toy_code):
 def test_encode_length_mismatch(hamming):
     with pytest.raises(ValueError):
         encode(hamming, np.zeros(hamming.k + 1, dtype=np.uint8))
+    # the table has room for k rounded up to four bits; that is no licence
+    for code in (hamming, extend_repetition(hamming, 3), builtin_code("ldpc_r12_n2048")):
+        for shape in ((code.k - 1,), (code.k + 1,), (5, code.k + 1), (2, 3, code.k - 1)):
+            with pytest.raises(ValueError, match=rf"info length {shape[-1]} != code dimension"):
+                encode(code, np.zeros(shape, dtype=np.uint8))
+
+
+def _matmul_encode(code, info):
+    """``encode`` as it was: a float64 GF(2) product with the generator."""
+    info = np.asarray(info, dtype=np.uint8)
+    if isinstance(code, RepetitionExtendedCode):
+        return np.repeat(gf2_matmul(info, code.base.generator), code.k_rep, axis=-1)
+    return gf2_matmul(info, code.generator)
+
+
+@pytest.mark.parametrize("name", BUILTIN_CODE_NAMES + ("toy_6_3", "ldpc_r14_n64x4"))
+def test_encode_matches_matmul(name, toy_code):
+    # the table encode gives the float product's bits for every batch shape,
+    # and info values reduce mod 2 as they did there
+    code = _reference_code(name, toy_code)
+    rng = np.random.default_rng(11)
+    for lead in ((), (1,), (13,), (2, 3)):
+        info = rng.choice(np.array([0, 1, 2, 3, 255], dtype=np.uint8), lead + (code.k,))
+        got, want = encode(code, info), _matmul_encode(code, info)
+        assert got.dtype == want.dtype and got.shape == want.shape == lead + (code.n,)
+        assert got.tobytes() == want.tobytes()
+    bits = rng.integers(0, 2, (64, code.k), dtype=np.uint8)
+    assert np.array_equal(encode(code, bits), _matmul_encode(code, bits))
+    assert np.array_equal(encode(code, bits.astype(np.int64).tolist()),
+                          _matmul_encode(code, bits))
 
 
 @settings(max_examples=60)
@@ -414,6 +572,42 @@ def test_alist_bad_index(tmp_path):
     bad.write_text("2 1\n1 2\n1 1\n2\n5\n1\n1 2\n")
     with pytest.raises(AlistFormatError, match="out of range"):
         load_alist(bad)
+
+
+#: one check on three bits, c1 + c2 + c3 = 0, by line
+ALIST_SPC = {1: "3 1", 2: "1 3", 3: "1 1 1", 4: "3", 5: "1", 6: "1", 7: "1", 8: "1 2 3"}
+BAD_ALISTS = {
+    # case: (replaced lines, None to drop one), the message after "path:"
+    "count": ({2: "1 3 4"}, "2: expected 2 values, got 3"),
+    "token": ({3: "1 1 x"}, "3: non-integer token"),
+    "column degree": ({7: "0"}, "7: column 3 lists 0 rows, degree says 1"),
+    "row range": ({6: "2"}, "6: row index 2 out of range 1..1"),
+    "duplicate": ({3: "2 1 1", 5: "1 1"}, "5: duplicate entry for row 1"),
+    "row disagrees": ({8: "1 2 2"}, "8: row 1 adjacency disagrees with columns"),
+    "row degree": ({4: "2"}, "8: row 1 adjacency disagrees with columns"),
+    "end of file": ({8: None}, "8: unexpected end of file"),
+}
+
+
+def _alist_text(lines: dict) -> str:
+    return "".join(f"{text}\n" for _, text in sorted(lines.items()) if text is not None)
+
+
+def test_alist_single_check(tmp_path):
+    path = tmp_path / "spc.alist"
+    path.write_text(_alist_text(ALIST_SPC))
+    code = load_alist(path)
+    assert code.name == "spc.alist" and np.array_equal(code.parity, [[1, 1, 1]])
+
+
+@pytest.mark.parametrize("case", BAD_ALISTS)
+def test_alist_error_message_and_line(tmp_path, case):
+    edits, where = BAD_ALISTS[case]
+    bad = tmp_path / "bad.alist"
+    bad.write_text(_alist_text({**ALIST_SPC, **edits}))
+    with pytest.raises(AlistFormatError) as exc:
+        load_alist(bad)
+    assert str(exc.value) == f"{bad}:{where}"
 
 
 # ---------------------------------------------------------------------------
