@@ -150,19 +150,24 @@ def _sweep_one(cfg: SweepConfig, code1, code2, snr_db: float):
     return row, res.wall_time_s
 
 
-def _pool_worker(args):
-    return _sweep_one(*args)
+def _pool_worker(job):
+    cfg, snr_db = job
+    return _sweep_one(cfg, *_sweep_codes(cfg), snr_db)
 
 
 def run_sweep(cfg: SweepConfig, threads: int = 1):
-    """All grid points of a sweep, in grid order.  Returns (rows, walltimes)."""
+    """All grid points of a sweep, in grid order.  Returns (rows, walltimes).
+
+    A pool job is the config and one grid value, not the codes (5 MB at
+    n = 2048): a worker resolves them through the code caches, which a
+    forked worker inherits warm from the resolution here."""
     code1, code2 = _sweep_codes(cfg)
-    jobs = [(cfg, code1, code2, snr) for snr in cfg.snr_grid_db]
-    if threads > 1 and len(jobs) > 1:
+    if threads > 1 and len(cfg.snr_grid_db) > 1:
+        jobs = [(cfg, snr) for snr in cfg.snr_grid_db]
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_pool_worker, jobs))
     else:
-        results = [_sweep_one(*job) for job in jobs]
+        results = [_sweep_one(cfg, code1, code2, snr) for snr in cfg.snr_grid_db]
     rows = [r for r, _ in results]
     walltimes = [w for _, w in results]
     return rows, walltimes

@@ -358,11 +358,13 @@ def _degree_sum(x: np.ndarray) -> np.ndarray:
     return x[..., 0] + x[..., 1:].sum(axis=-1)
 
 
-def _parity(x: np.ndarray) -> np.ndarray:
-    """XOR of a boolean array along its last axis."""
+def _fold(ufunc, x: np.ndarray) -> np.ndarray:
+    """``ufunc`` chained left to right along the last axis (XOR for a parity,
+    multiply for a product of signs); numpy's ``reduce`` is slow on a short
+    axis."""
     acc = x[..., 0].copy()
     for j in range(1, x.shape[-1]):
-        acc ^= x[..., j]
+        ufunc(acc, x[..., j], out=acc)
     return acc
 
 
@@ -400,17 +402,23 @@ def _bp_batch(graph: _BpGraph, llr: np.ndarray, max_iter: int):
         t = t.reshape(-1, m, dc)
         zero = t == 0.0
         erasures = zero.any()  # exact-zero messages are rare; skip their bookkeeping
-        neg = t < 0.0
+        # each edge's sign as -1.0 or 1.0; +-0.0 counts as non-negative
+        sgn = np.copysign(1.0, t)
         mag = np.abs(t, out=t)
         if erasures:
+            sgn[zero] = 1.0
             mag = np.where(zero, 1.0, mag)
         log_abs = np.log(mag, out=mag)
         ext = np.exp(np.subtract(_degree_sum(log_abs)[..., None], log_abs, out=log_abs),
                      out=log_abs)
         if erasures:  # another edge of the check is an erasure
             ext = np.where(np.count_nonzero(zero, axis=-1)[..., None] > zero, 0.0, ext)
-        # the other signs of the check are odd: multiply by -1.0, so 0.0 -> -0.0
-        ext *= 1.0 - 2.0 * (_parity(neg)[..., None] ^ neg)
+        # the sign of the check's other edges: the edge's own sign times the
+        # check's product; every factor is exactly +-1.0, so an odd sign
+        # turns 0.0 into -0.0 just as a multiply by -1.0 does
+        sgn *= _fold(np.multiply, sgn)[..., None]
+        ext *= sgn
+        del sgn  # freed before the messages are allocated: no extra peak memory
         ext = np.arctanh(np.clip(ext, -_TANH_CAP, _TANH_CAP, out=ext), out=ext)
         # one trailing 0.0 column: the message of every padded variable slot
         lr = np.empty((rows.size, slots + 1))
@@ -424,7 +432,8 @@ def _bp_batch(graph: _BpGraph, llr: np.ndarray, max_iter: int):
         on_check = lq < 0
         if graph.pad_slots is not None:
             on_check &= ~graph.pad_slots
-        ok = ~np.any(_parity(on_check.reshape(-1, m, dc)), axis=1) & np.any(post != 0.0, axis=1)
+        syndrome = _fold(np.bitwise_xor, on_check.reshape(-1, m, dc))
+        ok = ~np.any(syndrome, axis=1) & np.any(post != 0.0, axis=1)
         lq -= lr[:, :slots]
         np.clip(lq, -LLR_MAX, LLR_MAX, out=lq)
 

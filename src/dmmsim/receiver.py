@@ -25,6 +25,13 @@ from stream 0 of a counter-based generator, so results do not depend on
 batch size, worker count, or execution order.  A batch works out its
 frames' Philox keys at once and re-keys one generator per frame; the
 streams are those of ``channel.block_rng``.
+
+A batch holds up to ``_BATCH_FRAMES`` frames and ``_BATCH_SYMBOLS`` symbols
+(:func:`_batches`): 64 frames up to n = 512, 16 at n = 2048, 8 for 4096-bit
+uncoded blocks.  The bound keeps one batch's BP message arrays within a
+core's L2 cache: at n = 2048 a 64-frame array is 3 MiB, and sum-product took
+~75 us per frame and iteration on 16-frame batches against ~100 us on
+64-frame ones (2-vCPU Xeon, 2 MiB L2 per core).
 """
 
 from __future__ import annotations
@@ -53,7 +60,12 @@ SCHEME_CODES = {"dmm_realistic": ("code1", "code2"), "dmm_genie": ("code1", "cod
                 "bpsk_baseline": ("code1",), "uncoded": ()}
 SCHEMES = tuple(SCHEME_CODES)
 
-_BATCH_FRAMES = 64  # internal work unit; results are batch-size invariant
+# A batch, the internal work unit, holds at most _BATCH_FRAMES frames and
+# _BATCH_SYMBOLS symbols, so that its BP message arrays stay within a core's
+# L2 cache (768 KiB each at 16 frames of n = 2048); results do not depend on
+# its size.
+_BATCH_FRAMES = 64
+_BATCH_SYMBOLS = 1 << 15
 MAX_FRAMES = 2**32  # a frame index is one 32-bit SeedSequence spawn-key word
 
 
@@ -222,7 +234,7 @@ def run_point(scheme: str, code1=None, code2=None, *, snr_db: float,
     frames = fe = errors1 = errors2 = beta_errors = 0
     stop_reason = "max_frames"
 
-    for idx in _batches(max_frames):
+    for idx in _batches(max_frames, n_sym):
         # frames, noise and LLRs go with their batch
         e1, e2, berr = _receive_batch(polarity_code, axis_code, cfg,
                                       *_frame_batch(cfg, idx, n_sym, ks), max_iter,
@@ -292,10 +304,12 @@ def _frame_batch(cfg, indices, n, ks):
     return words, noise
 
 
-def _batches(count):
-    """Frame indices 0..count-1 in ``_BATCH_FRAMES``-sized arrays."""
-    for start in range(0, count, _BATCH_FRAMES):
-        yield np.arange(start, min(start + _BATCH_FRAMES, count), dtype=np.int64)
+def _batches(count, n):
+    """Frame indices 0..count-1 in arrays of up to ``_BATCH_FRAMES`` frames
+    and ``_BATCH_SYMBOLS`` symbols of length-``n`` frames (at least one)."""
+    size = max(1, min(_BATCH_FRAMES, _BATCH_SYMBOLS // n))
+    for start in range(0, count, size):
+        yield np.arange(start, min(start + size, count), dtype=np.int64)
 
 
 def _receive_batch(code1, code2, cfg, words, noise, max_iter, genie: bool):
@@ -359,7 +373,7 @@ def paired_genie_vs_bpsk(code1, code2, cfg: ChannelConfig, frames: int,
     if frames < 1:
         raise ValueError(f"frames must be >= 1, got {frames}")
     parts = []
-    for idx in _batches(frames):
+    for idx in _batches(frames, code1.n):
         words, noise = _frame_batch(cfg, idx, code1.n, (code1.k, code2.k))
         beta = modem.beta_from_bits(linear_code.encode(code2, words[1]))
         e_genie, _, _, llr_genie = _receive_batch(code1, code2, cfg, words, noise, max_iter,

@@ -1,11 +1,12 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from dmmsim import builtin_codes, save_alist
-from dmmsim.cli import main
-from dmmsim.config import ConfigError, load_capacity_config, load_sweep_config
+from dmmsim import builtin_codes, cli, save_alist
+from dmmsim.cli import fmt, main
+from dmmsim.config import ConfigError, SweepConfig, load_capacity_config, load_sweep_config
 
 DATA = __file__.rsplit("/", 1)[0] + "/data"
 
@@ -274,6 +275,39 @@ def test_sweep_thread_count_invariance(sweep_csv, tmp_path):
     threaded = str(tmp_path / "threaded.csv")
     assert main(["sweep", cfg, "--threads", "2", "--out", threaded]) == 0
     assert body(out) == body(threaded)
+
+
+def test_sweep_pool_jobs_carry_no_codes(monkeypatch):
+    # a pool job is the config and one grid value; the codes (5 MB pickled at
+    # n = 2048) reach a worker through its code caches, not through each job
+    cfg = SweepConfig(scheme="dmm_realistic", snr_grid_db=(-1.3, -1.0),
+                      code1="ldpc_r12_n2048", code2="ldpc_r14_n512", code2_repeat=4,
+                      stop_min_frame_errors=1, stop_max_frames=2)
+    payloads = []
+
+    class InlinePool:
+        """The executor's job traffic, pickled both ways, in this process."""
+
+        def __init__(self, max_workers):
+            assert max_workers == 2
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            for job in jobs:
+                payloads.append(pickle.dumps((fn, job)))
+                worker, sent = pickle.loads(payloads[-1])
+                yield worker(sent)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    pooled, _ = cli.run_sweep(cfg, threads=2)
+    assert len(payloads) == 2 and max(map(len, payloads)) < 4096
+    serial, _ = cli.run_sweep(cfg, threads=1)
+    assert [list(map(fmt, row)) for row in pooled] == [list(map(fmt, row)) for row in serial]
 
 
 def test_sweep_rows_and_columns(sweep_csv):

@@ -374,6 +374,16 @@ def test_degree_sum_matches_reduceat(width):
     assert np.array_equal(_degree_sum(x[:1]), want[:1])
 
 
+def _degree_two_code():
+    """Every check ties two variables: a path, a star and a path (k = 3), so
+    the largest check degree is 2 and variables have degree 1 to 3."""
+    ties = [(0, 1), (1, 2), (2, 3), (4, 5), (4, 6), (4, 7), (8, 9), (9, 10), (10, 11)]
+    h = np.zeros((len(ties), 12), dtype=np.uint8)
+    for check, pair in enumerate(ties):
+        h[check, pair] = 1
+    return BinaryCode(h, name="degree_two_12")
+
+
 def _reference_code(name, toy_code):
     if name in BUILTIN_CODE_NAMES:
         return builtin_code(name)
@@ -381,8 +391,19 @@ def _reference_code(name, toy_code):
         "toy_6_3": lambda: toy_code,
         "hamming74.alist": lambda: load_alist(f"{DATA}/hamming74.alist"),
         "ldpc_r14_n64x4": lambda: extend_repetition(builtin_code("ldpc_r14_n64"), 4),
+        "ldpc_r14_n512x4": lambda: extend_repetition(builtin_code("ldpc_r14_n512"), 4),
         "irregular_20_40": _irregular_code,
+        "degree_two_12": _degree_two_code,
     }[name]()
+
+
+def _reference_decode(code, rows, max_iter):
+    """``decode_soft_batch`` by the reduceat decoder of ``tests/oracles``."""
+    inner = code.base if hasattr(code, "base") else code
+    if inner is not code:
+        rows = rows.reshape(rows.shape[0], inner.n, code.k_rep).sum(axis=2)
+    bits, conv, iters = bp_reference(inner.parity, rows, max_iter)
+    return inner.info_from_codeword(bits), conv, iters
 
 
 @pytest.mark.parametrize("name", ["ldpc_r12_n2048", "irregular_20_40", "toy_6_3"])
@@ -422,29 +443,53 @@ def test_decode_matches_reference(name, toy_code):
     # the fixed-degree decoder gives the reduceat decoder's bits, flags and
     # iteration counts exactly, on noisy frames at several SNRs and on edge rows
     code = _reference_code(name, toy_code)
-    inner = code.base if hasattr(code, "base") else code
     rng = np.random.default_rng(7)
     cw = encode(code, rng.integers(0, 2, (6, code.k), dtype=np.uint8))
     llrs = np.concatenate([2.0 * ((1.0 - 2.0 * cw) + rng.normal(0, s, cw.shape)) / s ** 2
                            for s in (0.5, 0.8, 1.0, 1.3)])
-    llrs[1, ::5] = 0.0  # exact zeros among the inputs
+    llrs[1, ::5] = 0.0  # exact zeros among the inputs, of both signs
+    llrs[1, 2::5] = -0.0
     llrs[2] = 0.0  # total erasure
     llrs[3] = np.where(llrs[3] < 0, -LLR_MAX, LLR_MAX)  # saturated
     llrs[4] *= 1e3  # far beyond the clip
     llrs[5] = -0.0
 
-    def reference(rows, max_iter):
-        if inner is not code:
-            rows = rows.reshape(rows.shape[0], inner.n, code.k_rep).sum(axis=2)
-        bits, conv, iters = bp_reference(inner.parity, rows, max_iter)
-        return inner.info_from_codeword(bits), conv, iters
-
     cases = [(llrs, 50), (llrs, 1), (llrs, 3)] + [(llrs[i:i + 1], 50) for i in (0, 2, 3, 20)]
     for rows, max_iter in cases:
         got = decode_soft_batch(code, rows, max_iter=max_iter)
-        want = reference(rows, max_iter)
+        want = _reference_decode(code, rows, max_iter)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("name", [
+    "ldpc_r12_n2048", "ldpc_r14_n512x4", "irregular_20_40", "degree_two_12"])
+def test_decode_zero_free_batches_match_reference(name, toy_code):
+    # multi-row batches without an exact zero anywhere, which the decoder
+    # signs without its erasure bookkeeping: noisy rows at Es/N0 -1.5..0 dB
+    # per base-code bit (a repetition code's k_rep copies add 10 log10 k_rep
+    # dB, so its symbols sit that much lower) and a saturated row, decoded to
+    # the reduceat decoder's bits, flags and iteration counts
+    code = _reference_code(name, toy_code)
+    inner = code.base if hasattr(code, "base") else code
+    assert (inner._graph.check_shape[1] == 2) == (name == "degree_two_12")
+    assert (inner._graph.pad_slots is not None) == (name == "irregular_20_40")
+    rng = np.random.default_rng(11)
+    es_n0_db = np.array([-1.5, -1.0, -0.5, 0.0]) - 10.0 * np.log10(code.n // inner.n)
+    sigma2 = np.repeat(0.5 * 10.0 ** (-es_n0_db / 10.0), 3)[:, None]
+    cw = encode(code, rng.integers(0, 2, (sigma2.size, code.k), dtype=np.uint8))
+    llrs = 2.0 * ((1.0 - 2.0 * cw) + rng.normal(0.0, np.sqrt(sigma2), cw.shape)) / sigma2
+    llrs[4] = np.where(llrs[4] < 0, -LLR_MAX, LLR_MAX)
+    assert np.all(llrs != 0.0)
+
+    mixed = False
+    for max_iter in (50, 3, 1):
+        got = decode_soft_batch(code, llrs, max_iter=max_iter)
+        for g, w in zip(got, _reference_decode(code, llrs, max_iter)):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        mixed |= 0 < np.count_nonzero(got[1]) < len(llrs)
+    if name.startswith("ldpc"):
+        assert mixed  # converged and non-converged rows in one batch
 
 
 @pytest.mark.parametrize("name", sorted(PEG_FIXTURES))

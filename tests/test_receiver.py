@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,9 +8,11 @@ import dmmsim.receiver as receiver_mod
 from dmmsim import (
     ChannelConfig,
     beta_from_bits,
+    builtin_code,
     derotate_and_llr_v1,
     dmm_map,
     encode,
+    extend_repetition,
     paired_genie_vs_bpsk,
     run_point,
     snr_at_ber,
@@ -241,6 +244,41 @@ def test_run_point_batch_size_invariance(dmm_pair, monkeypatch):
     monkeypatch.setattr(receiver_mod, "_BATCH_FRAMES", 7)
     alt = run_point("dmm_realistic", code1, code2, **kwargs)
     assert _stat_fields(ref) == _stat_fields(alt)
+
+
+@pytest.mark.parametrize("count", [0, 1, 15, 16, 17, 130])
+def test_batches_cover_every_frame_once_in_order(count):
+    # frames per batch follow the frame length: 16 at n = 2048, 64 at
+    # n = 256, 8 for 4096-bit uncoded blocks and at least one
+    for n, size in ((2048, 16), (256, 64), (4096, 8), (2**40, 1)):
+        parts = list(receiver_mod._batches(count, n))
+        assert [p.size for p in parts] == [size] * (count // size) + [count % size] * (
+            count % size > 0)
+        assert all(p.dtype == np.int64 for p in parts)
+        assert np.array_equal(np.concatenate([np.empty(0, np.int64), *parts]), np.arange(count))
+
+
+def test_run_point_equal_at_any_frames_per_batch(monkeypatch):
+    # the n = 2048 criterion-6 pair at 1, 5, the default 16 and 64 frames per
+    # batch; the frame-error stop fires at frame 22, inside a batch of 5, 16
+    # or 64
+    code1 = builtin_code("ldpc_r12_n2048")
+    code2 = extend_repetition(builtin_code("ldpc_r14_n512"), 4)
+    kwargs = dict(snr_db=-1.5, seed=2, min_frame_errors=5, max_frames=64)
+    sizes, results = [], []
+    for frames, symbols in ((1, None), (5, None), (None, None), (64, 64 * 2048)):
+        with monkeypatch.context() as patch:
+            if frames:
+                patch.setattr(receiver_mod, "_BATCH_FRAMES", frames)
+            if symbols:
+                patch.setattr(receiver_mod, "_BATCH_SYMBOLS", symbols)
+            sizes.append(next(receiver_mod._batches(64, code1.n)).size)
+            results.append(run_point("dmm_realistic", code1, code2, **kwargs))
+    assert sizes == [1, 5, 16, 64]
+    assert (results[0].frames, results[0].stop_reason) == (22, "min_frame_errors")
+    want = dataclasses.replace(results[0], wall_time_s=0.0)
+    for res in results[1:]:
+        assert dataclasses.replace(res, wall_time_s=0.0) == want
 
 
 def test_run_point_deterministic(dmm_pair):
