@@ -15,16 +15,19 @@ group of four generator rows, ``(ceil(k/4), 16, ceil(n/64))`` words, about
 reduction.  Both give the bits of a plain GF(2) product, with no floating
 point involved.
 
-The BP decoder keeps its messages check-major in a fixed-degree layout: a
-batch of check-side messages is a (B, m, dc) array and the variable side a
-(B, n, dv) array, dc and dv the largest check and variable degrees.  Codes
-with more than one degree are padded after the real edges of each row with
-neutral entries (log-magnitude 0, no zero, no sign on the check side, a 0.0
-message on the variable side), so the same reshape reductions serve every
+The BP decoder keeps its messages slot-major in a fixed-degree layout: a
+batch of check-side messages is a (B, dc, m) array, slot j of every check
+together, and the variable side a (B, dv, n) array, dc and dv the largest
+check and variable degrees.  The short degree axis sits before the long
+check or variable axis, so every sum, product and broadcast over a check's
+edges is a handful of long contiguous array operations.  Codes with more
+than one degree are padded after the real edges of each check or variable
+with neutral entries (log-magnitude 0, no zero, no sign on the check side,
+a 0.0 message on the variable side), so the same reductions serve every
 code.  The sums keep ``np.add.reduceat``'s association, so a regular code,
-or any code whose padded rows are at most eight wide, decodes to the bits
-of an edge-list decoder with ``reduceat`` sums; wider padded rows may round
-differently in the last bit.
+or any code whose padded degrees are at most eight, decodes to the bits of
+an edge-list decoder with ``reduceat`` sums; wider padded checks or
+variables may round differently in the last bit.
 
 Code objects are immutable after construction.  Decoding allocates its own
 message buffers per call, so codes can be shared freely across workers.
@@ -130,14 +133,15 @@ def gf2_rank(a: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 
 class _BpGraph:
-    """Fixed-degree, check-major view of a parity-check matrix for BP.
+    """Fixed-degree, slot-major view of a parity-check matrix for BP.
 
-    Edge slots form an (m, dc) grid, dc the largest check degree: row i holds
-    the variables of check i in ascending order, padded at the end.  The
-    variable side is an (n, dv) grid of slot indices, dv the largest variable
-    degree, each row in ascending check order and padded at the end with slot
-    ``m * dc``, one past the grid.  ``parity`` is a uint8 0/1 matrix.  All
-    arrays are immutable after construction.
+    Edge slots form a (dc, m) grid, dc the largest check degree: column i
+    holds the variables of check i in ascending order, padded at the end,
+    so slot j of check i is ``j * m + i``.  The variable side is a (dv, n)
+    grid of slot indices, dv the largest variable degree, each column in
+    ascending check order and padded at the end with slot ``dc * m``, one
+    past the grid.  ``parity`` is a uint8 0/1 matrix.  All arrays are
+    immutable after construction.
     """
 
     def __init__(self, parity: np.ndarray):
@@ -152,23 +156,23 @@ class _BpGraph:
         if np.any(deg_c == 0):
             raise ValueError("parity-check matrix has an empty row")
         dc, dv = int(deg_c.max()), int(deg_v.max())
-        self.check_shape = (m, dc)
-        self.var_shape = (n, dv)
+        self.check_shape = (dc, m)
+        self.var_shape = (dv, n)
 
         edge = np.arange(check_of.size)
-        slot = check_of * dc + edge - (np.cumsum(deg_c) - deg_c)[check_of]
-        self.var_of_slot = np.zeros(m * dc, dtype=np.intp)
+        slot = (edge - (np.cumsum(deg_c) - deg_c)[check_of]) * m + check_of
+        self.var_of_slot = np.zeros(dc * m, dtype=np.intp)
         self.var_of_slot[slot] = var_of
         # padded check slots, or None for a code with one check degree
         self.pad_slots = None
-        if slot.size < m * dc:
-            self.pad_slots = np.ones(m * dc, dtype=bool)
+        if slot.size < dc * m:
+            self.pad_slots = np.ones(dc * m, dtype=bool)
             self.pad_slots[slot] = False
 
         by_var = np.argsort(var_of, kind="stable")  # ascending check per variable
         v = var_of[by_var]
-        self.slot_of_var = np.full(n * dv, m * dc, dtype=np.intp)
-        self.slot_of_var[v * dv + edge - (np.cumsum(deg_v) - deg_v)[v]] = slot[by_var]
+        self.slot_of_var = np.full(dv * n, dc * m, dtype=np.intp)
+        self.slot_of_var[(edge - (np.cumsum(deg_v) - deg_v)[v]) * n + v] = slot[by_var]
 
     def annihilates(self, generator: np.ndarray) -> bool:
         """Whether every row of ``generator`` satisfies every check (G H^T = 0).
@@ -176,12 +180,11 @@ class _BpGraph:
         Each check XORs the bit-packed generator columns of its variables;
         padded slots contribute nothing.
         """
-        m, dc = self.check_shape
         cols = np.packbits(generator.T, axis=1)  # (n, ceil(k/8))
         at_slot = cols[self.var_of_slot]
         if self.pad_slots is not None:
             at_slot[self.pad_slots] = 0
-        return not np.bitwise_xor.reduce(at_slot.reshape(m, dc, -1), axis=1).any()
+        return not np.bitwise_xor.reduce(at_slot.reshape(*self.check_shape, -1), axis=0).any()
 
 
 @dataclass(frozen=True)
@@ -346,25 +349,25 @@ def encode(code, info: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _degree_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over the last axis, associated as ``np.add.reduceat`` does: the
-    first term plus numpy's sum of the rest, which adds fewer than eight
-    terms left to right (spelled out below, as numpy is slow on a short
-    axis) and more in its pairwise order."""
-    if 2 < x.shape[-1] <= 8:
-        rest = x[..., 1] + x[..., 2]
-        for j in range(3, x.shape[-1]):
-            rest += x[..., j]
-        return x[..., 0] + rest
-    return x[..., 0] + x[..., 1:].sum(axis=-1)
+    """Sum over axis 1, associated as ``np.add.reduceat`` does: the first
+    term plus numpy's sum of the rest, which adds fewer than eight terms left
+    to right (spelled out below, one long array op per term) and more in its
+    pairwise order.  numpy sums pairwise only along a contiguous axis, so
+    the other widths sum a copy with the degree axis last."""
+    if 2 < x.shape[1] <= 8:
+        rest = x[:, 1] + x[:, 2]
+        for j in range(3, x.shape[1]):
+            rest += x[:, j]
+        return x[:, 0] + rest
+    return x[:, 0] + np.moveaxis(x[:, 1:], 1, -1).copy().sum(axis=-1)
 
 
 def _fold(ufunc, x: np.ndarray) -> np.ndarray:
-    """``ufunc`` chained left to right along the last axis (XOR for a parity,
-    multiply for a product of signs); numpy's ``reduce`` is slow on a short
-    axis."""
-    acc = x[..., 0].copy()
-    for j in range(1, x.shape[-1]):
-        ufunc(acc, x[..., j], out=acc)
+    """``ufunc`` chained in order along axis 1 (XOR for a parity, multiply
+    for a product of signs), one long array op per term."""
+    acc = x[:, 0].copy()
+    for j in range(1, x.shape[1]):
+        ufunc(acc, x[:, j], out=acc)
     return acc
 
 
@@ -380,11 +383,9 @@ def _bp_batch(graph: _BpGraph, llr: np.ndarray, max_iter: int):
     Returns (hard codewords, converged flags, iteration counts).
     """
     b = llr.shape[0]
-    m, dc = graph.check_shape
-    n, dv = graph.var_shape
-    slots = m * dc
+    slots = graph.var_of_slot.size
 
-    bits = np.zeros((b, n), dtype=np.uint8)
+    bits = np.zeros(llr.shape, dtype=np.uint8)
     converged = np.zeros(b, dtype=bool)
     iterations = np.full(b, max_iter, dtype=np.int64)
 
@@ -394,12 +395,12 @@ def _bp_batch(graph: _BpGraph, llr: np.ndarray, max_iter: int):
     lq = np.clip(base[:, graph.var_of_slot], -LLR_MAX, LLR_MAX)
 
     for it in range(1, max_iter + 1):
-        # check update on the (rows, m, dc) grid, in place where a message
+        # check update on the (rows, dc, m) grid, in place where a message
         # is not read again
         t = np.tanh(np.divide(lq, 2.0, out=lq), out=lq)
         if graph.pad_slots is not None:
             t[:, graph.pad_slots] = 1.0  # log-magnitude 0, not zero, not negative
-        t = t.reshape(-1, m, dc)
+        t = t.reshape(-1, *graph.check_shape)
         zero = t == 0.0
         erasures = zero.any()  # exact-zero messages are rare; skip their bookkeeping
         # each edge's sign as -1.0 or 1.0; +-0.0 counts as non-negative
@@ -409,14 +410,14 @@ def _bp_batch(graph: _BpGraph, llr: np.ndarray, max_iter: int):
             sgn[zero] = 1.0
             mag = np.where(zero, 1.0, mag)
         log_abs = np.log(mag, out=mag)
-        ext = np.exp(np.subtract(_degree_sum(log_abs)[..., None], log_abs, out=log_abs),
+        ext = np.exp(np.subtract(_degree_sum(log_abs)[:, None], log_abs, out=log_abs),
                      out=log_abs)
         if erasures:  # another edge of the check is an erasure
-            ext = np.where(np.count_nonzero(zero, axis=-1)[..., None] > zero, 0.0, ext)
+            ext = np.where(np.count_nonzero(zero, axis=1)[:, None] > zero, 0.0, ext)
         # the sign of the check's other edges: the edge's own sign times the
         # check's product; every factor is exactly +-1.0, so an odd sign
         # turns 0.0 into -0.0 just as a multiply by -1.0 does
-        sgn *= _fold(np.multiply, sgn)[..., None]
+        sgn *= _fold(np.multiply, sgn)[:, None]
         ext *= sgn
         del sgn  # freed before the messages are allocated: no extra peak memory
         ext = np.arctanh(np.clip(ext, -_TANH_CAP, _TANH_CAP, out=ext), out=ext)
@@ -427,12 +428,13 @@ def _bp_batch(graph: _BpGraph, llr: np.ndarray, max_iter: int):
 
         # variable update and posterior; the syndrome reads the posterior
         # gathered to the check slots
-        post = base + _degree_sum(np.take(lr, graph.slot_of_var, axis=1).reshape(-1, n, dv))
+        post = base + _degree_sum(
+            np.take(lr, graph.slot_of_var, axis=1).reshape(-1, *graph.var_shape))
         lq = np.take(post, graph.var_of_slot, axis=1)
         on_check = lq < 0
         if graph.pad_slots is not None:
             on_check &= ~graph.pad_slots
-        syndrome = _fold(np.bitwise_xor, on_check.reshape(-1, m, dc))
+        syndrome = _fold(np.bitwise_xor, on_check.reshape(-1, *graph.check_shape))
         ok = ~np.any(syndrome, axis=1) & np.any(post != 0.0, axis=1)
         lq -= lr[:, :slots]
         np.clip(lq, -LLR_MAX, LLR_MAX, out=lq)
@@ -461,7 +463,7 @@ def decode_soft_batch(code, llrs: np.ndarray, max_iter: int = 50):
     Early exit per row on a zero syndrome; inputs and messages are clipped
     at +-LLR_MAX, and a row whose posterior is identically zero carries no
     decision, so a total erasure reports ``max_iter`` without converging.
-    Messages live in the fixed-degree, check-major layout described in the
+    Messages live in the fixed-degree, slot-major layout described in the
     module docstring; bits, flags and iteration counts equal those of the
     edge-list ``reduceat`` decoder kept as ``tests/oracles.bp_reference``.
     Returns (info bits (B, k), converged (B,), iterations (B,)).

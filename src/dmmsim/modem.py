@@ -144,21 +144,21 @@ def demod_v2_hard(y) -> np.ndarray:
 
 
 def log_sum_exp(x: np.ndarray, cols) -> np.ndarray:
-    """ln of the sum of exp(x[..., j]) over the columns ``cols`` of a short
-    last axis.
+    """ln of the sum of exp(x[j]) over the rows ``cols`` of a short leading
+    axis, the point axis of a (points, ...) array of exponents.
 
-    A left-to-right chain of ``np.logaddexp`` over column views: bitwise
-    ``np.logaddexp.reduce(x[..., cols], axis=-1)`` (a ufunc reduce applies
-    its operator in order, and ``logaddexp`` is symmetric in its arguments),
-    without the copy and without the reduce's slow loop over a 2- or 4-wide
-    axis.  The reduce starts from the identity, and ``logaddexp(-inf, v)``
-    is ``v + 0.0``, which turns -0.0 into 0.0; so does the chain.
+    A chain of ``np.logaddexp`` over ``cols`` in order, each step one long
+    array op: bitwise ``np.logaddexp.reduce(x[cols], axis=0)`` (a ufunc
+    reduce applies its operator in order, and ``logaddexp`` is symmetric in
+    its arguments), without the copy.  The reduce starts from the identity,
+    and ``logaddexp(-inf, v)`` is ``v + 0.0``, which turns -0.0 into 0.0; so
+    does the chain.
     """
     if len(cols) == 0:
-        return np.full(x.shape[:-1], -np.inf)  # the reduce's identity
-    acc = x[..., cols[0]] + 0.0
+        return np.full(x.shape[1:], -np.inf)  # the reduce's identity
+    acc = x[cols[0]] + 0.0
     for j in cols[1:]:
-        acc = np.logaddexp(acc, x[..., j])
+        acc = np.logaddexp(acc, x[j])
     return acc
 
 
@@ -174,8 +174,8 @@ def llr_v2(y, constellation: Constellation, sigma2: float) -> np.ndarray:
     y = np.asarray(y, dtype=np.complex128)
     pts = constellation.points
     labels = constellation.axis_labels
-    # -|y - s_k|^2 / (2 sigma2), per point
-    expo = -np.abs(y[..., None] - pts) ** 2 / (2.0 * sigma2)
+    # -|y - s_k|^2 / (2 sigma2), one row per point
+    expo = -np.abs(y - pts.reshape(pts.shape + (1,) * y.ndim)) ** 2 / (2.0 * sigma2)
     return log_sum_exp(expo, np.flatnonzero(labels == 0)) - \
         log_sum_exp(expo, np.flatnonzero(labels == 1))
 

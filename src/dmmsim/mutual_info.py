@@ -16,9 +16,11 @@ they add nothing to the mixture.
 Quadrature shares what it can within a call, and memoizes nothing
 across calls.  The Gauss-Hermite nodes and weights of each node count
 (64, 128, 256) are computed on first use and then shared as read-only
-arrays.  The log-sum-exp over the mixture's 2 or 4 points is a chain of
-``np.logaddexp`` over columns (:func:`~dmmsim.modem.log_sum_exp`), bitwise
-the ``np.logaddexp.reduce`` it replaces.  :func:`mi_axis_and_joint` gives
+arrays.  The mixture's exponents are point-major: the short point axis
+leads, so each point's term is one long array like ``y``, and the
+log-sum-exp over the points is a chain of ``np.logaddexp`` over that
+leading axis (:func:`~dmmsim.modem.log_sum_exp`), bitwise the
+``np.logaddexp.reduce`` it replaces.  :func:`mi_axis_and_joint` gives
 the axis and joint four-point values from one quadrature of the four-point
 H(Y), which both subtract from; each equals its separate call bit for bit.
 MI values and entropies are never cached: asking twice integrates twice.
@@ -123,10 +125,12 @@ def _gauss_hermite(nodes: int):
 
 def _log_mixture(y: np.ndarray, points: np.ndarray, probs: np.ndarray,
                  sigma2: float) -> np.ndarray:
-    """Log density of the received point; real ``points`` mean the line."""
+    """Log density of the received point; real ``points`` mean the line.  The
+    exponents are point-major, one array like ``y`` per point."""
+    lead = points.shape + (1,) * y.ndim
     expo = (
-        np.log(probs)
-        - np.abs(y[..., None] - points) ** 2 / (2.0 * sigma2)
+        np.log(probs).reshape(lead)
+        - np.abs(y - points.reshape(lead)) ** 2 / (2.0 * sigma2)
         - 0.5 * _dim(points) * math.log(2.0 * math.pi * sigma2)
     )
     return log_sum_exp(expo, range(points.size))

@@ -7,7 +7,9 @@ to time each stage, and fails loudly when its error totals drift from
 traced scheme, so a receiver change that breaks the replica fails here.
 The capacity rows do not depend on the seed, and the full golden grid
 (21 points) takes about 0.8 s on a 2-vCPU Xeon with numpy 2.4, so it is
-checked here byte for byte.
+checked here byte for byte.  So are the two sweep workloads at the golden
+seed: the n = 256 high-SNR sweeps take about 0.3 s and the n = 2048
+waterfall point about 3-6 s on the same machine.
 """
 
 import hashlib
@@ -66,3 +68,13 @@ def test_capacity_grid_matches_golden_rows(perfbench):
     body = buf.getvalue()
     assert body.splitlines()[1:] == golden["rows"]
     assert hashlib.sha256(body.encode()).hexdigest() == golden["body_sha256"]
+
+
+@pytest.mark.parametrize("name", ["short_high_snr_n256", "waterfall_n2048"])
+def test_sweep_workload_matches_golden_rows(perfbench, name):
+    workloads = perfbench("workloads")
+    golden = workloads.load_golden()[name]
+    rep = workloads.run_once(workloads.WORKLOADS[name], golden["seed"])
+    assert not rep.errors
+    assert rep.body.splitlines()[1:] == golden["rows"]
+    assert rep.digest == golden["body_sha256"]

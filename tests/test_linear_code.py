@@ -1,4 +1,5 @@
 import hashlib
+import math
 from importlib import resources
 
 import numpy as np
@@ -20,11 +21,15 @@ from dmmsim import (
     save_alist,
 )
 from dmmsim.builtin_codes import BUILTIN_CODE_NAMES, PEG_FIXTURES, fixture_parity
-from dmmsim.linear_code import LLR_MAX, _degree_sum, gf2_rank, gf2_rref
+from dmmsim.linear_code import LLR_MAX, _bp_batch, _degree_sum, _fold, gf2_rank, gf2_rref
 
 from oracles import (
+    BpGraphCheckMajorReference,
     all_codewords,
+    bp_batch_check_major_reference,
     bp_reference,
+    degree_sum_last_axis_reference,
+    fold_last_axis_reference,
     generator_from_parity_reference,
     gf2_encode_reference,
     gf2_matmul,
@@ -365,13 +370,46 @@ def _irregular_code():
     return BinaryCode(h, name="irregular_20_40")
 
 
-@pytest.mark.parametrize("width", range(1, 13))
+@pytest.mark.parametrize("width", range(1, 17))
 def test_degree_sum_matches_reduceat(width):
+    # axis 1 is the degree axis; irregular_20_40 has checks of degree up to
+    # 14, so widths past eight take numpy's pairwise order
     rng = np.random.default_rng(width)
-    x = rng.normal(size=(3, 50, width)) * 10.0 ** rng.uniform(-3, 3, (3, 50, width))
-    want = np.add.reduceat(x.reshape(3, -1), np.arange(0, 50 * width, width), axis=1)
+    x = rng.normal(size=(3, width, 50)) * 10.0 ** rng.uniform(-3, 3, (3, width, 50))
+    edges = np.moveaxis(x, 1, -1).reshape(3, -1)  # each (row, column)'s terms together
+    want = np.add.reduceat(edges, np.arange(0, 50 * width, width), axis=1)
     assert np.array_equal(_degree_sum(x), want)
     assert np.array_equal(_degree_sum(x[:1]), want[:1])
+    # and the last-axis sum it replaces, bit for bit, zeros of both signs
+    # included (an all -0.0 column that goes through numpy's sum comes out
+    # 0.0 in both; reduceat keeps -0.0)
+    x[0, :, :5] = -0.0
+    x[1, :, :5] = 0.0
+    x[2, :width // 2, :5] = -0.0
+    got = _degree_sum(x)
+    # (numpy keeps its pairwise order only along a contiguous axis, which
+    # is what the old decoder's check-major arrays had)
+    ref = degree_sum_last_axis_reference(np.ascontiguousarray(np.moveaxis(x, 1, -1)))
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 6, 14])
+def test_fold_matches_ufunc_reduce(width):
+    # the XOR of a syndrome and the product of signs, chained along axis 1
+    rng = np.random.default_rng(width)
+    bits = rng.random((3, width, 40)) < 0.5
+    assert np.array_equal(_fold(np.bitwise_xor, bits),
+                          np.bitwise_xor.reduce(bits, axis=1))
+    signs = np.where(rng.random((3, width, 40)) < 0.5, -1.0, 1.0)
+    prod = _fold(np.multiply, signs)
+    assert np.array_equal(prod.view(np.int64),
+                          np.multiply.reduce(signs, axis=1).view(np.int64))
+    assert np.array_equal(prod, fold_last_axis_reference(np.multiply,
+                                                         np.moveaxis(signs, 1, -1)))
+    # the fold works on a copy of its first term
+    before = signs.copy()
+    _fold(np.multiply, signs)
+    assert np.array_equal(signs, before)
 
 
 def _degree_two_code():
@@ -472,7 +510,7 @@ def test_decode_zero_free_batches_match_reference(name, toy_code):
     # the reduceat decoder's bits, flags and iteration counts
     code = _reference_code(name, toy_code)
     inner = code.base if hasattr(code, "base") else code
-    assert (inner._graph.check_shape[1] == 2) == (name == "degree_two_12")
+    assert (inner._graph.check_shape[0] == 2) == (name == "degree_two_12")
     assert (inner._graph.pad_slots is not None) == (name == "irregular_20_40")
     rng = np.random.default_rng(11)
     es_n0_db = np.array([-1.5, -1.0, -0.5, 0.0]) - 10.0 * np.log10(code.n // inner.n)
@@ -490,6 +528,57 @@ def test_decode_zero_free_batches_match_reference(name, toy_code):
         mixed |= 0 < np.count_nonzero(got[1]) < len(llrs)
     if name.startswith("ldpc"):
         assert mixed  # converged and non-converged rows in one batch
+
+
+@pytest.mark.parametrize("name", BUILTIN_CODE_NAMES + ("irregular_20_40", "degree_two_12"))
+def test_slot_major_graph_transposes_check_major_reference(name, toy_code):
+    # slot j of check i moved from i * dc + j to j * m + i; the variable
+    # side's grid moved the same way and names the moved slots
+    code = _reference_code(name, toy_code)
+    inner = code.base if hasattr(code, "base") else code
+    new, old = inner._graph, BpGraphCheckMajorReference(inner.parity)
+    (dc, m), (dv, n) = new.check_shape, new.var_shape
+    assert old.check_shape == (m, dc) and old.var_shape == (n, dv)
+    moved = np.arange(m * dc).reshape(m, dc).T.ravel()  # old slot of each new slot
+    assert np.array_equal(new.var_of_slot, old.var_of_slot[moved])
+    if old.pad_slots is None:
+        assert new.pad_slots is None
+    else:
+        assert np.array_equal(new.pad_slots, old.pad_slots[moved])
+    new_of_old = np.append(np.argsort(moved), m * dc)  # the pad slot stays one past
+    want = new_of_old[old.slot_of_var].reshape(n, dv).T.ravel()
+    assert np.array_equal(new.slot_of_var, want)
+
+
+@pytest.mark.parametrize("name", BUILTIN_CODE_NAMES + (
+    "ldpc_r14_n64x4", "irregular_20_40", "degree_two_12"))
+def test_slot_major_decode_matches_check_major_reference(name, toy_code):
+    # the slot-major decoder gives the check-major decoder's bits, flags and
+    # iteration counts on noisy rows, inputs with exact zeros of both signs,
+    # a total erasure, saturated rows, and a zero-free batch
+    code = _reference_code(name, toy_code)
+    inner = code.base if hasattr(code, "base") else code
+    rng = np.random.default_rng(19)
+    cw = encode(code, rng.integers(0, 2, (10, code.k), dtype=np.uint8))
+    sigma = np.repeat([0.6, 0.8, 1.0, 1.2, 1.4], 2)[:, None] * math.sqrt(code.n // inner.n)
+    llrs = 2.0 * ((1.0 - 2.0 * cw) + rng.normal(0.0, sigma, cw.shape)) / sigma ** 2
+    # a repetition code's copies add before BP, as decode_soft_batch adds them
+    llrs = llrs.reshape(len(llrs), inner.n, -1).sum(axis=2)
+    zero_free = llrs.copy()
+    llrs[1, ::3] = 0.0
+    llrs[1, 1::3] = -0.0
+    llrs[2] = 0.0
+    llrs[3] = -0.0
+    llrs[4] = np.where(llrs[4] < 0, -LLR_MAX, LLR_MAX)
+    llrs[5] *= 1e3
+    assert np.all(zero_free != 0.0)
+    graph = BpGraphCheckMajorReference(inner.parity)
+    for rows in (llrs, zero_free, llrs[2:3]):
+        for max_iter in (1, 3, 50):
+            got = _bp_batch(inner._graph, rows, max_iter)
+            want = bp_batch_check_major_reference(graph, rows, max_iter)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("name", sorted(PEG_FIXTURES))

@@ -17,7 +17,12 @@ from dmmsim import (
 )
 from dmmsim.modem import log_sum_exp
 
-from oracles import llr_v2_bruteforce, llr_v2_reference, nearest_point_labels
+from oracles import (
+    llr_v2_bruteforce,
+    llr_v2_reference,
+    log_sum_exp_last_axis_reference,
+    nearest_point_labels,
+)
 
 HALF_PI = math.pi / 2
 
@@ -181,15 +186,22 @@ def test_llr_v2_bit_identical_to_reference():
 
 
 def test_log_sum_exp_bit_identical_to_reduce():
+    # the points are the leading axis
     rng = np.random.default_rng(5)
-    x = rng.normal(scale=30.0, size=(1000, 6))
-    x[::7, 1] = -np.inf
-    x[::11, 2] = x[::11, 0]  # exact ties take logaddexp's x == y branch
-    x[::13, :] = -0.0  # a one-column reduce turns -0.0 into 0.0
-    x[::17, 3] = np.inf
+    x = rng.normal(scale=30.0, size=(6, 1000))
+    x[1, ::7] = -np.inf
+    x[2, ::11] = x[0, ::11]  # exact ties take logaddexp's x == y branch
+    x[:, ::13] = -0.0  # a one-row reduce turns -0.0 into 0.0
+    x[3, ::17] = np.inf
     for cols in ([], [0], [1], [3], [0, 1], [2, 0], [0, 2, 4], [1, 3], list(range(6))):
-        ref = np.logaddexp.reduce(x[:, cols], axis=-1)
-        assert np.array_equal(log_sum_exp(x, cols).view(np.int64), ref.view(np.int64))
+        ref = np.logaddexp.reduce(x[cols], axis=0)  # -inf for the empty class
+        got = log_sum_exp(x, cols)
+        assert got.shape == (1000,)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        old = log_sum_exp_last_axis_reference(x.T, cols)
+        assert np.array_equal(got.view(np.int64), old.view(np.int64))
+    assert np.all(log_sum_exp(x.reshape(6, 10, 100), []) == -np.inf)
+    assert log_sum_exp(x.reshape(6, 10, 100), [1, 4]).shape == (10, 100)
     # a set without imaginary-axis points: the axis bit is certainly 0
     y = rng.normal(size=100) + 1j * rng.normal(size=100)
     assert np.all(llr_v2(y, Constellation.bpsk(), 1.0) == np.inf)

@@ -22,7 +22,12 @@ from dmmsim import cli, mutual_info
 from dmmsim.channel import snr_to_sigma2
 from dmmsim.config import CapacityConfig
 
-from oracles import log_mixture_reference, mi_bpsk_quad_oracle, mixture_entropy_reference
+from oracles import (
+    log_mixture_last_axis_reference,
+    log_mixture_reference,
+    mi_bpsk_quad_oracle,
+    mixture_entropy_reference,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +284,40 @@ def test_mi_bit_identical_to_reference_mixture(monkeypatch):
     for a, b in zip(mine, ref):
         assert a.method == b.method
         assert np.array_equal(_bits(a), _bits(b))
+
+
+def test_mi_bit_identical_to_point_last_mixture(monkeypatch):
+    # every path (line, plane, label classes, Monte-Carlo) against the
+    # mixture that put the point axis last
+    mine = _results()
+    with monkeypatch.context() as m:
+        m.setattr(mutual_info, "_log_mixture", log_mixture_last_axis_reference)
+        ref = _results()
+    assert len(mine) == len(ref) == 56
+    for a, b in zip(mine, ref):
+        assert a.method == b.method
+        assert np.array_equal(_bits(a), _bits(b))
+
+
+@pytest.mark.parametrize("inp", [Constellation.bpsk(2.0), SKEWED_REAL,
+                                 Constellation.quadrature_pair(1.0), SKEWED_PLANE],
+                         ids=["bpsk", "skewed_real", "four_point", "skewed_plane"])
+def test_log_mixture_point_major_matches_point_last(inp):
+    # the log densities themselves, bit for bit: on a quadrature grid (a
+    # line of nodes or the plane's tensor grid), on Monte-Carlo samples and
+    # at a point where the mixture underflows in every term
+    pts, probs, _ = mutual_info._support(inp)
+    sigma2 = 0.3
+    t, _ = mutual_info._gauss_hermite(64)
+    scale = math.sqrt(2.0 * sigma2)
+    grid = scale * t if pts.dtype.kind == "f" else scale * (t[:, None] + 1j * t[None, :])
+    _, samples = mutual_info._mc_draw(pts, probs, sigma2, 500, seed=4)
+    far = np.array([1e3], dtype=pts.dtype)
+    for y in (pts[0] + grid, samples, far):
+        got = mutual_info._log_mixture(y, pts, probs, sigma2)
+        want = log_mixture_last_axis_reference(y, pts, probs, sigma2)
+        assert got.shape == y.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_axis_and_joint_share_bits_with_separate_calls():
