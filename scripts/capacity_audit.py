@@ -9,6 +9,7 @@ of the CSV as a measured number instead of an assertion.
 """
 
 import argparse
+import math
 import pathlib
 import sys
 
@@ -16,7 +17,7 @@ from dmmsim import gap_report
 from dmmsim.cli import main as cli_main
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--lo", type=float, default=-10.0)
     ap.add_argument("--hi", type=float, default=10.0)
@@ -24,7 +25,15 @@ def main() -> int:
     ap.add_argument("--measured-gain-db", type=float, default=0.0,
                     help="gain measured by your own sweeps (dB); default 0")
     ap.add_argument("--outdir", default="results")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
+    # the grid loop below ends only on a finite, increasing grid
+    for name in ("lo", "hi", "step"):
+        if not math.isfinite(getattr(args, name)):
+            ap.error(f"--{name} must be finite")
+    if args.step <= 0:
+        ap.error("--step must be > 0")
+    if args.lo > args.hi:
+        ap.error("--lo must be <= --hi")
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -1,7 +1,7 @@
 """Link-level simulator and mutual-information audit toolkit for a
 rotation-keyed two-stream BPSK scheme over complex AWGN."""
 
-from .builtin_codes import BUILTIN_CODE_NAMES, builtin_code, peg_parity, resolve_code
+from .builtin_codes import BUILTIN_CODE_NAMES, builtin_code, resolve_code
 from .channel import (
     GAUSSIAN_METHOD,
     SNR_CONVENTIONS,

@@ -162,9 +162,10 @@ def run_sweep(cfg: SweepConfig, threads: int = 1):
     n = 2048): a worker resolves them through the code caches, which a
     forked worker inherits warm from the resolution here."""
     code1, code2 = _sweep_codes(cfg)
-    if threads > 1 and len(cfg.snr_grid_db) > 1:
+    workers = min(threads, len(cfg.snr_grid_db))
+    if workers > 1:
         jobs = [(cfg, snr) for snr in cfg.snr_grid_db]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_pool_worker, jobs))
     else:
         results = [_sweep_one(cfg, code1, code2, snr) for snr in cfg.snr_grid_db]
@@ -276,10 +277,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_out(flag_value, cfg_value: str):
-    out = flag_value if flag_value is not None else _env_default("OUT", str, None)
-    if out is None:
-        out = cfg_value or None
+def _resolve_out(flag_value, cfg) -> str | None:
+    """The output path (None for stdout).  Its directory is checked here, so
+    a bad path fails before the run, naming the setting it came from."""
+    env = _env_default("OUT", str, None)
+    if flag_value is not None:
+        out, where = flag_value, "--out"
+    elif env is not None:
+        out, where = env, ENV_PREFIX + "OUT"
+    else:
+        out, where = cfg.out or None, f"{cfg.source}: out"
+    if out and not os.path.isdir(os.path.dirname(out) or "."):
+        raise UsageError(f"{where}: no directory {os.path.dirname(out)!r} for {out!r}")
     return out
 
 
@@ -305,6 +314,7 @@ def main(argv=None) -> int:
                 where = "--threads" if args.threads is not None else ENV_PREFIX + "THREADS"
                 raise UsageError(f"{where} must be >= 1, got {threads}")
             run_cfg = cfg if seed is None else dataclasses.replace(cfg, master_seed=seed)
+            out = _resolve_out(args.out, cfg)
             t0 = time.time()
             rows, walltimes = run_sweep(run_cfg, threads=threads)
             meta = _sweep_metadata(cfg, run_cfg.master_seed, threads)
@@ -314,15 +324,16 @@ def main(argv=None) -> int:
                 for i, (snr, wt) in enumerate(zip(cfg.snr_grid_db, walltimes))
             ]
             trailing.append(f"walltime total {time.time() - t0:.3f}s")
-            _emit(_resolve_out(args.out, cfg.out), meta, SWEEP_COLUMNS, rows, trailing)
+            _emit(out, meta, SWEEP_COLUMNS, rows, trailing)
         elif args.verb == "capacity":
             cfg = load_capacity_config(args.config)
+            out = _resolve_out(args.out, cfg)
             t0 = time.time()
             rows = run_capacity(cfg)
             meta = _capacity_metadata(cfg)
             meta.append(f"generated: {time.strftime('%Y-%m-%dT%H:%M:%S%z')}")
             trailing = [f"walltime total {time.time() - t0:.3f}s"]
-            _emit(_resolve_out(args.out, cfg.out), meta, CAPACITY_COLUMNS, rows, trailing)
+            _emit(out, meta, CAPACITY_COLUMNS, rows, trailing)
         else:
             run_codeinfo(args.alist, sys.stdout)
     except (ConfigError, AlistFormatError, UsageError) as exc:

@@ -310,6 +310,60 @@ def test_sweep_pool_jobs_carry_no_codes(monkeypatch):
     assert [list(map(fmt, row)) for row in pooled] == [list(map(fmt, row)) for row in serial]
 
 
+@pytest.mark.parametrize("threads,grid,pools", [
+    (8, (1.0, 2.0), [2]), (2, (1.0, 2.0, 3.0), [2]), (4, (1.0,), []), (1, (1.0, 2.0), []),
+], ids=["8 threads 2 points", "2 threads 3 points", "4 threads 1 point", "1 thread"])
+def test_sweep_pool_no_larger_than_grid(monkeypatch, threads, grid, pools):
+    # a fork pool starts all of its workers at the first submit, so it gets
+    # no more workers than there are grid points
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "_sweep_one", lambda cfg, code1, code2, snr: ((snr,), 0.0))
+    cfg = SweepConfig(scheme="uncoded", snr_grid_db=grid)
+    rows, _ = cli.run_sweep(cfg, threads=threads)
+    assert sizes == pools
+    assert rows == [(snr,) for snr in grid]
+
+
+@pytest.mark.parametrize("verb", ["sweep", "capacity"])
+@pytest.mark.parametrize("source,named", [("flag", "--out"), ("env", "DMMSIM_OUT"),
+                                          ("config", ".cfg: out")])
+def test_missing_out_directory_rejected_before_the_run(tmp_path, capsys, monkeypatch, verb,
+                                                       source, named):
+    # used to run the whole grid and then exit 1 with "[Errno 2]"
+    def never(*args, **kwargs):
+        raise AssertionError(f"{verb} ran before its output directory was checked")
+
+    monkeypatch.setattr(cli, "run_sweep", never)
+    monkeypatch.setattr(cli, "run_capacity", never)
+    missing = tmp_path / "missing" / "x.csv"
+    text = SWEEP_CFG if verb == "sweep" else CAPACITY_CFG
+    argv = [verb, write(tmp_path, f"{verb}.cfg",
+                        text + (f"out = {missing}\n" if source == "config" else ""))]
+    if source == "flag":
+        argv += ["--out", str(missing)]
+    if source == "env":
+        monkeypatch.setenv("DMMSIM_OUT", str(missing))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert named in err and str(missing) in err
+    assert not missing.parent.exists()
+
+
 def test_sweep_rows_and_columns(sweep_csv):
     _, out = sweep_csv
     lines = body(out).strip().split("\n")

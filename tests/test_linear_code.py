@@ -1,6 +1,8 @@
 import hashlib
+import importlib
 import math
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from dmmsim import (
     run_point,
     save_alist,
 )
-from dmmsim.builtin_codes import BUILTIN_CODE_NAMES, PEG_FIXTURES, fixture_parity
+from dmmsim.builtin_codes import BUILTIN_CODE_NAMES
 from dmmsim.linear_code import LLR_MAX, _bp_batch, _degree_sum, _fold, gf2_rank, gf2_rref
 
 from oracles import (
@@ -38,6 +40,12 @@ from oracles import (
 )
 
 DATA = __file__.rsplit("/", 1)[0] + "/data"
+
+# the PEG construction and fixture parameters live in the script that
+# writes the shipped alist files
+with pytest.MonkeyPatch.context() as _mp:
+    _mp.syspath_prepend(str(Path(__file__).resolve().parent.parent / "scripts"))
+    write_builtin_alists = importlib.import_module("write_builtin_alists")
 
 
 # ---------------------------------------------------------------------------
@@ -581,11 +589,17 @@ def test_slot_major_decode_matches_check_major_reference(name, toy_code):
                 assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
-@pytest.mark.parametrize("name", sorted(PEG_FIXTURES))
+def test_builtin_names_are_peg_fixtures_and_hamming():
+    # the shipped files are the registry: one per PEG fixture, plus Hamming
+    assert BUILTIN_CODE_NAMES == tuple(sorted(
+        ("hamming_7_4", *write_builtin_alists.PEG_FIXTURES)))
+
+
+@pytest.mark.parametrize("name", sorted(write_builtin_alists.PEG_FIXTURES))
 def test_builtin_alist_matches_peg(name, tmp_path):
     # each shipped alist is what PEG grows for its name, written canonically
     shipped = resources.files("dmmsim").joinpath("codes", f"{name}.alist").read_bytes()
-    save_alist(fixture_parity(name), tmp_path / "peg.alist")
+    save_alist(write_builtin_alists.fixture_parity(name), tmp_path / "peg.alist")
     assert (tmp_path / "peg.alist").read_bytes() == shipped
     code = builtin_code(name)
     assert code.name == name

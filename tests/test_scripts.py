@@ -1,0 +1,79 @@
+"""The experiment scripts in ``scripts/`` are thin clients of the CLI.
+
+``degradation_sweep.py`` writes one sweep config per (K, mode) and runs
+``dmmsim sweep`` on it, so each CSV it leaves must be what ``dmmsim sweep``
+writes for that config.  ``capacity_audit.py`` builds its grid by repeated
+addition, so it must refuse a grid that the loop cannot finish.
+"""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+from dmmsim.cli import main as cli_main
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.fixture(scope="module")
+def script():
+    """Import a module from ``scripts/`` by name."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(SCRIPTS))
+        yield importlib.import_module
+
+
+def body(path) -> str:
+    with open(path) as fh:
+        return "".join(line for line in fh if not line.startswith("#"))
+
+
+def test_degradation_sweep_csvs_are_dmmsim_sweep(script, tmp_path, monkeypatch, capsys):
+    # the script's --seed and output paths beat the environment
+    monkeypatch.setenv("DMMSIM_SEED", "7")
+    monkeypatch.setenv("DMMSIM_OUT", str(tmp_path / "elsewhere.csv"))
+    outdir = tmp_path / "results"
+    argv = ["--grid", "-1.0", "0.0", "--max-frames", "16", "--outdir", str(outdir)]
+    assert script("degradation_sweep").main(argv) == 0
+    printed = capsys.readouterr().out
+    cfgs = sorted(outdir.glob("*.cfg"))
+    assert [c.stem for c in cfgs] == [f"degradation_k{k}_{mode}" for k in (2, 4)
+                                      for mode in ("dmm_genie", "dmm_realistic")]
+    assert not (tmp_path / "elsewhere.csv").exists()
+    for cfg in cfgs:
+        again = tmp_path / f"{cfg.stem}.csv"
+        assert cli_main(["sweep", str(cfg), "--out", str(again), "--seed", "1"]) == 0
+        written = body(cfg.with_suffix(".csv"))
+        assert written == body(again)
+        header, *rows = written.splitlines()
+        columns = header.split(",")
+        assert len(rows) == 2
+        for row in rows:
+            cells = dict(zip(columns, row.split(",")))
+            assert (cells["master_seed"], cells["frames"]) == ("1", "16")
+    assert printed.count("dB: ber1=") == 8
+    assert printed.count("K=2: ") == printed.count("K=4: ") == 1
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["--step", "0"], "--step"), (["--step", "-1"], "--step"), (["--step", "nan"], "--step"),
+    (["--hi", "inf"], "--hi"), (["--lo=-inf"], "--lo"), (["--lo", "1", "--hi", "0"], "--lo"),
+], ids=["step 0", "step -1", "step nan", "hi inf", "lo -inf", "lo > hi"])
+def test_capacity_audit_rejects_grids_that_never_end(script, tmp_path, capsys, argv, named):
+    # --step 0 and --hi inf used to grow the grid list without end
+    outdir = tmp_path / "results"
+    with pytest.raises(SystemExit) as exc:
+        script("capacity_audit").main(argv + ["--outdir", str(outdir)])
+    assert exc.value.code == 2
+    assert f"error: {named} must be" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_capacity_audit_grid(script, tmp_path):
+    outdir = tmp_path / "results"
+    argv = ["--lo", "-1", "--hi", "1", "--step", "0.5", "--outdir", str(outdir)]
+    assert script("capacity_audit").main(argv) == 0
+    cfg = (outdir / "capacity_grid.cfg").read_text().splitlines()
+    assert cfg[0] == "snr_grid_db = -1.0 -0.5 0.0 0.5 1.0"
+    assert len(body(outdir / "capacity_audit.csv").splitlines()) == 6
