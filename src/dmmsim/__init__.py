@@ -39,11 +39,8 @@ from .modem import (
 from .mutual_info import (
     CLAIMED_GAIN_DB,
     RECORD_GAP_DB,
-    GapRecord,
     MiResult,
     awgn_entropy,
-    composite_abr,
-    gap_report,
     mi_awgn,
     mi_axis,
     mi_axis_and_joint,

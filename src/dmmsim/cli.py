@@ -289,6 +289,8 @@ def _resolve_out(flag_value, cfg) -> str | None:
         out, where = cfg.out or None, f"{cfg.source}: out"
     if out and not os.path.isdir(os.path.dirname(out) or "."):
         raise UsageError(f"{where}: no directory {os.path.dirname(out)!r} for {out!r}")
+    if out and os.path.isdir(out):
+        raise UsageError(f"{where}: {out!r} is a directory, not a file")
     return out
 
 

@@ -26,13 +26,16 @@ H(Y), which both subtract from; each equals its separate call bit for bit.
 MI values and entropies are never cached: asking twice integrates twice.
 
 The composite rate of the two-stream scheme is the polarity-stream term
-plus the axis-stream term.  The axis term is defined as the mutual
-information between the axis bit and the received point under the full
-four-point signal set with the polarity bit uniform: exactly the channel
-the first receiver stage sees.  By the chain rule this composite can never
-exceed the joint four-point mutual information; emitting both side by side
-makes the "summing the separated streams beats the joint channel" claim an
-inspectable number rather than an assertion.
+(:func:`mi_bpsk`) plus the axis-stream term (:func:`mi_axis`).  The axis
+term is defined as the mutual information between the axis bit and the
+received point under the full four-point signal set with the polarity bit
+uniform: exactly the channel the first receiver stage sees.  By the chain
+rule this composite can never exceed the joint four-point mutual
+information.  :func:`dmmsim.cli.run_capacity` writes the sum as the
+``composite_abr`` column, next to ``joint_mi_4point`` and their difference
+``composite_minus_joint``, which makes the "summing the separated streams
+beats the joint channel" claim an inspectable number rather than an
+assertion.
 """
 
 from __future__ import annotations
@@ -321,43 +324,3 @@ def mi_axis_and_joint(es_n0_db: float, es: float = 1.0, *, tol: float = 1e-6):
     h_y = _mixture_entropy(pts, probs, sigma2, tol)
     return (_quad_label(h_y, classes, p_label, sigma2, tol),
             _quad_joint(h_y, pts, probs, sigma2, tol))
-
-
-def composite_abr(es1_n0_db: float, es2_n0_db: float, es: float = 1.0,
-                  **kw) -> float:
-    """Polarity-stream MI plus axis-stream MI, in bits per channel use.
-
-    Evaluates the sum-of-separated-streams rate at (possibly different)
-    per-stream SNRs.  With equal SNRs this is, by the chain rule, exactly
-    the joint four-point MI; reporting it next to the joint value turns the
-    claimed surplus into a measurable difference.
-    """
-    return mi_bpsk(es1_n0_db, es, **kw).value + mi_axis(es2_n0_db, es, **kw).value
-
-
-@dataclass(frozen=True)
-class GapRecord:
-    """Recomputed distance to the antipodal-input limit for a measured gain.
-
-    ``gap_db = RECORD_GAP_DB - measured_gain_db``: the published-record gap
-    minus whatever gain the harness actually measured.  The claimed gains and
-    the gap derived from them are carried for comparison only; none of these
-    numbers is a statement about channel capacity.
-    """
-
-    measured_gain_db: float
-    gap_db: float
-    record_gap_db: float
-    claimed_gain_db: tuple
-    claimed_gap_db: tuple
-    note: str = "extrapolated bookkeeping, not a capacity statement"
-
-
-def gap_report(measured_gain_db: float) -> GapRecord:
-    return GapRecord(
-        measured_gain_db=measured_gain_db,
-        gap_db=RECORD_GAP_DB - measured_gain_db,
-        record_gap_db=RECORD_GAP_DB,
-        claimed_gain_db=CLAIMED_GAIN_DB,
-        claimed_gap_db=tuple(RECORD_GAP_DB - g for g in CLAIMED_GAIN_DB),
-    )

@@ -4,7 +4,8 @@ the capacity grid must reproduce the benchmark's golden rows.
 ``perfbench/tracing.py`` rebuilds the batch pipeline from public functions
 to time each stage, and fails loudly when its error totals drift from
 ``run_point``'s.  This runs that comparison on a short sweep of every
-traced scheme, so a receiver change that breaks the replica fails here.
+traced scheme, so a receiver change that breaks the replica fails here, and
+the same for the traced capacity rows against ``run_capacity``.
 The capacity rows do not depend on the seed, and the full golden grid
 (21 points) takes about 0.8 s on a 2-vCPU Xeon with numpy 2.4, so it is
 checked here byte for byte.  So are the two sweep workloads at the golden
@@ -20,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from dmmsim import cli
-from dmmsim.config import SweepConfig
+from dmmsim.config import CapacityConfig, SweepConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 FRAMES = 128  # two batches
@@ -57,6 +58,17 @@ def test_traced_replica_matches_run_sweep(perfbench, scheme, codes, frame_errors
     assert totals["frames"] == FRAMES
     assert totals["frame_errors"] == frame_errors
     assert totals["beta_errors"] == beta_errors
+
+
+def test_traced_capacity_replica_matches_run_capacity(perfbench):
+    tracing = perfbench("tracing")
+    cfg = CapacityConfig(snr_grid_db=(-3.0, 0.0, 4.0))
+    tr = tracing.Tracer()
+    rows = tracing.traced_capacity(tr, cfg)
+    tracing.check_capacity_rows(rows, cli.run_capacity(cfg))
+    # one span per curve and grid point
+    curves = [name for name, *_ in tr.spans if name.startswith("mutual_info.")]
+    assert curves == [f"mutual_info.{c}" for c in tracing.MI_CURVES] * 3
 
 
 def test_capacity_grid_matches_golden_rows(perfbench):

@@ -341,27 +341,39 @@ def test_sweep_pool_no_larger_than_grid(monkeypatch, threads, grid, pools):
 
 @pytest.mark.parametrize("verb", ["sweep", "capacity"])
 @pytest.mark.parametrize("source,named", [("flag", "--out"), ("env", "DMMSIM_OUT"),
-                                          ("config", ".cfg: out")])
+                                          ("config", ".cfg: out"),
+                                          ("flag directory", "--out"),
+                                          ("env directory", "DMMSIM_OUT"),
+                                          ("config directory", ".cfg: out")])
 def test_missing_out_directory_rejected_before_the_run(tmp_path, capsys, monkeypatch, verb,
                                                        source, named):
-    # used to run the whole grid and then exit 1 with "[Errno 2]"
+    # used to run the whole grid and then exit 1 with "[Errno 2]", or with
+    # "[Errno 21]" when the output path is an existing directory
     def never(*args, **kwargs):
         raise AssertionError(f"{verb} ran before its output directory was checked")
 
     monkeypatch.setattr(cli, "run_sweep", never)
     monkeypatch.setattr(cli, "run_capacity", never)
-    missing = tmp_path / "missing" / "x.csv"
+    source, _, is_dir = source.partition(" ")
+    if is_dir:
+        bad = tmp_path / "outdir"
+        bad.mkdir()
+    else:
+        bad = tmp_path / "missing" / "x.csv"
     text = SWEEP_CFG if verb == "sweep" else CAPACITY_CFG
     argv = [verb, write(tmp_path, f"{verb}.cfg",
-                        text + (f"out = {missing}\n" if source == "config" else ""))]
+                        text + (f"out = {bad}\n" if source == "config" else ""))]
     if source == "flag":
-        argv += ["--out", str(missing)]
+        argv += ["--out", str(bad)]
     if source == "env":
-        monkeypatch.setenv("DMMSIM_OUT", str(missing))
+        monkeypatch.setenv("DMMSIM_OUT", str(bad))
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert named in err and str(missing) in err
-    assert not missing.parent.exists()
+    assert named in err and str(bad) in err
+    if is_dir:
+        assert not any(bad.iterdir())
+    else:
+        assert not bad.parent.exists()
 
 
 def test_sweep_rows_and_columns(sweep_csv):

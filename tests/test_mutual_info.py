@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from dmmsim import (
-    CLAIMED_GAIN_DB,
-    RECORD_GAP_DB,
     Constellation,
     awgn_entropy,
-    composite_abr,
-    gap_report,
     mi_awgn,
     mi_axis,
     mi_axis_and_joint,
@@ -178,45 +174,19 @@ def test_joint_equals_qpsk_by_rotation_invariance():
 # composite rate audit
 # ---------------------------------------------------------------------------
 
-def test_composite_vanishes_without_snr():
-    assert composite_abr(-50.0, -50.0) == pytest.approx(0.0, abs=1e-3)
-
-
-def test_composite_bounded_by_two_bits():
-    for db in (-10.0, 0.0, 10.0):
-        assert composite_abr(db, db) <= 2.0 + 1e-6
-
-
-def test_composite_is_sum_of_terms():
-    db1, db2 = 1.0, -2.0
-    total = composite_abr(db1, db2)
-    assert total == pytest.approx(mi_bpsk(db1).value + mi_axis(db2).value, abs=1e-12)
-
-
-def test_composite_matches_joint_at_equal_snr():
+def test_composite_column_is_the_chain_rule():
     # chain rule: axis term + polarity term is exactly the joint four-point MI,
     # so the sum of separated streams cannot exceed the joint channel
-    for db in (-6.0, -1.0, 3.0):
-        assert composite_abr(db, db) == pytest.approx(
-            mi_joint_4point(db).value, abs=1e-5
-        )
-
-
-# ---------------------------------------------------------------------------
-# gap bookkeeping
-# ---------------------------------------------------------------------------
-
-def test_gap_report_values():
-    assert gap_report(0.52).gap_db == pytest.approx(-0.5155, abs=1e-12)
-    assert gap_report(0.052).gap_db == pytest.approx(-0.0475, abs=1e-12)
-    assert gap_report(0.0).gap_db == pytest.approx(RECORD_GAP_DB, abs=1e-15)
-
-
-def test_gap_report_carries_claims():
-    rec = gap_report(0.1)
-    assert rec.claimed_gain_db == CLAIMED_GAIN_DB
-    assert rec.claimed_gap_db == tuple(RECORD_GAP_DB - g for g in CLAIMED_GAIN_DB)
-    assert "not a capacity statement" in rec.note
+    cfg = CapacityConfig(snr_grid_db=(-50.0, -10.0, -6.0, -1.0, 0.0, 3.0, 10.0))
+    rows = cli.run_capacity(cfg)
+    assert [row[0] for row in rows] == list(cfg.snr_grid_db)
+    for row in rows:
+        cells = dict(zip(cli.CAPACITY_COLUMNS, row))
+        assert cells["composite_abr"] == cells["mi_bpsk"] + cells["mi_x2_axis"]
+        assert cells["composite_abr"] <= 2.0 + 1e-6
+        assert abs(cells["composite_minus_joint"]) <= 1e-5
+        if cells["snr_db"] == -50.0:
+            assert cells["composite_abr"] == pytest.approx(0.0, abs=1e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 ``degradation_sweep.py`` writes one sweep config per (K, mode) and runs
 ``dmmsim sweep`` on it, so each CSV it leaves must be what ``dmmsim sweep``
-writes for that config.  ``capacity_audit.py`` builds its grid by repeated
-addition, so it must refuse a grid that the loop cannot finish.
+writes for that config.  ``capacity_audit.py`` builds its grid by index up
+to a fixed number of points, so it must refuse a grid it could not finish,
+and it prints the claimed gains against the record gap itself.
 """
 
 import importlib
@@ -59,9 +60,15 @@ def test_degradation_sweep_csvs_are_dmmsim_sweep(script, tmp_path, monkeypatch, 
 @pytest.mark.parametrize("argv,named", [
     (["--step", "0"], "--step"), (["--step", "-1"], "--step"), (["--step", "nan"], "--step"),
     (["--hi", "inf"], "--hi"), (["--lo=-inf"], "--lo"), (["--lo", "1", "--hi", "0"], "--lo"),
-], ids=["step 0", "step -1", "step nan", "hi inf", "lo -inf", "lo > hi"])
+    (["--step", "1e-20"], "--step"), (["--step", "1e-9"], "--step"),
+    (["--lo", "5", "--hi", "5", "--step", "1e-20"], "--step"),
+    (["--lo", "1e300", "--hi", "1e300"], "--step"),
+], ids=["step 0", "step -1", "step nan", "hi inf", "lo -inf", "lo > hi", "step 1e-20",
+        "step 1e-9", "lo = hi, step 1e-20", "lo = hi = 1e300"])
 def test_capacity_audit_rejects_grids_that_never_end(script, tmp_path, capsys, argv, named):
-    # --step 0 and --hi inf used to grow the grid list without end
+    # --step 0 and --hi inf used to grow the grid list without end; a step
+    # below the float spacing at --lo never moved the old running sum, and
+    # --step 1e-9 asks for 2e10 points
     outdir = tmp_path / "results"
     with pytest.raises(SystemExit) as exc:
         script("capacity_audit").main(argv + ["--outdir", str(outdir)])
@@ -77,3 +84,20 @@ def test_capacity_audit_grid(script, tmp_path):
     cfg = (outdir / "capacity_grid.cfg").read_text().splitlines()
     assert cfg[0] == "snr_grid_db = -1.0 -0.5 0.0 0.5 1.0"
     assert len(body(outdir / "capacity_audit.csv").splitlines()) == 6
+
+
+def test_capacity_audit_prints_the_claims(script, tmp_path, capsys):
+    outdir = tmp_path / "results"
+    argv = ["--lo", "0", "--hi", "0", "--outdir", str(outdir)]
+    assert script("capacity_audit").main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "gain +0.0520 dB -> gap to the record 0.0045 dB becomes -0.0475 dB "
+        "(extrapolated bookkeeping, not a capacity statement)",
+        "gain +0.5200 dB -> gap to the record 0.0045 dB becomes -0.5155 dB "
+        "(extrapolated bookkeeping, not a capacity statement)",
+    ]
+    # the gain is no longer an input
+    with pytest.raises(SystemExit) as exc:
+        script("capacity_audit").main(["--measured-gain-db", "0.1", "--outdir", str(outdir)])
+    assert exc.value.code == 2
+    assert "--measured-gain-db" in capsys.readouterr().err
