@@ -1,7 +1,20 @@
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dmmsim import BinaryCode, builtin_code, extend_repetition
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.fixture(scope="module")
+def script():
+    """Import a module from ``scripts/`` by name."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(SCRIPTS))
+        yield importlib.import_module
 
 
 @pytest.fixture(scope="session")

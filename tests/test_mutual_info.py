@@ -174,19 +174,71 @@ def test_joint_equals_qpsk_by_rotation_invariance():
 # composite rate audit
 # ---------------------------------------------------------------------------
 
-def test_composite_column_is_the_chain_rule():
-    # chain rule: axis term + polarity term is exactly the joint four-point MI,
-    # so the sum of separated streams cannot exceed the joint channel
+@pytest.fixture(scope="module")
+def capacity_rows():
+    # the composite rate is the composite_abr column of dmmsim capacity
     cfg = CapacityConfig(snr_grid_db=(-50.0, -10.0, -6.0, -1.0, 0.0, 3.0, 10.0))
     rows = cli.run_capacity(cfg)
     assert [row[0] for row in rows] == list(cfg.snr_grid_db)
-    for row in rows:
-        cells = dict(zip(cli.CAPACITY_COLUMNS, row))
-        assert cells["composite_abr"] == cells["mi_bpsk"] + cells["mi_x2_axis"]
+    return [dict(zip(cli.CAPACITY_COLUMNS, row)) for row in rows]
+
+
+def test_composite_vanishes_without_snr(capacity_rows):
+    assert capacity_rows[0]["snr_db"] == -50.0
+    assert capacity_rows[0]["composite_abr"] == pytest.approx(0.0, abs=1e-3)
+
+
+def test_composite_bounded_by_two_bits(capacity_rows):
+    for cells in capacity_rows:
         assert cells["composite_abr"] <= 2.0 + 1e-6
+
+
+def test_composite_is_sum_of_terms(capacity_rows):
+    for cells in capacity_rows:
+        assert cells["composite_abr"] == cells["mi_bpsk"] + cells["mi_x2_axis"]
+
+
+def test_composite_matches_joint_at_equal_snr(capacity_rows):
+    # chain rule: axis term + polarity term is exactly the joint four-point MI,
+    # so the sum of separated streams cannot exceed the joint channel
+    for cells in capacity_rows:
         assert abs(cells["composite_minus_joint"]) <= 1e-5
-        if cells["snr_db"] == -50.0:
-            assert cells["composite_abr"] == pytest.approx(0.0, abs=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# claimed gains against the record gap (printed by scripts/capacity_audit.py)
+# ---------------------------------------------------------------------------
+
+def _claim_lines(script, outdir, capsys):
+    argv = ["--lo", "0", "--hi", "0", "--outdir", str(outdir)]
+    assert script("capacity_audit").main(argv) == 0
+    return capsys.readouterr().out.splitlines()[1:]
+
+
+def test_gap_report_values(script, tmp_path, capsys):
+    lines = _claim_lines(script, tmp_path / "results", capsys)
+    assert len(lines) == len(mutual_info.CLAIMED_GAIN_DB)
+    for line, gain in zip(lines, mutual_info.CLAIMED_GAIN_DB):
+        assert line.startswith(f"gain {gain:+.4f} dB -> gap to the record "
+                               f"{mutual_info.RECORD_GAP_DB:.4f} dB becomes "
+                               f"{mutual_info.RECORD_GAP_DB - gain:+.4f} dB ")
+    assert "becomes -0.0475 dB " in lines[0]
+    assert "becomes -0.5155 dB " in lines[1]
+
+
+def test_gap_report_carries_claims(script, tmp_path, capsys):
+    outdir = tmp_path / "results"
+    assert _claim_lines(script, outdir, capsys) == [
+        "gain +0.0520 dB -> gap to the record 0.0045 dB becomes -0.0475 dB "
+        "(extrapolated bookkeeping, not a capacity statement)",
+        "gain +0.5200 dB -> gap to the record 0.0045 dB becomes -0.5155 dB "
+        "(extrapolated bookkeeping, not a capacity statement)",
+    ]
+    # the gain is no longer an input
+    with pytest.raises(SystemExit) as exc:
+        script("capacity_audit").main(["--measured-gain-db", "0.1", "--outdir", str(outdir)])
+    assert exc.value.code == 2
+    assert "--measured-gain-db" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
