@@ -41,11 +41,13 @@ def main(argv=None) -> int:
     span = (args.hi + 1e-9 - args.lo) / args.step
     if not span < MAX_POINTS:  # also catches a span that overflowed to inf
         ap.error(f"--step must be large enough for at most {MAX_POINTS} grid points")
-    count = math.floor(span) + 1
+    grid = [round(args.lo + i * args.step, 10) for i in range(math.floor(span) + 1)]
+    if len(set(grid)) < len(grid):
+        ap.error("--step must be large enough that rounding to 10 decimals keeps "
+                 "the grid points apart")
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    grid = [round(args.lo + i * args.step, 10) for i in range(count)]
     cfg = outdir / "capacity_grid.cfg"
     cfg.write_text(
         f"snr_grid_db = {' '.join(str(g) for g in grid)}\n"

@@ -161,12 +161,17 @@ def snr_to_sigma2(es_n0_db: float, es: float = 1.0,
         raise ValueError(f"es must be positive and finite, got {es}")
     if not math.isfinite(es_n0_db):
         raise ValueError(f"es_n0_db must be finite, got {es_n0_db}")
-    n0 = es / 10.0 ** (es_n0_db / 10.0)
-    if convention == "es_n0_complex":
-        return n0 / 2.0
-    if convention == "es_n0_per_dim":
-        return n0
-    raise ValueError(f"unknown SNR convention {convention!r}; pick one of {SNR_CONVENTIONS}")
+    if convention not in SNR_CONVENTIONS:
+        raise ValueError(f"unknown SNR convention {convention!r}; pick one of {SNR_CONVENTIONS}")
+    try:
+        n0 = es / 10.0 ** (es_n0_db / 10.0)
+    except (OverflowError, ZeroDivisionError):  # 10**(dB/10) beyond the float range
+        n0 = math.nan
+    sigma2 = n0 / 2.0 if convention == "es_n0_complex" else n0
+    if not (sigma2 > 0 and math.isfinite(sigma2)):
+        raise ValueError(f"es_n0_db = {es_n0_db} dB at es = {es} gives no positive, "
+                         f"finite sigma2")
+    return sigma2
 
 
 def sigma2_to_snr_db(sigma2: float, es: float = 1.0,

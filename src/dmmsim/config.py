@@ -5,7 +5,8 @@ comments, blank lines ignored.  Units live in the key names (``*_db``,
 ``*_frames``) so a config diff is self-explanatory.  Unknown keys are
 errors, reported with the file name and line number; so are code keys that
 the scheme does not send, or that do not resolve to a code of the right
-length, and a ``code2_repeat`` other than 1 for a scheme without ``code2``.
+length, a ``code2_repeat`` other than 1 for a scheme without ``code2``, and
+an SNR grid value whose noise variance leaves the float range.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import math
 from dataclasses import MISSING, dataclass, field, fields
 
 from .builtin_codes import resolve_code
-from .receiver import GRID_CONVENTIONS, MAX_FRAMES, SCHEME_CODES, SCHEMES
+from .channel import snr_to_sigma2
+from .receiver import GRID_CONVENTIONS, MAX_FRAMES, SCHEME_CODES, SCHEMES, _resolve_point
 
 
 class ConfigError(ValueError):
@@ -124,6 +126,17 @@ def _positive(x: float) -> bool:
     return x > 0 and math.isfinite(x)
 
 
+def _check_grid(require, grid, sigma2_of):
+    """Raise at the ``snr_grid_db`` line for the first grid value whose
+    noise variance ``sigma2_of`` cannot compute (it leaves the float range)."""
+    for snr in grid:
+        try:
+            sigma2_of(snr)
+        except ValueError:
+            require(False, "snr_grid_db", f"snr_grid_db must be small enough in magnitude "
+                    f"for a positive, finite sigma2, got {snr}")
+
+
 def load_sweep_config(path) -> SweepConfig:
     path = str(path)
     kv = read_kv_file(path)
@@ -157,16 +170,22 @@ def load_sweep_config(path) -> SweepConfig:
     require(cfg.master_seed >= 0, "master_seed", "master_seed must be >= 0")
     require(_positive(cfg.symbol_energy), "symbol_energy",
             "symbol_energy must be positive and finite")
-    length = {}
+    codes = {}
     for key in sent:
         try:
-            length[key] = resolve_code(getattr(cfg, key)).n
+            codes[key] = resolve_code(getattr(cfg, key))
         except (ValueError, OSError) as exc:
             require(False, key, f"{key}: {exc}")
-    if len(length) == 2:
-        require(length["code1"] == length["code2"] * cfg.code2_repeat, "code2",
-                f"code2 length {length['code2']} x code2_repeat {cfg.code2_repeat} must "
-                f"equal code1 length {length['code1']}")
+    if len(codes) == 2:
+        n1, n2 = codes["code1"].n, codes["code2"].n
+        require(n1 == n2 * cfg.code2_repeat, "code2",
+                f"code2 length {n2} x code2_repeat {cfg.code2_repeat} must "
+                f"equal code1 length {n1}")
+    # each grid value as run_point reads it, at the rates of the codes sent
+    rate1 = codes["code1"].rate if "code1" in codes else 1.0
+    rate2 = codes["code2"].rate / cfg.code2_repeat if "code2" in codes else 0.0
+    _check_grid(require, cfg.snr_grid_db, lambda snr: _resolve_point(
+        snr, cfg.snr_convention, cfg.symbol_energy, rate1, rate1 + rate2))
     return cfg
 
 
@@ -184,4 +203,5 @@ def load_capacity_config(path) -> CapacityConfig:
             "snr_grid_db must be finite")
     for key in ("symbol_energy", "quadrature_tol_bits"):
         require(_positive(getattr(cfg, key)), key, f"{key} must be positive and finite")
+    _check_grid(require, cfg.snr_grid_db, lambda snr: snr_to_sigma2(snr, cfg.symbol_energy))
     return cfg

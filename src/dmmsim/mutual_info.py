@@ -144,6 +144,15 @@ def _entropy(points: np.ndarray, probs: np.ndarray, sigma2: float, nodes: int) -
     or on the tensor grid in the plane."""
     t, w = _gauss_hermite(nodes)
     scale = math.sqrt(2.0 * sigma2)
+    # a node offset below half an ulp of a point's coordinate rounds onto the
+    # point, and the estimate goes wrong without a sign; the nodes are sorted
+    # and symmetric, so the two middle ones are the first to collapse
+    coords = np.ascontiguousarray(points).view(np.float64)[:, None]
+    if (coords + scale * t[nodes // 2 - 1:nodes // 2 + 1] == coords).any():
+        es_n0_db = 10.0 * math.log10(float(probs @ np.abs(points) ** 2) / (2.0 * sigma2))
+        raise ValueError(f"quadrature cannot resolve the noise at Es/N0 = {es_n0_db:.4g} dB "
+                         f"(sigma2 = {sigma2:.3g}): a {nodes}-node Gauss-Hermite offset "
+                         f"rounds onto a point")
     if _dim(points) == 1:
         offs = scale * t
         weigh, norm = (lambda logp: w @ logp), math.sqrt(math.pi)

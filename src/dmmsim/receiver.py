@@ -26,6 +26,23 @@ batch size, worker count, or execution order.  A batch works out its
 frames' Philox keys at once and re-keys one generator per frame; the
 streams are those of ``channel.block_rng``.
 
+The bits are those of ``Generator.integers(0, 2, dtype=uint8)``, one call
+per info word, drawn at the cost of the draws alone.  That call is Lemire's
+bounded draw (Lemire, ACM TOMACS 2019), which for a range of 2 never rejects
+and keeps the top bit of each byte of its uint32s, low byte first; a uint32
+is the low half of a uint64 first, then its high half.  So word w is bytes
+``[4*s_w, 4*s_w + k_w)`` of the frame's little-endian uint64 stream, shifted
+right by 7, where ``s_w`` counts the ``ceil(k/4)`` uint32s of each earlier
+word, and a frame's words are one ``random_raw`` call.  ``integers`` costs
+8-10 us a call whatever k is, ``random_raw`` about 1.2 us.  The first frame
+of every batch is drawn through ``integers`` as well, and a mismatch raises
+RuntimeError naming the numpy version, so the rule is checked on the numpy
+installed.  The noise is drawn into one (B, 2n) buffer, then scaled and
+assembled as ``re + 1j*im`` for the whole batch.  On a 2-vCPU Xeon with
+numpy 2.4, interleaved in one process, this took a 64-frame batch at
+n = 256 to 0.50-0.53x its time per frame (45-50 to 24-27 us), and a
+16-frame batch at n = 2048 to 0.82-0.85x (122-165 to 105-143 us).
+
 A batch holds up to ``_BATCH_FRAMES`` frames and ``_BATCH_SYMBOLS`` symbols
 (:func:`_batches`): 64 frames up to n = 512, 16 at n = 2048, 8 for 4096-bit
 uncoded blocks.  The bound keeps one batch's BP message arrays within a
@@ -278,7 +295,11 @@ def _frame_batch(cfg, indices, n, ks):
     the streams of ``block_rng`` and ``noise_block``.  The batch's Philox
     keys are worked out at once by ``frame_keys``, and one generator is
     re-keyed per frame and stream (counter 0, empty buffer) instead of being
-    built anew.  Returns (list of (B, k) uint8 arrays, (B, n) complex noise).
+    built anew.  A frame's info words are the top bits of the bytes of one
+    ``random_raw`` draw, the bytes ``integers(0, 2, dtype=uint8)`` reads
+    (module docstring); the first frame of the batch is drawn both ways, and
+    a mismatch raises RuntimeError.  Returns (list of (B, k) uint8 arrays,
+    (B, n) complex noise).
     """
     keys = frame_keys(cfg.seed, indices)
     bitgen = np.random.Philox(0)
@@ -287,20 +308,29 @@ def _frame_batch(cfg, indices, n, ks):
     state = {"bit_generator": "Philox", "state": key,
              "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,  # empty
              "has_uint32": 0, "uinteger": 0}
-    words = [np.empty((indices.size, k), dtype=np.uint8) for k in ks]
-    noise = np.empty((indices.size, n), dtype=np.complex128)
-    z = np.empty(2 * n)  # one reused row: a (B, 2n) buffer costs memory, not time
-    scale = math.sqrt(cfg.sigma2)
+    # word w starts at byte 4 * s_w, s_w the uint32s the earlier words drew
+    starts = np.cumsum([0, *(4 * -(-k // 4) for k in ks)])
+    raw = np.empty((indices.size, -(-int(starts[-1]) // 8)), dtype=np.uint64)
+    z = np.empty((indices.size, 2 * n))
     for j in range(indices.size):
         key["key"] = keys[j, DATA_STREAM]
         bitgen.state = state
-        for w in words:
-            w[j] = rng.integers(0, 2, size=w.shape[1], dtype=np.uint8)
+        raw[j] = bitgen.random_raw(raw.shape[1])
         key["key"] = keys[j, 0]
         bitgen.state = state
-        rng.standard_normal(out=z)
-        z *= scale
-        noise[j] = z[0::2] + 1j * z[1::2]
+        rng.standard_normal(out=z[j])
+    data = raw.astype("<u8", copy=False).view(np.uint8)
+    words = [data[:, s:s + k] >> 7 for s, k in zip(starts, ks)]
+    key["key"] = keys[0, DATA_STREAM]
+    bitgen.state = state
+    for w in words:
+        if not np.array_equal(w[0], rng.integers(0, 2, size=w.shape[1], dtype=np.uint8)):
+            raise RuntimeError(
+                f"numpy {np.__version__}: Generator.integers(0, 2, dtype=uint8) no "
+                f"longer returns the top bits of its generator's bytes")
+    z *= math.sqrt(cfg.sigma2)
+    noise = 1j * z[:, 1::2]
+    noise += z[:, 0::2]  # re + 1j * im, bit for bit: an IEEE sum commutes
     return words, noise
 
 

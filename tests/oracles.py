@@ -13,7 +13,7 @@ from scipy import integrate
 from scipy.special import erfc
 
 from dmmsim import linear_code, modem
-from dmmsim.channel import block_rng, noise_block
+from dmmsim.channel import block_rng, frame_keys, noise_block
 from dmmsim.linear_code import RankDeficiencyError
 from dmmsim.receiver import DATA_STREAM, _frame_batch
 
@@ -209,6 +209,39 @@ def frame_batch_reference(cfg, indices, n, ks):
         for w in words:
             w[j] = rng.integers(0, 2, size=w.shape[1], dtype=np.uint8)
         noise[j] = noise_block(cfg, int(i), n)
+    return words, noise
+
+
+def frame_batch_rekeyed_reference(cfg, indices, n, ks):
+    """Info words and channel noise of a batch of frames, keyed by index.
+
+    The receiver's frame generator before it drew a frame's info words from
+    one ``random_raw`` call and its noise into one batch buffer: per frame
+    one ``integers`` call per word and a per-row noise assembly, on one
+    re-keyed generator.  Returns (list of (B, k) uint8 arrays, (B, n)
+    complex noise).
+    """
+    keys = frame_keys(cfg.seed, indices)
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    key = {"counter": np.zeros(4, dtype=np.uint64), "key": None}
+    state = {"bit_generator": "Philox", "state": key,
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,  # empty
+             "has_uint32": 0, "uinteger": 0}
+    words = [np.empty((indices.size, k), dtype=np.uint8) for k in ks]
+    noise = np.empty((indices.size, n), dtype=np.complex128)
+    z = np.empty(2 * n)  # one reused row: a (B, 2n) buffer costs memory, not time
+    scale = math.sqrt(cfg.sigma2)
+    for j in range(indices.size):
+        key["key"] = keys[j, DATA_STREAM]
+        bitgen.state = state
+        for w in words:
+            w[j] = rng.integers(0, 2, size=w.shape[1], dtype=np.uint8)
+        key["key"] = keys[j, 0]
+        bitgen.state = state
+        rng.standard_normal(out=z)
+        z *= scale
+        noise[j] = z[0::2] + 1j * z[1::2]
     return words, noise
 
 
@@ -555,3 +588,95 @@ def log_mixture_last_axis_reference(y: np.ndarray, points: np.ndarray, probs: np
         - 0.5 * _dim(points) * math.log(2.0 * math.pi * sigma2)
     )
     return log_sum_exp_last_axis_reference(expo, range(points.size))
+
+
+# ---------------------------------------------------------------------------
+# The slot-major decoder before its check-side sign step became a bool
+# parity: each edge's sign as a copysign +-1.0, the check's product of signs
+# as a multiply fold.  The package's code, kept verbatim but for its name;
+# the package must match it bit for bit.
+# ---------------------------------------------------------------------------
+
+def bp_batch_copysign_reference(graph, llr: np.ndarray, max_iter: int):
+    """Sum-product decoding of a batch of LLR rows.
+
+    Check updates use the tanh product in log-magnitude/sign form with
+    explicit zero counting, so exact-zero messages (erasures) propagate as
+    exact zeros instead of being floored to small values.  A frame converges
+    when its hard decision satisfies every check and its posterior carries
+    any information at all; a total erasure therefore reports max-iter.
+
+    Returns (hard codewords, converged flags, iteration counts).
+    """
+    LLR_MAX, _TANH_CAP = linear_code.LLR_MAX, linear_code._TANH_CAP
+    _degree_sum, _fold = linear_code._degree_sum, linear_code._fold
+    b = llr.shape[0]
+    slots = graph.var_of_slot.size
+
+    bits = np.zeros(llr.shape, dtype=np.uint8)
+    converged = np.zeros(b, dtype=bool)
+    iterations = np.full(b, max_iter, dtype=np.int64)
+
+    # rows still iterating; converged rows are dropped from the working set
+    rows = np.arange(b)
+    base = np.clip(llr, -LLR_MAX, LLR_MAX)
+    lq = np.clip(base[:, graph.var_of_slot], -LLR_MAX, LLR_MAX)
+
+    for it in range(1, max_iter + 1):
+        # check update on the (rows, dc, m) grid, in place where a message
+        # is not read again
+        t = np.tanh(np.divide(lq, 2.0, out=lq), out=lq)
+        if graph.pad_slots is not None:
+            t[:, graph.pad_slots] = 1.0  # log-magnitude 0, not zero, not negative
+        t = t.reshape(-1, *graph.check_shape)
+        zero = t == 0.0
+        erasures = zero.any()  # exact-zero messages are rare; skip their bookkeeping
+        # each edge's sign as -1.0 or 1.0; +-0.0 counts as non-negative
+        sgn = np.copysign(1.0, t)
+        mag = np.abs(t, out=t)
+        if erasures:
+            sgn[zero] = 1.0
+            mag = np.where(zero, 1.0, mag)
+        log_abs = np.log(mag, out=mag)
+        ext = np.exp(np.subtract(_degree_sum(log_abs)[:, None], log_abs, out=log_abs),
+                     out=log_abs)
+        if erasures:  # another edge of the check is an erasure
+            ext = np.where(np.count_nonzero(zero, axis=1)[:, None] > zero, 0.0, ext)
+        # the sign of the check's other edges: the edge's own sign times the
+        # check's product; every factor is exactly +-1.0, so an odd sign
+        # turns 0.0 into -0.0 just as a multiply by -1.0 does
+        sgn *= _fold(np.multiply, sgn)[:, None]
+        ext *= sgn
+        del sgn  # freed before the messages are allocated: no extra peak memory
+        ext = np.arctanh(np.clip(ext, -_TANH_CAP, _TANH_CAP, out=ext), out=ext)
+        # one trailing 0.0 column: the message of every padded variable slot
+        lr = np.empty((rows.size, slots + 1))
+        lr[:, slots] = 0.0
+        np.multiply(2.0, ext.reshape(-1, slots), out=lr[:, :slots])
+
+        # variable update and posterior; the syndrome reads the posterior
+        # gathered to the check slots
+        post = base + _degree_sum(
+            np.take(lr, graph.slot_of_var, axis=1).reshape(-1, *graph.var_shape))
+        lq = np.take(post, graph.var_of_slot, axis=1)
+        on_check = lq < 0
+        if graph.pad_slots is not None:
+            on_check &= ~graph.pad_slots
+        syndrome = _fold(np.bitwise_xor, on_check.reshape(-1, *graph.check_shape))
+        ok = ~np.any(syndrome, axis=1) & np.any(post != 0.0, axis=1)
+        lq -= lr[:, :slots]
+        np.clip(lq, -LLR_MAX, LLR_MAX, out=lq)
+
+        bits[rows] = post < 0
+        if np.any(ok):
+            done = rows[ok]
+            iterations[done] = it
+            converged[done] = True
+            keep = ~ok
+            if not np.any(keep):
+                break
+            rows = rows[keep]
+            base = base[keep]
+            lq = lq[keep]
+
+    return bits, converged, iterations

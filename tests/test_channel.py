@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -107,6 +108,9 @@ def test_invalid_parameters():
         snr_to_sigma2(0.0, -1.0)
     with pytest.raises(ValueError):
         snr_to_sigma2(0.0, 1.0, "bogus")
+    for db in (1e300, -1e300, 3100.0, -3100.0):  # 10**(dB/10) or sigma2 out of range
+        with pytest.raises(ValueError, match=re.escape(f"es_n0_db = {db} dB")):
+            snr_to_sigma2(db, 1.0)
     with pytest.raises(ValueError):
         ebn0_to_esn0(0.0, 0.0)
     with pytest.raises(ValueError):

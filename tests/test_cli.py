@@ -87,6 +87,10 @@ BAD_SWEEP_VALUES = [
     (("code2_repeat = 4", "code2_repeat = 0"), 4),
     (("snr_grid_db = -1.0, 0.5", "snr_grid_db = -1.0, nan"), 5),
     (("snr_grid_db = -1.0, 0.5", "snr_grid_db = -1.0 inf 0.5"), 5),
+    (("snr_grid_db = -1.0, 0.5", "snr_grid_db = -1.0 1e300"), 5),
+    (("snr_grid_db = -1.0, 0.5", "snr_grid_db = -1e300 0.5"), 5),
+    (("snr_grid_db = -1.0, 0.5\nsnr_convention = es_n0_complex",
+      "snr_convention = eb_n0_overall\nsnr_grid_db = -3081"), 6),
     (("stop_min_frame_errors = 10", "stop_min_frame_errors = 0"), 7),
     (("stop_max_frames = 60", "stop_max_frames = -3"), 8),
     (("stop_max_frames = 60", "stop_max_frames = 4294967297"), 8),
@@ -115,6 +119,8 @@ BAD_CAPACITY_VALUES = [
     (("quadrature_tol_bits = 1e-6", "quadrature_tol_bits = -1e-6"), 2),
     (("snr_grid_db = -6 -3 0 3 6", "snr_grid_db = 0 nan 1"), 1),
     (("snr_grid_db = -6 -3 0 3 6", "snr_grid_db = -inf 0"), 1),
+    (("snr_grid_db = -6 -3 0 3 6", "snr_grid_db = 0 1e300"), 1),
+    (("snr_grid_db = -6 -3 0 3 6", "snr_grid_db = -1e300"), 1),
 ]
 
 

@@ -29,6 +29,7 @@ from oracles import (
     BpGraphCheckMajorReference,
     all_codewords,
     bp_batch_check_major_reference,
+    bp_batch_copysign_reference,
     bp_reference,
     degree_sum_last_axis_reference,
     fold_last_axis_reference,
@@ -561,9 +562,10 @@ def test_slot_major_graph_transposes_check_major_reference(name, toy_code):
 @pytest.mark.parametrize("name", BUILTIN_CODE_NAMES + (
     "ldpc_r14_n64x4", "irregular_20_40", "degree_two_12"))
 def test_slot_major_decode_matches_check_major_reference(name, toy_code):
-    # the slot-major decoder gives the check-major decoder's bits, flags and
-    # iteration counts on noisy rows, inputs with exact zeros of both signs,
-    # a total erasure, saturated rows, and a zero-free batch
+    # the slot-major decoder gives the bits, flags and iteration counts of
+    # the check-major decoder and of its own copysign sign step on noisy
+    # rows, inputs with exact zeros of both signs, a total erasure, saturated
+    # rows, and a zero-free batch
     code = _reference_code(name, toy_code)
     inner = code.base if hasattr(code, "base") else code
     rng = np.random.default_rng(19)
@@ -584,9 +586,10 @@ def test_slot_major_decode_matches_check_major_reference(name, toy_code):
     for rows in (llrs, zero_free, llrs[2:3]):
         for max_iter in (1, 3, 50):
             got = _bp_batch(inner._graph, rows, max_iter)
-            want = bp_batch_check_major_reference(graph, rows, max_iter)
-            for g, w in zip(got, want):
-                assert g.dtype == w.dtype and np.array_equal(g, w)
+            for want in (bp_batch_check_major_reference(graph, rows, max_iter),
+                         bp_batch_copysign_reference(inner._graph, rows, max_iter)):
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 def test_builtin_names_are_peg_fixtures_and_hamming():

@@ -141,6 +141,18 @@ def test_quadrature_reports_nonconvergence_at_node_cap():
     assert abs(capped.value - ref.value) <= capped.est_error
 
 
+def test_quadrature_refuses_noise_below_the_point_resolution():
+    # above ~300 dB a Gauss-Hermite offset rounds onto its point and the
+    # values went wrong silently (mi_bpsk 0.279 and joint 1.279 at 335 dB);
+    # 250 dB still resolves
+    curves = (mi_bpsk, mi_qpsk, mi_axis, mi_joint_4point)
+    assert [f(250.0).value for f in curves] == pytest.approx([1.0, 2.0, 1.0, 2.0], abs=1e-12)
+    assert [r.value for r in mi_axis_and_joint(250.0)] == pytest.approx([1.0, 2.0], abs=1e-12)
+    for f in (*curves, mi_axis_and_joint):
+        with pytest.raises(ValueError, match="Es/N0 = 340 dB"):
+            f(340.0)
+
+
 def test_quadrature_vs_monte_carlo():
     for db in (-6.0, 0.0, 6.0):
         quad = mi_bpsk(db)

@@ -18,11 +18,12 @@ from dmmsim import (
     snr_at_ber,
     wilson_interval,
 )
-from dmmsim.channel import snr_to_sigma2
+from dmmsim.channel import block_rng, snr_to_sigma2
 
 from oracles import (
     bpsk_ber_theory,
     frame_batch_reference,
+    frame_batch_rekeyed_reference,
     paired_batch_reference,
     two_proportion_z,
 )
@@ -107,15 +108,46 @@ def test_fault_injection_flips_exactly_affected_symbols(dmm_pair):
                                         ((13, 7), 13, 0), ((1,), 1, 0), ((128, 16), 256, 4093)])
 @pytest.mark.parametrize("seed", [0, 77, 2**64 + 5])
 def test_frame_batch_bitwise_equal_to_reference(ks, n, start, seed):
+    # equal to a new generator per frame, and to one re-keyed generator
+    # drawing each word through Generator.integers
     cfg = ChannelConfig(sigma2=0.37, seed=seed)
     indices = np.arange(start, start + 9, dtype=np.int64)
     words, noise = receiver_mod._frame_batch(cfg, indices, n, ks)
-    want_words, want_noise = frame_batch_reference(cfg, indices, n, ks)
-    assert len(words) == len(want_words)
-    for w, want in zip(words, want_words):
-        assert w.dtype == want.dtype and np.array_equal(w, want)
-    assert noise.dtype == want_noise.dtype and noise.shape == want_noise.shape
-    assert np.array_equal(noise.view(np.int64), want_noise.view(np.int64))
+    for reference in (frame_batch_reference, frame_batch_rekeyed_reference):
+        want_words, want_noise = reference(cfg, indices, n, ks)
+        assert len(words) == len(want_words)
+        for w, want in zip(words, want_words):
+            assert w.dtype == want.dtype and np.array_equal(w, want)
+        assert noise.dtype == want_noise.dtype and noise.shape == want_noise.shape
+        assert np.array_equal(noise.view(np.int64), want_noise.view(np.int64))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 + 5])
+def test_frame_batch_byte_rule_matches_integers(seed):
+    # the top bits of the random_raw bytes are Generator.integers(0, 2) for
+    # every word length mod 4, and across words: an odd count of uint32s
+    # leaves the next word starting on the high half of a uint64
+    cfg = ChannelConfig(sigma2=1.0, seed=seed)
+    indices = np.array([0, 1, 2**32 - 1], dtype=np.int64)
+    for ks in [(k,) for k in range(1, 71)] + [(5, 3), (4, 4), (1, 1), (6, 9), (7, 5, 2)]:
+        words, _ = receiver_mod._frame_batch(cfg, indices, 1, ks)
+        for j, i in enumerate(indices):
+            rng = block_rng(seed, int(i), stream=receiver_mod.DATA_STREAM)
+            for w, k in zip(words, ks):
+                assert w.shape == (indices.size, k)
+                assert np.array_equal(w[j], rng.integers(0, 2, size=k, dtype=np.uint8)), ks
+
+
+def test_frame_batch_guard_names_numpy_version(monkeypatch):
+    # a numpy whose bounded draw reads its bytes differently fails loudly
+    class OtherIntegers(np.random.Generator):
+        def integers(self, low, high=None, size=None, dtype=np.int64, endpoint=False):
+            return super().integers(low, high, size, np.uint16, endpoint).astype(dtype)
+
+    monkeypatch.setattr(np.random, "Generator", OtherIntegers)
+    cfg = ChannelConfig(sigma2=1.0, seed=3)
+    with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
+        receiver_mod._frame_batch(cfg, np.arange(4), 8, (128, 16))
 
 
 def test_genie_llrs_bit_identical_to_bpsk(dmm_pair):

@@ -49,12 +49,14 @@ def test_degradation_sweep_csvs_are_dmmsim_sweep(script, tmp_path, monkeypatch, 
     (["--step", "1e-20"], "--step"), (["--step", "1e-9"], "--step"),
     (["--lo", "5", "--hi", "5", "--step", "1e-20"], "--step"),
     (["--lo", "1e300", "--hi", "1e300"], "--step"),
+    (["--lo", "0", "--hi", "1e-9", "--step", "1e-12"], "--step"),
 ], ids=["step 0", "step -1", "step nan", "hi inf", "lo -inf", "lo > hi", "step 1e-20",
-        "step 1e-9", "lo = hi, step 1e-20", "lo = hi = 1e300"])
+        "step 1e-9", "lo = hi, step 1e-20", "lo = hi = 1e300", "step 1e-12 merges points"])
 def test_capacity_audit_rejects_grids_that_never_end(script, tmp_path, capsys, argv, named):
     # --step 0 and --hi inf used to grow the grid list without end; a step
-    # below the float spacing at --lo never moved the old running sum, and
-    # --step 1e-9 asks for 2e10 points
+    # below the float spacing at --lo never moved the old running sum,
+    # --step 1e-9 asks for 2e10 points, and --step 1e-12 asks for 2001
+    # points that round to 21 distinct values
     outdir = tmp_path / "results"
     with pytest.raises(SystemExit) as exc:
         script("capacity_audit").main(argv + ["--outdir", str(outdir)])
