@@ -44,7 +44,6 @@ from .mutual_info import (
     mi_awgn,
     mi_axis,
     mi_axis_and_joint,
-    mi_binary_label,
     mi_bpsk,
     mi_joint_4point,
     mi_qpsk,

@@ -21,9 +21,9 @@ constants 1, 1j, -1, -1j, which IEEE-754 evaluates without rounding; the
 mapper and the receiver's derotate-then-demap step select by the axis bit
 and are bitwise equal to the :func:`rotate`-based forms.
 
-:class:`Constellation` is the package's only finite-input type: the axis
-demapper reads its points and axis labels, and ``mutual_info`` integrates
-over its points and priors.
+:class:`Constellation` is the package's only finite-input type, a set of
+equally likely points: the axis demapper reads its points and axis labels,
+and ``mutual_info`` integrates over its points.
 
 LLR sign convention everywhere: positive LLR means bit 0 is more likely.
 """
@@ -48,10 +48,9 @@ _EXACT_PHASORS = (
 
 @dataclass(frozen=True)
 class Constellation:
-    """Finite signal set: complex points and their prior probabilities."""
+    """Finite signal set of equally likely complex points."""
 
     points: np.ndarray
-    probs: np.ndarray
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.complex128).ravel()
@@ -59,34 +58,23 @@ class Constellation:
             raise ValueError("need at least two constellation points")
         if not np.all(np.isfinite(pts.view(np.float64))):
             raise ValueError("constellation points must be finite")
-        pr = np.asarray(self.probs, dtype=np.float64).ravel()
-        if pr.shape != pts.shape:
-            raise ValueError("probs must match points")
-        if np.any(pr < 0) or abs(pr.sum() - 1.0) > 1e-12:
-            raise ValueError("probs must be nonnegative and sum to 1 within 1e-12")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "probs", pr)
-
-    @classmethod
-    def uniform(cls, points) -> "Constellation":
-        points = np.asarray(points, dtype=np.complex128).ravel()
-        return cls(points=points, probs=np.full(points.size, 1.0 / points.size))
 
     @classmethod
     def bpsk(cls, es: float = 1.0) -> "Constellation":
         a = math.sqrt(es)
-        return cls.uniform([a, -a])
+        return cls([a, -a])
 
     @classmethod
     def qpsk(cls, es: float = 1.0) -> "Constellation":
         a = math.sqrt(es / 2.0)
-        return cls.uniform([a + 1j * a, -a + 1j * a, -a - 1j * a, a - 1j * a])
+        return cls([a + 1j * a, -a + 1j * a, -a - 1j * a, a - 1j * a])
 
     @classmethod
     def quadrature_pair(cls, es: float = 1.0) -> "Constellation":
         """The rotation-keyed four-point set: +re, +im, -re, -im, each at energy es."""
         a = math.sqrt(es)
-        return cls.uniform([a, 1j * a, -a, -1j * a])
+        return cls([a, 1j * a, -a, -1j * a])
 
     @property
     def is_real(self) -> bool:
@@ -167,17 +155,23 @@ def llr_v2(y, constellation: Constellation, sigma2: float) -> np.ndarray:
     imaginary-axis-pair likelihood under Gaussian noise.
 
     Evaluated with log-sum-exp so widely separated exponents cannot underflow
-    to a 0/0.
+    to a 0/0.  With points in both classes an LLR is finite unless a squared
+    distance overflowed, which raises ``ValueError``; a class without points
+    gives its defined infinite LLR.
     """
     if not sigma2 > 0:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
     y = np.asarray(y, dtype=np.complex128)
     pts = constellation.points
     labels = constellation.axis_labels
+    real_pair, imag_pair = np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)
     # -|y - s_k|^2 / (2 sigma2), one row per point
     expo = -np.abs(y - pts.reshape(pts.shape + (1,) * y.ndim)) ** 2 / (2.0 * sigma2)
-    return log_sum_exp(expo, np.flatnonzero(labels == 0)) - \
-        log_sum_exp(expo, np.flatnonzero(labels == 1))
+    llr = log_sum_exp(expo, real_pair) - log_sum_exp(expo, imag_pair)
+    if real_pair.size and imag_pair.size and not np.isfinite(llr).all():
+        raise ValueError(f"axis LLRs are not finite at sigma2 = {sigma2:.3g}: "
+                         f"a squared distance to a point overflows")
+    return llr
 
 
 def derotate_and_llr_v1(y, beta_hat, es: float, sigma2: float) -> np.ndarray:

@@ -2,7 +2,8 @@
 achievable-rate audit for the two-stream scheme.
 
 The input is a :class:`~dmmsim.modem.Constellation`, the same type the
-receiver demaps against.  The received-signal density is a Gaussian mixture
+receiver demaps against, and like the demapper this module takes its points
+to be equally likely.  The received-signal density is a Gaussian mixture
 over its points.  I(X;Y) is evaluated as H(Y) - H(N), with H(Y) integrated
 either by adaptive Gauss-Hermite quadrature (node count doubled until the
 estimate moves by less than ``tol`` bits) or by seeded Monte-Carlo sampling
@@ -10,8 +11,7 @@ with a confidence interval.  One code path serves both dimensions: a
 real-axis-only set is carried as float points and integrated on the line
 against one-dimensional noise entropy, anything else as complex points in
 the plane against the two-dimensional noise entropy, so one-dimensional and
-complex bookkeeping never mix.  Points with zero prior are dropped first;
-they add nothing to the mixture.
+complex bookkeeping never mix.
 
 Quadrature shares what it can within a call, and memoizes nothing
 across calls.  The Gauss-Hermite nodes and weights of each node count
@@ -22,7 +22,8 @@ log-sum-exp over the points is a chain of ``np.logaddexp`` over that
 leading axis (:func:`~dmmsim.modem.log_sum_exp`), bitwise the
 ``np.logaddexp.reduce`` it replaces.  :func:`mi_axis_and_joint` gives
 the axis and joint four-point values from one quadrature of the four-point
-H(Y), which both subtract from; each equals its separate call bit for bit.
+H(Y), which both subtract from; :func:`mi_axis` by quadrature is its first
+value, and :func:`mi_joint_4point` equals its second bit for bit.
 MI values and entropies are never cached: asking twice integrates twice.
 
 The composite rate of the two-stream scheme is the polarity-stream term
@@ -59,16 +60,20 @@ RECORD_GAP_DB = 0.0045
 #: inconsistent by a factor of ten; both readings are carried verbatim.
 CLAIMED_GAIN_DB = (0.052, 0.52)
 
+#: Quadrature refuses an offset whose rounding at the point coordinates
+#: (half an ulp) exceeds this fraction of the offset.
+_RESOLUTION = 1e-6
+
 
 @dataclass(frozen=True)
 class MiResult:
     """Mutual information estimate in bits per channel use.
 
-    ``value`` lies in [0, H(X)], H(X) the entropy of the input (or label)
-    priors: quadrature and sampling errors can step outside that range, and
-    are clamped back into it.  ``est_error`` is a 95% half-width for
-    Monte-Carlo; for quadrature it is at least ``tol``, and above ``tol``
-    when the node cap stopped convergence.
+    ``value`` lies in [0, log2 of the number of inputs (or labels)], the
+    entropy of equally likely inputs: quadrature and sampling errors can
+    step outside that range, and are clamped back into it.  ``est_error``
+    is a 95% half-width for Monte-Carlo; for quadrature it is at least
+    ``tol``, and above ``tol`` when the node cap stopped convergence.
     """
 
     value: float
@@ -89,22 +94,13 @@ def _check(sigma2: float, method: str = "quadrature") -> None:
         raise ValueError(f"unknown method {method!r}; use 'quadrature' or 'monte_carlo'")
 
 
-def _clamp(value, probs: np.ndarray) -> float:
-    """``value`` clamped into [0, H(X)], H(X) in bits for these priors; a
-    value that is not finite raises instead of passing through."""
+def _clamp(value, size: int) -> float:
+    """``value`` clamped into [0, log2(size)], the entropy in bits of ``size``
+    equally likely inputs; a value that is not finite raises instead of
+    passing through."""
     if not math.isfinite(value):
         raise ValueError(f"mutual information estimate is not finite: {value}")
-    p = probs[probs > 0]
-    return float(min(max(value, 0.0), -np.sum(p * np.log2(p))))
-
-
-def _support(inp: Constellation):
-    """The points with positive prior (float if the set is real), their
-    priors, and the mask that kept them.  A zero-prior point contributes
-    nothing to a mixture, so dropping it changes no bit."""
-    keep = inp.probs > 0
-    pts = inp.points.real if inp.is_real else inp.points
-    return pts[keep], inp.probs[keep], keep
+    return float(min(max(value, 0.0), math.log2(size)))
 
 
 def _dim(points: np.ndarray) -> int:
@@ -126,33 +122,32 @@ def _gauss_hermite(nodes: int):
     return t, w
 
 
-def _log_mixture(y: np.ndarray, points: np.ndarray, probs: np.ndarray,
-                 sigma2: float) -> np.ndarray:
-    """Log density of the received point; real ``points`` mean the line.  The
-    exponents are point-major, one array like ``y`` per point."""
+def _log_mixture(y: np.ndarray, points: np.ndarray, sigma2: float) -> np.ndarray:
+    """Log density of the received point over equally likely ``points``; real
+    ``points`` mean the line.  The exponents are point-major, one array like
+    ``y`` per point."""
     lead = points.shape + (1,) * y.ndim
     expo = (
-        np.log(probs).reshape(lead)
+        math.log(1.0 / points.size)
         - np.abs(y - points.reshape(lead)) ** 2 / (2.0 * sigma2)
         - 0.5 * _dim(points) * math.log(2.0 * math.pi * sigma2)
     )
     return log_sum_exp(expo, range(points.size))
 
 
-def _entropy(points: np.ndarray, probs: np.ndarray, sigma2: float, nodes: int) -> float:
+def _entropy(points: np.ndarray, sigma2: float, nodes: int) -> float:
     """H(Y) in bits by Gauss-Hermite quadrature around each point, on the line
     or on the tensor grid in the plane."""
     t, w = _gauss_hermite(nodes)
     scale = math.sqrt(2.0 * sigma2)
-    # a node offset below half an ulp of a point's coordinate rounds onto the
-    # point, and the estimate goes wrong without a sign; the nodes are sorted
-    # and symmetric, so the two middle ones are the first to collapse
-    coords = np.ascontiguousarray(points).view(np.float64)[:, None]
-    if (coords + scale * t[nodes // 2 - 1:nodes // 2 + 1] == coords).any():
-        es_n0_db = 10.0 * math.log10(float(probs @ np.abs(points) ** 2) / (2.0 * sigma2))
+    # an offset added to a point is rounded to the point's ulp; the nodes are
+    # sorted and symmetric, so the two middle ones give the smallest offset
+    half_ulp = 0.5 * np.spacing(np.abs(np.ascontiguousarray(points).view(np.float64))).max()
+    if half_ulp > _RESOLUTION * scale * t[nodes // 2]:
+        es_n0_db = 10.0 * math.log10(float(np.mean(np.abs(points) ** 2)) / (2.0 * sigma2))
         raise ValueError(f"quadrature cannot resolve the noise at Es/N0 = {es_n0_db:.4g} dB "
-                         f"(sigma2 = {sigma2:.3g}): a {nodes}-node Gauss-Hermite offset "
-                         f"rounds onto a point")
+                         f"(sigma2 = {sigma2:.3g}): half an ulp of a point coordinate exceeds "
+                         f"{_RESOLUTION:g} of the smallest {nodes}-node Gauss-Hermite offset")
     if _dim(points) == 1:
         offs = scale * t
         weigh, norm = (lambda logp: w @ logp), math.sqrt(math.pi)
@@ -160,21 +155,22 @@ def _entropy(points: np.ndarray, probs: np.ndarray, sigma2: float, nodes: int) -
         offs = scale * (t[:, None] + 1j * t[None, :])
         w2 = w[:, None] * w[None, :]
         weigh, norm = (lambda logp: np.sum(w2 * logp)), math.pi
+    pk = 1.0 / points.size
     acc = 0.0
-    for pk, xk in zip(probs, points):
-        acc += pk * float(weigh(_log_mixture(xk + offs, points, probs, sigma2)))
+    for xk in points:
+        acc += pk * float(weigh(_log_mixture(xk + offs, points, sigma2)))
     return -acc / norm / LN2
 
 
-def _mixture_entropy(points, probs, sigma2, tol: float):
+def _mixture_entropy(points, sigma2, tol: float):
     """Double the node count from 64 until successive estimates differ by
     < tol or 256 nodes are used (numpy's Gauss-Hermite weights are NaN beyond
     256).  Returns (last estimate, last change)."""
     nodes = 64
-    prev = _entropy(points, probs, sigma2, nodes)
+    prev = _entropy(points, sigma2, nodes)
     while nodes < 256:
         nodes *= 2
-        cur = _entropy(points, probs, sigma2, nodes)
+        cur = _entropy(points, sigma2, nodes)
         delta = abs(cur - prev)
         if delta < tol:
             break
@@ -186,11 +182,12 @@ def _mixture_entropy(points, probs, sigma2, tol: float):
 # Monte-Carlo sampling
 # ---------------------------------------------------------------------------
 
-def _mc_draw(points, probs, sigma2: float, samples: int, seed: int):
+def _mc_draw(points, sigma2: float, samples: int, seed: int):
     """Seeded draw of transmitted point indices and received samples, the
     samples in the points' own dimension."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    idx = rng.choice(points.size, size=samples, p=probs)
+    # explicit equal weights: without ``p``, ``choice`` reads another stream
+    idx = rng.choice(points.size, size=samples, p=np.full(points.size, 1.0 / points.size))
     x = points[idx]
     if _dim(x) == 1:
         return idx, x + rng.standard_normal(samples) * math.sqrt(sigma2)
@@ -198,12 +195,12 @@ def _mc_draw(points, probs, sigma2: float, samples: int, seed: int):
     return idx, x + noise[0::2] + 1j * noise[1::2]
 
 
-def _mc_result(log_ratio: np.ndarray, probs: np.ndarray) -> MiResult:
+def _mc_result(log_ratio: np.ndarray, size: int) -> MiResult:
     """Mean of per-sample log-likelihood ratios (nats) with a 95% half-width,
-    for an input with priors ``probs``."""
+    for ``size`` equally likely inputs."""
     samples = log_ratio / LN2
     half = 1.96 * float(np.std(samples, ddof=1)) / math.sqrt(samples.size)
-    return MiResult(value=_clamp(np.mean(samples), probs), method="monte_carlo",
+    return MiResult(value=_clamp(np.mean(samples), size), method="monte_carlo",
                     est_error=half)
 
 
@@ -211,88 +208,32 @@ def _mc_result(log_ratio: np.ndarray, probs: np.ndarray) -> MiResult:
 # Mutual information
 # ---------------------------------------------------------------------------
 
-def _quad_joint(h_y, pts, probs, sigma2: float, tol: float) -> MiResult:
+def _quad_joint(h_y, pts, sigma2: float, tol: float) -> MiResult:
     """I(X;Y) = H(Y) - H(N) from ``h_y`` = (H(Y), its last change)."""
     value, err = h_y
     h_n = awgn_entropy(sigma2) * _dim(pts)
-    return MiResult(value=_clamp(value - h_n, probs), method="quadrature",
+    return MiResult(value=_clamp(value - h_n, pts.size), method="quadrature",
                     est_error=float(max(err, tol)))
-
-
-def _quad_label(h_y, classes, p_label, sigma2: float, tol: float) -> MiResult:
-    """I(B;Y) = H(Y) - H(Y|B) from ``h_y`` = (H(Y), its last change) and the
-    label classes."""
-    value, err_total = h_y
-    h_cond = 0.0
-    for b, (cls_pts, cls_probs) in enumerate(classes):
-        h_b, err_b = _mixture_entropy(cls_pts, cls_probs, sigma2, tol)
-        h_cond += p_label[b] * h_b
-        err_total += p_label[b] * err_b
-    return MiResult(value=_clamp(value - h_cond, p_label), method="quadrature",
-                    est_error=float(max(err_total, tol)))
-
-
-def _label_classes(inp: Constellation, labels):
-    """Validate one 0/1 label per point and split the supported points into
-    the two label classes.  Returns (points, priors, labels, label priors,
-    [(class points, class priors) for label 0 and 1])."""
-    labels = np.asarray(labels, dtype=np.uint8).ravel()
-    if labels.shape != inp.points.shape or not set(np.unique(labels)) <= {0, 1}:
-        raise ValueError("labels must be one 0/1 value per point")
-    if len(set(np.unique(labels))) < 2:
-        raise ValueError("both label values must occur")
-    pts, probs, keep = _support(inp)
-    labels = labels[keep]
-    p_label = np.array([probs[labels == b].sum() for b in (0, 1)])
-    if not np.all(p_label > 0):
-        raise ValueError("both label values must have positive prior")
-    # each label class as a mixture of its own points
-    classes = [(pts[labels == b], probs[labels == b] / p_label[b]) for b in (0, 1)]
-    return pts, probs, labels, p_label, classes
 
 
 def mi_awgn(inp: Constellation, sigma2: float, method: str = "quadrature", *,
             tol: float = 1e-6, mc_samples: int = 200_000, seed: int = 0) -> MiResult:
-    """I(X;Y) in bits per channel use for a finite input over AWGN.
+    """I(X;Y) in bits per channel use for equally likely inputs over AWGN.
 
     ``sigma2`` is per real dimension.  Real-axis inputs are integrated on the
     line against one-dimensional noise entropy; otherwise in the plane
     against the two-dimensional noise entropy.
     """
     _check(sigma2, method)
-    pts, probs, _ = _support(inp)
+    pts = inp.points.real if inp.is_real else inp.points
     if method == "quadrature":
-        return _quad_joint(_mixture_entropy(pts, probs, sigma2, tol), pts, probs,
-                           sigma2, tol)
-    idx, y = _mc_draw(pts, probs, sigma2, mc_samples, seed)
+        return _quad_joint(_mixture_entropy(pts, sigma2, tol), pts, sigma2, tol)
+    idx, y = _mc_draw(pts, sigma2, mc_samples, seed)
     log_cond = (
         -np.abs(y - pts[idx]) ** 2 / (2.0 * sigma2)
         - 0.5 * _dim(pts) * math.log(2.0 * math.pi * sigma2)
     )
-    return _mc_result(log_cond - _log_mixture(y, pts, probs, sigma2), probs)
-
-
-def mi_binary_label(inp: Constellation, labels, sigma2: float,
-                    method: str = "quadrature", *, tol: float = 1e-6,
-                    mc_samples: int = 200_000, seed: int = 0) -> MiResult:
-    """I(B;Y) where B is a binary label attached to each constellation point.
-
-    This is the information available to a receiver that must decide the
-    label before knowing anything else; the remaining points inside a label
-    class act as self-interference.  Both label values need positive prior.
-    """
-    _check(sigma2, method)
-    pts, probs, labels, p_label, classes = _label_classes(inp, labels)
-    if method == "quadrature":
-        return _quad_label(_mixture_entropy(pts, probs, sigma2, tol), classes, p_label,
-                           sigma2, tol)
-    idx, y = _mc_draw(pts, probs, sigma2, mc_samples, seed)
-    b = labels[idx]
-    log_cond = np.empty(mc_samples)
-    for lab, (cls_pts, cls_probs) in enumerate(classes):
-        rows = b == lab
-        log_cond[rows] = _log_mixture(y[rows], cls_pts, cls_probs, sigma2)
-    return _mc_result(log_cond - _log_mixture(y, pts, probs, sigma2), p_label)
+    return _mc_result(log_cond - _log_mixture(y, pts, sigma2), pts.size)
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +250,24 @@ def mi_qpsk(es_n0_db: float, es: float = 1.0, **kw) -> MiResult:
     return mi_awgn(Constellation.qpsk(es), sigma2, **kw)
 
 
-def mi_axis(es_n0_db: float, es: float = 1.0, **kw) -> MiResult:
-    """Information carried by the axis bit of the four-point rotated set."""
+def mi_axis(es_n0_db: float, es: float = 1.0, *, method: str = "quadrature",
+            tol: float = 1e-6, mc_samples: int = 200_000, seed: int = 0) -> MiResult:
+    """Information carried by the axis bit of the four-point rotated set:
+    I(B;Y) = H(Y) - H(Y|B), the points inside each axis pair acting as
+    self-interference to a receiver that decides the axis first."""
+    if method == "quadrature":
+        return mi_axis_and_joint(es_n0_db, es, tol=tol)[0]
     sigma2 = snr_to_sigma2(es_n0_db, es)
+    _check(sigma2, method)
     c = Constellation.quadrature_pair(es)
-    return mi_binary_label(c, c.axis_labels, sigma2, **kw)
+    labels = c.axis_labels
+    idx, y = _mc_draw(c.points, sigma2, mc_samples, seed)
+    b = labels[idx]
+    log_cond = np.empty(mc_samples)
+    for lab in (0, 1):
+        rows = b == lab
+        log_cond[rows] = _log_mixture(y[rows], c.points[labels == lab], sigma2)
+    return _mc_result(log_cond - _log_mixture(y, c.points, sigma2), 2)
 
 
 def mi_joint_4point(es_n0_db: float, es: float = 1.0, **kw) -> MiResult:
@@ -324,12 +278,19 @@ def mi_joint_4point(es_n0_db: float, es: float = 1.0, **kw) -> MiResult:
 
 def mi_axis_and_joint(es_n0_db: float, es: float = 1.0, *, tol: float = 1e-6):
     """``(mi_axis, mi_joint_4point)`` by quadrature, from one evaluation of
-    the four-point H(Y): both are H(Y) minus a conditional entropy, so each
-    value equals the separate call's bit for bit."""
+    the four-point H(Y): both are H(Y) minus a conditional entropy.  H(Y|B)
+    averages the entropies of the real and the imaginary axis pair, each
+    with weight 1/2."""
     sigma2 = snr_to_sigma2(es_n0_db, es)
     _check(sigma2)
     c = Constellation.quadrature_pair(es)
-    pts, probs, _, p_label, classes = _label_classes(c, c.axis_labels)
-    h_y = _mixture_entropy(pts, probs, sigma2, tol)
-    return (_quad_label(h_y, classes, p_label, sigma2, tol),
-            _quad_joint(h_y, pts, probs, sigma2, tol))
+    labels = c.axis_labels
+    h_y = _mixture_entropy(c.points, sigma2, tol)
+    h_cond, err = 0.0, h_y[1]
+    for lab in (0, 1):
+        h_b, err_b = _mixture_entropy(c.points[labels == lab], sigma2, tol)
+        h_cond += 0.5 * h_b
+        err += 0.5 * err_b
+    axis = MiResult(value=_clamp(h_y[0] - h_cond, 2), method="quadrature",
+                    est_error=float(max(err, tol)))
+    return axis, _quad_joint(h_y, c.points, sigma2, tol)

@@ -382,6 +382,18 @@ def test_missing_out_directory_rejected_before_the_run(tmp_path, capsys, monkeyp
         assert not bad.parent.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sweep_exits_1_on_overflowing_axis_llrs(tmp_path, capsys):
+    # -3081 dB is a valid es_n0_complex grid value (sigma2 = 6.3e307), but
+    # the receiver's squared distances overflow there
+    path = write(tmp_path, "s.cfg", SWEEP_CFG.replace("snr_grid_db = -1.0, 0.5",
+                                                      "snr_grid_db = -3081")
+                 .replace("stop_max_frames = 60", "stop_max_frames = 2"))
+    assert main(["sweep", path, "--out", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("error: axis LLRs are not finite at sigma2 = 6.29e+307")
+
+
 def test_sweep_rows_and_columns(sweep_csv):
     _, out = sweep_csv
     lines = body(out).strip().split("\n")

@@ -102,15 +102,12 @@ def test_dmm_map_equals_rotated_bpsk():
 
 
 def test_constellation_energy_validation():
-    uniform = np.full(4, 0.25)
-    c = Constellation(points=np.array([1.0, 1j, -1.0, -0.5j]), probs=uniform)
+    c = Constellation(points=np.array([1.0, 1j, -1.0, -0.5j]))
     assert np.array_equal(c.points, [1.0, 1j, -1.0, -0.5j])
     with pytest.raises(ValueError, match="finite"):
-        Constellation(points=np.array([1.0, 1j, -1.0, complex(0.0, np.inf)]), probs=uniform)
+        Constellation(points=np.array([1.0, 1j, -1.0, complex(0.0, np.inf)]))
     with pytest.raises(ValueError, match="finite"):
-        Constellation(points=np.array([1.0, 1j, np.nan, -1j]), probs=uniform)
-    with pytest.raises(ValueError, match="sum to 1"):
-        Constellation(points=np.array([1.0, 1j, -1.0, -1j]), probs=np.full(4, 0.3))
+        Constellation(points=np.array([1.0, 1j, np.nan, -1j]))
 
 
 def test_demod_v2_hard_examples():
@@ -211,6 +208,15 @@ def test_llr_v2_rejects_bad_sigma():
     c = Constellation.quadrature_pair(1.0)
     with pytest.raises(ValueError):
         llr_v2(1.0 + 0j, c, 0.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_llr_v2_rejects_overflowing_distances():
+    # |y - s|^2 overflows to inf for every point, and inf - inf is a NaN LLR
+    c = Constellation.quadrature_pair(1.0)
+    with pytest.raises(ValueError, match="not finite at sigma2 = 2"):
+        llr_v2(np.array([0.5 + 0j, 1e155 + 1e155j]), c, 2.0)
+    assert np.all(np.isfinite(llr_v2(np.array([0.5 + 0j, 1e150 + 1e150j]), c, 2.0)))
 
 
 def test_hard_decision_agrees_with_llr_sign():

@@ -9,13 +9,12 @@ from dmmsim import (
     mi_awgn,
     mi_axis,
     mi_axis_and_joint,
-    mi_binary_label,
     mi_bpsk,
     mi_joint_4point,
     mi_qpsk,
 )
 from dmmsim import cli, mutual_info
-from dmmsim.channel import snr_to_sigma2
+from dmmsim.channel import sigma2_to_snr_db, snr_to_sigma2
 from dmmsim.config import CapacityConfig
 
 from oracles import (
@@ -74,12 +73,10 @@ def test_mi_respects_entropy_ceiling():
             r = fn(40.0, method=method, mc_samples=2000)
             assert type(r.value) is float
             assert r.value == ceiling
-    # a non-uniform input: the ceiling is H(X) of its priors, not log2 of its size
-    skewed = Constellation(points=np.array([1.0, -1.0]), probs=np.array([0.9, 0.1]))
-    h_x = -(0.9 * math.log2(0.9) + 0.1 * math.log2(0.1))
-    r = mi_awgn(skewed, snr_to_sigma2(40.0, 1.0))
-    assert 0.0 <= r.value <= h_x
-    assert r.value == pytest.approx(h_x, abs=1e-9)
+    # three equally likely points: the ceiling is log2 3
+    r = mi_awgn(UNIFORM_LINE, snr_to_sigma2(40.0, 1.0))
+    assert 0.0 <= r.value <= math.log2(3)
+    assert r.value == pytest.approx(math.log2(3), abs=1e-9)
     assert type(mi_bpsk(-40.0, method="monte_carlo", mc_samples=2000).value) is float
     assert mi_bpsk(-40.0, method="monte_carlo", mc_samples=2000).value >= 0.0
 
@@ -142,15 +139,19 @@ def test_quadrature_reports_nonconvergence_at_node_cap():
 
 
 def test_quadrature_refuses_noise_below_the_point_resolution():
-    # above ~300 dB a Gauss-Hermite offset rounds onto its point and the
-    # values went wrong silently (mi_bpsk 0.279 and joint 1.279 at 335 dB);
-    # 250 dB still resolves
+    # a Gauss-Hermite offset added to a point is rounded to the point's ulp:
+    # the values drifted silently past tol (mi_qpsk off by 2.6e-6 at 213 dB,
+    # mi_bpsk 0.279 at 335 dB), so quadrature refuses an offset that half an
+    # ulp of a coordinate moves by more than 1e-6 of itself (from ~179 dB for
+    # unit energy).  Below that the values stay within tol of the ceiling.
     curves = (mi_bpsk, mi_qpsk, mi_axis, mi_joint_4point)
-    assert [f(250.0).value for f in curves] == pytest.approx([1.0, 2.0, 1.0, 2.0], abs=1e-12)
-    assert [r.value for r in mi_axis_and_joint(250.0)] == pytest.approx([1.0, 2.0], abs=1e-12)
-    for f in (*curves, mi_axis_and_joint):
-        with pytest.raises(ValueError, match="Es/N0 = 340 dB"):
-            f(340.0)
+    assert [f(100.0).value for f in curves] == pytest.approx([1.0, 2.0, 1.0, 2.0], abs=1e-12)
+    assert [r.value for r in mi_axis_and_joint(100.0)] == pytest.approx([1.0, 2.0], abs=1e-12)
+    assert [f(175.0).value for f in curves] == pytest.approx([1.0, 2.0, 1.0, 2.0], abs=1e-6)
+    for db in (250.0, 340.0):
+        for f in (*curves, mi_axis_and_joint):
+            with pytest.raises(ValueError, match=f"Es/N0 = {db:g} dB"):
+                f(db)
 
 
 def test_quadrature_vs_monte_carlo():
@@ -258,12 +259,8 @@ def test_gap_report_carries_claims(script, tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 def test_discrete_input_validation():
-    with pytest.raises(ValueError):
-        Constellation(points=np.array([1.0 + 0j]), probs=np.array([1.0]))
-    with pytest.raises(ValueError):
-        Constellation(points=np.array([1.0, -1.0]), probs=np.array([0.6, 0.6]))
-    with pytest.raises(ValueError):
-        Constellation(points=np.array([1.0, -1.0]), probs=np.array([1.2, -0.2]))
+    with pytest.raises(ValueError, match="at least two"):
+        Constellation(points=np.array([1.0 + 0j]))
 
 
 def test_mi_awgn_validation():
@@ -271,10 +268,8 @@ def test_mi_awgn_validation():
         mi_awgn(Constellation.bpsk(), 0.0)
     with pytest.raises(ValueError):
         mi_awgn(Constellation.bpsk(), 1.0, method="bogus")
-    with pytest.raises(ValueError):
-        mi_binary_label(Constellation.bpsk(), [0, 0], 1.0)
-    with pytest.raises(ValueError):
-        mi_binary_label(Constellation.bpsk(), [0, 1], 1.0, method="bogus")
+    with pytest.raises(ValueError, match="bogus"):
+        mi_axis(0.0, method="bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +277,13 @@ def test_mi_awgn_validation():
 # ---------------------------------------------------------------------------
 
 NAMED_CURVES = (mi_bpsk, mi_qpsk, mi_axis, mi_joint_4point)
-SKEWED_REAL = Constellation(points=np.array([1.0, -0.5, 2.0]),
-                            probs=np.array([0.5, 0.3, 0.2]))
-SKEWED_PLANE = Constellation(points=np.array([1, 1j, -1, -1j, 0.5 + 0.5j]),
-                             probs=np.array([0.3, 0.1, 0.2, 0.25, 0.15]))
-SKEWED_LABELS = ((SKEWED_REAL, [0, 1, 1]), (SKEWED_PLANE, [0, 1, 0, 1, 1]))
+UNIFORM_LINE = Constellation(points=np.array([1.0, -0.5, 2.0]))
+UNIFORM_PLANE = Constellation(points=np.array([1, 1j, -1, -1j, 0.5 + 0.5j]))
+
+
+def _equal(points):
+    """Equal priors for ``points``, for the references that take priors."""
+    return np.full(points.size, 1.0 / points.size)
 
 
 def _bits(result):
@@ -299,22 +296,24 @@ def _results():
         for db in (-40.0, -10.0, 0.0, 10.0, 40.0):
             for es in (1.0, 2.0):
                 out.append(fn(db, es))
-    for inp, labels in SKEWED_LABELS:
-        for sigma2 in (0.1, 1.0):
-            for method in ("quadrature", "monte_carlo"):
-                kw = dict(method=method, mc_samples=5000, seed=3)
-                out.append(mi_awgn(inp, sigma2, **kw))
-                out.append(mi_binary_label(inp, labels, sigma2, **kw))
+    for sigma2 in (0.1, 1.0):
+        for method in ("quadrature", "monte_carlo"):
+            kw = dict(method=method, mc_samples=5000, seed=3)
+            out.append(mi_awgn(UNIFORM_LINE, sigma2, **kw))
+            out.append(mi_awgn(UNIFORM_PLANE, sigma2, **kw))
+            out.append(mi_axis(sigma2_to_snr_db(sigma2, 1.0), **kw))
     return out
 
 
 def test_mi_bit_identical_to_reference_mixture(monkeypatch):
     mine = _results()
     with monkeypatch.context() as m:
-        m.setattr(mutual_info, "_mixture_entropy", mixture_entropy_reference)
-        m.setattr(mutual_info, "_log_mixture", log_mixture_reference)
+        m.setattr(mutual_info, "_mixture_entropy", lambda points, sigma2, tol:
+                  mixture_entropy_reference(points, _equal(points), sigma2, tol))
+        m.setattr(mutual_info, "_log_mixture", lambda y, points, sigma2:
+                  log_mixture_reference(y, points, _equal(points), sigma2))
         ref = _results()
-    assert len(mine) == len(ref) == 56
+    assert len(mine) == len(ref) == 52
     for a, b in zip(mine, ref):
         assert a.method == b.method
         assert np.array_equal(_bits(a), _bits(b))
@@ -325,31 +324,32 @@ def test_mi_bit_identical_to_point_last_mixture(monkeypatch):
     # mixture that put the point axis last
     mine = _results()
     with monkeypatch.context() as m:
-        m.setattr(mutual_info, "_log_mixture", log_mixture_last_axis_reference)
+        m.setattr(mutual_info, "_log_mixture", lambda y, points, sigma2:
+                  log_mixture_last_axis_reference(y, points, _equal(points), sigma2))
         ref = _results()
-    assert len(mine) == len(ref) == 56
+    assert len(mine) == len(ref) == 52
     for a, b in zip(mine, ref):
         assert a.method == b.method
         assert np.array_equal(_bits(a), _bits(b))
 
 
-@pytest.mark.parametrize("inp", [Constellation.bpsk(2.0), SKEWED_REAL,
-                                 Constellation.quadrature_pair(1.0), SKEWED_PLANE],
-                         ids=["bpsk", "skewed_real", "four_point", "skewed_plane"])
+@pytest.mark.parametrize("inp", [Constellation.bpsk(2.0), UNIFORM_LINE,
+                                 Constellation.quadrature_pair(1.0), UNIFORM_PLANE],
+                         ids=["bpsk", "three_point_line", "four_point", "five_point_plane"])
 def test_log_mixture_point_major_matches_point_last(inp):
     # the log densities themselves, bit for bit: on a quadrature grid (a
     # line of nodes or the plane's tensor grid), on Monte-Carlo samples and
     # at a point where the mixture underflows in every term
-    pts, probs, _ = mutual_info._support(inp)
+    pts = inp.points.real if inp.is_real else inp.points
     sigma2 = 0.3
     t, _ = mutual_info._gauss_hermite(64)
     scale = math.sqrt(2.0 * sigma2)
     grid = scale * t if pts.dtype.kind == "f" else scale * (t[:, None] + 1j * t[None, :])
-    _, samples = mutual_info._mc_draw(pts, probs, sigma2, 500, seed=4)
+    _, samples = mutual_info._mc_draw(pts, sigma2, 500, seed=4)
     far = np.array([1e3], dtype=pts.dtype)
     for y in (pts[0] + grid, samples, far):
-        got = mutual_info._log_mixture(y, pts, probs, sigma2)
-        want = log_mixture_last_axis_reference(y, pts, probs, sigma2)
+        got = mutual_info._log_mixture(y, pts, sigma2)
+        want = log_mixture_last_axis_reference(y, pts, _equal(pts), sigma2)
         assert got.shape == y.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -380,9 +380,9 @@ def test_run_capacity_evaluates_each_mixture_once(monkeypatch):
     calls = []
     entropy = mutual_info._entropy
 
-    def counting_entropy(points, probs, sigma2, nodes):
-        calls.append((points.tobytes(), probs.tobytes(), sigma2, nodes))
-        return entropy(points, probs, sigma2, nodes)
+    def counting_entropy(points, sigma2, nodes):
+        calls.append((points.tobytes(), sigma2, nodes))
+        return entropy(points, sigma2, nodes)
 
     monkeypatch.setattr(mutual_info, "_entropy", counting_entropy)
     cfg = CapacityConfig(snr_grid_db=(-4.0, 0.0, 4.0))
@@ -392,57 +392,26 @@ def test_run_capacity_evaluates_each_mixture_once(monkeypatch):
     # no mixture is integrated twice at the same node count ...
     assert len(set(calls)) == n_first
     # ... and the four-point set's adaptive sequence starts once per grid point
-    assert sum(c[0] == four and c[3] == 64 for c in calls) == len(cfg.snr_grid_db)
+    assert sum(c[0] == four and c[2] == 64 for c in calls) == len(cfg.snr_grid_db)
     # a repeated call does the same quadrature again: nothing is memoized
     assert cli.run_capacity(cfg) == first
     assert len(calls) == 2 * n_first
 
 
 # ---------------------------------------------------------------------------
-# zero priors and non-finite values
+# non-finite values
 # ---------------------------------------------------------------------------
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_label_class_without_prior_rejected():
-    inp = Constellation(points=np.array([1, -1, 1j, -1j]), probs=np.array([.5, .5, 0, 0]))
-    for method in ("quadrature", "monte_carlo"):
-        with pytest.raises(ValueError, match="positive prior"):
-            mi_binary_label(inp, [0, 0, 1, 1], 1.0, method=method, mc_samples=2000)
-
-
 def test_clamp_rejects_nonfinite():
-    probs = np.array([0.5, 0.5])
     for bad in (math.nan, np.float64("nan"), math.inf):
         with pytest.raises(ValueError, match="not finite"):
-            mutual_info._clamp(bad, probs)
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_zero_prior_points_change_no_bit():
-    # a zero-prior point is dropped before quadrature and sampling, which is
-    # exact: the results equal those of the set without it, bit for bit
-    cases = (
-        (Constellation(points=np.array([1.0, 3.0, -0.5, 2.0]),
-                       probs=np.array([0.5, 0.0, 0.3, 0.2])), [0, 1, 1, 1],
-         SKEWED_REAL, [0, 1, 1]),
-        (Constellation(points=np.array([1, 1j, 2j, -1, -1j, 0.5 + 0.5j]),
-                       probs=np.array([0.3, 0.1, 0.0, 0.2, 0.25, 0.15])), [0, 1, 0, 0, 1, 1],
-         SKEWED_PLANE, [0, 1, 0, 1, 1]),
-    )
-    for padded, padded_labels, plain, labels in cases:
-        for method in ("quadrature", "monte_carlo"):
-            kw = dict(method=method, mc_samples=5000, seed=7)
-            assert np.array_equal(_bits(mi_awgn(padded, 0.4, **kw)),
-                                  _bits(mi_awgn(plain, 0.4, **kw)))
-            assert np.array_equal(_bits(mi_binary_label(padded, padded_labels, 0.4, **kw)),
-                                  _bits(mi_binary_label(plain, labels, 0.4, **kw)))
+            mutual_info._clamp(bad, 2)
 
 
 def test_est_error_is_python_float():
     for method in ("quadrature", "monte_carlo"):
         kw = dict(method=method, mc_samples=2000)
-        for r in (mi_awgn(SKEWED_PLANE, 0.5, **kw),
-                  mi_binary_label(SKEWED_PLANE, [0, 1, 0, 1, 1], 0.5, **kw),
+        for r in (mi_awgn(UNIFORM_PLANE, 0.5, **kw), mi_awgn(UNIFORM_LINE, 0.5, **kw),
                   mi_axis(0.0, **kw), mi_bpsk(0.0, **kw)):
             assert type(r.value) is float
             assert type(r.est_error) is float

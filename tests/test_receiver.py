@@ -214,6 +214,16 @@ def test_genie_statistically_equal_to_bpsk_baseline(dmm_pair):
 # run_point
 # ---------------------------------------------------------------------------
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_point_refuses_overflowing_axis_llrs(dmm_pair):
+    # at -3079 dB (sigma2 = 3.97e307) the squared distances overflow and the
+    # axis LLRs came out NaN; at -3000 dB they are still finite
+    code1, code2 = dmm_pair
+    assert run_point("dmm_realistic", code1, code2, snr_db=-3000.0, max_frames=2).frames == 2
+    with pytest.raises(ValueError, match=r"sigma2 = 3\.97e\+307"):
+        run_point("dmm_realistic", code1, code2, snr_db=-3079.0, max_frames=2)
+
+
 def test_run_point_zero_noise(dmm_pair):
     code1, code2 = dmm_pair
     res = run_point("dmm_realistic", code1, code2, snr_db=60.0, seed=2,
