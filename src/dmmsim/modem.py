@@ -131,22 +131,26 @@ def demod_v2_hard(y) -> np.ndarray:
     return (np.abs(y.imag) > np.abs(y.real)).astype(np.uint8)
 
 
-def log_sum_exp(x: np.ndarray, cols) -> np.ndarray:
-    """ln of the sum of exp(x[j]) over the rows ``cols`` of a short leading
-    axis, the point axis of a (points, ...) array of exponents.
+def log_sum_exp(terms, shape=()) -> np.ndarray:
+    """ln of the sum of exp(t) over the exponent arrays ``terms``, taken one
+    at a time in order; ``shape`` is the shape of an empty sum.
 
-    A chain of ``np.logaddexp`` over ``cols`` in order, each step one long
-    array op: bitwise ``np.logaddexp.reduce(x[cols], axis=0)`` (a ufunc
-    reduce applies its operator in order, and ``logaddexp`` is symmetric in
-    its arguments), without the copy.  The reduce starts from the identity,
-    and ``logaddexp(-inf, v)`` is ``v + 0.0``, which turns -0.0 into 0.0; so
-    does the chain.
+    A chain of ``np.logaddexp`` into one accumulator, each step one long
+    array op: over the rows of a (points, ...) array of exponents it is
+    bitwise ``np.logaddexp.reduce`` over that leading axis (a ufunc reduce
+    applies its operator in order, and ``logaddexp`` is symmetric in its
+    arguments), and ``terms`` may be a generator that refills one buffer
+    per term, since a term is folded in before the next is asked for.  The
+    reduce starts from the identity, and ``logaddexp(-inf, v)`` is
+    ``v + 0.0``, which turns -0.0 into 0.0; so does the chain.
     """
-    if len(cols) == 0:
-        return np.full(x.shape[1:], -np.inf)  # the reduce's identity
-    acc = x[cols[0]] + 0.0
-    for j in cols[1:]:
-        acc = np.logaddexp(acc, x[j])
+    terms = iter(terms)
+    first = next(terms, None)
+    if first is None:
+        return np.full(shape, -np.inf)  # the reduce's identity
+    acc = np.add(first, 0.0, out=np.empty_like(first))  # an array even for a 0-d term
+    for t in terms:
+        np.logaddexp(acc, t, out=acc)
     return acc
 
 
@@ -165,9 +169,12 @@ def llr_v2(y, constellation: Constellation, sigma2: float) -> np.ndarray:
     pts = constellation.points
     labels = constellation.axis_labels
     real_pair, imag_pair = np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)
-    # -|y - s_k|^2 / (2 sigma2), one row per point
-    expo = -np.abs(y - pts.reshape(pts.shape + (1,) * y.ndim)) ** 2 / (2.0 * sigma2)
-    llr = log_sum_exp(expo, real_pair) - log_sum_exp(expo, imag_pair)
+    # an overflowing squared distance is left to the finite check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        # -|y - s_k|^2 / (2 sigma2), one row per point
+        expo = -np.abs(y - pts.reshape(pts.shape + (1,) * y.ndim)) ** 2 / (2.0 * sigma2)
+        llr = (log_sum_exp((expo[j] for j in real_pair), y.shape)
+               - log_sum_exp((expo[j] for j in imag_pair), y.shape))
     if real_pair.size and imag_pair.size and not np.isfinite(llr).all():
         raise ValueError(f"axis LLRs are not finite at sigma2 = {sigma2:.3g}: "
                          f"a squared distance to a point overflows")

@@ -16,14 +16,21 @@ complex bookkeeping never mix.
 Quadrature shares what it can within a call, and memoizes nothing
 across calls.  The Gauss-Hermite nodes and weights of each node count
 (64, 128, 256) are computed on first use and then shared as read-only
-arrays.  The mixture's exponents are point-major: the short point axis
-leads, so each point's term is one long array like ``y``, and the
-log-sum-exp over the points is a chain of ``np.logaddexp`` over that
-leading axis (:func:`~dmmsim.modem.log_sum_exp`), bitwise the
-``np.logaddexp.reduce`` it replaces.  :func:`mi_axis_and_joint` gives
-the axis and joint four-point values from one quadrature of the four-point
-H(Y), which both subtract from; :func:`mi_axis` by quadrature is its first
-value, and :func:`mi_joint_4point` equals its second bit for bit.
+arrays.  The mixture is streamed over its points: each point's exponents
+are computed into one reused array like ``y`` and folded into a chain of
+``np.logaddexp`` (:func:`~dmmsim.modem.log_sum_exp`) before the next
+point's, bitwise the ``np.logaddexp.reduce`` over a point axis it
+replaces, so one point's term is alive at a time.  In the plane the
+tensor grid is evaluated in blocks of whole rows of about
+``_BLOCK_NODES`` nodes into one grid-sized array of log densities, whose
+weighted sum is still one ``np.sum`` over the grid: the working set is
+that array, the weights and one block, and no bit of a value depends on
+the block size.  Quadrature raises ``ValueError`` naming Es/N0 and sigma2
+when a squared distance overflows (noise variances near the float range).
+:func:`mi_axis_and_joint` gives the axis and joint four-point values from
+one quadrature of the four-point H(Y), which both subtract from;
+:func:`mi_axis` by quadrature is its first value, and
+:func:`mi_joint_4point` equals its second bit for bit.
 MI values and entropies are never cached: asking twice integrates twice.
 
 The composite rate of the two-stream scheme is the polarity-stream term
@@ -63,6 +70,11 @@ CLAIMED_GAIN_DB = (0.052, 0.52)
 #: Quadrature refuses an offset whose rounding at the point coordinates
 #: (half an ulp) exceeds this fraction of the offset.
 _RESOLUTION = 1e-6
+
+#: The plane's tensor grid is evaluated in blocks of whole rows of about
+#: this many nodes (at least one row): a quadrature holds the offsets and
+#: distances of one block, not of the whole grid.
+_BLOCK_NODES = 8192
 
 
 @dataclass(frozen=True)
@@ -122,17 +134,32 @@ def _gauss_hermite(nodes: int):
     return t, w
 
 
+def _exponents(y: np.ndarray, points: np.ndarray, sigma2: float):
+    """Each point's mixture exponent
+    ``ln(1/P) - |y - p|^2 / (2 sigma2) - (dim/2) ln(2 pi sigma2)``, in point
+    order, written into one buffer like ``y`` that the next point refills."""
+    diff = np.empty(y.shape, np.result_type(y, points))
+    expo = np.empty(y.shape)
+    log_w = math.log(1.0 / points.size)
+    two_sigma2 = 2.0 * sigma2
+    norm = 0.5 * _dim(points) * math.log(2.0 * math.pi * sigma2)
+    for p in points:
+        np.subtract(y, p, out=diff)
+        np.abs(diff, out=expo)
+        np.square(expo, out=expo)
+        np.divide(expo, two_sigma2, out=expo)
+        np.subtract(log_w, expo, out=expo)
+        np.subtract(expo, norm, out=expo)
+        yield expo
+
+
 def _log_mixture(y: np.ndarray, points: np.ndarray, sigma2: float) -> np.ndarray:
     """Log density of the received point over equally likely ``points``; real
-    ``points`` mean the line.  The exponents are point-major, one array like
-    ``y`` per point."""
-    lead = points.shape + (1,) * y.ndim
-    expo = (
-        math.log(1.0 / points.size)
-        - np.abs(y - points.reshape(lead)) ** 2 / (2.0 * sigma2)
-        - 0.5 * _dim(points) * math.log(2.0 * math.pi * sigma2)
-    )
-    return log_sum_exp(expo, range(points.size))
+    ``points`` mean the line.  The points are streamed into the log-sum-exp
+    chain, so one point's exponents are alive at a time.  A squared distance
+    that overflows gives -inf without a warning; callers check."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return log_sum_exp(_exponents(y, points, sigma2), y.shape)
 
 
 def _entropy(points: np.ndarray, sigma2: float, nodes: int) -> float:
@@ -144,22 +171,44 @@ def _entropy(points: np.ndarray, sigma2: float, nodes: int) -> float:
     # sorted and symmetric, so the two middle ones give the smallest offset
     half_ulp = 0.5 * np.spacing(np.abs(np.ascontiguousarray(points).view(np.float64))).max()
     if half_ulp > _RESOLUTION * scale * t[nodes // 2]:
-        es_n0_db = 10.0 * math.log10(float(np.mean(np.abs(points) ** 2)) / (2.0 * sigma2))
-        raise ValueError(f"quadrature cannot resolve the noise at Es/N0 = {es_n0_db:.4g} dB "
-                         f"(sigma2 = {sigma2:.3g}): half an ulp of a point coordinate exceeds "
-                         f"{_RESOLUTION:g} of the smallest {nodes}-node Gauss-Hermite offset")
+        raise ValueError(f"quadrature cannot resolve the noise at {_where(points, sigma2)}: "
+                         f"half an ulp of a point coordinate exceeds {_RESOLUTION:g} of the "
+                         f"smallest {nodes}-node Gauss-Hermite offset")
     if _dim(points) == 1:
         offs = scale * t
-        weigh, norm = (lambda logp: w @ logp), math.sqrt(math.pi)
+        weigh, norm = (lambda xk: w @ _log_mixture(xk + offs, points, sigma2)), math.sqrt(math.pi)
     else:
-        offs = scale * (t[:, None] + 1j * t[None, :])
         w2 = w[:, None] * w[None, :]
-        weigh, norm = (lambda logp: np.sum(w2 * logp)), math.pi
+        weigh, norm = (lambda xk: _weigh_plane(xk, w2, t, scale, points, sigma2)), math.pi
     pk = 1.0 / points.size
     acc = 0.0
-    for xk in points:
-        acc += pk * float(weigh(_log_mixture(xk + offs, points, sigma2)))
+    with np.errstate(invalid="ignore"):  # 0 * -inf where a squared distance overflowed
+        for xk in points:
+            acc += pk * float(weigh(xk))
+    if not math.isfinite(acc):
+        raise ValueError(f"quadrature cannot integrate the mixture at {_where(points, sigma2)}: "
+                         f"a squared distance to a point overflows")
     return -acc / norm / LN2
+
+
+def _weigh_plane(xk, w2: np.ndarray, t: np.ndarray, scale: float, points: np.ndarray,
+                 sigma2: float):
+    """``sum(w2 * logp)`` over the tensor grid of offsets around ``xk``, the
+    log density evaluated in blocks of whole rows into one grid-sized array,
+    so the sum is one pairwise sum over the grid as if taken in one piece."""
+    nodes = t.size
+    rows = max(1, _BLOCK_NODES // nodes)
+    logp = np.empty((nodes, nodes))
+    for r in range(0, nodes, rows):
+        offs = scale * (t[r:r + rows, None] + 1j * t[None, :])
+        logp[r:r + rows] = _log_mixture(xk + offs, points, sigma2)
+    return np.sum(np.multiply(w2, logp, out=logp))
+
+
+def _where(points: np.ndarray, sigma2: float) -> str:
+    """The operating point of a quadrature, for its error messages."""
+    es_n0_db = 10.0 * math.log10(float(np.mean(np.abs(points) ** 2)) / (2.0 * sigma2))
+    return f"Es/N0 = {es_n0_db:.4g} dB (sigma2 = {sigma2:.3g})"
 
 
 def _mixture_entropy(points, sigma2, tol: float):

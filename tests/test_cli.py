@@ -1,5 +1,6 @@
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -382,7 +383,6 @@ def test_missing_out_directory_rejected_before_the_run(tmp_path, capsys, monkeyp
         assert not bad.parent.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_sweep_exits_1_on_overflowing_axis_llrs(tmp_path, capsys):
     # -3081 dB is a valid es_n0_complex grid value (sigma2 = 6.3e307), but
     # the receiver's squared distances overflow there
@@ -392,6 +392,20 @@ def test_sweep_exits_1_on_overflowing_axis_llrs(tmp_path, capsys):
     assert main(["sweep", path, "--out", str(tmp_path / "out.csv")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err[-1].startswith("error: axis LLRs are not finite at sigma2 = 6.29e+307")
+
+
+def test_capacity_exits_1_on_overflowing_distances(tmp_path, capsys):
+    # -3079 dB is a valid grid value (sigma2 = 3.97e307), but the quadrature's
+    # squared distances overflow there: one error line, no traceback, no warning
+    path = write(tmp_path, "c.cfg", CAPACITY_CFG.replace("-6 -3 0 3 6", "-3079"))
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["capacity", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: quadrature cannot integrate the mixture at Es/N0 = -3079 dB "
+        "(sigma2 = 3.97e+307): a squared distance to a point overflows\n")
+    assert not out.exists()
 
 
 def test_sweep_rows_and_columns(sweep_csv):

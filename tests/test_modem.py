@@ -192,13 +192,15 @@ def test_log_sum_exp_bit_identical_to_reduce():
     x[3, ::17] = np.inf
     for cols in ([], [0], [1], [3], [0, 1], [2, 0], [0, 2, 4], [1, 3], list(range(6))):
         ref = np.logaddexp.reduce(x[cols], axis=0)  # -inf for the empty class
-        got = log_sum_exp(x, cols)
+        got = log_sum_exp((x[j] for j in cols), x.shape[1:])
         assert got.shape == (1000,)
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))
         old = log_sum_exp_last_axis_reference(x.T, cols)
         assert np.array_equal(got.view(np.int64), old.view(np.int64))
-    assert np.all(log_sum_exp(x.reshape(6, 10, 100), []) == -np.inf)
-    assert log_sum_exp(x.reshape(6, 10, 100), [1, 4]).shape == (10, 100)
+    x3 = x.reshape(6, 10, 100)
+    assert np.all(log_sum_exp([], (10, 100)) == -np.inf)
+    assert log_sum_exp([], (10, 100)).shape == (10, 100)
+    assert log_sum_exp((x3[j] for j in (1, 4)), (10, 100)).shape == (10, 100)
     # a set without imaginary-axis points: the axis bit is certainly 0
     y = rng.normal(size=100) + 1j * rng.normal(size=100)
     assert np.all(llr_v2(y, Constellation.bpsk(), 1.0) == np.inf)
@@ -210,7 +212,6 @@ def test_llr_v2_rejects_bad_sigma():
         llr_v2(1.0 + 0j, c, 0.0)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_llr_v2_rejects_overflowing_distances():
     # |y - s|^2 overflows to inf for every point, and inf - inf is a NaN LLR
     c = Constellation.quadrature_pair(1.0)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -354,6 +356,58 @@ def test_log_mixture_point_major_matches_point_last(inp):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+PLANE_SETS = (Constellation.quadrature_pair(1.0), Constellation.qpsk(), UNIFORM_PLANE)
+
+# _BLOCK_NODES = 1 gives one-row blocks; 768 gives 3, 6 and 12 rows at 256,
+# 128 and 64 nodes, none of which divides the grid, so the last block is short
+ROW_BLOCKS = {"one_row": 1, "three_rows": 3 * 256}
+
+
+@pytest.mark.parametrize("block", ROW_BLOCKS.values(), ids=ROW_BLOCKS.keys())
+def test_row_blocks_leave_capacity_rows_unchanged(monkeypatch, block):
+    cfg = CapacityConfig(snr_grid_db=tuple(float(s) for s in range(-10, 11)))
+    want = cli.run_capacity(cfg)
+    monkeypatch.setattr(mutual_info, "_BLOCK_NODES", block)
+    got = cli.run_capacity(cfg)
+    assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+
+
+@pytest.mark.parametrize("block", [mutual_info._BLOCK_NODES, *ROW_BLOCKS.values()],
+                         ids=["default", *ROW_BLOCKS.keys()])
+def test_blocked_plane_entropy_matches_reference(monkeypatch, block):
+    # the grid-sized sum of the reference, at every node count up to 256
+    nodes_seen = set()
+    entropy = mutual_info._entropy
+
+    def recording_entropy(points, sigma2, nodes):
+        nodes_seen.add(nodes)
+        return entropy(points, sigma2, nodes)
+
+    monkeypatch.setattr(mutual_info, "_BLOCK_NODES", block)
+    monkeypatch.setattr(mutual_info, "_entropy", recording_entropy)
+    for inp in PLANE_SETS:
+        for sigma2 in (0.05, 0.5, 3.0):
+            got = mutual_info._mixture_entropy(inp.points, sigma2, 1e-9)
+            want = mixture_entropy_reference(inp.points, _equal(inp.points), sigma2, 1e-9)
+            assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+    assert nodes_seen == {64, 128, 256}
+
+
+def test_plane_quadrature_working_set_is_bounded():
+    # streamed points and row blocks leave the grid's log densities and
+    # weights and one block (~1.6 MB); every point's distances over the
+    # whole grid at once take 8.9 MB
+    pts = Constellation.quadrature_pair(1.0).points
+    mutual_info._gauss_hermite(256)
+    tracemalloc.start()
+    try:
+        mutual_info._entropy(pts, 0.5, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
+
+
 def test_axis_and_joint_share_bits_with_separate_calls():
     for db in (-40.0, -10.0, -2.5, 0.0, 10.0, 40.0):
         for es in (1.0, 2.0):
@@ -406,6 +460,19 @@ def test_clamp_rejects_nonfinite():
     for bad in (math.nan, np.float64("nan"), math.inf):
         with pytest.raises(ValueError, match="not finite"):
             mutual_info._clamp(bad, 2)
+
+
+def test_quadrature_refuses_overflowing_distances():
+    # at -3079 dB (sigma2 = 3.97e307) a squared distance to a point
+    # overflows: every curve names the operating point, without a warning
+    curves = (mi_bpsk, mi_qpsk, mi_axis, mi_joint_4point, mi_axis_and_joint)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in curves:
+            with pytest.raises(ValueError, match=r"Es/N0 = -3079 dB \(sigma2 = 3\.97e\+307\): "
+                                                 r"a squared distance to a point overflows"):
+                f(-3079.0)
+        assert [f(-3000.0).value for f in curves[:4]] == [0.0] * 4
 
 
 def test_est_error_is_python_float():

@@ -214,7 +214,6 @@ def test_genie_statistically_equal_to_bpsk_baseline(dmm_pair):
 # run_point
 # ---------------------------------------------------------------------------
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_point_refuses_overflowing_axis_llrs(dmm_pair):
     # at -3079 dB (sigma2 = 3.97e307) the squared distances overflow and the
     # axis LLRs came out NaN; at -3000 dB they are still finite
