@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import functools
 import os
 import sys
 import time
@@ -199,21 +200,44 @@ def _sweep_metadata(cfg: SweepConfig, seed, threads) -> list:
 # capacity
 # ---------------------------------------------------------------------------
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _capacity_row(cfg: CapacityConfig, snr: float) -> tuple:
+    tol = cfg.quadrature_tol_bits
+    es = cfg.symbol_energy
+    bpsk = mi_bpsk(snr, es, tol=tol).value
+    qpsk = mi_qpsk(snr, es, tol=tol).value
+    axis, joint = (r.value for r in mi_axis_and_joint(snr, es, tol=tol))
+    composite = bpsk + axis
+    return (snr, bpsk, qpsk, axis, composite, joint, composite - joint)
+
+
 def run_capacity(cfg: CapacityConfig):
     """MI curves on the grid: polarity/QPSK/axis/joint and the composite audit.
 
     The axis and joint columns share one quadrature of the four-point H(Y)
-    per grid point."""
-    rows = []
-    tol = cfg.quadrature_tol_bits
-    es = cfg.symbol_energy
-    for snr in cfg.snr_grid_db:
-        bpsk = mi_bpsk(snr, es, tol=tol).value
-        qpsk = mi_qpsk(snr, es, tol=tol).value
-        axis, joint = (r.value for r in mi_axis_and_joint(snr, es, tol=tol))
-        composite = bpsk + axis
-        rows.append((snr, bpsk, qpsk, axis, composite, joint, composite - joint))
-    return rows
+    per grid point.
+
+    Grid points are independent, so they run on a thread pool of one worker
+    per usable CPU, at most one per point.  Threads pay because numpy releases
+    the interpreter lock inside the quadrature's ufuncs.  Workers pick up
+    points as they finish the last one, since a point at 256 nodes costs
+    several times one at 64.  The rows come back in grid order, and an error
+    is the first failing point's in grid order.  No bit of a row depends on
+    the worker count: ``mutual_info`` keeps no mutable module state,
+    shares only its read-only Gauss-Hermite tables across calls, and sets
+    its floating-point error state per call, which numpy keeps per thread.
+    """
+    point = functools.partial(_capacity_row, cfg)
+    workers = max(1, min(_usable_cpus(), len(cfg.snr_grid_db)))
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(point, cfg.snr_grid_db))
 
 
 def _capacity_metadata(cfg: CapacityConfig) -> list:

@@ -25,13 +25,19 @@ tensor grid is evaluated in blocks of whole rows of about
 ``_BLOCK_NODES`` nodes into one grid-sized array of log densities, whose
 weighted sum is still one ``np.sum`` over the grid: the working set is
 that array, the weights and one block, and no bit of a value depends on
-the block size.  Quadrature raises ``ValueError`` naming Es/N0 and sigma2
-when a squared distance overflows (noise variances near the float range).
+the block size.  Quadrature and Monte-Carlo sampling raise ``ValueError``
+naming Es/N0 and sigma2 when a squared distance overflows (noise variances
+near the float range).
 :func:`mi_axis_and_joint` gives the axis and joint four-point values from
 one quadrature of the four-point H(Y), which both subtract from;
 :func:`mi_axis` by quadrature is its first value, and
 :func:`mi_joint_4point` equals its second bit for bit.
 MI values and entropies are never cached: asking twice integrates twice.
+
+The functions are safe to call from several threads at once, and a value
+does not depend on what other threads compute: the module keeps no
+mutable state, the cached ``_gauss_hermite`` arrays are read-only, and
+each call sets its own ``np.errstate``, which numpy keeps per thread.
 
 The composite rate of the two-stream scheme is the polarity-stream term
 (:func:`mi_bpsk`) plus the axis-stream term (:func:`mi_axis`).  The axis
@@ -186,8 +192,7 @@ def _entropy(points: np.ndarray, sigma2: float, nodes: int) -> float:
         for xk in points:
             acc += pk * float(weigh(xk))
     if not math.isfinite(acc):
-        raise ValueError(f"quadrature cannot integrate the mixture at {_where(points, sigma2)}: "
-                         f"a squared distance to a point overflows")
+        raise _overflow("quadrature", points, sigma2)
     return -acc / norm / LN2
 
 
@@ -209,6 +214,13 @@ def _where(points: np.ndarray, sigma2: float) -> str:
     """The operating point of a quadrature, for its error messages."""
     es_n0_db = 10.0 * math.log10(float(np.mean(np.abs(points) ** 2)) / (2.0 * sigma2))
     return f"Es/N0 = {es_n0_db:.4g} dB (sigma2 = {sigma2:.3g})"
+
+
+def _overflow(method: str, points: np.ndarray, sigma2: float) -> ValueError:
+    """The error of a ``method`` whose mixture went non-finite because a
+    squared distance overflowed."""
+    return ValueError(f"{method} cannot integrate the mixture at {_where(points, sigma2)}: "
+                      f"a squared distance to a point overflows")
 
 
 def _mixture_entropy(points, sigma2, tol: float):
@@ -244,9 +256,13 @@ def _mc_draw(points, sigma2: float, samples: int, seed: int):
     return idx, x + noise[0::2] + 1j * noise[1::2]
 
 
-def _mc_result(log_ratio: np.ndarray, size: int) -> MiResult:
+def _mc_result(log_ratio: np.ndarray, size: int, points: np.ndarray,
+               sigma2: float) -> MiResult:
     """Mean of per-sample log-likelihood ratios (nats) with a 95% half-width,
-    for ``size`` equally likely inputs."""
+    for ``size`` equally likely inputs.  A ratio that is not finite comes
+    from a squared distance to one of ``points`` that overflowed."""
+    if not np.isfinite(log_ratio).all():
+        raise _overflow("Monte-Carlo sampling", points, sigma2)
     samples = log_ratio / LN2
     half = 1.96 * float(np.std(samples, ddof=1)) / math.sqrt(samples.size)
     return MiResult(value=_clamp(np.mean(samples), size), method="monte_carlo",
@@ -278,11 +294,13 @@ def mi_awgn(inp: Constellation, sigma2: float, method: str = "quadrature", *,
     if method == "quadrature":
         return _quad_joint(_mixture_entropy(pts, sigma2, tol), pts, sigma2, tol)
     idx, y = _mc_draw(pts, sigma2, mc_samples, seed)
-    log_cond = (
-        -np.abs(y - pts[idx]) ** 2 / (2.0 * sigma2)
-        - 0.5 * _dim(pts) * math.log(2.0 * math.pi * sigma2)
-    )
-    return _mc_result(log_cond - _log_mixture(y, pts, sigma2), pts.size)
+    with np.errstate(over="ignore", invalid="ignore"):  # _mc_result checks
+        log_cond = (
+            -np.abs(y - pts[idx]) ** 2 / (2.0 * sigma2)
+            - 0.5 * _dim(pts) * math.log(2.0 * math.pi * sigma2)
+        )
+        log_ratio = log_cond - _log_mixture(y, pts, sigma2)
+    return _mc_result(log_ratio, pts.size, pts, sigma2)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +334,9 @@ def mi_axis(es_n0_db: float, es: float = 1.0, *, method: str = "quadrature",
     for lab in (0, 1):
         rows = b == lab
         log_cond[rows] = _log_mixture(y[rows], c.points[labels == lab], sigma2)
-    return _mc_result(log_cond - _log_mixture(y, c.points, sigma2), 2)
+    with np.errstate(invalid="ignore"):  # -inf - -inf; _mc_result checks
+        log_ratio = log_cond - _log_mixture(y, c.points, sigma2)
+    return _mc_result(log_ratio, 2, c.points, sigma2)
 
 
 def mi_joint_4point(es_n0_db: float, es: float = 1.0, **kw) -> MiResult:

@@ -16,6 +16,10 @@ waterfall point about 3-6 s on the same machine.
 import hashlib
 import importlib
 import io
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,6 +28,7 @@ from dmmsim import cli
 from dmmsim.config import CapacityConfig, SweepConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = PERFBENCH.parent / "src"
 FRAMES = 128  # two batches
 
 CASES = [
@@ -90,3 +95,16 @@ def test_sweep_workload_matches_golden_rows(perfbench, name):
     assert not rep.errors
     assert rep.body.splitlines()[1:] == golden["rows"]
     assert rep.digest == golden["body_sha256"]
+
+
+def test_setup_path_imports_no_cli_and_no_executor():
+    # the benchmark's cold set-up imports dmmsim and resolves builtin codes;
+    # the CLI and its executors load only when a verb runs, so setup_s
+    # does not pay for them
+    probe = ("import json, sys\n"
+             "import dmmsim\n"
+             "from dmmsim.builtin_codes import builtin_code\n"
+             "print(json.dumps([m in sys.modules for m in ('dmmsim.cli', 'concurrent.futures')]))")
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(SRC)},
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert json.loads(out.stdout) == [False, False]

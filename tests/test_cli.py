@@ -1,13 +1,20 @@
 import math
 import pickle
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from dmmsim import builtin_codes, cli, save_alist
+from dmmsim import builtin_codes, cli, mutual_info, save_alist
 from dmmsim.cli import fmt, main
-from dmmsim.config import ConfigError, SweepConfig, load_capacity_config, load_sweep_config
+from dmmsim.config import (
+    CapacityConfig,
+    ConfigError,
+    SweepConfig,
+    load_capacity_config,
+    load_sweep_config,
+)
 
 DATA = __file__.rsplit("/", 1)[0] + "/data"
 
@@ -394,18 +401,22 @@ def test_sweep_exits_1_on_overflowing_axis_llrs(tmp_path, capsys):
     assert err[-1].startswith("error: axis LLRs are not finite at sigma2 = 6.29e+307")
 
 
-def test_capacity_exits_1_on_overflowing_distances(tmp_path, capsys):
+def test_capacity_exits_1_on_overflowing_distances(tmp_path, capsys, monkeypatch):
     # -3079 dB is a valid grid value (sigma2 = 3.97e307), but the quadrature's
-    # squared distances overflow there: one error line, no traceback, no warning
-    path = write(tmp_path, "c.cfg", CAPACITY_CFG.replace("-6 -3 0 3 6", "-3079"))
-    out = tmp_path / "out.csv"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["capacity", path, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        "error: quadrature cannot integrate the mixture at Es/N0 = -3079 dB "
-        "(sigma2 = 3.97e+307): a squared distance to a point overflows\n")
-    assert not out.exists()
+    # squared distances overflow there: one error line, no traceback, no
+    # warning.  On a pool of several workers the error is still the first
+    # failing point's in grid order, as from a serial loop.
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    for grid in ("-3079", "-6 -3079 0 -3080"):
+        path = write(tmp_path, "c.cfg", CAPACITY_CFG.replace("-6 -3 0 3 6", grid))
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["capacity", path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: quadrature cannot integrate the mixture at Es/N0 = -3079 dB "
+            "(sigma2 = 3.97e+307): a squared distance to a point overflows\n")
+        assert not out.exists()
 
 
 def test_sweep_rows_and_columns(sweep_csv):
@@ -501,6 +512,23 @@ def test_capacity_axis_bounded_by_joint(capacity_csv):
     for r in lines[1:]:
         vals = list(map(float, r.split(",")))
         assert vals[3] <= vals[5] + 3e-6
+
+
+def test_capacity_worker_count_changes_no_bit(monkeypatch):
+    # one worker against more workers than cores, racing to build the
+    # Gauss-Hermite tables, and switching threads often
+    cfg = CapacityConfig(snr_grid_db=tuple(float(s) for s in range(-10, 11)))
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    serial = cli.run_capacity(cfg)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    mutual_info._gauss_hermite.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        pooled = cli.run_capacity(cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(np.array(pooled).view(np.int64), np.array(serial).view(np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 import warnings
@@ -464,15 +465,18 @@ def test_clamp_rejects_nonfinite():
 
 def test_quadrature_refuses_overflowing_distances():
     # at -3079 dB (sigma2 = 3.97e307) a squared distance to a point
-    # overflows: every curve names the operating point, without a warning
+    # overflows: every curve names the operating point, without a warning,
+    # by quadrature and by Monte-Carlo sampling
     curves = (mi_bpsk, mi_qpsk, mi_axis, mi_joint_4point, mi_axis_and_joint)
+    sampled = [functools.partial(f, method="monte_carlo", mc_samples=2000)
+               for f in curves[:4]]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for f in curves:
+        for f in (*curves, *sampled):
             with pytest.raises(ValueError, match=r"Es/N0 = -3079 dB \(sigma2 = 3\.97e\+307\): "
                                                  r"a squared distance to a point overflows"):
                 f(-3079.0)
-        assert [f(-3000.0).value for f in curves[:4]] == [0.0] * 4
+        assert [f(-3000.0).value for f in (*curves[:4], *sampled)] == [0.0] * 8
 
 
 def test_est_error_is_python_float():
