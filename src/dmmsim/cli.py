@@ -31,6 +31,7 @@ import time
 import numpy as np
 
 from . import __version__ as _version
+from . import receiver
 from .builtin_codes import resolve_code
 from .channel import GAUSSIAN_METHOD
 from .config import (
@@ -42,7 +43,6 @@ from .config import (
 )
 from .linear_code import AlistFormatError, extend_repetition, load_alist
 from .mutual_info import mi_axis_and_joint, mi_bpsk, mi_qpsk
-from .receiver import run_point
 
 ENV_PREFIX = "DMMSIM_"
 
@@ -121,7 +121,7 @@ def _sweep_codes(cfg: SweepConfig):
 
 
 def _sweep_one(cfg: SweepConfig, code1, code2, snr_db: float):
-    res = run_point(
+    res = receiver.run_point(
         cfg.scheme, code1, code2,
         snr_db=snr_db,
         snr_convention=cfg.snr_convention,
@@ -159,14 +159,21 @@ def _pool_worker(job):
 def run_sweep(cfg: SweepConfig, threads: int = 1):
     """All grid points of a sweep, in grid order.  Returns (rows, walltimes).
 
-    A pool job is the config and one grid value, not the codes (5 MB at
-    n = 2048): a worker resolves them through the code caches, which a
-    forked worker inherits warm from the resolution here."""
+    ``threads`` > 1 runs the grid points on a process pool of at most one
+    worker per point.  A pool job is the config and one grid value, not the
+    codes (1.2 MB at n = 2048): a worker resolves them through the code
+    caches, which a forked worker inherits warm from the resolution here.
+    A point decodes its batches on one thread per usable CPU; in a pool of
+    N workers each decodes on its share, usable CPUs // N (at least one),
+    so the workers do not oversubscribe the CPUs."""
     code1, code2 = _sweep_codes(cfg)
     workers = min(threads, len(cfg.snr_grid_db))
     if workers > 1:
         jobs = [(cfg, snr) for snr in cfg.snr_grid_db]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        share = max(1, receiver._usable_cpus() // workers)
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers, initializer=receiver._share_cpus,
+                initargs=(share,)) as pool:
             results = list(pool.map(_pool_worker, jobs))
     else:
         results = [_sweep_one(cfg, code1, code2, snr) for snr in cfg.snr_grid_db]
@@ -200,14 +207,6 @@ def _sweep_metadata(cfg: SweepConfig, seed, threads) -> list:
 # capacity
 # ---------------------------------------------------------------------------
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one, else the machine's CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _capacity_row(cfg: CapacityConfig, snr: float) -> tuple:
     tol = cfg.quadrature_tol_bits
     es = cfg.symbol_energy
@@ -235,7 +234,7 @@ def run_capacity(cfg: CapacityConfig):
     its floating-point error state per call, which numpy keeps per thread.
     """
     point = functools.partial(_capacity_row, cfg)
-    workers = max(1, min(_usable_cpus(), len(cfg.snr_grid_db)))
+    workers = max(1, min(receiver._usable_cpus(), len(cfg.snr_grid_db)))
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(point, cfg.snr_grid_db))
 

@@ -174,6 +174,16 @@ class _BpGraph:
         self.slot_of_var = np.full(dv * n, dc * m, dtype=np.intp)
         self.slot_of_var[(edge - (np.cumsum(deg_v) - deg_v)[v]) * n + v] = slot[by_var]
 
+    def dense(self) -> np.ndarray:
+        """The m x n uint8 0/1 parity-check matrix: a 1 at each real slot's
+        (check, variable)."""
+        dc, m = self.check_shape
+        checks = np.tile(np.arange(m), dc)  # slot j * m + i is on check i
+        real = slice(None) if self.pad_slots is None else ~self.pad_slots
+        h = np.zeros((m, self.var_shape[1]), dtype=np.uint8)
+        h[checks[real], self.var_of_slot[real]] = 1
+        return h
+
     def annihilates(self, generator: np.ndarray) -> bool:
         """Whether every row of ``generator`` satisfies every check (G H^T = 0).
 
@@ -187,7 +197,7 @@ class _BpGraph:
         return not np.bitwise_xor.reduce(at_slot.reshape(*self.check_shape, -1), axis=0).any()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BinaryCode:
     """A binary linear block code defined by its parity-check matrix.
 
@@ -198,17 +208,19 @@ class BinaryCode:
     its row of the reduced H determines.  Raises RankDeficiencyError when
     the rows of H are dependent.  ``encode`` reads the generator from its
     4-bit table (see ``_nibble_table``), built here once.
+
+    A code keeps neither matrix dense (4 MiB of bytes at n = 2048):
+    ``parity`` is rebuilt from the BP graph's edges and ``generator`` from
+    the encode table, on each access.
     """
 
-    parity: np.ndarray
-    name: str = ""
-    generator: np.ndarray = field(init=False)
-    info_positions: np.ndarray = field(init=False)
-    _graph: _BpGraph = field(init=False, repr=False, compare=False)
-    _encode_table: np.ndarray = field(init=False, repr=False, compare=False)
+    name: str
+    info_positions: np.ndarray
+    _graph: _BpGraph = field(repr=False, compare=False)
+    _encode_table: np.ndarray = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        h = np.ascontiguousarray(np.asarray(self.parity, dtype=np.uint8) & 1)
+    def __init__(self, parity: np.ndarray, name: str = ""):
+        h = np.ascontiguousarray(np.asarray(parity, dtype=np.uint8) & 1)
         m, n = h.shape
         if not 0 < m < n:
             raise ValueError(f"parity must be m x n with 0 < m < n, got {h.shape}")
@@ -224,24 +236,35 @@ class BinaryCode:
         g_cols = np.zeros((n, free.size), dtype=np.uint8)
         g_cols[free, np.arange(free.size)] = 1
         g_cols[pivots] = rref[:, free]
-        g = np.ascontiguousarray(g_cols.T)
         graph = _BpGraph(h)
         # a safety check on gf2_rref: every derived generator row satisfies H
         if not graph.annihilates(g_cols.T):
             raise ValueError("generator and parity are inconsistent: G H^T != 0")
-        object.__setattr__(self, "parity", h)
-        object.__setattr__(self, "generator", g)
+        object.__setattr__(self, "name", name)
         object.__setattr__(self, "info_positions", free)
         object.__setattr__(self, "_graph", graph)
-        object.__setattr__(self, "_encode_table", _nibble_table(g))
+        object.__setattr__(self, "_encode_table", _nibble_table(g_cols.T))
+
+    @property
+    def parity(self) -> np.ndarray:
+        """The m x n uint8 0/1 parity-check matrix, a new array each time."""
+        return self._graph.dense()
+
+    @property
+    def generator(self) -> np.ndarray:
+        """The k x n uint8 0/1 generator, a new array each time: row 4i + j
+        is entry [i, 1 << j] of the encode table."""
+        table = self._encode_table
+        rows = table[:, [1 << j for j in range(4)]].reshape(-1, table.shape[2])
+        return _unpack_rows(rows[:self.k], self.n)
 
     @property
     def k(self) -> int:
-        return self.generator.shape[0]
+        return self.info_positions.size
 
     @property
     def n(self) -> int:
-        return self.generator.shape[1]
+        return self._graph.var_shape[1]
 
     @property
     def rate(self) -> float:

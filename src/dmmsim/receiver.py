@@ -49,11 +49,23 @@ uncoded blocks.  The bound keeps one batch's BP message arrays within a
 core's L2 cache: at n = 2048 a 64-frame array is 3 MiB, and sum-product took
 ~75 us per frame and iteration on 16-frame batches against ~100 us on
 64-frame ones (2-vCPU Xeon, 2 MiB L2 per core).
+
+A point's batches run on one thread per usable CPU (:func:`_usable_cpus`,
+the rule ``cli.run_capacity`` also reads; in a worker of ``sweep
+--threads N``'s process pool, that worker's share of it).  The calling
+thread decodes the first batch of each group of that many consecutive
+batches and a pool thread each of the others, so at most that many
+batches are in flight; numpy releases the interpreter lock inside BP's
+ufuncs, so they overlap.  The stop rule reads the results in frame order,
+and a batch in flight past the stopping frame is discarded, its result or
+error unread, so a point's result does not depend on the thread count.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 import time
 from dataclasses import dataclass
 
@@ -84,6 +96,27 @@ SCHEMES = tuple(SCHEME_CODES)
 _BATCH_FRAMES = 64
 _BATCH_SYMBOLS = 1 << 15
 MAX_FRAMES = 2**32  # a frame index is one 32-bit SeedSequence spawn-key word
+
+#: the threads :func:`run_point` decodes on in a worker process of a sweep's
+#: process pool, set there by :func:`_share_cpus`; None (every usable CPU)
+#: elsewhere
+_cpu_share = None
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's CPU count.  :func:`run_point` and
+    ``cli.run_capacity`` size their thread pools by it."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _share_cpus(share: int) -> None:
+    """Process-pool initializer: this worker decodes a point on ``share``
+    threads, its part of the usable CPUs."""
+    global _cpu_share
+    _cpu_share = share
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +248,9 @@ def run_point(scheme: str, code1=None, code2=None, *, snr_db: float,
     error or ``max_frames`` frames have been simulated, whichever is first.
 
     The result is fully determined by the arguments; batch size and worker
-    scheduling cannot change it.
+    scheduling cannot change it.  The batches run on one thread per usable
+    CPU (:func:`_in_frame_order`), and the stop rule reads them in frame
+    order.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
@@ -247,25 +282,32 @@ def run_point(scheme: str, code1=None, code2=None, *, snr_db: float,
     es_n0_db, sigma2 = _resolve_point(snr_db, snr_convention, es, rate1, rate_overall)
     cfg = ChannelConfig(sigma2=sigma2, seed=seed, es=es)
 
+    def receive(idx):
+        # frames, noise and LLRs go with their batch
+        return _receive_batch(polarity_code, axis_code, cfg, *_frame_batch(cfg, idx, n_sym, ks),
+                              max_iter, genie=(scheme == "dmm_genie"))[:3]
+
+    from concurrent.futures import ThreadPoolExecutor  # loaded when a point runs
+
     t0 = time.perf_counter()
     frames = fe = errors1 = errors2 = beta_errors = 0
     stop_reason = "max_frames"
 
-    for idx in _batches(max_frames, n_sym):
-        # frames, noise and LLRs go with their batch
-        e1, e2, berr = _receive_batch(polarity_code, axis_code, cfg,
-                                      *_frame_batch(cfg, idx, n_sym, ks), max_iter,
-                                      genie=(scheme == "dmm_genie"))[:3]
-        bflags = (e1 + e2) > 0
-        take, reason = _accumulate(min_frame_errors, max_frames, frames, fe, bflags)
-        frames += take
-        fe += int(np.sum(bflags[:take]))
-        errors1 += int(np.sum(e1[:take]))
-        errors2 += int(np.sum(e2[:take]))
-        beta_errors += int(np.sum(berr[:take]))
-        if reason is not None:
-            stop_reason = reason
-            break
+    workers = _cpu_share or _usable_cpus()
+    # a pool starts its threads on submit, so one worker starts none
+    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
+        for e1, e2, berr in _in_frame_order(pool, receive, _batches(max_frames, n_sym),
+                                            workers):
+            bflags = (e1 + e2) > 0
+            take, reason = _accumulate(min_frame_errors, max_frames, frames, fe, bflags)
+            frames += take
+            fe += int(np.sum(bflags[:take]))
+            errors1 += int(np.sum(e1[:take]))
+            errors2 += int(np.sum(e2[:take]))
+            beta_errors += int(np.sum(berr[:take]))
+            if reason is not None:
+                stop_reason = reason
+                break
 
     return SimResult(
         scheme=scheme,
@@ -334,6 +376,24 @@ def _frame_batch(cfg, indices, n, ks):
     return words, noise
 
 
+def _in_frame_order(pool, work, batches, workers):
+    """``work(batch)`` for each of ``batches``, yielded in batch order.
+
+    The batches run in groups of ``workers``: the calling thread works the
+    first batch of a group and ``pool`` the others, so at most ``workers``
+    batches hold their arrays at a time, and the next group starts when the
+    caller has taken this one's results.  A caller that stops early leaves
+    the rest of the group to finish unread, results and exceptions alike;
+    an exception it takes is that of the first failing batch it reads, as
+    in a serial loop.
+    """
+    while group := list(itertools.islice(batches, workers)):
+        rest = [pool.submit(work, batch) for batch in group[1:]]
+        yield work(group[0])
+        for future in rest:
+            yield future.result()
+
+
 def _batches(count, n):
     """Frame indices 0..count-1 in arrays of up to ``_BATCH_FRAMES`` frames
     and ``_BATCH_SYMBOLS`` symbols of length-``n`` frames (at least one)."""
@@ -349,13 +409,16 @@ def _receive_batch(code1, code2, cfg, words, noise, max_iter, genie: bool):
     Without ``code2`` there is no axis stream: every symbol stays on the real
     axis (``bpsk_baseline``).  Without ``code1`` the polarity bits are sent
     uncoded and decided by the sign of their LLR (``uncoded``).
+    The batch consumes ``noise``: the received symbols are built in its
+    array (``noise + x`` is ``x + noise`` bit for bit: an IEEE sum commutes).
     Returns per-frame (stream-1 bit errors, stream-2 bit errors, rotation
     errors) and the (B, n) stream-1 LLRs.
     """
     c1 = words[0]
     v1 = c1 if code1 is None else linear_code.encode(code1, c1)
     v2 = v2_hat = 0 if code2 is None else linear_code.encode(code2, words[1])
-    y = modem.dmm_map(v1, v2, cfg.es) + noise
+    y = noise
+    y += modem.dmm_map(v1, v2, cfg.es)
 
     errors2 = beta_errors = np.zeros(len(noise), dtype=np.int64)
     if code2 is not None:
@@ -406,10 +469,11 @@ def paired_genie_vs_bpsk(code1, code2, cfg: ChannelConfig, frames: int,
     for idx in _batches(frames, code1.n):
         words, noise = _frame_batch(cfg, idx, code1.n, (code1.k, code2.k))
         beta = modem.beta_from_bits(linear_code.encode(code2, words[1]))
+        derotated = modem.rotate(noise, -beta)  # before the genie side consumes noise
         e_genie, _, _, llr_genie = _receive_batch(code1, code2, cfg, words, noise, max_iter,
                                                   genie=True)
-        e_bpsk, _, _, llr_bpsk = _receive_batch(code1, None, cfg, words[:1],
-                                                modem.rotate(noise, -beta), max_iter, genie=False)
+        e_bpsk, _, _, llr_bpsk = _receive_batch(code1, None, cfg, words[:1], derotated,
+                                                max_iter, genie=False)
         parts.append((llr_genie, llr_bpsk, e_genie, e_bpsk))
     return PairedRun(*(np.concatenate(field) for field in zip(*parts)))
 

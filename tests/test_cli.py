@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dmmsim import builtin_codes, cli, mutual_info, save_alist
+from dmmsim import builtin_codes, cli, mutual_info, receiver, save_alist
 from dmmsim.cli import fmt, main
 from dmmsim.config import (
     CapacityConfig,
@@ -292,7 +292,7 @@ def test_sweep_thread_count_invariance(sweep_csv, tmp_path):
 
 
 def test_sweep_pool_jobs_carry_no_codes(monkeypatch):
-    # a pool job is the config and one grid value; the codes (5 MB pickled at
+    # a pool job is the config and one grid value; the codes (1.2 MB pickled at
     # n = 2048) reach a worker through its code caches, not through each job
     cfg = SweepConfig(scheme="dmm_realistic", snr_grid_db=(-1.3, -1.0),
                       code1="ldpc_r12_n2048", code2="ldpc_r14_n512", code2_repeat=4,
@@ -302,8 +302,9 @@ def test_sweep_pool_jobs_carry_no_codes(monkeypatch):
     class InlinePool:
         """The executor's job traffic, pickled both ways, in this process."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             assert max_workers == 2
+            payloads.append(pickle.dumps((initializer, initargs)))
 
         def __enter__(self):
             return self
@@ -319,7 +320,7 @@ def test_sweep_pool_jobs_carry_no_codes(monkeypatch):
 
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlinePool)
     pooled, _ = cli.run_sweep(cfg, threads=2)
-    assert len(payloads) == 2 and max(map(len, payloads)) < 4096
+    assert len(payloads) == 3 and max(map(len, payloads)) < 4096
     serial, _ = cli.run_sweep(cfg, threads=1)
     assert [list(map(fmt, row)) for row in pooled] == [list(map(fmt, row)) for row in serial]
 
@@ -333,7 +334,7 @@ def test_sweep_pool_no_larger_than_grid(monkeypatch, threads, grid, pools):
     sizes = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -351,6 +352,24 @@ def test_sweep_pool_no_larger_than_grid(monkeypatch, threads, grid, pools):
     rows, _ = cli.run_sweep(cfg, threads=threads)
     assert sizes == pools
     assert rows == [(snr,) for snr in grid]
+
+
+@pytest.mark.parametrize("cpus,threads,grid,share", [
+    (4, 2, (1.0, 2.0), 2), (5, 2, (1.0, 2.0), 2), (4, 8, (1.0, 2.0, 3.0), 1),
+    (1, 2, (1.0, 2.0), 1),
+], ids=["4 cpus 2 workers", "5 cpus 2 workers", "4 cpus 3 workers", "1 cpu 2 workers"])
+def test_sweep_workers_decode_on_their_share_of_the_cpus(monkeypatch, cpus, threads, grid,
+                                                         share):
+    # each worker process of a sweep's pool decodes its points on usable
+    # CPUs // workers threads, so the pool does not oversubscribe the CPUs;
+    # the parent keeps every usable CPU.  The forked workers inherit the
+    # patched functions and report the share their initializer set.
+    monkeypatch.setattr(receiver, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "_sweep_one",
+                        lambda cfg, code1, code2, snr: ((snr, receiver._cpu_share), 0.0))
+    rows, _ = cli.run_sweep(SweepConfig(scheme="uncoded", snr_grid_db=grid), threads=threads)
+    assert rows == [(snr, share) for snr in grid]
+    assert receiver._cpu_share is None
 
 
 @pytest.mark.parametrize("verb", ["sweep", "capacity"])
@@ -406,7 +425,7 @@ def test_capacity_exits_1_on_overflowing_distances(tmp_path, capsys, monkeypatch
     # squared distances overflow there: one error line, no traceback, no
     # warning.  On a pool of several workers the error is still the first
     # failing point's in grid order, as from a serial loop.
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(receiver, "_usable_cpus", lambda: 4)
     for grid in ("-3079", "-6 -3079 0 -3080"):
         path = write(tmp_path, "c.cfg", CAPACITY_CFG.replace("-6 -3 0 3 6", grid))
         out = tmp_path / "out.csv"
@@ -518,9 +537,9 @@ def test_capacity_worker_count_changes_no_bit(monkeypatch):
     # one worker against more workers than cores, racing to build the
     # Gauss-Hermite tables, and switching threads often
     cfg = CapacityConfig(snr_grid_db=tuple(float(s) for s in range(-10, 11)))
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(receiver, "_usable_cpus", lambda: 1)
     serial = cli.run_capacity(cfg)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(receiver, "_usable_cpus", lambda: 4)
     mutual_info._gauss_hermite.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)

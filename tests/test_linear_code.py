@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import math
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -187,6 +188,20 @@ def test_builtin_code_arrays_unchanged(name):
     got = tuple(_digest(getattr(code, f)) for f in ("generator", "parity", "info_positions"))
     assert got == BUILTIN_DIGESTS[name]
     assert code.generator.flags.c_contiguous
+
+
+def test_code_keeps_no_dense_matrix():
+    # ldpc_r12_n2048 keeps its encode table (1 MiB) and BP graph (0.1 MB),
+    # not its dense H and G (4 MiB of bytes), which it rebuilds on access
+    path = resources.files("dmmsim").joinpath("codes", "ldpc_r12_n2048.alist")
+    tracemalloc.start()
+    try:
+        code = load_alist(path)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 1.5e6
+    assert code.parity.shape == (1024, 2048) and code.generator.shape == (1024, 2048)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from dmmsim import (
     snr_at_ber,
     wilson_interval,
 )
-from dmmsim.channel import block_rng, snr_to_sigma2
+from dmmsim.channel import block_rng, frame_keys, snr_to_sigma2
 
 from oracles import (
     bpsk_ber_theory,
@@ -320,6 +322,90 @@ def test_run_point_equal_at_any_frames_per_batch(monkeypatch):
     want = dataclasses.replace(results[0], wall_time_s=0.0)
     for res in results[1:]:
         assert dataclasses.replace(res, wall_time_s=0.0) == want
+
+
+#: (scheme, seed, min_frame_errors, snr_db): at 3 frames per batch the stop
+#: fires inside a batch, one that is not the last of its group of 4 in flight
+THREADED_POINTS = [("dmm_realistic", 0, 4, -1.5), ("dmm_genie", 0, 4, -1.5),
+                   ("bpsk_baseline", 0, 4, -1.5), ("uncoded", 0, 2, -1.0)]
+
+
+@pytest.mark.parametrize("scheme,seed,min_frame_errors,snr_db", THREADED_POINTS)
+def test_run_point_equal_on_any_thread_count(dmm_pair, monkeypatch, scheme, seed,
+                                             min_frame_errors, snr_db):
+    # the batches of a point run on 1, 2 and 4 threads (4 on a shortened
+    # switch interval), and on 1 in a sweep pool worker whose share of 4
+    # CPUs is 1; the stop rule reads them in frame order and drops the
+    # batches in flight past the stopping frame, so every field but the
+    # wall time is the serial result, and the pool's threads are gone after
+    code1, code2 = dmm_pair
+    monkeypatch.setattr(receiver_mod, "_BATCH_FRAMES", 3)
+    frame_batch, drawn = receiver_mod._frame_batch, []
+
+    def recording_frame_batch(cfg, indices, n, ks):
+        drawn.append((int(indices[0]), threading.get_ident()))
+        return frame_batch(cfg, indices, n, ks)
+
+    monkeypatch.setattr(receiver_mod, "_frame_batch", recording_frame_batch)
+    kwargs = dict(snr_db=snr_db, seed=seed, min_frame_errors=min_frame_errors,
+                  max_frames=200, uncoded_block_bits=256)
+    results, threads_before = [], threading.active_count()
+    for cpus, share in ((1, None), (2, None), (4, None), (4, 1)):
+        monkeypatch.setattr(receiver_mod, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(receiver_mod, "_cpu_share", share)
+        threads = share or cpus
+        drawn.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5 if threads == 4 else interval)
+        try:
+            res = run_point(scheme, code1, code2, **kwargs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads_before
+        results.append(dataclasses.replace(res, wall_time_s=0.0))
+        batch = (res.frames - 1) // 3
+        last_in_flight = batch - batch % threads + threads - 1
+        assert sorted(first for first, _ in drawn) == [3 * b for b in range(last_in_flight + 1)]
+        # a pool thread left idle takes the next batch, so threads may repeat
+        assert min(threads, 2) <= len({ident for _, ident in drawn}) <= threads
+    stop = results[0]
+    assert stop.stop_reason == "min_frame_errors" and stop.frame_errors == min_frame_errors
+    assert stop.frames % 3 and (stop.frames - 1) // 3 % 4 < 3
+    assert all(res == stop for res in results)
+    if scheme == "dmm_realistic":
+        assert stop.beta_errors > 0
+
+
+def test_run_point_pool_batch_error_propagates(dmm_pair, monkeypatch):
+    # the integers guard fails on batch 3, which the pool decodes at 2 and 4
+    # threads: its error reaches the caller as from the serial loop, unless
+    # the stop rule fires first, when it is dropped with its batch
+    code1, _ = dmm_pair
+    monkeypatch.setattr(receiver_mod, "_BATCH_FRAMES", 3)
+    bad_key = frame_keys(5, [9])[0, receiver_mod.DATA_STREAM]
+
+    class FailingIntegers(np.random.Generator):
+        def integers(self, low, high=None, size=None, dtype=np.int64, endpoint=False):
+            bits = super().integers(low, high, size, dtype, endpoint)
+            if np.array_equal(self.bit_generator.state["state"]["key"], bad_key):
+                return 1 - bits
+            return bits
+
+    kwargs = dict(snr_db=-1.5, seed=5, max_frames=200)
+    monkeypatch.setattr(receiver_mod, "_usable_cpus", lambda: 1)
+    serial = run_point("bpsk_baseline", code1, min_frame_errors=1, **kwargs)
+    assert serial.frames <= 9  # the frame-error stop fires before batch 3
+    monkeypatch.setattr(np.random, "Generator", FailingIntegers)
+    threads_before = threading.active_count()
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr(receiver_mod, "_usable_cpus", lambda: cpus)
+        with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
+            run_point("bpsk_baseline", code1, min_frame_errors=10**9, **kwargs)
+        assert threading.active_count() == threads_before
+        res = run_point("bpsk_baseline", code1, min_frame_errors=1, **kwargs)
+        assert dataclasses.replace(res, wall_time_s=0.0) == dataclasses.replace(
+            serial, wall_time_s=0.0)
+        assert threading.active_count() == threads_before
 
 
 def test_run_point_deterministic(dmm_pair):
