@@ -19,15 +19,17 @@ The BP decoder keeps its messages slot-major in a fixed-degree layout: a
 batch of check-side messages is a (B, dc, m) array, slot j of every check
 together, and the variable side a (B, dv, n) array, dc and dv the largest
 check and variable degrees.  The short degree axis sits before the long
-check or variable axis, so every sum, product and broadcast over a check's
-edges is a handful of long contiguous array operations.  Codes with more
-than one degree are padded after the real edges of each check or variable
-with neutral entries (log-magnitude 0, no zero, no sign on the check side,
-a 0.0 message on the variable side), so the same reductions serve every
-code.  The sums keep ``np.add.reduceat``'s association, so a regular code,
-or any code whose padded degrees are at most eight, decodes to the bits of
-an edge-list decoder with ``reduceat`` sums; wider padded checks or
-variables may round differently in the last bit.
+check or variable axis, so every sum, parity and broadcast over a check's
+edges is one or a few long array operations: a fold over the degree axis
+is one ``ufunc.reduce`` along axis 1, which numpy runs as long
+element-wise passes over the slots.  Codes with more than one degree are
+padded after the real edges of each check or variable with neutral
+entries (log-magnitude 0, no zero, no sign on the check side, a 0.0
+message on the variable side), so the same reductions serve every code.
+The sums keep ``np.add.reduceat``'s association, so a regular code, or any
+code whose padded degrees are at most eight, decodes to the bits of an
+edge-list decoder with ``reduceat`` sums; wider padded checks or variables
+may round differently in the last bit.
 
 Code objects are immutable after construction.  Decoding allocates its own
 message buffers per call, so codes can be shared freely across workers.
@@ -374,24 +376,15 @@ def encode(code, info: np.ndarray) -> np.ndarray:
 def _degree_sum(x: np.ndarray) -> np.ndarray:
     """Sum over axis 1, associated as ``np.add.reduceat`` does: the first
     term plus numpy's sum of the rest, which adds fewer than eight terms left
-    to right (spelled out below, one long array op per term) and more in its
-    pairwise order.  numpy sums pairwise only along a contiguous axis, so
-    the other widths sum a copy with the degree axis last."""
+    to right and more in its pairwise order.  Along the non-contiguous axis 1,
+    ``np.add.reduce`` adds left to right in one call, from the start value
+    -0.0: -0.0 + a is a to the bit, while numpy's default start +0.0 would
+    turn a sum of -0.0 terms into +0.0.  numpy sums pairwise only along a
+    contiguous axis, so the other widths sum a copy with the degree axis
+    last."""
     if 2 < x.shape[1] <= 8:
-        rest = x[:, 1] + x[:, 2]
-        for j in range(3, x.shape[1]):
-            rest += x[:, j]
-        return x[:, 0] + rest
+        return x[:, 0] + np.add.reduce(x[:, 1:], axis=1, initial=-0.0)
     return x[:, 0] + np.moveaxis(x[:, 1:], 1, -1).copy().sum(axis=-1)
-
-
-def _fold(ufunc, x: np.ndarray) -> np.ndarray:
-    """``ufunc`` chained in order along axis 1 (XOR for a parity), one long
-    array op per term."""
-    acc = x[:, 0].copy()
-    for j in range(1, x.shape[1]):
-        ufunc(acc, x[:, j], out=acc)
-    return acc
 
 
 def _bp_batch(graph: _BpGraph, llr: np.ndarray, max_iter: int):
@@ -403,10 +396,19 @@ def _bp_batch(graph: _BpGraph, llr: np.ndarray, max_iter: int):
     when its hard decision satisfies every check and its posterior carries
     any information at all; a total erasure therefore reports max-iter.
 
+    Each iteration is a fixed, short list of long array operations: every
+    fold over a degree axis is one ``ufunc.reduce``, ufuncs and array
+    methods are called directly rather than through numpy's module-level
+    wrappers (``np.clip``, ``np.take``, ``np.any``), and a row's hard bits
+    are written once, when it leaves the working set (at convergence or at
+    ``max_iter``).  numpy releases the interpreter lock inside each
+    call, so fewer and longer calls let batches on other threads overlap.
+
     Returns (hard codewords, converged flags, iteration counts).
     """
     b = llr.shape[0]
     slots = graph.var_of_slot.size
+    real_slots = None if graph.pad_slots is None else ~graph.pad_slots
 
     bits = np.zeros(llr.shape, dtype=np.uint8)
     converged = np.zeros(b, dtype=bool)
@@ -414,8 +416,9 @@ def _bp_batch(graph: _BpGraph, llr: np.ndarray, max_iter: int):
 
     # rows still iterating; converged rows are dropped from the working set
     rows = np.arange(b)
-    base = np.clip(llr, -LLR_MAX, LLR_MAX)
-    lq = np.clip(base[:, graph.var_of_slot], -LLR_MAX, LLR_MAX)
+    base = llr.clip(-LLR_MAX, LLR_MAX)
+    lq = base.take(graph.var_of_slot, axis=1)
+    lq.clip(-LLR_MAX, LLR_MAX, out=lq)
 
     for it in range(1, max_iter + 1):
         # check update on the (rows, dc, m) grid, in place where a message
@@ -424,16 +427,16 @@ def _bp_batch(graph: _BpGraph, llr: np.ndarray, max_iter: int):
         if graph.pad_slots is not None:
             t[:, graph.pad_slots] = 1.0  # log-magnitude 0, not zero, not negative
         t = t.reshape(-1, *graph.check_shape)
-        zero = t == 0.0
-        erasures = zero.any()  # exact-zero messages are rare; skip their bookkeeping
-        neg = t < 0.0  # each edge's sign; +-0.0 counts as non-negative
-        mag = np.abs(t, out=t)
-        if erasures:
+        neg = np.less(t, 0.0)  # each edge's sign; +-0.0 counts as non-negative
+        mag = np.absolute(t, out=t)
+        # exact-zero messages are rare; skip their bookkeeping
+        zero = None if np.minimum.reduce(mag, axis=None) else np.equal(mag, 0.0)
+        if zero is not None:
             mag = np.where(zero, 1.0, mag)
         log_abs = np.log(mag, out=mag)
         ext = np.exp(np.subtract(_degree_sum(log_abs)[:, None], log_abs, out=log_abs),
                      out=log_abs)
-        if erasures:  # another edge of the check is an erasure
+        if zero is not None:  # another edge of the check is an erasure
             ext = np.where(np.count_nonzero(zero, axis=1)[:, None] > zero, 0.0, ext)
         # the sign of the check's other edges: the parity of the check's
         # negative edges XOR the edge's own, one byte per edge.  It is applied
@@ -441,9 +444,9 @@ def _bp_batch(graph: _BpGraph, llr: np.ndarray, max_iter: int):
         # np.where or where= took ~45x as long on random masks.  The +-1
         # factors stay int8, which the multiply casts in buffered chunks, so
         # no edge-sized float array is allocated for them.
-        neg ^= _fold(np.bitwise_xor, neg)[:, None]
+        neg ^= np.bitwise_xor.reduce(neg, axis=1)[:, None]
         ext *= 1 - 2 * neg.view(np.int8)
-        ext = np.arctanh(np.clip(ext, -_TANH_CAP, _TANH_CAP, out=ext), out=ext)
+        ext = np.arctanh(ext.clip(-_TANH_CAP, _TANH_CAP, out=ext), out=ext)
         # one trailing 0.0 column: the message of every padded variable slot
         lr = np.empty((rows.size, slots + 1))
         lr[:, slots] = 0.0
@@ -452,23 +455,28 @@ def _bp_batch(graph: _BpGraph, llr: np.ndarray, max_iter: int):
         # variable update and posterior; the syndrome reads the posterior
         # gathered to the check slots
         post = base + _degree_sum(
-            np.take(lr, graph.slot_of_var, axis=1).reshape(-1, *graph.var_shape))
-        lq = np.take(post, graph.var_of_slot, axis=1)
-        on_check = lq < 0
-        if graph.pad_slots is not None:
-            on_check &= ~graph.pad_slots
-        syndrome = _fold(np.bitwise_xor, on_check.reshape(-1, *graph.check_shape))
-        ok = ~np.any(syndrome, axis=1) & np.any(post != 0.0, axis=1)
+            lr.take(graph.slot_of_var, axis=1).reshape(-1, *graph.var_shape))
+        lq = post.take(graph.var_of_slot, axis=1)
+        on_check = np.less(lq, 0.0)
+        if real_slots is not None:
+            on_check &= real_slots
+        unsatisfied = np.logical_or.reduce(
+            np.bitwise_xor.reduce(on_check.reshape(-1, *graph.check_shape), axis=1), axis=1)
+        # informative and not unsatisfied
+        ok = np.greater(np.logical_or.reduce(post, axis=1), unsatisfied)
         lq -= lr[:, :slots]
-        np.clip(lq, -LLR_MAX, LLR_MAX, out=lq)
+        lq.clip(-LLR_MAX, LLR_MAX, out=lq)
 
-        bits[rows] = post < 0
-        if np.any(ok):
+        if it == max_iter:
+            converged[rows[ok]] = True
+            bits[rows] = np.less(post, 0.0)
+        elif np.logical_or.reduce(ok):
             done = rows[ok]
+            bits[done] = np.less(post[ok], 0.0)
             iterations[done] = it
             converged[done] = True
             keep = ~ok
-            if not np.any(keep):
+            if not np.logical_or.reduce(keep):
                 break
             rows = rows[keep]
             base = base[keep]

@@ -53,19 +53,23 @@ core's L2 cache: at n = 2048 a 64-frame array is 3 MiB, and sum-product took
 A point's batches run on one thread per usable CPU (:func:`_usable_cpus`,
 the rule ``cli.run_capacity`` also reads; in a worker of ``sweep
 --threads N``'s process pool, that worker's share of it).  The calling
-thread decodes the first batch of each group of that many consecutive
-batches and a pool thread each of the others, so at most that many
-batches are in flight; numpy releases the interpreter lock inside BP's
-ufuncs, so they overlap.  The stop rule reads the results in frame order,
-and a batch in flight past the stopping frame is discarded, its result or
-error unread, so a point's result does not depend on the thread count.
+thread and each of the others take the next batch in frame order as soon as
+they are free, so a slow batch holds up only its own thread; a batch starts
+only within ``_WINDOW_PER_THREAD`` batches per thread of the next one the
+stop rule reads, and no more batches decode at once than there are threads.
+numpy releases the interpreter lock inside BP's ufuncs, so the threads
+overlap.  The stop rule reads the results in frame order; once it stops no
+batch starts, and a batch drawn past the stopping frame is discarded, its
+result or error unread, so a point's result does not depend on the thread
+count.
 """
 
 from __future__ import annotations
 
-import itertools
+import contextlib
 import math
 import os
+import threading
 import time
 from dataclasses import dataclass
 
@@ -96,6 +100,10 @@ SCHEMES = tuple(SCHEME_CODES)
 _BATCH_FRAMES = 64
 _BATCH_SYMBOLS = 1 << 15
 MAX_FRAMES = 2**32  # a frame index is one 32-bit SeedSequence spawn-key word
+
+#: how many batches past the next one the stop rule reads may be started,
+#: per decoding thread (:func:`_in_frame_order`)
+_WINDOW_PER_THREAD = 2
 
 #: the threads :func:`run_point` decodes on in a worker process of a sweep's
 #: process pool, set there by :func:`_share_cpus`; None (every usable CPU)
@@ -287,17 +295,15 @@ def run_point(scheme: str, code1=None, code2=None, *, snr_db: float,
         return _receive_batch(polarity_code, axis_code, cfg, *_frame_batch(cfg, idx, n_sym, ks),
                               max_iter, genie=(scheme == "dmm_genie"))[:3]
 
-    from concurrent.futures import ThreadPoolExecutor  # loaded when a point runs
-
     t0 = time.perf_counter()
     frames = fe = errors1 = errors2 = beta_errors = 0
     stop_reason = "max_frames"
 
     workers = _cpu_share or _usable_cpus()
-    # a pool starts its threads on submit, so one worker starts none
-    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
-        for e1, e2, berr in _in_frame_order(pool, receive, _batches(max_frames, n_sym),
-                                            workers):
+    # closed on the stop, which ends the window's threads before run_point returns
+    with contextlib.closing(_in_frame_order(receive, _batches(max_frames, n_sym),
+                                            workers)) as results:
+        for e1, e2, berr in results:
             bflags = (e1 + e2) > 0
             take, reason = _accumulate(min_frame_errors, max_frames, frames, fe, bflags)
             frames += take
@@ -376,22 +382,91 @@ def _frame_batch(cfg, indices, n, ks):
     return words, noise
 
 
-def _in_frame_order(pool, work, batches, workers):
-    """``work(batch)`` for each of ``batches``, yielded in batch order.
+def _in_frame_order(work, batches, workers):
+    """``work(batch)`` for each of ``batches``, yielded in batch order, on
+    the calling thread and ``workers - 1`` threads of its own.
 
-    The batches run in groups of ``workers``: the calling thread works the
-    first batch of a group and ``pool`` the others, so at most ``workers``
-    batches hold their arrays at a time, and the next group starts when the
-    caller has taken this one's results.  A caller that stops early leaves
-    the rest of the group to finish unread, results and exceptions alike;
-    an exception it takes is that of the first failing batch it reads, as
-    in a serial loop.
+    Each thread takes the next batch in order as soon as it is free; the
+    caller takes batch 0 and, between batches, hands the stop rule every
+    result that is ready in order.  A batch may start only while it is fewer
+    than ``_WINDOW_PER_THREAD * workers`` batches past the next one to be
+    yielded, so at most ``workers`` batches hold their arrays at once and the
+    results waiting to be read stay few.  An exception a batch raises is
+    raised when that batch's turn comes, as in a serial loop.  Closing the
+    generator (``run_point`` does on its stop) starts no further batch,
+    waits for those in flight and discards them unread, results and
+    exceptions alike.
     """
-    while group := list(itertools.islice(batches, workers)):
-        rest = [pool.submit(work, batch) for batch in group[1:]]
-        yield work(group[0])
-        for future in rest:
-            yield future.result()
+    window = _WINDOW_PER_THREAD * workers
+    source = enumerate(batches)
+    cond = threading.Condition()
+    done = {}  # batch number -> (result, exception), until its turn is read
+    drawn = read = 0  # batches drawn from the source, and yielded
+    stopped = exhausted = False
+
+    def draw():
+        """Under ``cond``: the next (number, batch) if it may start, else None."""
+        nonlocal drawn, exhausted
+        if stopped or exhausted or drawn >= read + window:
+            return None
+        item = next(source, None)
+        if item is None:
+            exhausted = True
+        else:
+            drawn += 1
+        return item
+
+    def run(i, batch):
+        try:
+            out = work(batch), None
+        except Exception as exc:  # raised when batch i's turn comes
+            out = None, exc
+        with cond:
+            done[i] = out
+            cond.notify_all()
+
+    def take_batches():
+        while True:
+            with cond:
+                while (item := draw()) is None:
+                    if stopped or exhausted:
+                        return
+                    cond.wait()
+            run(*item)
+
+    item = draw()  # batch 0 is the caller's, drawn before another thread starts
+    threads = [threading.Thread(target=take_batches, name=f"dmmsim-batch-{j}")
+               for j in range(1, workers)]
+    try:
+        for thread in threads:
+            thread.start()
+        while True:
+            if item is not None:
+                run(*item)
+            with cond:
+                while read not in done:
+                    item = draw()
+                    if item is not None:
+                        break
+                    if exhausted and read == drawn:
+                        return
+                    cond.wait()
+                else:
+                    item = None
+                    result, exc = done.pop(read)
+                    read += 1
+                    cond.notify_all()  # the window moved on
+            if item is None:
+                if exc is not None:
+                    raise exc
+                yield result
+    finally:
+        with cond:
+            stopped = True
+            cond.notify_all()
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
 
 
 def _batches(count, n):

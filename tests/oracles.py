@@ -593,7 +593,8 @@ def log_mixture_last_axis_reference(y: np.ndarray, points: np.ndarray, probs: np
 # ---------------------------------------------------------------------------
 # The slot-major decoder before its check-side sign step became a bool
 # parity: each edge's sign as a copysign +-1.0, the check's product of signs
-# as a multiply fold.  The package's code, kept verbatim but for its name;
+# as a multiply fold.  The package's code, kept verbatim but for its name
+# and its degree-axis helpers, which are the last-axis references above;
 # the package must match it bit for bit.
 # ---------------------------------------------------------------------------
 
@@ -609,7 +610,14 @@ def bp_batch_copysign_reference(graph, llr: np.ndarray, max_iter: int):
     Returns (hard codewords, converged flags, iteration counts).
     """
     LLR_MAX, _TANH_CAP = linear_code.LLR_MAX, linear_code._TANH_CAP
-    _degree_sum, _fold = linear_code._degree_sum, linear_code._fold
+    # the package's degree-axis sum and fold of the time, spelled with the
+    # last-axis references on the degree axis moved last
+    def _degree_sum(x):
+        return degree_sum_last_axis_reference(np.ascontiguousarray(np.moveaxis(x, 1, -1)))
+
+    def _fold(ufunc, x):
+        return fold_last_axis_reference(ufunc, np.moveaxis(x, 1, -1))
+
     b = llr.shape[0]
     slots = graph.var_of_slot.size
 

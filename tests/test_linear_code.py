@@ -24,7 +24,7 @@ from dmmsim import (
     save_alist,
 )
 from dmmsim.builtin_codes import BUILTIN_CODE_NAMES
-from dmmsim.linear_code import LLR_MAX, _bp_batch, _degree_sum, _fold, gf2_rank, gf2_rref
+from dmmsim.linear_code import LLR_MAX, _bp_batch, _degree_sum, gf2_rank, gf2_rref
 
 from oracles import (
     BpGraphCheckMajorReference,
@@ -419,21 +419,20 @@ def test_degree_sum_matches_reduceat(width):
 
 @pytest.mark.parametrize("width", [1, 2, 4, 6, 14])
 def test_fold_matches_ufunc_reduce(width):
-    # the XOR of a syndrome and the product of signs, chained along axis 1
+    # the decoder folds a syndrome and a sign parity with one XOR reduce
+    # along axis 1: the bits of the chained fold, left to right; and so is
+    # a product of signs, to the bit
     rng = np.random.default_rng(width)
     bits = rng.random((3, width, 40)) < 0.5
-    assert np.array_equal(_fold(np.bitwise_xor, bits),
-                          np.bitwise_xor.reduce(bits, axis=1))
+    got = np.bitwise_xor.reduce(bits, axis=1)
+    assert got.dtype == bool
+    assert np.array_equal(got, fold_last_axis_reference(np.bitwise_xor,
+                                                        np.moveaxis(bits, 1, -1)))
     signs = np.where(rng.random((3, width, 40)) < 0.5, -1.0, 1.0)
-    prod = _fold(np.multiply, signs)
+    prod = np.multiply.reduce(signs, axis=1)
     assert np.array_equal(prod.view(np.int64),
-                          np.multiply.reduce(signs, axis=1).view(np.int64))
-    assert np.array_equal(prod, fold_last_axis_reference(np.multiply,
-                                                         np.moveaxis(signs, 1, -1)))
-    # the fold works on a copy of its first term
-    before = signs.copy()
-    _fold(np.multiply, signs)
-    assert np.array_equal(signs, before)
+                          fold_last_axis_reference(np.multiply,
+                                                   np.moveaxis(signs, 1, -1)).view(np.int64))
 
 
 def _degree_two_code():
@@ -580,12 +579,14 @@ def test_slot_major_decode_matches_check_major_reference(name, toy_code):
     # the slot-major decoder gives the bits, flags and iteration counts of
     # the check-major decoder and of its own copysign sign step on noisy
     # rows, inputs with exact zeros of both signs, a total erasure, saturated
-    # rows, and a zero-free batch
+    # rows, and a zero-free batch.  A row's hard bits are written when it
+    # leaves the batch, so the batches hold rows that converge at different
+    # iterations and rows still iterating at max_iter
     code = _reference_code(name, toy_code)
     inner = code.base if hasattr(code, "base") else code
     rng = np.random.default_rng(19)
-    cw = encode(code, rng.integers(0, 2, (10, code.k), dtype=np.uint8))
-    sigma = np.repeat([0.6, 0.8, 1.0, 1.2, 1.4], 2)[:, None] * math.sqrt(code.n // inner.n)
+    cw = encode(code, rng.integers(0, 2, (15, code.k), dtype=np.uint8))
+    sigma = np.repeat([0.6, 0.8, 1.0, 1.2, 1.4], 3)[:, None] * math.sqrt(code.n // inner.n)
     llrs = 2.0 * ((1.0 - 2.0 * cw) + rng.normal(0.0, sigma, cw.shape)) / sigma ** 2
     # a repetition code's copies add before BP, as decode_soft_batch adds them
     llrs = llrs.reshape(len(llrs), inner.n, -1).sum(axis=2)
@@ -599,12 +600,15 @@ def test_slot_major_decode_matches_check_major_reference(name, toy_code):
     assert np.all(zero_free != 0.0)
     graph = BpGraphCheckMajorReference(inner.parity)
     for rows in (llrs, zero_free, llrs[2:3]):
-        for max_iter in (1, 3, 50):
+        for max_iter in (1, 2, 3, 50):
             got = _bp_batch(inner._graph, rows, max_iter)
             for want in (bp_batch_check_major_reference(graph, rows, max_iter),
                          bp_batch_copysign_reference(inner._graph, rows, max_iter)):
                 for g, w in zip(got, want):
                     assert g.dtype == w.dtype and np.array_equal(g, w)
+    _, converged, iterations = _bp_batch(inner._graph, zero_free, 50)
+    assert len(set(iterations[converged])) >= 2
+    assert not _bp_batch(inner._graph, llrs, 3)[1].all()
 
 
 def test_builtin_names_are_peg_fixtures_and_hamming():

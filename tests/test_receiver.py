@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -325,7 +326,7 @@ def test_run_point_equal_at_any_frames_per_batch(monkeypatch):
 
 
 #: (scheme, seed, min_frame_errors, snr_db): at 3 frames per batch the stop
-#: fires inside a batch, one that is not the last of its group of 4 in flight
+#: fires inside a batch, with later batches in the window
 THREADED_POINTS = [("dmm_realistic", 0, 4, -1.5), ("dmm_genie", 0, 4, -1.5),
                    ("bpsk_baseline", 0, 4, -1.5), ("uncoded", 0, 2, -1.0)]
 
@@ -333,20 +334,35 @@ THREADED_POINTS = [("dmm_realistic", 0, 4, -1.5), ("dmm_genie", 0, 4, -1.5),
 @pytest.mark.parametrize("scheme,seed,min_frame_errors,snr_db", THREADED_POINTS)
 def test_run_point_equal_on_any_thread_count(dmm_pair, monkeypatch, scheme, seed,
                                              min_frame_errors, snr_db):
-    # the batches of a point run on 1, 2 and 4 threads (4 on a shortened
-    # switch interval), and on 1 in a sweep pool worker whose share of 4
-    # CPUs is 1; the stop rule reads them in frame order and drops the
-    # batches in flight past the stopping frame, so every field but the
-    # wall time is the serial result, and the pool's threads are gone after
+    # the batches of a point run on 1, 2 and 4 threads (2 and 4 on a
+    # shortened switch interval), and on 1 in a sweep pool worker whose
+    # share of 4 CPUs is 1; the stop rule reads them in frame order and
+    # drops the batches drawn past the stopping frame, so every field but
+    # the wall time is the serial result, and the window's threads are gone
+    # after.  The batches drawn are a prefix of the point's, no more than
+    # one per thread decode at once, and none lies past the window of the
+    # stopping batch
     code1, code2 = dmm_pair
     monkeypatch.setattr(receiver_mod, "_BATCH_FRAMES", 3)
-    frame_batch, drawn = receiver_mod._frame_batch, []
+    frame_batch, receive_batch = receiver_mod._frame_batch, receiver_mod._receive_batch
+    lock, drawn, decoding = threading.Lock(), [], [0, 0]  # [now, most at once]
 
     def recording_frame_batch(cfg, indices, n, ks):
-        drawn.append((int(indices[0]), threading.get_ident()))
+        with lock:
+            drawn.append((int(indices[0]), threading.get_ident()))
+            decoding[0] += 1
+            decoding[1] = max(decoding)
         return frame_batch(cfg, indices, n, ks)
 
+    def recording_receive_batch(*args, **kwargs):
+        try:
+            return receive_batch(*args, **kwargs)
+        finally:
+            with lock:
+                decoding[0] -= 1
+
     monkeypatch.setattr(receiver_mod, "_frame_batch", recording_frame_batch)
+    monkeypatch.setattr(receiver_mod, "_receive_batch", recording_receive_batch)
     kwargs = dict(snr_db=snr_db, seed=seed, min_frame_errors=min_frame_errors,
                   max_frames=200, uncoded_block_bits=256)
     results, threads_before = [], threading.active_count()
@@ -355,25 +371,190 @@ def test_run_point_equal_on_any_thread_count(dmm_pair, monkeypatch, scheme, seed
         monkeypatch.setattr(receiver_mod, "_cpu_share", share)
         threads = share or cpus
         drawn.clear()
+        decoding[1] = 0
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5 if threads == 4 else interval)
+        sys.setswitchinterval(1e-5 if threads > 1 else interval)
         try:
             res = run_point(scheme, code1, code2, **kwargs)
         finally:
             sys.setswitchinterval(interval)
         assert threading.active_count() == threads_before
         results.append(dataclasses.replace(res, wall_time_s=0.0))
-        batch = (res.frames - 1) // 3
-        last_in_flight = batch - batch % threads + threads - 1
-        assert sorted(first for first, _ in drawn) == [3 * b for b in range(last_in_flight + 1)]
-        # a pool thread left idle takes the next batch, so threads may repeat
+        stop = (res.frames - 1) // 3
+        last = len(drawn) - 1
+        assert sorted(first for first, _ in drawn) == [3 * b for b in range(last + 1)]
+        assert stop <= last <= stop + receiver_mod._WINDOW_PER_THREAD * threads
+        if threads == 1:
+            assert last == stop  # a serial point draws nothing past its stop
+        assert decoding == [0, decoding[1]] and 1 <= decoding[1] <= threads
+        # a thread left idle takes the next batch, so threads may repeat
         assert min(threads, 2) <= len({ident for _, ident in drawn}) <= threads
     stop = results[0]
     assert stop.stop_reason == "min_frame_errors" and stop.frame_errors == min_frame_errors
-    assert stop.frames % 3 and (stop.frames - 1) // 3 % 4 < 3
+    assert stop.frames % 3
     assert all(res == stop for res in results)
     if scheme == "dmm_realistic":
         assert stop.beta_errors > 0
+
+
+def _within(call, timeout=10.0):
+    """``call()`` on a thread of its own, joined with a timeout, so that a
+    window that stalls fails the test rather than hanging it."""
+    out = {}
+
+    def target():
+        try:
+            out["value"] = call()
+        except BaseException as exc:  # handed to the test's thread
+            out["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "the batch window stalled"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+class _Recorder:
+    """A ``work`` for ``_in_frame_order`` that records which thread decodes
+    each batch and how many decode at once, and runs ``hooks[batch]`` (if
+    any) inside it."""
+
+    def __init__(self, hooks=None):
+        self.hooks = hooks or {}
+        self.lock = threading.Lock()
+        self.thread_of = {}
+        self.now = self.most = 0
+
+    def __call__(self, batch):
+        with self.lock:
+            self.thread_of[batch] = threading.get_ident()
+            self.now += 1
+            self.most = max(self.most, self.now)
+        try:
+            if batch in self.hooks:
+                self.hooks[batch]()
+            return batch
+        finally:
+            with self.lock:
+                self.now -= 1
+
+
+def test_window_decodes_past_a_slow_batch():
+    # the caller holds batch 0 until a window thread has decoded batches 1
+    # and 2; groups in lock step would have held batch 2 back
+    both = threading.Event()
+
+    def after(batch):
+        def hook():
+            if {1, 2} <= work.thread_of.keys():
+                both.set()
+        return hook
+
+    def slow():
+        assert both.wait(timeout=5.0), "batches 1 and 2 waited for batch 0"
+
+    work = _Recorder({0: slow, 1: after(1), 2: after(2)})
+    threads_before = threading.active_count()
+
+    def run():
+        return threading.get_ident(), list(receiver_mod._in_frame_order(work, range(8), 2))
+
+    caller, out = _within(run)
+    assert out == list(range(8))
+    assert work.thread_of[0] == caller
+    assert work.thread_of[1] == work.thread_of[2] != caller
+    assert work.most <= 2
+    assert threading.active_count() == threads_before
+
+
+def test_window_stop_wakes_threads_waiting_for_room():
+    # three threads, a window of six batches.  The caller holds batch 0
+    # until batches 1-5 are decoded; taking batch 0 frees room for batch 6
+    # alone, and the stop comes once batch 6 is decoded and the other
+    # threads have gone back to wait for room, when no decode is left to
+    # wake them: the stop must, and it starts nothing more
+    workers = 3
+    window = receiver_mod._WINDOW_PER_THREAD * workers
+    filled, last = threading.Event(), threading.Event()
+
+    def mark():
+        if set(range(1, window)) <= work.thread_of.keys():
+            filled.set()
+
+    def slow():
+        assert filled.wait(timeout=5.0), "the window did not fill"
+
+    work = _Recorder({0: slow, **{b: mark for b in range(1, window)}, window: last.set})
+    threads_before = threading.active_count()
+
+    def run():
+        results = receiver_mod._in_frame_order(work, range(100), workers)
+        first = next(results)
+        assert last.wait(timeout=5.0), "batch 6 did not start"
+        while work.now:
+            time.sleep(0.001)
+        time.sleep(0.05)  # for its thread to store batch 6 and wait again
+        results.close()
+        return first
+
+    assert _within(run) == 0
+    assert threading.active_count() == threads_before
+    assert sorted(work.thread_of) == list(range(window + 1))
+    assert work.most <= workers
+
+
+def test_window_raises_an_error_read_before_the_stop():
+    # batch 3 fails; the stop rule reads batches 0-2, then the error, as a
+    # serial loop would give them
+    def fail():
+        raise ValueError("batch 3")
+
+    work = _Recorder({3: fail})
+    threads_before = threading.active_count()
+    read = []
+
+    def run():
+        for batch in receiver_mod._in_frame_order(work, range(20), 2):
+            read.append(batch)
+
+    with pytest.raises(ValueError, match="batch 3"):
+        _within(run)
+    assert read == [0, 1, 2]
+    assert threading.active_count() == threads_before
+
+
+def test_window_drops_an_error_past_the_stop():
+    # batch 4 fails, and is decoded before batch 2 ends; the stop rule stops
+    # on batch 2, so the error is never raised
+    failed = threading.Event()
+
+    def fail():
+        failed.set()
+        raise ValueError("batch 4")
+
+    def wait():
+        assert failed.wait(timeout=5.0), "batch 4 did not run"
+
+    work = _Recorder({2: wait, 4: fail})
+    threads_before = threading.active_count()
+    read = []
+
+    def run():
+        results = receiver_mod._in_frame_order(work, range(20), 2)
+        try:
+            for batch in results:
+                read.append(batch)
+                if batch == 2:
+                    break
+        finally:
+            results.close()
+
+    _within(run)
+    assert read == [0, 1, 2] and 4 in work.thread_of
+    assert threading.active_count() == threads_before
 
 
 def test_run_point_pool_batch_error_propagates(dmm_pair, monkeypatch):
