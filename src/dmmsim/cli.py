@@ -229,8 +229,9 @@ def run_capacity(cfg: CapacityConfig):
     points as they finish the last one, since a point at 256 nodes costs
     several times one at 64.  The rows come back in grid order, and an error
     is the first failing point's in grid order.  No bit of a row depends on
-    the worker count: ``mutual_info`` keeps no mutable module state,
-    shares only its read-only Gauss-Hermite tables across calls, and sets
+    the worker count: ``mutual_info`` carries no value from one call to the
+    next (its only mutable state is each thread's own scratch arrays),
+    shares only its read-only Gauss-Hermite tables across threads, and sets
     its floating-point error state per call, which numpy keeps per thread.
     """
     point = functools.partial(_capacity_row, cfg)

@@ -15,19 +15,26 @@ complex bookkeeping never mix.
 
 Quadrature shares what it can within a call, and memoizes nothing
 across calls.  The Gauss-Hermite nodes and weights of each node count
-(64, 128, 256) are computed on first use and then shared as read-only
-arrays.  The mixture is streamed over its points: each point's exponents
-are computed into one reused array like ``y`` and folded into a chain of
-``np.logaddexp`` (:func:`~dmmsim.modem.log_sum_exp`) before the next
-point's, bitwise the ``np.logaddexp.reduce`` over a point axis it
-replaces, so one point's term is alive at a time.  In the plane the
-tensor grid is evaluated in blocks of whole rows of about
-``_BLOCK_NODES`` nodes into one grid-sized array of log densities, whose
-weighted sum is still one ``np.sum`` over the grid: the working set is
-that array, the weights and one block, and no bit of a value depends on
-the block size.  Quadrature and Monte-Carlo sampling raise ``ValueError``
-naming Es/N0 and sigma2 when a squared distance overflows (noise variances
-near the float range).
+(64, 128, 256) are computed on first use, checked to be symmetric to the
+bit, and then shared as read-only arrays.  On the line and for
+Monte-Carlo samples the mixture is streamed over its points: each point's
+exponents are computed into one reused array like ``y`` and folded into a
+chain of ``np.logaddexp`` (:func:`~dmmsim.modem.log_sum_exp`) before the
+next point's, bitwise the ``np.logaddexp.reduce`` over a point axis it
+replaces.  In the plane the tensor grid is evaluated in blocks of whole
+rows of about ``_BLOCK_NODES`` nodes, every point's exponents of a block
+at once (one ufunc call per step on a (points, rows, columns) array,
+folded by the same chain in point order), into one grid-sized array of
+log densities whose weighted sum is still one ``np.sum`` over the grid:
+the working set is that array, the weights and one block of all points,
+and no bit of a value depends on the block size.  An axis pair {p, -p}
+evaluates half of p's grid; the other half is its mirror image across
+the pair's axis, and -p's grid is p's turned half a turn, both exact.
+The block and grid arrays are scratch arrays of the calling thread,
+reused across blocks and calls, and every element is written before it
+is read.  Quadrature and Monte-Carlo sampling raise ``ValueError`` naming
+Es/N0 and sigma2 when a squared distance overflows (noise variances near
+the float range).
 :func:`mi_axis_and_joint` gives the axis and joint four-point values from
 one quadrature of the four-point H(Y), which both subtract from;
 :func:`mi_axis` by quadrature is its first value, and
@@ -35,9 +42,11 @@ one quadrature of the four-point H(Y), which both subtract from;
 MI values and entropies are never cached: asking twice integrates twice.
 
 The functions are safe to call from several threads at once, and a value
-does not depend on what other threads compute: the module keeps no
-mutable state, the cached ``_gauss_hermite`` arrays are read-only, and
-each call sets its own ``np.errstate``, which numpy keeps per thread.
+does not depend on what other threads compute, nor on earlier calls: the
+module's only mutable state is each thread's own scratch arrays, which
+carry no value from one call to the next, the cached ``_gauss_hermite``
+arrays are read-only, and each call sets its own ``np.errstate``, which
+numpy keeps per thread.
 
 The composite rate of the two-stream scheme is the polarity-stream term
 (:func:`mi_bpsk`) plus the axis-stream term (:func:`mi_axis`).  The axis
@@ -56,6 +65,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +88,7 @@ CLAIMED_GAIN_DB = (0.052, 0.52)
 _RESOLUTION = 1e-6
 
 #: The plane's tensor grid is evaluated in blocks of whole rows of about
-#: this many nodes (at least one row): a quadrature holds the offsets and
+#: this many nodes (at least one row): a quadrature holds every point's
 #: distances of one block, not of the whole grid.
 _BLOCK_NODES = 8192
 
@@ -133,8 +143,14 @@ def _dim(points: np.ndarray) -> int:
 @functools.cache
 def _gauss_hermite(nodes: int):
     """Gauss-Hermite nodes and weights for ``nodes`` points, computed on first
-    use and shared read-only after that."""
+    use and shared read-only after that.  The plane quadrature mirrors axis
+    pairs, which needs the nodes antisymmetric and the weights symmetric to
+    the bit: a table that is not raises RuntimeError."""
     t, w = np.polynomial.hermite.hermgauss(nodes)
+    if not (np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])):
+        raise RuntimeError(
+            f"numpy {np.__version__}: hermgauss({nodes}) no longer returns nodes and "
+            f"weights that are symmetric to the bit")
     t.flags.writeable = False
     w.flags.writeable = False
     return t, w
@@ -180,34 +196,99 @@ def _entropy(points: np.ndarray, sigma2: float, nodes: int) -> float:
         raise ValueError(f"quadrature cannot resolve the noise at {_where(points, sigma2)}: "
                          f"half an ulp of a point coordinate exceeds {_RESOLUTION:g} of the "
                          f"smallest {nodes}-node Gauss-Hermite offset")
+    offs = scale * t
     if _dim(points) == 1:
-        offs = scale * t
-        weigh, norm = (lambda xk: w @ _log_mixture(xk + offs, points, sigma2)), math.sqrt(math.pi)
+        sums = (w @ _log_mixture(xk + offs, points, sigma2) for xk in points)
+        norm = math.sqrt(math.pi)
     else:
-        w2 = w[:, None] * w[None, :]
-        weigh, norm = (lambda xk: _weigh_plane(xk, w2, t, scale, points, sigma2)), math.pi
+        sums, norm = _plane_sums(points, sigma2, offs, w), math.pi
     pk = 1.0 / points.size
     acc = 0.0
     with np.errstate(invalid="ignore"):  # 0 * -inf where a squared distance overflowed
-        for xk in points:
-            acc += pk * float(weigh(xk))
+        for s in sums:
+            acc += pk * float(s)
     if not math.isfinite(acc):
         raise _overflow("quadrature", points, sigma2)
     return -acc / norm / LN2
 
 
-def _weigh_plane(xk, w2: np.ndarray, t: np.ndarray, scale: float, points: np.ndarray,
-                 sigma2: float):
-    """``sum(w2 * logp)`` over the tensor grid of offsets around ``xk``, the
-    log density evaluated in blocks of whole rows into one grid-sized array,
-    so the sum is one pairwise sum over the grid as if taken in one piece."""
-    nodes = t.size
-    rows = max(1, _BLOCK_NODES // nodes)
-    logp = np.empty((nodes, nodes))
-    for r in range(0, nodes, rows):
-        offs = scale * (t[r:r + rows, None] + 1j * t[None, :])
-        logp[r:r + rows] = _log_mixture(xk + offs, points, sigma2)
-    return np.sum(np.multiply(w2, logp, out=logp))
+def _plane_sums(points: np.ndarray, sigma2: float, offs: np.ndarray, w: np.ndarray):
+    """``sum(w2 * logp)`` over the tensor grid ``xk + offs[i] + 1j * offs[j]``
+    around each point ``xk``, in point order, each one pairwise sum over the
+    grid as if taken in one piece.  The log densities of a grid are written
+    into one grid-sized scratch array.  For an axis pair {p, -p}, the grid
+    around -p is the grid around p turned half a turn, and the log density is
+    symmetric across the pair's own axis, both to the bit; so half of p's
+    grid is evaluated, the other half is its mirror copy, and -p's grid is
+    p's reversed."""
+    nodes = offs.size
+    w2 = w[:, None] * w[None, :]
+    logp = _scratch("logp", (nodes, nodes), np.float64)
+    p = points[0]
+    # anything but two points p and -p on an axis takes a whole grid per point
+    if points.size != 2 or points[1] != -p or (p.real != 0.0 and p.imag != 0.0):
+        for xk in points:
+            _fill_plane(logp, points, sigma2, xk.real + offs, xk.imag + offs)
+            yield np.sum(np.multiply(w2, logp, out=logp))
+        return
+    half = (nodes + 1) // 2
+    if p.imag == 0.0:  # on the real axis: column j mirrors column nodes-1-j
+        _fill_plane(logp[:, :half], points, sigma2, p.real + offs, p.imag + offs[:half])
+        logp[:, half:] = logp[:, :nodes - half][:, ::-1]
+    else:  # on the imaginary axis: row i mirrors row nodes-1-i
+        _fill_plane(logp[:half], points, sigma2, p.real + offs[:half], p.imag + offs)
+        logp[half:] = logp[:nodes - half][::-1]
+    yield np.sum(np.multiply(w2, logp, out=logp))
+    # the weights are symmetric too, so -p's products are p's reversed
+    logp[:] = logp[::-1, ::-1]
+    yield np.sum(logp)
+
+
+def _fill_plane(logp: np.ndarray, points: np.ndarray, sigma2: float, re: np.ndarray,
+                im: np.ndarray) -> None:
+    """Write into ``logp[i, j]`` the log density at ``re[i] + 1j * im[j]``, in
+    blocks of whole rows of about ``_BLOCK_NODES`` nodes built in a scratch
+    array."""
+    rows = max(1, _BLOCK_NODES // im.size)
+    for r in range(0, re.size, rows):
+        y = _scratch("y", (min(rows, re.size - r), im.size), np.complex128)
+        y.real = re[r:r + rows, None]
+        y.imag = im
+        _plane_block(y, points, sigma2, logp[r:r + rows])
+
+
+def _plane_block(y: np.ndarray, points: np.ndarray, sigma2: float, out: np.ndarray) -> None:
+    """Write into ``out`` the log density at the plane points ``y``: the
+    steps of :func:`_exponents` for every point at once, one ufunc call each
+    on a (points, *y.shape) scratch array, then the chain of
+    :func:`~dmmsim.modem.log_sum_exp` in point order."""
+    expo = _scratch("expo", (points.size, *y.shape), np.float64)
+    diff = _scratch("diff", expo.shape, np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(y, points[:, None, None], out=diff)
+        np.abs(diff, out=expo)
+        np.square(expo, out=expo)
+        np.divide(expo, 2.0 * sigma2, out=expo)
+        np.subtract(math.log(1.0 / points.size), expo, out=expo)
+        np.subtract(expo, 0.5 * _dim(points) * math.log(2.0 * math.pi * sigma2), out=expo)
+        np.add(expo[0], 0.0, out=out)
+        for e in expo[1:]:
+            np.logaddexp(out, e, out=out)
+
+
+_THREAD = threading.local()
+
+
+def _scratch(name: str, shape: tuple, dtype) -> np.ndarray:
+    """A ``shape`` view on this thread's scratch array ``name``, grown when
+    too small and otherwise reused across blocks and calls.  Callers write
+    every element before they read it, so no value passes between calls."""
+    size = math.prod(shape)
+    buf = getattr(_THREAD, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size, dtype)
+        setattr(_THREAD, name, buf)
+    return buf[:size].reshape(shape)
 
 
 def _where(points: np.ndarray, sigma2: float) -> str:

@@ -322,7 +322,9 @@ def log_mixture_reference(y, points, probs, sigma2):
     return np.logaddexp.reduce(expo, axis=-1)
 
 
-def _entropy_reference(points, probs, sigma2, nodes):
+def entropy_reference(points, probs, sigma2, nodes):
+    """H(Y) in bits of the Gaussian mixture by ``nodes``-point Gauss-Hermite
+    quadrature around each point."""
     t, w = np.polynomial.hermite.hermgauss(nodes)
     scale = math.sqrt(2.0 * sigma2)
     if _dim(points) == 1:
@@ -344,10 +346,10 @@ def mixture_entropy_reference(points, probs, sigma2, tol):
     doubles from 64 until successive estimates differ by < tol or 256 nodes
     are used.  Returns (last estimate, last change)."""
     nodes = 64
-    prev = _entropy_reference(points, probs, sigma2, nodes)
+    prev = entropy_reference(points, probs, sigma2, nodes)
     while nodes < 256:
         nodes *= 2
-        cur = _entropy_reference(points, probs, sigma2, nodes)
+        cur = entropy_reference(points, probs, sigma2, nodes)
         delta = abs(cur - prev)
         if delta < tol:
             break

@@ -1,7 +1,10 @@
 import functools
 import math
+import re
+import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from dmmsim.channel import sigma2_to_snr_db, snr_to_sigma2
 from dmmsim.config import CapacityConfig
 
 from oracles import (
+    entropy_reference,
     log_mixture_last_axis_reference,
     log_mixture_reference,
     mi_bpsk_quad_oracle,
@@ -308,14 +312,39 @@ def _results():
     return out
 
 
+def _plane_sets_of_results():
+    """The plane point sets whose mixture entropies ``_results`` integrates:
+    QPSK, the four-point set and its two axis pairs at Es 1 and 2, and
+    ``UNIFORM_PLANE``."""
+    sets = {UNIFORM_PLANE.points.tobytes()}
+    for es in (1.0, 2.0):
+        four = Constellation.quadrature_pair(es).points
+        sets |= {Constellation.qpsk(es).points.tobytes(), four.tobytes(),
+                 four[[0, 2]].tobytes(), four[[1, 3]].tobytes()}
+    return sets
+
+
+def _recording(seen, fn, at):
+    """``fn`` that first adds the bytes of its ``points`` argument (number
+    ``at``) to ``seen``, when they are plane points."""
+    def wrapped(*args):
+        if args[at].dtype.kind == "c":
+            seen.add(args[at].tobytes())
+        return fn(*args)
+    return wrapped
+
+
 def test_mi_bit_identical_to_reference_mixture(monkeypatch):
     mine = _results()
+    seen = set()
     with monkeypatch.context() as m:
-        m.setattr(mutual_info, "_mixture_entropy", lambda points, sigma2, tol:
-                  mixture_entropy_reference(points, _equal(points), sigma2, tol))
+        m.setattr(mutual_info, "_mixture_entropy", _recording(seen, lambda points, sigma2, tol:
+                  mixture_entropy_reference(points, _equal(points), sigma2, tol), at=0))
         m.setattr(mutual_info, "_log_mixture", lambda y, points, sigma2:
                   log_mixture_reference(y, points, _equal(points), sigma2))
         ref = _results()
+    # every plane set was integrated by the reference, not by the package
+    assert seen == _plane_sets_of_results()
     assert len(mine) == len(ref) == 52
     for a, b in zip(mine, ref):
         assert a.method == b.method
@@ -323,13 +352,20 @@ def test_mi_bit_identical_to_reference_mixture(monkeypatch):
 
 
 def test_mi_bit_identical_to_point_last_mixture(monkeypatch):
-    # every path (line, plane, label classes, Monte-Carlo) against the
-    # mixture that put the point axis last
+    # every path (line, plane blocks with mirrored axis pairs, label classes,
+    # Monte-Carlo) against the mixture that put the point axis last
+    def point_last_block(y, points, sigma2, out):
+        out[...] = log_mixture_last_axis_reference(y, points, _equal(points), sigma2)
+
     mine = _results()
+    seen = set()
     with monkeypatch.context() as m:
         m.setattr(mutual_info, "_log_mixture", lambda y, points, sigma2:
                   log_mixture_last_axis_reference(y, points, _equal(points), sigma2))
+        m.setattr(mutual_info, "_plane_block", _recording(seen, point_last_block, at=1))
         ref = _results()
+    # the plane path calls the patched kernel for every plane set
+    assert seen == _plane_sets_of_results()
     assert len(mine) == len(ref) == 52
     for a, b in zip(mine, ref):
         assert a.method == b.method
@@ -357,7 +393,15 @@ def test_log_mixture_point_major_matches_point_last(inp):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-PLANE_SETS = (Constellation.quadrature_pair(1.0), Constellation.qpsk(), UNIFORM_PLANE)
+FOUR_POINT = Constellation.quadrature_pair(1.0).points
+FOUR_POINT_ES2 = Constellation.quadrature_pair(2.0).points
+# the axis pairs of the four-point set in both orders; the pair path
+# evaluates half of the first point's grid
+AXIS_PAIRS = (FOUR_POINT[[0, 2]], FOUR_POINT[[2, 0]], FOUR_POINT[[1, 3]], FOUR_POINT_ES2[[3, 1]])
+# near-pairs that take the general path: {p, -p} off the axes, {a, -1.5a}
+NEAR_PAIRS = (np.array([1.0 + 1.0j, -1.0 - 1.0j]) / math.sqrt(2.0), np.array([1.0 + 0j, -1.5 + 0j]))
+PLANE_SETS = (FOUR_POINT, Constellation.qpsk().points, UNIFORM_PLANE.points, *AXIS_PAIRS,
+              *NEAR_PAIRS)
 
 # _BLOCK_NODES = 1 gives one-row blocks; 768 gives 3, 6 and 12 rows at 256,
 # 128 and 64 nodes, none of which divides the grid, so the last block is short
@@ -376,37 +420,79 @@ def test_row_blocks_leave_capacity_rows_unchanged(monkeypatch, block):
 @pytest.mark.parametrize("block", [mutual_info._BLOCK_NODES, *ROW_BLOCKS.values()],
                          ids=["default", *ROW_BLOCKS.keys()])
 def test_blocked_plane_entropy_matches_reference(monkeypatch, block):
-    # the grid-sized sum of the reference, at every node count up to 256
-    nodes_seen = set()
-    entropy = mutual_info._entropy
+    # the grid-sized sums of the reference, at each node count up to 256 and
+    # in the adaptive sequence
+    grids = []
+    fill_plane = mutual_info._fill_plane
 
-    def recording_entropy(points, sigma2, nodes):
-        nodes_seen.add(nodes)
-        return entropy(points, sigma2, nodes)
+    def recording_fill_plane(logp, *args):
+        grids.append(logp.size)
+        return fill_plane(logp, *args)
 
     monkeypatch.setattr(mutual_info, "_BLOCK_NODES", block)
-    monkeypatch.setattr(mutual_info, "_entropy", recording_entropy)
-    for inp in PLANE_SETS:
+    monkeypatch.setattr(mutual_info, "_fill_plane", recording_fill_plane)
+    for points in PLANE_SETS:
+        pair = any(points is p for p in AXIS_PAIRS)
         for sigma2 in (0.05, 0.5, 3.0):
-            got = mutual_info._mixture_entropy(inp.points, sigma2, 1e-9)
-            want = mixture_entropy_reference(inp.points, _equal(inp.points), sigma2, 1e-9)
+            for nodes in (64, 128, 256):
+                got = mutual_info._entropy(points, sigma2, nodes)
+                want = entropy_reference(points, _equal(points), sigma2, nodes)
+                assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+                # an axis pair fills half of one grid, any other set one
+                # whole grid per point
+                assert grids == ([nodes * nodes // 2] if pair else [nodes * nodes] * points.size)
+                grids.clear()
+            got = mutual_info._mixture_entropy(points, sigma2, 1e-9)
+            want = mixture_entropy_reference(points, _equal(points), sigma2, 1e-9)
             assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
-    assert nodes_seen == {64, 128, 256}
+            grids.clear()
+
+
+def _on_fresh_thread(fn, *args):
+    """``fn(*args)`` on a new thread, whose scratch arrays start empty."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn, *args).result(timeout=60)
 
 
 def test_plane_quadrature_working_set_is_bounded():
-    # streamed points and row blocks leave the grid's log densities and
-    # weights and one block (~1.6 MB); every point's distances over the
-    # whole grid at once take 8.9 MB
-    pts = Constellation.quadrature_pair(1.0).points
+    # a fresh thread allocates its scratch arrays: one block of every
+    # point's distances and the grid's log densities, next to the weights
+    # (~2.0 MB for the four-point set, ~2.1 MB for an axis pair); every
+    # point's distances over the whole grid at once take 8.9 MB, an axis
+    # pair's half grid in one piece 3.7 MB
     mutual_info._gauss_hermite(256)
-    tracemalloc.start()
+    for pts in (FOUR_POINT, *AXIS_PAIRS[::2]):
+        tracemalloc.start()
+        try:
+            _on_fresh_thread(mutual_info._entropy, pts, 0.5, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
+
+
+def test_scratch_arrays_carry_no_value_between_calls():
+    # two threads interleave quadratures of every size and kind at a 10 us
+    # switch interval; each value equals the same call on a fresh thread
+    calls = [(pts, sigma2, nodes)
+             for pts in (Constellation.qpsk().points, FOUR_POINT, *AXIS_PAIRS[::2])
+             for sigma2 in (0.05, 2.0) for nodes in (64, 256, 128)]
+
+    def run(order):
+        return np.array([mutual_info._entropy(*calls[i]) for i in order])
+
+    want = np.array([_on_fresh_thread(mutual_info._entropy, *c) for c in calls])
+    orders = (range(len(calls)), range(len(calls) - 1, -1, -1))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
     try:
-        mutual_info._entropy(pts, 0.5, 256)
-        peak = tracemalloc.get_traced_memory()[1]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(run, order) for order in orders]
+            got = [f.result(timeout=120) for f in futures]
     finally:
-        tracemalloc.stop()
-    assert peak < 2.5e6
+        sys.setswitchinterval(interval)
+    for order, values in zip(orders, got):
+        assert np.array_equal(values.view(np.int64), want[list(order)].view(np.int64))
 
 
 def test_axis_and_joint_share_bits_with_separate_calls():
@@ -420,6 +506,30 @@ def test_axis_and_joint_share_bits_with_separate_calls():
 # ---------------------------------------------------------------------------
 # no repeated work: node tables cached, H(Y) shared within a call only
 # ---------------------------------------------------------------------------
+
+def test_gauss_hermite_tables_must_be_symmetric(monkeypatch):
+    # the mirrored axis pairs need t == -t[::-1] and w == w[::-1] to the bit
+    for nodes in (64, 128, 256):
+        t, w = mutual_info._gauss_hermite.__wrapped__(nodes)
+        assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
+    hermgauss = np.polynomial.hermite.hermgauss
+
+    def lopsided(nodes, part):
+        tables = hermgauss(nodes)
+        tables[part][0] = np.nextafter(tables[part][0], 0.0)
+        return tables
+
+    for part in (0, 1):
+        monkeypatch.setattr(np.polynomial.hermite, "hermgauss", lambda n: lopsided(n, part))
+        # checked on first use of a node count, and a failed table is not cached
+        with pytest.raises(RuntimeError, match=re.escape(f"numpy {np.__version__}: hermgauss(66)")):
+            mutual_info._gauss_hermite(66)
+        with pytest.raises(RuntimeError, match="symmetric"):
+            mutual_info._gauss_hermite.__wrapped__(64)
+    monkeypatch.undo()
+    t, w = mutual_info._gauss_hermite(66)
+    assert np.array_equal(t, hermgauss(66)[0])
+
 
 def test_gauss_hermite_tables_are_cached_read_only():
     t, w = mutual_info._gauss_hermite(64)
