@@ -223,21 +223,24 @@ def run_capacity(cfg: CapacityConfig):
     The axis and joint columns share one quadrature of the four-point H(Y)
     per grid point.
 
-    Grid points are independent, so they run on a thread pool of one worker
-    per usable CPU, at most one per point.  Threads pay because numpy releases
-    the interpreter lock inside the quadrature's ufuncs.  Workers pick up
-    points as they finish the last one, since a point at 256 nodes costs
-    several times one at 64.  The rows come back in grid order, and an error
-    is the first failing point's in grid order.  No bit of a row depends on
-    the worker count: ``mutual_info`` carries no value from one call to the
-    next (its only mutable state is each thread's own scratch arrays),
-    shares only its read-only Gauss-Hermite tables across threads, and sets
-    its floating-point error state per call, which numpy keeps per thread.
+    Grid points are independent, so they run as the batches of
+    :func:`receiver._in_frame_order`: on the calling thread and one more
+    thread per further usable CPU, at most one thread per point.  Threads pay
+    because numpy releases the interpreter lock inside the quadrature's
+    ufuncs.  Each thread takes the next point as soon as it is free, since a
+    point at 256 nodes costs several times one at 64, and the calling thread
+    evaluates points too, so its ``mutual_info`` scratch arrays stay warm
+    from one call to the next.  The rows come back in grid order, and an
+    error is the first failing point's in grid order.  No bit of a row
+    depends on the thread count: ``mutual_info`` carries no value from one
+    call to the next (its only mutable state is each thread's own scratch
+    arrays), shares only its read-only Gauss-Hermite tables across threads,
+    and sets its floating-point error state per call, which numpy keeps per
+    thread.
     """
     point = functools.partial(_capacity_row, cfg)
     workers = max(1, min(receiver._usable_cpus(), len(cfg.snr_grid_db)))
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(point, cfg.snr_grid_db))
+    return list(receiver._in_frame_order(point, cfg.snr_grid_db, workers))
 
 
 def _capacity_metadata(cfg: CapacityConfig) -> list:

@@ -16,23 +16,25 @@ complex bookkeeping never mix.
 Quadrature shares what it can within a call, and memoizes nothing
 across calls.  The Gauss-Hermite nodes and weights of each node count
 (64, 128, 256) are computed on first use, checked to be symmetric to the
-bit, and then shared as read-only arrays.  On the line and for
-Monte-Carlo samples the mixture is streamed over its points: each point's
-exponents are computed into one reused array like ``y`` and folded into a
-chain of ``np.logaddexp`` (:func:`~dmmsim.modem.log_sum_exp`) before the
-next point's, bitwise the ``np.logaddexp.reduce`` over a point axis it
-replaces.  In the plane the tensor grid is evaluated in blocks of whole
-rows of about ``_BLOCK_NODES`` nodes, every point's exponents of a block
-at once (one ufunc call per step on a (points, rows, columns) array,
-folded by the same chain in point order), into one grid-sized array of
-log densities whose weighted sum is still one ``np.sum`` over the grid:
-the working set is that array, the weights and one block of all points,
-and no bit of a value depends on the block size.  An axis pair {p, -p}
-evaluates half of p's grid; the other half is its mirror image across
-the pair's axis, and -p's grid is p's turned half a turn, both exact.
-The block and grid arrays are scratch arrays of the calling thread,
-reused across blocks and calls, and every element is written before it
-is read.  Quadrature and Monte-Carlo sampling raise ``ValueError`` naming
+bit, and then shared as read-only arrays.  One kernel,
+:func:`_log_density`, computes the mixture's log density for every path:
+every point's exponents of a block of ``y`` at once (one ufunc call per
+step on a (points, *y.shape) array), folded by a chain of ``np.logaddexp``
+in point order, bitwise the ``np.logaddexp.reduce`` over a point axis.  On
+the line and for Monte-Carlo samples, ``y`` is passed in flat slices of
+``_BLOCK_NODES`` values; in the plane the tensor grid is evaluated in
+blocks of whole rows of about ``_BLOCK_NODES`` nodes, into one grid-sized
+array of log densities whose weighted sum is still one ``np.sum`` over the
+grid.  The working set is that array, the weights and one block of all
+points, and no bit of a value depends on the block size.  An axis pair
+{p, -p} evaluates half of p's grid; the other half is its mirror image
+across the pair's axis, and -p's grid is p's turned half a turn, both
+exact.  The block and grid arrays are scratch arrays of the calling
+thread, reused across blocks and calls, and every element is written
+before it is read.  Monte-Carlo sampling has one estimator,
+:func:`_mc_info`, for the points of :func:`mi_awgn` and the axis labels of
+:func:`mi_axis` alike; it needs at least two samples for its error
+estimate.  Quadrature and Monte-Carlo sampling raise ``ValueError`` naming
 Es/N0 and sigma2 when a squared distance overflows (noise variances near
 the float range).
 :func:`mi_axis_and_joint` gives the axis and joint four-point values from
@@ -71,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import snr_to_sigma2
-from .modem import Constellation, log_sum_exp
+from .modem import Constellation
 
 LN2 = math.log(2.0)
 
@@ -87,9 +89,9 @@ CLAIMED_GAIN_DB = (0.052, 0.52)
 #: (half an ulp) exceeds this fraction of the offset.
 _RESOLUTION = 1e-6
 
-#: The plane's tensor grid is evaluated in blocks of whole rows of about
-#: this many nodes (at least one row): a quadrature holds every point's
-#: distances of one block, not of the whole grid.
+#: The log density is evaluated in blocks of this many values (in the
+#: plane, of whole rows of about this many nodes, at least one row): a call
+#: holds every point's distances of one block, not of the whole input.
 _BLOCK_NODES = 8192
 
 
@@ -156,32 +158,39 @@ def _gauss_hermite(nodes: int):
     return t, w
 
 
-def _exponents(y: np.ndarray, points: np.ndarray, sigma2: float):
-    """Each point's mixture exponent
-    ``ln(1/P) - |y - p|^2 / (2 sigma2) - (dim/2) ln(2 pi sigma2)``, in point
-    order, written into one buffer like ``y`` that the next point refills."""
-    diff = np.empty(y.shape, np.result_type(y, points))
-    expo = np.empty(y.shape)
-    log_w = math.log(1.0 / points.size)
-    two_sigma2 = 2.0 * sigma2
-    norm = 0.5 * _dim(points) * math.log(2.0 * math.pi * sigma2)
-    for p in points:
-        np.subtract(y, p, out=diff)
+def _log_density(y: np.ndarray, points: np.ndarray, sigma2: float, out: np.ndarray) -> None:
+    """Write into ``out`` the log density at ``y`` (any shape) over equally
+    likely ``points``: each point's exponent
+    ``ln(1/P) - |y - p|^2 / (2 sigma2) - (dim/2) ln(2 pi sigma2)``, for every
+    point at once, one ufunc call per step on a (points, *y.shape) scratch
+    array, then a chain of ``np.logaddexp`` in point order, bitwise the
+    ``np.logaddexp.reduce`` over the point axis.  A squared distance that
+    overflows gives -inf without a warning; callers check."""
+    expo = _scratch("expo", (points.size, *y.shape), np.float64)
+    kind = np.result_type(y, points)  # float on the line, complex in the plane
+    diff = _scratch("diff" + kind.char, expo.shape, kind)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(y, points.reshape(-1, *(1,) * y.ndim), out=diff)
         np.abs(diff, out=expo)
         np.square(expo, out=expo)
-        np.divide(expo, two_sigma2, out=expo)
-        np.subtract(log_w, expo, out=expo)
-        np.subtract(expo, norm, out=expo)
-        yield expo
+        np.divide(expo, 2.0 * sigma2, out=expo)
+        np.subtract(math.log(1.0 / points.size), expo, out=expo)
+        np.subtract(expo, 0.5 * _dim(points) * math.log(2.0 * math.pi * sigma2), out=expo)
+        np.add(expo[0], 0.0, out=out)
+        for e in expo[1:]:
+            np.logaddexp(out, e, out=out)
 
 
 def _log_mixture(y: np.ndarray, points: np.ndarray, sigma2: float) -> np.ndarray:
     """Log density of the received point over equally likely ``points``; real
-    ``points`` mean the line.  The points are streamed into the log-sum-exp
-    chain, so one point's exponents are alive at a time.  A squared distance
-    that overflows gives -inf without a warning; callers check."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return log_sum_exp(_exponents(y, points, sigma2), y.shape)
+    ``points`` mean the line.  ``y`` is evaluated in flat slices of
+    ``_BLOCK_NODES`` values.  A squared distance that overflows gives -inf
+    without a warning; callers check."""
+    flat = y.reshape(-1)
+    out = np.empty(flat.shape)
+    for i in range(0, flat.size, _BLOCK_NODES):
+        _log_density(flat[i:i + _BLOCK_NODES], points, sigma2, out[i:i + _BLOCK_NODES])
+    return out.reshape(y.shape)
 
 
 def _entropy(points: np.ndarray, sigma2: float, nodes: int) -> float:
@@ -254,26 +263,7 @@ def _fill_plane(logp: np.ndarray, points: np.ndarray, sigma2: float, re: np.ndar
         y = _scratch("y", (min(rows, re.size - r), im.size), np.complex128)
         y.real = re[r:r + rows, None]
         y.imag = im
-        _plane_block(y, points, sigma2, logp[r:r + rows])
-
-
-def _plane_block(y: np.ndarray, points: np.ndarray, sigma2: float, out: np.ndarray) -> None:
-    """Write into ``out`` the log density at the plane points ``y``: the
-    steps of :func:`_exponents` for every point at once, one ufunc call each
-    on a (points, *y.shape) scratch array, then the chain of
-    :func:`~dmmsim.modem.log_sum_exp` in point order."""
-    expo = _scratch("expo", (points.size, *y.shape), np.float64)
-    diff = _scratch("diff", expo.shape, np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.subtract(y, points[:, None, None], out=diff)
-        np.abs(diff, out=expo)
-        np.square(expo, out=expo)
-        np.divide(expo, 2.0 * sigma2, out=expo)
-        np.subtract(math.log(1.0 / points.size), expo, out=expo)
-        np.subtract(expo, 0.5 * _dim(points) * math.log(2.0 * math.pi * sigma2), out=expo)
-        np.add(expo[0], 0.0, out=out)
-        for e in expo[1:]:
-            np.logaddexp(out, e, out=out)
+        _log_density(y, points, sigma2, logp[r:r + rows])
 
 
 _THREAD = threading.local()
@@ -337,17 +327,29 @@ def _mc_draw(points, sigma2: float, samples: int, seed: int):
     return idx, x + noise[0::2] + 1j * noise[1::2]
 
 
-def _mc_result(log_ratio: np.ndarray, size: int, points: np.ndarray,
-               sigma2: float) -> MiResult:
-    """Mean of per-sample log-likelihood ratios (nats) with a 95% half-width,
-    for ``size`` equally likely inputs.  A ratio that is not finite comes
-    from a squared distance to one of ``points`` that overflowed."""
+def _mc_info(points: np.ndarray, classes: np.ndarray, sigma2: float, samples: int,
+             seed: int) -> MiResult:
+    """I(C;Y) for the labels ``classes`` (0, 1, ...) of equally likely
+    ``points``, by Monte-Carlo: the mean of ln p(y|c) - ln p(y) over seeded
+    samples, in bits, with a 95% half-width.  A class's density is the
+    mixture over its own points; a ratio that is not finite comes from a
+    squared distance that overflowed."""
+    if samples < 2:
+        raise ValueError(f"mc_samples must be at least 2 for an error estimate, got {samples}")
+    idx, y = _mc_draw(points, sigma2, samples, seed)
+    drawn = classes[idx]
+    log_cond = np.empty(samples)
+    size = int(classes.max()) + 1
+    for c in range(size):
+        rows = drawn == c
+        log_cond[rows] = _log_mixture(y[rows], points[classes == c], sigma2)
+    with np.errstate(invalid="ignore"):  # -inf - -inf, checked below
+        log_ratio = log_cond - _log_mixture(y, points, sigma2)
     if not np.isfinite(log_ratio).all():
         raise _overflow("Monte-Carlo sampling", points, sigma2)
-    samples = log_ratio / LN2
-    half = 1.96 * float(np.std(samples, ddof=1)) / math.sqrt(samples.size)
-    return MiResult(value=_clamp(np.mean(samples), size), method="monte_carlo",
-                    est_error=half)
+    bits = log_ratio / LN2
+    half = 1.96 * float(np.std(bits, ddof=1)) / math.sqrt(samples)
+    return MiResult(value=_clamp(np.mean(bits), size), method="monte_carlo", est_error=half)
 
 
 # ---------------------------------------------------------------------------
@@ -374,14 +376,7 @@ def mi_awgn(inp: Constellation, sigma2: float, method: str = "quadrature", *,
     pts = inp.points.real if inp.is_real else inp.points
     if method == "quadrature":
         return _quad_joint(_mixture_entropy(pts, sigma2, tol), pts, sigma2, tol)
-    idx, y = _mc_draw(pts, sigma2, mc_samples, seed)
-    with np.errstate(over="ignore", invalid="ignore"):  # _mc_result checks
-        log_cond = (
-            -np.abs(y - pts[idx]) ** 2 / (2.0 * sigma2)
-            - 0.5 * _dim(pts) * math.log(2.0 * math.pi * sigma2)
-        )
-        log_ratio = log_cond - _log_mixture(y, pts, sigma2)
-    return _mc_result(log_ratio, pts.size, pts, sigma2)
+    return _mc_info(pts, np.arange(pts.size), sigma2, mc_samples, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -408,16 +403,7 @@ def mi_axis(es_n0_db: float, es: float = 1.0, *, method: str = "quadrature",
     sigma2 = snr_to_sigma2(es_n0_db, es)
     _check(sigma2, method)
     c = Constellation.quadrature_pair(es)
-    labels = c.axis_labels
-    idx, y = _mc_draw(c.points, sigma2, mc_samples, seed)
-    b = labels[idx]
-    log_cond = np.empty(mc_samples)
-    for lab in (0, 1):
-        rows = b == lab
-        log_cond[rows] = _log_mixture(y[rows], c.points[labels == lab], sigma2)
-    with np.errstate(invalid="ignore"):  # -inf - -inf; _mc_result checks
-        log_ratio = log_cond - _log_mixture(y, c.points, sigma2)
-    return _mc_result(log_ratio, 2, c.points, sigma2)
+    return _mc_info(c.points, c.axis_labels, sigma2, mc_samples, seed)
 
 
 def mi_joint_4point(es_n0_db: float, es: float = 1.0, **kw) -> MiResult:

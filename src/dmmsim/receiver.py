@@ -50,15 +50,15 @@ core's L2 cache: at n = 2048 a 64-frame array is 3 MiB, and sum-product took
 ~75 us per frame and iteration on 16-frame batches against ~100 us on
 64-frame ones (2-vCPU Xeon, 2 MiB L2 per core).
 
-A point's batches run on one thread per usable CPU (:func:`_usable_cpus`,
-the rule ``cli.run_capacity`` also reads; in a worker of ``sweep
---threads N``'s process pool, that worker's share of it).  The calling
-thread and each of the others take the next batch in frame order as soon as
-they are free, so a slow batch holds up only its own thread; a batch starts
-only within ``_WINDOW_PER_THREAD`` batches per thread of the next one the
-stop rule reads, and no more batches decode at once than there are threads.
-numpy releases the interpreter lock inside BP's ufuncs, so the threads
-overlap.  The stop rule reads the results in frame order; once it stops no
+A point's batches run on one thread per usable CPU (:func:`_usable_cpus`;
+in a worker of ``sweep --threads N``'s process pool, that worker's share of
+it), through :func:`_in_frame_order`, which ``cli.run_capacity`` also runs
+its grid points through, one point per batch.  The calling thread and each
+of the others take the next batch in frame order as soon as they are free,
+so a slow batch holds up only its own thread; a batch starts only within
+``_WINDOW_PER_THREAD`` batches per thread of the next one the stop rule
+reads, and no more batches decode at once than there are threads.  numpy
+releases the interpreter lock inside BP's ufuncs, so the threads overlap.  The stop rule reads the results in frame order; once it stops no
 batch starts, and a batch drawn past the stopping frame is discarded, its
 result or error unread, so a point's result does not depend on the thread
 count.
@@ -114,7 +114,7 @@ _cpu_share = None
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the platform
     has one, else the machine's CPU count.  :func:`run_point` and
-    ``cli.run_capacity`` size their thread pools by it."""
+    ``cli.run_capacity`` size their threads by it."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

@@ -1,6 +1,7 @@
 import math
 import pickle
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -424,14 +425,17 @@ def test_capacity_exits_1_on_overflowing_distances(tmp_path, capsys, monkeypatch
     # -3079 dB is a valid grid value (sigma2 = 3.97e307), but the quadrature's
     # squared distances overflow there: one error line, no traceback, no
     # warning.  On a pool of several workers the error is still the first
-    # failing point's in grid order, as from a serial loop.
+    # failing point's in grid order, as from a serial loop, and no thread
+    # outlives the run.
     monkeypatch.setattr(receiver, "_usable_cpus", lambda: 4)
     for grid in ("-3079", "-6 -3079 0 -3080"):
         path = write(tmp_path, "c.cfg", CAPACITY_CFG.replace("-6 -3 0 3 6", grid))
         out = tmp_path / "out.csv"
+        before = threading.active_count()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["capacity", path, "--out", str(out)]) == 1
+        assert threading.active_count() == before
         assert capsys.readouterr().err == (
             "error: quadrature cannot integrate the mixture at Es/N0 = -3079 dB "
             "(sigma2 = 3.97e+307): a squared distance to a point overflows\n")
@@ -535,10 +539,24 @@ def test_capacity_axis_bounded_by_joint(capacity_csv):
 
 def test_capacity_worker_count_changes_no_bit(monkeypatch):
     # one worker against more workers than cores, racing to build the
-    # Gauss-Hermite tables, and switching threads often
+    # Gauss-Hermite tables, and switching threads often.  The calling thread
+    # evaluates grid points too, which keeps its scratch arrays warm, and no
+    # thread outlives the call.
     cfg = CapacityConfig(snr_grid_db=tuple(float(s) for s in range(-10, 11)))
+    row = cli._capacity_row
+    threads = []
+
+    def recording_row(cfg, snr_db):
+        threads.append(threading.get_ident())
+        return row(cfg, snr_db)
+
+    monkeypatch.setattr(cli, "_capacity_row", recording_row)
+    before = threading.active_count()
     monkeypatch.setattr(receiver, "_usable_cpus", lambda: 1)
     serial = cli.run_capacity(cfg)
+    assert threads == [threading.get_ident()] * len(cfg.snr_grid_db)
+    assert threading.active_count() == before
+    threads.clear()
     monkeypatch.setattr(receiver, "_usable_cpus", lambda: 4)
     mutual_info._gauss_hermite.cache_clear()
     interval = sys.getswitchinterval()
@@ -548,6 +566,9 @@ def test_capacity_worker_count_changes_no_bit(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(np.array(pooled).view(np.int64), np.array(serial).view(np.int64))
+    assert len(threads) == len(cfg.snr_grid_db)
+    assert threading.get_ident() in threads and len(set(threads)) <= 4
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------

@@ -279,6 +279,17 @@ def test_mi_awgn_validation():
         mi_axis(0.0, method="bogus")
 
 
+@pytest.mark.parametrize("samples", [0, 1])
+def test_monte_carlo_needs_two_samples(samples):
+    # one sample used to give a NaN error estimate, none a numpy warning and
+    # then "mutual information estimate is not finite: nan"
+    kw = dict(method="monte_carlo", mc_samples=samples)
+    for call in (lambda: mi_awgn(UNIFORM_PLANE, 0.5, **kw), lambda: mi_bpsk(0.0, **kw),
+                 lambda: mi_axis(0.0, **kw)):
+        with pytest.raises(ValueError, match=f"mc_samples must be at least 2.*got {samples}"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # bit-identity with the reference mixture code
 # ---------------------------------------------------------------------------
@@ -324,12 +335,18 @@ def _plane_sets_of_results():
     return sets
 
 
+def _line_sets_of_results():
+    """The line point sets whose mixture entropies ``_results`` integrates:
+    BPSK at Es 1 and 2 and ``UNIFORM_LINE``."""
+    return {Constellation.bpsk(es).points.real.tobytes() for es in (1.0, 2.0)} | {
+        UNIFORM_LINE.points.real.tobytes()}
+
+
 def _recording(seen, fn, at):
     """``fn`` that first adds the bytes of its ``points`` argument (number
-    ``at``) to ``seen``, when they are plane points."""
+    ``at``) to ``seen``."""
     def wrapped(*args):
-        if args[at].dtype.kind == "c":
-            seen.add(args[at].tobytes())
+        seen.add(args[at].tobytes())
         return fn(*args)
     return wrapped
 
@@ -343,8 +360,8 @@ def test_mi_bit_identical_to_reference_mixture(monkeypatch):
         m.setattr(mutual_info, "_log_mixture", lambda y, points, sigma2:
                   log_mixture_reference(y, points, _equal(points), sigma2))
         ref = _results()
-    # every plane set was integrated by the reference, not by the package
-    assert seen == _plane_sets_of_results()
+    # every set was integrated by the reference, not by the package
+    assert seen == _plane_sets_of_results() | _line_sets_of_results()
     assert len(mine) == len(ref) == 52
     for a, b in zip(mine, ref):
         assert a.method == b.method
@@ -354,18 +371,20 @@ def test_mi_bit_identical_to_reference_mixture(monkeypatch):
 def test_mi_bit_identical_to_point_last_mixture(monkeypatch):
     # every path (line, plane blocks with mirrored axis pairs, label classes,
     # Monte-Carlo) against the mixture that put the point axis last
-    def point_last_block(y, points, sigma2, out):
+    def point_last_density(y, points, sigma2, out):
         out[...] = log_mixture_last_axis_reference(y, points, _equal(points), sigma2)
 
     mine = _results()
     seen = set()
     with monkeypatch.context() as m:
-        m.setattr(mutual_info, "_log_mixture", lambda y, points, sigma2:
-                  log_mixture_last_axis_reference(y, points, _equal(points), sigma2))
-        m.setattr(mutual_info, "_plane_block", _recording(seen, point_last_block, at=1))
+        m.setattr(mutual_info, "_log_density", _recording(seen, point_last_density, at=1))
         ref = _results()
-    # the plane path calls the patched kernel for every plane set
-    assert seen == _plane_sets_of_results()
+    # every path calls the one patched kernel: for every set it integrates,
+    # and for Monte-Carlo for each single point of the sampled sets, whose
+    # classes in mi_awgn are the points themselves
+    singles = {pts[[i]].tobytes() for pts in (UNIFORM_LINE.points.real, UNIFORM_PLANE.points)
+               for i in range(pts.size)}
+    assert seen == _plane_sets_of_results() | _line_sets_of_results() | singles
     assert len(mine) == len(ref) == 52
     for a, b in zip(mine, ref):
         assert a.method == b.method
@@ -385,8 +404,10 @@ def test_log_mixture_point_major_matches_point_last(inp):
     scale = math.sqrt(2.0 * sigma2)
     grid = scale * t if pts.dtype.kind == "f" else scale * (t[:, None] + 1j * t[None, :])
     _, samples = mutual_info._mc_draw(pts, sigma2, 500, seed=4)
+    # more samples than one block of _BLOCK_NODES, and not a multiple of it
+    _, many = mutual_info._mc_draw(pts, sigma2, 20_000, seed=5)
     far = np.array([1e3], dtype=pts.dtype)
-    for y in (pts[0] + grid, samples, far):
+    for y in (pts[0] + grid, samples, many, far):
         got = mutual_info._log_mixture(y, pts, sigma2)
         want = log_mixture_last_axis_reference(y, pts, _equal(pts), sigma2)
         assert got.shape == y.shape
@@ -415,6 +436,24 @@ def test_row_blocks_leave_capacity_rows_unchanged(monkeypatch, block):
     monkeypatch.setattr(mutual_info, "_BLOCK_NODES", block)
     got = cli.run_capacity(cfg)
     assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+
+
+@pytest.mark.parametrize("block", ROW_BLOCKS.values(), ids=ROW_BLOCKS.keys())
+def test_blocks_leave_line_and_monte_carlo_bits_unchanged(monkeypatch, block):
+    # 5000 samples leave a short last block of 768 values (and fit in one
+    # default block); at 3 samples the five points cannot all be drawn, so a
+    # class of mi_awgn is empty
+    def results():
+        return [*_results(), *(mi_awgn(UNIFORM_PLANE, 0.5, method="monte_carlo", mc_samples=3,
+                                       seed=seed) for seed in range(4))]
+
+    want = results()
+    monkeypatch.setattr(mutual_info, "_BLOCK_NODES", block)
+    got = results()
+    assert len(got) == len(want) == 56
+    for a, b in zip(got, want):
+        assert a.method == b.method
+        assert np.array_equal(_bits(a), _bits(b))
 
 
 @pytest.mark.parametrize("block", [mutual_info._BLOCK_NODES, *ROW_BLOCKS.values()],
