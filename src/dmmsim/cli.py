@@ -9,7 +9,9 @@ Verbs:
 
 Flags ``--seed``, ``--threads`` and ``--out`` override the config file; the
 environment variables ``DMMSIM_SEED``, ``DMMSIM_THREADS`` and ``DMMSIM_OUT``
-sit between the two (flag beats environment beats file).
+sit between the two (flag beats environment beats file).  An empty path from
+``--out`` or ``DMMSIM_OUT`` is an error naming its source; an empty ``out``
+in the config file means stdout, as does no output setting at all.
 
 CSV layout: ``#``-prefixed metadata lines (config echo, versions, wall
 times, timestamp), one header row, one data row per grid point in grid
@@ -72,8 +74,6 @@ CAPACITY_COLUMNS = (
 
 def fmt(value) -> str:
     """One CSV cell; floats at 17 significant digits for exact round-trips."""
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -96,14 +96,36 @@ class UsageError(ValueError):
     """Bad command-line flag or environment override; the message names it."""
 
 
-def _env_default(name: str, conv, fallback):
-    raw = os.environ.get(ENV_PREFIX + name)
+def _setting(args, name: str, conv):
+    """``(value, where)`` of a run setting: the ``--name`` flag, else the
+    ``DMMSIM_NAME`` environment variable, else ``(None, None)``.  An empty
+    value, or one that ``conv`` rejects, is a usage error naming its source."""
+    raw, where = getattr(args, name, None), f"--{name}"
     if raw is None:
-        return fallback
+        where = ENV_PREFIX + name.upper()
+        raw = os.environ.get(where)
+        if raw is None:
+            return None, None
     try:
-        return conv(raw)
+        if raw != "":
+            return conv(raw), where
     except ValueError:
-        raise UsageError(f"{ENV_PREFIX}{name}: bad value {raw!r}") from None
+        pass
+    raise UsageError(f"{where}: bad value {raw!r}")
+
+
+def _metadata(cfg, schema: str, *notes: str) -> list:
+    """The leading ``#`` lines of a CSV: versions, the verb's notes and an
+    echo of every config field but the grid, the output path and the source
+    (the grid is in the rows, the source on its own line)."""
+    return [
+        f"dmmsim {_version} schema={schema}",
+        f"numpy {np.__version__}",
+        *notes,
+        f"config: {cfg.source or '(inline)'}",
+        *(f"config {f.name} = {getattr(cfg, f.name)}" for f in dataclasses.fields(cfg)
+          if f.name not in ("snr_grid_db", "out", "source")),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -182,27 +204,6 @@ def run_sweep(cfg: SweepConfig, threads: int = 1):
     return rows, walltimes
 
 
-def _sweep_metadata(cfg: SweepConfig, seed, threads) -> list:
-    meta = [
-        f"dmmsim {_version} schema={SWEEP_SCHEMA}",
-        f"numpy {np.__version__}",
-        f"noise: per-real-dimension sigma2; {GAUSSIAN_METHOD}",
-        "llr sign: positive favours bit 0",
-        f"config: {cfg.source or '(inline)'}",
-    ]
-    meta += [
-        f"config {k} = {getattr(cfg, k)}"
-        for k in (
-            "scheme", "code1", "code2", "code2_repeat", "snr_convention",
-            "symbol_energy", "stop_min_frame_errors", "stop_max_frames",
-            "master_seed", "max_bp_iterations", "uncoded_block_bits",
-        )
-    ]
-    meta.append(f"effective seed = {seed}")
-    meta.append(f"threads = {threads}")
-    return meta
-
-
 # ---------------------------------------------------------------------------
 # capacity
 # ---------------------------------------------------------------------------
@@ -241,17 +242,6 @@ def run_capacity(cfg: CapacityConfig):
     point = functools.partial(_capacity_row, cfg)
     workers = max(1, min(receiver._usable_cpus(), len(cfg.snr_grid_db)))
     return list(receiver._in_frame_order(point, cfg.snr_grid_db, workers))
-
-
-def _capacity_metadata(cfg: CapacityConfig) -> list:
-    return [
-        f"dmmsim {_version} schema={CAPACITY_SCHEMA}",
-        f"numpy {np.__version__}",
-        "mi in bits per channel use; es_n0_complex convention",
-        f"config: {cfg.source or '(inline)'}",
-        f"config symbol_energy = {cfg.symbol_energy}",
-        f"config quadrature_tol_bits = {cfg.quadrature_tol_bits}",
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -304,15 +294,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_out(flag_value, cfg) -> str | None:
+def _resolve_out(args, cfg) -> str | None:
     """The output path (None for stdout).  Its directory is checked here, so
     a bad path fails before the run, naming the setting it came from."""
-    env = _env_default("OUT", str, None)
-    if flag_value is not None:
-        out, where = flag_value, "--out"
-    elif env is not None:
-        out, where = env, ENV_PREFIX + "OUT"
-    else:
+    out, where = _setting(args, "out", str)
+    if out is None:
         out, where = cfg.out or None, f"{cfg.source}: out"
     if out and not os.path.isdir(os.path.dirname(out) or "."):
         raise UsageError(f"{where}: no directory {os.path.dirname(out)!r} for {out!r}")
@@ -332,39 +318,42 @@ def _emit(out_path, metadata, header, rows, trailing):
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.verb == "codeinfo":
+            run_codeinfo(args.alist, sys.stdout)
+            return 0
         if args.verb == "sweep":
             cfg = load_sweep_config(args.config)
-            seed = args.seed if args.seed is not None else _env_default("SEED", int, None)
+            seed, where = _setting(args, "seed", int)
             if seed is not None and seed < 0:
-                where = "--seed" if args.seed is not None else ENV_PREFIX + "SEED"
                 raise UsageError(f"{where} must be >= 0, got {seed}")
-            threads = args.threads if args.threads is not None else _env_default("THREADS", int, 1)
-            if threads < 1:
-                where = "--threads" if args.threads is not None else ENV_PREFIX + "THREADS"
+            threads, where = _setting(args, "threads", int)
+            if threads is not None and threads < 1:
                 raise UsageError(f"{where} must be >= 1, got {threads}")
+            threads = threads or 1
             run_cfg = cfg if seed is None else dataclasses.replace(cfg, master_seed=seed)
-            out = _resolve_out(args.out, cfg)
+            out = _resolve_out(args, cfg)
             t0 = time.time()
             rows, walltimes = run_sweep(run_cfg, threads=threads)
-            meta = _sweep_metadata(cfg, run_cfg.master_seed, threads)
-            meta.append(f"generated: {time.strftime('%Y-%m-%dT%H:%M:%S%z')}")
+            meta = _metadata(cfg, SWEEP_SCHEMA,
+                             f"noise: per-real-dimension sigma2; {GAUSSIAN_METHOD}",
+                             "llr sign: positive favours bit 0")
+            meta += [f"effective seed = {run_cfg.master_seed}", f"threads = {threads}"]
+            header = SWEEP_COLUMNS
             trailing = [
                 f"walltime point={i} snr_db={snr} {wt:.3f}s"
                 for i, (snr, wt) in enumerate(zip(cfg.snr_grid_db, walltimes))
             ]
-            trailing.append(f"walltime total {time.time() - t0:.3f}s")
-            _emit(out, meta, SWEEP_COLUMNS, rows, trailing)
-        elif args.verb == "capacity":
+        else:
             cfg = load_capacity_config(args.config)
-            out = _resolve_out(args.out, cfg)
+            out = _resolve_out(args, cfg)
             t0 = time.time()
             rows = run_capacity(cfg)
-            meta = _capacity_metadata(cfg)
-            meta.append(f"generated: {time.strftime('%Y-%m-%dT%H:%M:%S%z')}")
-            trailing = [f"walltime total {time.time() - t0:.3f}s"]
-            _emit(out, meta, CAPACITY_COLUMNS, rows, trailing)
-        else:
-            run_codeinfo(args.alist, sys.stdout)
+            meta = _metadata(cfg, CAPACITY_SCHEMA,
+                             "mi in bits per channel use; es_n0_complex convention")
+            header, trailing = CAPACITY_COLUMNS, []
+        meta.append(f"generated: {time.strftime('%Y-%m-%dT%H:%M:%S%z')}")
+        trailing.append(f"walltime total {time.time() - t0:.3f}s")
+        _emit(out, meta, header, rows, trailing)
     except (ConfigError, AlistFormatError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

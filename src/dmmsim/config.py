@@ -34,10 +34,10 @@ class ConfigError(ValueError):
 class SweepConfig:
     scheme: str
     snr_grid_db: tuple
-    snr_convention: str = "es_n0_complex"
     code1: str = ""
     code2: str = ""
     code2_repeat: int = 1
+    snr_convention: str = "es_n0_complex"
     symbol_energy: float = 1.0
     stop_min_frame_errors: int = 100
     stop_max_frames: int = 1_000_000

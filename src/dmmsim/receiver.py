@@ -193,7 +193,7 @@ class SimResult:
 
     @property
     def ber2_ci(self):
-        return wilson_interval(self.errors2, self.bits2) if self.bits2 else (math.nan, math.nan)
+        return wilson_interval(self.errors2, self.bits2)
 
     @property
     def ber_overall_ci(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 import sys
@@ -7,7 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from dmmsim import builtin_codes, cli, mutual_info, receiver, save_alist
+from dmmsim import __version__, builtin_codes, cli, mutual_info, receiver, save_alist
+from dmmsim.channel import GAUSSIAN_METHOD
 from dmmsim.cli import fmt, main
 from dmmsim.config import (
     CapacityConfig,
@@ -36,11 +38,25 @@ snr_grid_db = -6 -3 0 3 6
 quadrature_tol_bits = 1e-6
 """
 
+# cheap configs for the tests of the command line's output
+SHORT_CFGS = {
+    "sweep": SWEEP_CFG.replace("stop_max_frames = 60", "stop_max_frames = 8"),
+    "capacity": CAPACITY_CFG.replace("-6 -3 0 3 6", "0 3") + "symbol_energy = 2\n",
+}
+
 
 def body(path) -> str:
     """CSV body: everything except comment lines."""
     with open(path) as fh:
         return "".join(line for line in fh if not line.startswith("#"))
+
+
+def comments(path) -> list:
+    """The ``#`` lines of a CSV file without the ``# `` prefix, less the
+    timestamp and the wall times."""
+    with open(path) as fh:
+        return [line[2:].rstrip("\n") for line in fh if line.startswith("#")
+                and not line.startswith(("# generated:", "# walltime"))]
 
 
 def write(tmp_path, name, text):
@@ -410,6 +426,42 @@ def test_missing_out_directory_rejected_before_the_run(tmp_path, capsys, monkeyp
         assert not bad.parent.exists()
 
 
+@pytest.mark.parametrize("verb", ["sweep", "capacity"])
+@pytest.mark.parametrize("source,named", [("flag", "--out"), ("env", "DMMSIM_OUT")])
+def test_empty_out_rejected_naming_its_source(tmp_path, capsys, monkeypatch, verb, source,
+                                              named):
+    # an empty --out or DMMSIM_OUT used to send the CSV to stdout, over the
+    # config's out, where an empty DMMSIM_SEED exits 2
+    def never(*args, **kwargs):
+        raise AssertionError(f"{verb} ran with an empty output path")
+
+    monkeypatch.setattr(cli, "run_sweep", never)
+    monkeypatch.setattr(cli, "run_capacity", never)
+    cfg_out = tmp_path / "cfg.csv"
+    argv = [verb, write(tmp_path, f"{verb}.cfg", SHORT_CFGS[verb] + f"out = {cfg_out}\n")]
+    if source == "flag":
+        argv += ["--out", ""]
+    else:
+        monkeypatch.setenv("DMMSIM_OUT", "")
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {named}: bad value ''\n")
+    assert not cfg_out.exists()
+
+
+@pytest.mark.parametrize("verb", ["sweep", "capacity"])
+def test_stdout_gets_the_body_out_writes(tmp_path, capsys, monkeypatch, verb):
+    # with no output setting, or an empty out in the config, the CSV is printed
+    monkeypatch.delenv("DMMSIM_OUT", raising=False)
+    path = write(tmp_path, f"{verb}.cfg", SHORT_CFGS[verb])
+    out = tmp_path / "out.csv"
+    assert main([verb, path, "--out", str(out)]) == 0
+    for cfg in (path, write(tmp_path, "empty_out.cfg", SHORT_CFGS[verb] + "out =\n")):
+        assert main([verb, cfg]) == 0
+        printed = capsys.readouterr().out.splitlines(keepends=True)
+        assert printed[0].startswith(f"# dmmsim {__version__} ")
+        assert "".join(line for line in printed if not line.startswith("#")) == body(out)
+
+
 def test_sweep_exits_1_on_overflowing_axis_llrs(tmp_path, capsys):
     # -3081 dB is a valid es_n0_complex grid value (sigma2 = 6.3e307), but
     # the receiver's squared distances overflow there
@@ -475,6 +527,48 @@ def test_sweep_env_override(sweep_csv, tmp_path, monkeypatch):
     monkeypatch.delenv("DMMSIM_THREADS")
     assert main(["sweep", cfg, "--seed", "7", "--out", via_flag]) == 0
     assert body(via_env) == body(via_flag)
+
+
+def test_comment_lines_echo_every_config_field(tmp_path, monkeypatch):
+    # the # lines are what make a row re-runnable: their text and order, and
+    # an echo of each config field but the grid (in the rows), out and source
+    for name in ("SEED", "THREADS", "OUT"):
+        monkeypatch.delenv(f"DMMSIM_{name}", raising=False)
+    sweep, cap = (write(tmp_path, f"{verb}.cfg", text) for verb, text in SHORT_CFGS.items())
+    assert main(["sweep", sweep, "--seed", "7", "--out", str(tmp_path / "s.csv")]) == 0
+    assert main(["capacity", cap, "--out", str(tmp_path / "c.csv")]) == 0
+    versions = [f"dmmsim {__version__} schema=", f"numpy {np.__version__}"]
+    assert comments(tmp_path / "s.csv") == [
+        versions[0] + "sweep-v1", versions[1],
+        f"noise: per-real-dimension sigma2; {GAUSSIAN_METHOD}",
+        "llr sign: positive favours bit 0",
+        f"config: {sweep}",
+        "config scheme = dmm_realistic",
+        "config code1 = ldpc_r12_n256",
+        "config code2 = ldpc_r14_n64",
+        "config code2_repeat = 4",
+        "config snr_convention = es_n0_complex",
+        "config symbol_energy = 1.0",
+        "config stop_min_frame_errors = 10",
+        "config stop_max_frames = 8",
+        "config master_seed = 42",
+        "config max_bp_iterations = 50",
+        "config uncoded_block_bits = 4096",
+        "effective seed = 7",
+        "threads = 1",
+    ]
+    assert comments(tmp_path / "c.csv") == [
+        versions[0] + "capacity-v1", versions[1],
+        "mi in bits per channel use; es_n0_complex convention",
+        f"config: {cap}",
+        "config symbol_energy = 2.0",
+        "config quadrature_tol_bits = 1e-06",
+    ]
+    for cls, csv in ((SweepConfig, "s.csv"), (CapacityConfig, "c.csv")):
+        echoed = [line.split()[1] for line in comments(tmp_path / csv)
+                  if line.startswith("config ")]
+        assert echoed == [f.name for f in dataclasses.fields(cls)
+                          if f.name not in ("snr_grid_db", "out", "source")]
 
 
 def test_uncoded_sweep_runs(tmp_path):

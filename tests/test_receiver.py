@@ -647,6 +647,8 @@ def test_run_point_names_only_sent_codes(dmm_pair):
     assert (res.code1_name, res.code2_name) == ("", "")
     res = run_point("bpsk_baseline", code1, code2, snr_db=3.0, max_frames=1)
     assert (res.code1_name, res.code2_name) == (code1.name, "")
+    # no stream-2 bits, so no stream-2 BER interval
+    assert res.bits2 == 0 and all(map(math.isnan, res.ber2_ci))
 
 
 def test_run_point_frame_indices_fit_one_seed_word():
