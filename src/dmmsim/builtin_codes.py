@@ -61,4 +61,4 @@ def resolve_code(ref: str) -> BinaryCode:
 
 @functools.lru_cache(maxsize=8)
 def _alist_code(path: str, data: bytes) -> BinaryCode:
-    return _parse_alist(data.decode("ascii"), path)
+    return _parse_alist(data, path)

@@ -26,10 +26,11 @@ element-wise passes over the slots.  Codes with more than one degree are
 padded after the real edges of each check or variable with neutral
 entries (log-magnitude 0, no zero, no sign on the check side, a 0.0
 message on the variable side), so the same reductions serve every code.
-The sums keep ``np.add.reduceat``'s association, so a regular code, or any
-code whose padded degrees are at most eight, decodes to the bits of an
-edge-list decoder with ``reduceat`` sums; wider padded checks or variables
-may round differently in the last bit.
+The sums keep ``np.add.reduceat``'s association and its bits but for the
+sign of a zero sum (see ``_degree_sum``), a sign that no decision reads.  So
+a regular code, or any code whose padded degrees are at most eight, decodes
+to the bits of an edge-list decoder with ``reduceat`` sums; wider padded
+checks or variables may round differently in the last bit.
 
 Code objects are immutable after construction.  Decoding allocates its own
 message buffers per call, so codes can be shared freely across workers.
@@ -381,7 +382,9 @@ def _degree_sum(x: np.ndarray) -> np.ndarray:
     -0.0: -0.0 + a is a to the bit, while numpy's default start +0.0 would
     turn a sum of -0.0 terms into +0.0.  numpy sums pairwise only along a
     contiguous axis, so the other widths sum a copy with the degree axis
-    last."""
+    last.  That sum gives ``reduceat``'s bits with one exception: at widths
+    1, 2 and above eight, a column of -0.0 terms sums to +0.0, where
+    ``reduceat`` keeps -0.0."""
     if 2 < x.shape[1] <= 8:
         return x[:, 0] + np.add.reduce(x[:, 1:], axis=1, initial=-0.0)
     return x[:, 0] + np.moveaxis(x[:, 1:], 1, -1).copy().sum(axis=-1)
@@ -525,12 +528,21 @@ def load_alist(path, name: str | None = None) -> BinaryCode:
     tolerated).  The code is named ``name``, or by default after the file.
     """
     path = str(path)
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "rb") as fh:
         return _parse_alist(fh.read(), path, name)
 
 
-def _parse_alist(text: str, path: str, name: str | None = None) -> BinaryCode:
-    """The code in alist ``text``; errors name ``path`` and the 1-based line."""
+def _parse_alist(data: bytes, path: str, name: str | None = None) -> BinaryCode:
+    """The code in the alist file contents ``data``, which must be ASCII;
+    errors name ``path`` and, where they have one, the 1-based line."""
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # its line as the parser counts lines: the bytes before it are ASCII,
+        # and it starts or continues their last line
+        lineno = len((data[:exc.start] + b"x").decode("ascii").splitlines())
+        raise AlistFormatError(
+            f"{path}:{lineno}: non-ASCII byte 0x{data[exc.start]:02x}") from None
     lines = text.splitlines()
 
     def ints(lineno: int, expect: int | None = None) -> list[int]:
@@ -587,7 +599,10 @@ def _parse_alist(text: str, path: str, name: str | None = None) -> BinaryCode:
     h = np.zeros((m, n), dtype=np.uint8)
     h[np.repeat(np.arange(m), [len(cols) for cols in row_cols]),
       np.concatenate(row_cols, dtype=np.intp) - 1] = 1
-    return BinaryCode(h, name=name or os.path.basename(path))
+    try:  # rank, an empty row or column, or m >= n
+        return BinaryCode(h, name=name or os.path.basename(path))
+    except ValueError as exc:
+        raise AlistFormatError(f"{path}: {exc}") from exc
 
 
 def save_alist(code_or_parity, path) -> None:

@@ -58,10 +58,10 @@ of the others take the next batch in frame order as soon as they are free,
 so a slow batch holds up only its own thread; a batch starts only within
 ``_WINDOW_PER_THREAD`` batches per thread of the next one the stop rule
 reads, and no more batches decode at once than there are threads.  numpy
-releases the interpreter lock inside BP's ufuncs, so the threads overlap.  The stop rule reads the results in frame order; once it stops no
-batch starts, and a batch drawn past the stopping frame is discarded, its
-result or error unread, so a point's result does not depend on the thread
-count.
+releases the interpreter lock inside BP's ufuncs, so the threads overlap.
+The stop rule reads the results in frame order; once it stops no batch
+starts, and a batch drawn past the stopping frame is discarded, its result
+or error unread, so a point's result does not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -247,6 +247,15 @@ def _accumulate(stop_min_fe, stop_max_frames, frames_done, fe_done, frame_err_fl
     return take, reason
 
 
+def _check_lengths(code1, code2) -> None:
+    """Raise ValueError unless the two streams' codewords are equally long."""
+    if code1.n != code2.n:
+        raise ValueError(
+            f"codeword lengths must match (one symbol carries one bit of each): "
+            f"{code1.n} != {code2.n}"
+        )
+
+
 def run_point(scheme: str, code1=None, code2=None, *, snr_db: float,
               snr_convention: str = "es_n0_complex", es: float = 1.0,
               seed: int = 0, min_frame_errors: int = 100,
@@ -274,11 +283,8 @@ def run_point(scheme: str, code1=None, code2=None, *, snr_db: float,
     polarity_code = code1 if "code1" in sent else None
     axis_code = code2 if "code2" in sent else None
     dmm = axis_code is not None
-    if dmm and code1.n != code2.n:
-        raise ValueError(
-            f"codeword lengths must match (one symbol carries one bit of each): "
-            f"{code1.n} != {code2.n}"
-        )
+    if dmm:
+        _check_lengths(code1, code2)
     rate1 = 1.0 if polarity_code is None else code1.rate
     rate2 = code2.rate if dmm else 0.0
     rate_overall = rate1 + rate2
@@ -540,6 +546,7 @@ def paired_genie_vs_bpsk(code1, code2, cfg: ChannelConfig, frames: int,
     """
     if frames < 1:
         raise ValueError(f"frames must be >= 1, got {frames}")
+    _check_lengths(code1, code2)
     parts = []
     for idx in _batches(frames, code1.n):
         words, noise = _frame_batch(cfg, idx, code1.n, (code1.k, code2.k))

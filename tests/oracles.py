@@ -2,8 +2,12 @@
 
 Most of these avoid the package's own numerics: plain formulas,
 exhaustive enumeration, or scipy quadrature.  The ``*_reference`` functions
-are earlier versions of package code, kept verbatim so that a faster
-rewrite can be checked bit for bit.
+are the definitions the package's fast kernels must match bit for bit, one
+per kernel: an edge-list decoder with ``np.add.reduceat`` sums, a new
+generator per frame, elimination on one byte per bit, and mixtures and
+LLRs as a ``np.logaddexp.reduce`` over the point axis.  A rewrite is
+checked against the definitional reference; a snapshot of replaced code
+stays only while it is the one check of some input.
 """
 
 import math
@@ -13,7 +17,7 @@ from scipy import integrate
 from scipy.special import erfc
 
 from dmmsim import linear_code, modem
-from dmmsim.channel import block_rng, frame_keys, noise_block
+from dmmsim.channel import block_rng, noise_block
 from dmmsim.linear_code import RankDeficiencyError
 from dmmsim.receiver import DATA_STREAM, _frame_batch
 
@@ -212,39 +216,6 @@ def frame_batch_reference(cfg, indices, n, ks):
     return words, noise
 
 
-def frame_batch_rekeyed_reference(cfg, indices, n, ks):
-    """Info words and channel noise of a batch of frames, keyed by index.
-
-    The receiver's frame generator before it drew a frame's info words from
-    one ``random_raw`` call and its noise into one batch buffer: per frame
-    one ``integers`` call per word and a per-row noise assembly, on one
-    re-keyed generator.  Returns (list of (B, k) uint8 arrays, (B, n)
-    complex noise).
-    """
-    keys = frame_keys(cfg.seed, indices)
-    bitgen = np.random.Philox(0)
-    rng = np.random.Generator(bitgen)
-    key = {"counter": np.zeros(4, dtype=np.uint64), "key": None}
-    state = {"bit_generator": "Philox", "state": key,
-             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,  # empty
-             "has_uint32": 0, "uinteger": 0}
-    words = [np.empty((indices.size, k), dtype=np.uint8) for k in ks]
-    noise = np.empty((indices.size, n), dtype=np.complex128)
-    z = np.empty(2 * n)  # one reused row: a (B, 2n) buffer costs memory, not time
-    scale = math.sqrt(cfg.sigma2)
-    for j in range(indices.size):
-        key["key"] = keys[j, DATA_STREAM]
-        bitgen.state = state
-        for w in words:
-            w[j] = rng.integers(0, 2, size=w.shape[1], dtype=np.uint8)
-        key["key"] = keys[j, 0]
-        bitgen.state = state
-        rng.standard_normal(out=z)
-        z *= scale
-        noise[j] = z[0::2] + 1j * z[1::2]
-    return words, noise
-
-
 def paired_batch_reference(code1, code2, cfg, indices, max_iter):
     """Genie and BPSK LLRs and error counts of one batch of frames.
 
@@ -390,303 +361,3 @@ def two_proportion_z(k1, n1, k2, n2):
     if se == 0.0:
         return 0.0
     return (p1 - p2) / se
-
-
-# ---------------------------------------------------------------------------
-# Short-axis-last kernels: BP messages check-major, mixture exponents
-# point-last.  The package's code before it moved the short axis first, kept
-# verbatim but for its names; the package must match them bit for bit.
-# ---------------------------------------------------------------------------
-
-class BpGraphCheckMajorReference:
-    """Fixed-degree, check-major view of a parity-check matrix for BP.
-
-    Edge slots form an (m, dc) grid, dc the largest check degree: row i holds
-    the variables of check i in ascending order, padded at the end.  The
-    variable side is an (n, dv) grid of slot indices, dv the largest variable
-    degree, each row in ascending check order and padded at the end with slot
-    ``m * dc``, one past the grid.  ``parity`` is a uint8 0/1 matrix.  All
-    arrays are immutable after construction.
-    """
-
-    def __init__(self, parity: np.ndarray):
-        m, n = parity.shape
-        # check-major, ascending variable; a 0/1 byte is a bool, which numpy
-        # scans far faster than uint8
-        check_of, var_of = np.divmod(np.flatnonzero(parity.view(bool)), n)
-        deg_v = np.bincount(var_of, minlength=n)
-        if np.any(deg_v == 0):
-            raise ValueError("parity-check matrix has an unconnected column")
-        deg_c = np.bincount(check_of, minlength=m)
-        if np.any(deg_c == 0):
-            raise ValueError("parity-check matrix has an empty row")
-        dc, dv = int(deg_c.max()), int(deg_v.max())
-        self.check_shape = (m, dc)
-        self.var_shape = (n, dv)
-
-        edge = np.arange(check_of.size)
-        slot = check_of * dc + edge - (np.cumsum(deg_c) - deg_c)[check_of]
-        self.var_of_slot = np.zeros(m * dc, dtype=np.intp)
-        self.var_of_slot[slot] = var_of
-        # padded check slots, or None for a code with one check degree
-        self.pad_slots = None
-        if slot.size < m * dc:
-            self.pad_slots = np.ones(m * dc, dtype=bool)
-            self.pad_slots[slot] = False
-
-        by_var = np.argsort(var_of, kind="stable")  # ascending check per variable
-        v = var_of[by_var]
-        self.slot_of_var = np.full(n * dv, m * dc, dtype=np.intp)
-        self.slot_of_var[v * dv + edge - (np.cumsum(deg_v) - deg_v)[v]] = slot[by_var]
-
-    def annihilates(self, generator: np.ndarray) -> bool:
-        """Whether every row of ``generator`` satisfies every check (G H^T = 0).
-
-        Each check XORs the bit-packed generator columns of its variables;
-        padded slots contribute nothing.
-        """
-        m, dc = self.check_shape
-        cols = np.packbits(generator.T, axis=1)  # (n, ceil(k/8))
-        at_slot = cols[self.var_of_slot]
-        if self.pad_slots is not None:
-            at_slot[self.pad_slots] = 0
-        return not np.bitwise_xor.reduce(at_slot.reshape(m, dc, -1), axis=1).any()
-
-
-def degree_sum_last_axis_reference(x: np.ndarray) -> np.ndarray:
-    """Sum over the last axis, associated as ``np.add.reduceat`` does: the
-    first term plus numpy's sum of the rest, which adds fewer than eight
-    terms left to right (spelled out below, as numpy is slow on a short
-    axis) and more in its pairwise order."""
-    if 2 < x.shape[-1] <= 8:
-        rest = x[..., 1] + x[..., 2]
-        for j in range(3, x.shape[-1]):
-            rest += x[..., j]
-        return x[..., 0] + rest
-    return x[..., 0] + x[..., 1:].sum(axis=-1)
-
-
-def fold_last_axis_reference(ufunc, x: np.ndarray) -> np.ndarray:
-    """``ufunc`` chained left to right along the last axis (XOR for a parity,
-    multiply for a product of signs); numpy's ``reduce`` is slow on a short
-    axis."""
-    acc = x[..., 0].copy()
-    for j in range(1, x.shape[-1]):
-        ufunc(acc, x[..., j], out=acc)
-    return acc
-
-
-def bp_batch_check_major_reference(graph, llr: np.ndarray, max_iter: int):
-    """Sum-product decoding of a batch of LLR rows.
-
-    Check updates use the tanh product in log-magnitude/sign form with
-    explicit zero counting, so exact-zero messages (erasures) propagate as
-    exact zeros instead of being floored to small values.  A frame converges
-    when its hard decision satisfies every check and its posterior carries
-    any information at all; a total erasure therefore reports max-iter.
-
-    Returns (hard codewords, converged flags, iteration counts).
-    """
-    LLR_MAX, _TANH_CAP = linear_code.LLR_MAX, linear_code._TANH_CAP
-    _degree_sum, _fold = degree_sum_last_axis_reference, fold_last_axis_reference
-    b = llr.shape[0]
-    m, dc = graph.check_shape
-    n, dv = graph.var_shape
-    slots = m * dc
-
-    bits = np.zeros((b, n), dtype=np.uint8)
-    converged = np.zeros(b, dtype=bool)
-    iterations = np.full(b, max_iter, dtype=np.int64)
-
-    # rows still iterating; converged rows are dropped from the working set
-    rows = np.arange(b)
-    base = np.clip(llr, -LLR_MAX, LLR_MAX)
-    lq = np.clip(base[:, graph.var_of_slot], -LLR_MAX, LLR_MAX)
-
-    for it in range(1, max_iter + 1):
-        # check update on the (rows, m, dc) grid, in place where a message
-        # is not read again
-        t = np.tanh(np.divide(lq, 2.0, out=lq), out=lq)
-        if graph.pad_slots is not None:
-            t[:, graph.pad_slots] = 1.0  # log-magnitude 0, not zero, not negative
-        t = t.reshape(-1, m, dc)
-        zero = t == 0.0
-        erasures = zero.any()  # exact-zero messages are rare; skip their bookkeeping
-        # each edge's sign as -1.0 or 1.0; +-0.0 counts as non-negative
-        sgn = np.copysign(1.0, t)
-        mag = np.abs(t, out=t)
-        if erasures:
-            sgn[zero] = 1.0
-            mag = np.where(zero, 1.0, mag)
-        log_abs = np.log(mag, out=mag)
-        ext = np.exp(np.subtract(_degree_sum(log_abs)[..., None], log_abs, out=log_abs),
-                     out=log_abs)
-        if erasures:  # another edge of the check is an erasure
-            ext = np.where(np.count_nonzero(zero, axis=-1)[..., None] > zero, 0.0, ext)
-        # the sign of the check's other edges: the edge's own sign times the
-        # check's product; every factor is exactly +-1.0, so an odd sign
-        # turns 0.0 into -0.0 just as a multiply by -1.0 does
-        sgn *= _fold(np.multiply, sgn)[..., None]
-        ext *= sgn
-        del sgn  # freed before the messages are allocated: no extra peak memory
-        ext = np.arctanh(np.clip(ext, -_TANH_CAP, _TANH_CAP, out=ext), out=ext)
-        # one trailing 0.0 column: the message of every padded variable slot
-        lr = np.empty((rows.size, slots + 1))
-        lr[:, slots] = 0.0
-        np.multiply(2.0, ext.reshape(-1, slots), out=lr[:, :slots])
-
-        # variable update and posterior; the syndrome reads the posterior
-        # gathered to the check slots
-        post = base + _degree_sum(np.take(lr, graph.slot_of_var, axis=1).reshape(-1, n, dv))
-        lq = np.take(post, graph.var_of_slot, axis=1)
-        on_check = lq < 0
-        if graph.pad_slots is not None:
-            on_check &= ~graph.pad_slots
-        syndrome = _fold(np.bitwise_xor, on_check.reshape(-1, m, dc))
-        ok = ~np.any(syndrome, axis=1) & np.any(post != 0.0, axis=1)
-        lq -= lr[:, :slots]
-        np.clip(lq, -LLR_MAX, LLR_MAX, out=lq)
-
-        bits[rows] = post < 0
-        if np.any(ok):
-            done = rows[ok]
-            iterations[done] = it
-            converged[done] = True
-            keep = ~ok
-            if not np.any(keep):
-                break
-            rows = rows[keep]
-            base = base[keep]
-            lq = lq[keep]
-
-    return bits, converged, iterations
-
-
-def log_sum_exp_last_axis_reference(x: np.ndarray, cols) -> np.ndarray:
-    """ln of the sum of exp(x[..., j]) over the columns ``cols`` of a short
-    last axis.
-
-    A left-to-right chain of ``np.logaddexp`` over column views: bitwise
-    ``np.logaddexp.reduce(x[..., cols], axis=-1)`` (a ufunc reduce applies
-    its operator in order, and ``logaddexp`` is symmetric in its arguments),
-    without the copy and without the reduce's slow loop over a 2- or 4-wide
-    axis.  The reduce starts from the identity, and ``logaddexp(-inf, v)``
-    is ``v + 0.0``, which turns -0.0 into 0.0; so does the chain.
-    """
-    if len(cols) == 0:
-        return np.full(x.shape[:-1], -np.inf)  # the reduce's identity
-    acc = x[..., cols[0]] + 0.0
-    for j in cols[1:]:
-        acc = np.logaddexp(acc, x[..., j])
-    return acc
-
-
-def log_mixture_last_axis_reference(y: np.ndarray, points: np.ndarray, probs: np.ndarray,
-                                    sigma2: float) -> np.ndarray:
-    """Log density of the received point; real ``points`` mean the line."""
-    expo = (
-        np.log(probs)
-        - np.abs(y[..., None] - points) ** 2 / (2.0 * sigma2)
-        - 0.5 * _dim(points) * math.log(2.0 * math.pi * sigma2)
-    )
-    return log_sum_exp_last_axis_reference(expo, range(points.size))
-
-
-# ---------------------------------------------------------------------------
-# The slot-major decoder before its check-side sign step became a bool
-# parity: each edge's sign as a copysign +-1.0, the check's product of signs
-# as a multiply fold.  The package's code, kept verbatim but for its name
-# and its degree-axis helpers, which are the last-axis references above;
-# the package must match it bit for bit.
-# ---------------------------------------------------------------------------
-
-def bp_batch_copysign_reference(graph, llr: np.ndarray, max_iter: int):
-    """Sum-product decoding of a batch of LLR rows.
-
-    Check updates use the tanh product in log-magnitude/sign form with
-    explicit zero counting, so exact-zero messages (erasures) propagate as
-    exact zeros instead of being floored to small values.  A frame converges
-    when its hard decision satisfies every check and its posterior carries
-    any information at all; a total erasure therefore reports max-iter.
-
-    Returns (hard codewords, converged flags, iteration counts).
-    """
-    LLR_MAX, _TANH_CAP = linear_code.LLR_MAX, linear_code._TANH_CAP
-    # the package's degree-axis sum and fold of the time, spelled with the
-    # last-axis references on the degree axis moved last
-    def _degree_sum(x):
-        return degree_sum_last_axis_reference(np.ascontiguousarray(np.moveaxis(x, 1, -1)))
-
-    def _fold(ufunc, x):
-        return fold_last_axis_reference(ufunc, np.moveaxis(x, 1, -1))
-
-    b = llr.shape[0]
-    slots = graph.var_of_slot.size
-
-    bits = np.zeros(llr.shape, dtype=np.uint8)
-    converged = np.zeros(b, dtype=bool)
-    iterations = np.full(b, max_iter, dtype=np.int64)
-
-    # rows still iterating; converged rows are dropped from the working set
-    rows = np.arange(b)
-    base = np.clip(llr, -LLR_MAX, LLR_MAX)
-    lq = np.clip(base[:, graph.var_of_slot], -LLR_MAX, LLR_MAX)
-
-    for it in range(1, max_iter + 1):
-        # check update on the (rows, dc, m) grid, in place where a message
-        # is not read again
-        t = np.tanh(np.divide(lq, 2.0, out=lq), out=lq)
-        if graph.pad_slots is not None:
-            t[:, graph.pad_slots] = 1.0  # log-magnitude 0, not zero, not negative
-        t = t.reshape(-1, *graph.check_shape)
-        zero = t == 0.0
-        erasures = zero.any()  # exact-zero messages are rare; skip their bookkeeping
-        # each edge's sign as -1.0 or 1.0; +-0.0 counts as non-negative
-        sgn = np.copysign(1.0, t)
-        mag = np.abs(t, out=t)
-        if erasures:
-            sgn[zero] = 1.0
-            mag = np.where(zero, 1.0, mag)
-        log_abs = np.log(mag, out=mag)
-        ext = np.exp(np.subtract(_degree_sum(log_abs)[:, None], log_abs, out=log_abs),
-                     out=log_abs)
-        if erasures:  # another edge of the check is an erasure
-            ext = np.where(np.count_nonzero(zero, axis=1)[:, None] > zero, 0.0, ext)
-        # the sign of the check's other edges: the edge's own sign times the
-        # check's product; every factor is exactly +-1.0, so an odd sign
-        # turns 0.0 into -0.0 just as a multiply by -1.0 does
-        sgn *= _fold(np.multiply, sgn)[:, None]
-        ext *= sgn
-        del sgn  # freed before the messages are allocated: no extra peak memory
-        ext = np.arctanh(np.clip(ext, -_TANH_CAP, _TANH_CAP, out=ext), out=ext)
-        # one trailing 0.0 column: the message of every padded variable slot
-        lr = np.empty((rows.size, slots + 1))
-        lr[:, slots] = 0.0
-        np.multiply(2.0, ext.reshape(-1, slots), out=lr[:, :slots])
-
-        # variable update and posterior; the syndrome reads the posterior
-        # gathered to the check slots
-        post = base + _degree_sum(
-            np.take(lr, graph.slot_of_var, axis=1).reshape(-1, *graph.var_shape))
-        lq = np.take(post, graph.var_of_slot, axis=1)
-        on_check = lq < 0
-        if graph.pad_slots is not None:
-            on_check &= ~graph.pad_slots
-        syndrome = _fold(np.bitwise_xor, on_check.reshape(-1, *graph.check_shape))
-        ok = ~np.any(syndrome, axis=1) & np.any(post != 0.0, axis=1)
-        lq -= lr[:, :slots]
-        np.clip(lq, -LLR_MAX, LLR_MAX, out=lq)
-
-        bits[rows] = post < 0
-        if np.any(ok):
-            done = rows[ok]
-            iterations[done] = it
-            converged[done] = True
-            keep = ~ok
-            if not np.any(keep):
-                break
-            rows = rows[keep]
-            base = base[keep]
-            lq = lq[keep]
-
-    return bits, converged, iterations

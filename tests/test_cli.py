@@ -256,9 +256,9 @@ def test_sweep_parses_an_alist_code_once(tmp_path, monkeypatch):
     # the file is parsed and row-reduced once
     parsed = []
 
-    def counting_parse(text, path, name=None):
+    def counting_parse(data, path, name=None):
         parsed.append(path)
-        return parse(text, path, name)
+        return parse(data, path, name)
 
     parse = builtin_codes._parse_alist
     monkeypatch.setattr(builtin_codes, "_parse_alist", counting_parse)
@@ -687,3 +687,14 @@ def test_codeinfo_malformed(tmp_path, capsys):
     bad.write_text("")
     assert main(["codeinfo", str(bad)]) == 2
     assert ":1:" in capsys.readouterr().err
+    # a file that parses but defines no code, or is not ASCII, is a format
+    # error too, and names the file
+    for data, message in (
+            (b"3 2\n2 3\n2 2 2\n3 3\n1 2\n1 2\n1 2\n1 2 3\n1 2 3\n",
+             ": parity-check matrix is rank deficient: rank 1 < 2 rows"),
+            (b"4 1\n1 3\n1 1 1 0\n3\n1\n1\n1\n0\n1 2 3\n",
+             ": parity-check matrix has an unconnected column"),
+            (b"3 1\n1 3\n1 1 1\n3\n1\n1\n\xc3\xa9\n1 2 3\n", ":7: non-ASCII byte 0xc3")):
+        bad.write_bytes(data)
+        assert main(["codeinfo", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}{message}\n"

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import importlib
 import math
@@ -27,13 +28,8 @@ from dmmsim.builtin_codes import BUILTIN_CODE_NAMES
 from dmmsim.linear_code import LLR_MAX, _bp_batch, _degree_sum, gf2_rank, gf2_rref
 
 from oracles import (
-    BpGraphCheckMajorReference,
     all_codewords,
-    bp_batch_check_major_reference,
-    bp_batch_copysign_reference,
     bp_reference,
-    degree_sum_last_axis_reference,
-    fold_last_axis_reference,
     generator_from_parity_reference,
     gf2_encode_reference,
     gf2_matmul,
@@ -398,23 +394,28 @@ def _irregular_code():
 def test_degree_sum_matches_reduceat(width):
     # axis 1 is the degree axis; irregular_20_40 has checks of degree up to
     # 14, so widths past eight take numpy's pairwise order
+    def reduceat(x):
+        # each (row, column)'s terms together
+        edges = np.moveaxis(x, 1, -1).reshape(x.shape[0], -1)
+        return np.add.reduceat(edges, np.arange(0, x.shape[2] * width, width), axis=1)
+
     rng = np.random.default_rng(width)
     x = rng.normal(size=(3, width, 50)) * 10.0 ** rng.uniform(-3, 3, (3, width, 50))
-    edges = np.moveaxis(x, 1, -1).reshape(3, -1)  # each (row, column)'s terms together
-    want = np.add.reduceat(edges, np.arange(0, 50 * width, width), axis=1)
-    assert np.array_equal(_degree_sum(x), want)
-    assert np.array_equal(_degree_sum(x[:1]), want[:1])
-    # and the last-axis sum it replaces, bit for bit, zeros of both signs
-    # included (an all -0.0 column that goes through numpy's sum comes out
-    # 0.0 in both; reduceat keeps -0.0)
+    want = reduceat(x)
+    assert np.array_equal(_degree_sum(x).view(np.int64), want.view(np.int64))
+    assert np.array_equal(_degree_sum(x[:1]).view(np.int64), want[:1].view(np.int64))
+    # zeros of both signs: bit for bit but for one sign.  An all -0.0 column
+    # that goes through numpy's sum of a contiguous copy (widths 1, 2 and
+    # past eight) comes out 0.0, where reduceat keeps -0.0
     x[0, :, :5] = -0.0
     x[1, :, :5] = 0.0
     x[2, :width // 2, :5] = -0.0
-    got = _degree_sum(x)
-    # (numpy keeps its pairwise order only along a contiguous axis, which
-    # is what the old decoder's check-major arrays had)
-    ref = degree_sum_last_axis_reference(np.ascontiguousarray(np.moveaxis(x, 1, -1)))
-    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    got, want = _degree_sum(x), reduceat(x)
+    assert np.array_equal(got, want)
+    assert np.all(np.signbit(want[0, :5]))
+    sign_differs = np.zeros(want.shape, dtype=bool)
+    sign_differs[0, :5] = not 2 < width <= 8
+    assert np.array_equal(got.view(np.int64) != want.view(np.int64), sign_differs)
 
 
 @pytest.mark.parametrize("width", [1, 2, 4, 6, 14])
@@ -426,13 +427,11 @@ def test_fold_matches_ufunc_reduce(width):
     bits = rng.random((3, width, 40)) < 0.5
     got = np.bitwise_xor.reduce(bits, axis=1)
     assert got.dtype == bool
-    assert np.array_equal(got, fold_last_axis_reference(np.bitwise_xor,
-                                                        np.moveaxis(bits, 1, -1)))
+    assert np.array_equal(got, functools.reduce(np.bitwise_xor, np.moveaxis(bits, 1, 0)))
     signs = np.where(rng.random((3, width, 40)) < 0.5, -1.0, 1.0)
     prod = np.multiply.reduce(signs, axis=1)
-    assert np.array_equal(prod.view(np.int64),
-                          fold_last_axis_reference(np.multiply,
-                                                   np.moveaxis(signs, 1, -1)).view(np.int64))
+    want = functools.reduce(np.multiply, np.moveaxis(signs, 1, 0))
+    assert np.array_equal(prod.view(np.int64), want.view(np.int64))
 
 
 def _degree_two_code():
@@ -555,29 +554,42 @@ def test_decode_zero_free_batches_match_reference(name, toy_code):
 
 @pytest.mark.parametrize("name", BUILTIN_CODE_NAMES + ("irregular_20_40", "degree_two_12"))
 def test_slot_major_graph_transposes_check_major_reference(name, toy_code):
-    # slot j of check i moved from i * dc + j to j * m + i; the variable
-    # side's grid moved the same way and names the moved slots
+    # check i lists its variables in ascending order, and slot j of it is
+    # j * m + i; each variable lists the slots of its checks in ascending
+    # check order.  Short lists are padded at the end: with variable 0 on the
+    # check side, and with slot dc * m, one past the grid, on the variable side
     code = _reference_code(name, toy_code)
     inner = code.base if hasattr(code, "base") else code
-    new, old = inner._graph, BpGraphCheckMajorReference(inner.parity)
-    (dc, m), (dv, n) = new.check_shape, new.var_shape
-    assert old.check_shape == (m, dc) and old.var_shape == (n, dv)
-    moved = np.arange(m * dc).reshape(m, dc).T.ravel()  # old slot of each new slot
-    assert np.array_equal(new.var_of_slot, old.var_of_slot[moved])
-    if old.pad_slots is None:
-        assert new.pad_slots is None
+    graph, h = inner._graph, inner.parity
+    m, n = h.shape
+    vars_of_check = [np.flatnonzero(row) for row in h]
+    checks_of_var = [np.flatnonzero(col) for col in h.T]
+    dc, dv = max(map(len, vars_of_check)), max(map(len, checks_of_var))
+    assert graph.check_shape == (dc, m) and graph.var_shape == (dv, n)
+
+    var_of_slot = np.zeros((dc, m), dtype=np.intp)
+    pad_slots = np.ones((dc, m), dtype=bool)
+    for i, cols in enumerate(vars_of_check):
+        var_of_slot[:cols.size, i] = cols
+        pad_slots[:cols.size, i] = False
+    assert np.array_equal(graph.var_of_slot, var_of_slot.ravel())
+    if pad_slots.any():
+        assert np.array_equal(graph.pad_slots, pad_slots.ravel())
     else:
-        assert np.array_equal(new.pad_slots, old.pad_slots[moved])
-    new_of_old = np.append(np.argsort(moved), m * dc)  # the pad slot stays one past
-    want = new_of_old[old.slot_of_var].reshape(n, dv).T.ravel()
-    assert np.array_equal(new.slot_of_var, want)
+        assert graph.pad_slots is None
+
+    slot_of_var = np.full((dv, n), dc * m, dtype=np.intp)
+    for v, checks in enumerate(checks_of_var):
+        slot_of_var[:checks.size, v] = [
+            np.searchsorted(vars_of_check[i], v) * m + i for i in checks]
+    assert np.array_equal(graph.slot_of_var, slot_of_var.ravel())
 
 
 @pytest.mark.parametrize("name", BUILTIN_CODE_NAMES + (
     "ldpc_r14_n64x4", "irregular_20_40", "degree_two_12"))
 def test_slot_major_decode_matches_check_major_reference(name, toy_code):
     # the slot-major decoder gives the bits, flags and iteration counts of
-    # the check-major decoder and of its own copysign sign step on noisy
+    # the edge-list reduceat decoder, whose sums run check-major, on noisy
     # rows, inputs with exact zeros of both signs, a total erasure, saturated
     # rows, and a zero-free batch.  A row's hard bits are written when it
     # leaves the batch, so the batches hold rows that converge at different
@@ -598,14 +610,12 @@ def test_slot_major_decode_matches_check_major_reference(name, toy_code):
     llrs[4] = np.where(llrs[4] < 0, -LLR_MAX, LLR_MAX)
     llrs[5] *= 1e3
     assert np.all(zero_free != 0.0)
-    graph = BpGraphCheckMajorReference(inner.parity)
+    h = inner.parity
     for rows in (llrs, zero_free, llrs[2:3]):
         for max_iter in (1, 2, 3, 50):
             got = _bp_batch(inner._graph, rows, max_iter)
-            for want in (bp_batch_check_major_reference(graph, rows, max_iter),
-                         bp_batch_copysign_reference(inner._graph, rows, max_iter)):
-                for g, w in zip(got, want):
-                    assert g.dtype == w.dtype and np.array_equal(g, w)
+            for g, w in zip(got, bp_reference(h, rows, max_iter)):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
     _, converged, iterations = _bp_batch(inner._graph, zero_free, 50)
     assert len(set(iterations[converged])) >= 2
     assert not _bp_batch(inner._graph, llrs, 3)[1].all()
@@ -756,6 +766,15 @@ BAD_ALISTS = {
     "row disagrees": ({8: "1 2 2"}, "8: row 1 adjacency disagrees with columns"),
     "row degree": ({4: "2"}, "8: row 1 adjacency disagrees with columns"),
     "end of file": ({8: None}, "8: unexpected end of file"),
+    "non-ASCII": ({5: "1 \u00e9"}, "5: non-ASCII byte 0xc3"),
+    "non-ASCII first": ({1: "\u00e9"}, "1: non-ASCII byte 0xc3"),
+    # well formed, but no code: the message names the file only
+    "rank": ({1: "3 2", 2: "2 3", 3: "2 2 2", 4: "3 3", 5: "1 2", 6: "1 2", 7: "1 2",
+              9: "1 2 3"}, " parity-check matrix is rank deficient: rank 1 < 2 rows"),
+    "unconnected column": ({1: "4 1", 3: "1 1 1 0", 8: "0", 9: "1 2 3"},
+                           " parity-check matrix has an unconnected column"),
+    "square": ({1: "1 1", 2: "1 1", 3: "1", 4: "1", 6: "1", 7: None, 8: None},
+               " parity must be m x n with 0 < m < n, got (1, 1)"),
 }
 
 
@@ -774,7 +793,7 @@ def test_alist_single_check(tmp_path):
 def test_alist_error_message_and_line(tmp_path, case):
     edits, where = BAD_ALISTS[case]
     bad = tmp_path / "bad.alist"
-    bad.write_text(_alist_text({**ALIST_SPC, **edits}))
+    bad.write_bytes(_alist_text({**ALIST_SPC, **edits}).encode("utf-8"))
     with pytest.raises(AlistFormatError) as exc:
         load_alist(bad)
     assert str(exc.value) == f"{bad}:{where}"

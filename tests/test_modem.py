@@ -20,7 +20,6 @@ from dmmsim.modem import log_sum_exp
 from oracles import (
     llr_v2_bruteforce,
     llr_v2_reference,
-    log_sum_exp_last_axis_reference,
     nearest_point_labels,
 )
 
@@ -195,8 +194,6 @@ def test_log_sum_exp_bit_identical_to_reduce():
         got = log_sum_exp((x[j] for j in cols), x.shape[1:])
         assert got.shape == (1000,)
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))
-        old = log_sum_exp_last_axis_reference(x.T, cols)
-        assert np.array_equal(got.view(np.int64), old.view(np.int64))
     x3 = x.reshape(6, 10, 100)
     assert np.all(log_sum_exp([], (10, 100)) == -np.inf)
     assert log_sum_exp([], (10, 100)).shape == (10, 100)

@@ -25,7 +25,6 @@ from dmmsim.config import CapacityConfig
 
 from oracles import (
     entropy_reference,
-    log_mixture_last_axis_reference,
     log_mixture_reference,
     mi_bpsk_quad_oracle,
     mixture_entropy_reference,
@@ -370,9 +369,10 @@ def test_mi_bit_identical_to_reference_mixture(monkeypatch):
 
 def test_mi_bit_identical_to_point_last_mixture(monkeypatch):
     # every path (line, plane blocks with mirrored axis pairs, label classes,
-    # Monte-Carlo) against the mixture that put the point axis last
+    # Monte-Carlo) against the reference mixture, a np.logaddexp.reduce over
+    # a last point axis
     def point_last_density(y, points, sigma2, out):
-        out[...] = log_mixture_last_axis_reference(y, points, _equal(points), sigma2)
+        out[...] = log_mixture_reference(y, points, _equal(points), sigma2)
 
     mine = _results()
     seen = set()
@@ -409,7 +409,7 @@ def test_log_mixture_point_major_matches_point_last(inp):
     far = np.array([1e3], dtype=pts.dtype)
     for y in (pts[0] + grid, samples, many, far):
         got = mutual_info._log_mixture(y, pts, sigma2)
-        want = log_mixture_last_axis_reference(y, pts, _equal(pts), sigma2)
+        want = log_mixture_reference(y, pts, _equal(pts), sigma2)
         assert got.shape == y.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 

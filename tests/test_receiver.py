@@ -26,7 +26,6 @@ from dmmsim.channel import block_rng, frame_keys, snr_to_sigma2
 from oracles import (
     bpsk_ber_theory,
     frame_batch_reference,
-    frame_batch_rekeyed_reference,
     paired_batch_reference,
     two_proportion_z,
 )
@@ -111,18 +110,17 @@ def test_fault_injection_flips_exactly_affected_symbols(dmm_pair):
                                         ((13, 7), 13, 0), ((1,), 1, 0), ((128, 16), 256, 4093)])
 @pytest.mark.parametrize("seed", [0, 77, 2**64 + 5])
 def test_frame_batch_bitwise_equal_to_reference(ks, n, start, seed):
-    # equal to a new generator per frame, and to one re-keyed generator
-    # drawing each word through Generator.integers
+    # equal to a new generator per frame, drawing each word through
+    # Generator.integers
     cfg = ChannelConfig(sigma2=0.37, seed=seed)
     indices = np.arange(start, start + 9, dtype=np.int64)
     words, noise = receiver_mod._frame_batch(cfg, indices, n, ks)
-    for reference in (frame_batch_reference, frame_batch_rekeyed_reference):
-        want_words, want_noise = reference(cfg, indices, n, ks)
-        assert len(words) == len(want_words)
-        for w, want in zip(words, want_words):
-            assert w.dtype == want.dtype and np.array_equal(w, want)
-        assert noise.dtype == want_noise.dtype and noise.shape == want_noise.shape
-        assert np.array_equal(noise.view(np.int64), want_noise.view(np.int64))
+    want_words, want_noise = frame_batch_reference(cfg, indices, n, ks)
+    assert len(words) == len(want_words)
+    for w, want in zip(words, want_words):
+        assert w.dtype == want.dtype and np.array_equal(w, want)
+    assert noise.dtype == want_noise.dtype and noise.shape == want_noise.shape
+    assert np.array_equal(noise.view(np.int64), want_noise.view(np.int64))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**64 + 5])
@@ -186,6 +184,17 @@ def test_paired_run_batch_size_invariance(dmm_pair, monkeypatch):
     assert 0 < np.count_nonzero(whole.errors_genie) < 20
     with pytest.raises(ValueError):
         paired_genie_vs_bpsk(code1, code2, cfg, frames=0)
+
+
+def test_codeword_lengths_must_match(code256, code64_r14):
+    # one symbol carries one bit of each stream, in a sweep point and in the
+    # genie/BPSK pairing alike
+    match = r"codeword lengths must match \(one symbol carries one bit of each\): 256 != 64"
+    with pytest.raises(ValueError, match=match):
+        paired_genie_vs_bpsk(code256, code64_r14, _cfg(1.0, 0), frames=1)
+    for scheme in ("dmm_genie", "dmm_realistic"):
+        with pytest.raises(ValueError, match=match):
+            run_point(scheme, code256, code64_r14, snr_db=1.0, max_frames=1)
 
 
 @pytest.mark.parametrize("snr_db", [-3.0, -1.0, 1.5])
