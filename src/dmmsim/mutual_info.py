@@ -5,9 +5,8 @@ The input is a :class:`~dmmsim.modem.Constellation`, the same type the
 receiver demaps against, and like the demapper this module takes its points
 to be equally likely.  The received-signal density is a Gaussian mixture
 over its points.  I(X;Y) is evaluated as H(Y) - H(N), with H(Y) integrated
-either by adaptive Gauss-Hermite quadrature (node count doubled until the
-estimate moves by less than ``tol`` bits) or by seeded Monte-Carlo sampling
-with a confidence interval.  One code path serves both dimensions: a
+by adaptive Gauss-Hermite quadrature (node count doubled until the estimate
+moves by less than ``tol`` bits).  One code path serves both dimensions: a
 real-axis-only set is carried as float points and integrated on the line
 against one-dimensional noise entropy, anything else as complex points in
 the plane against the two-dimensional noise entropy, so one-dimensional and
@@ -21,25 +20,21 @@ bit, and then shared as read-only arrays.  One kernel,
 every point's exponents of a block of ``y`` at once (one ufunc call per
 step on a (points, *y.shape) array), folded by a chain of ``np.logaddexp``
 in point order, bitwise the ``np.logaddexp.reduce`` over a point axis.  On
-the line and for Monte-Carlo samples, ``y`` is passed in flat slices of
-``_BLOCK_NODES`` values; in the plane the tensor grid is evaluated in
-blocks of whole rows of about ``_BLOCK_NODES`` nodes, into one grid-sized
-array of log densities whose weighted sum is still one ``np.sum`` over the
-grid.  The working set is that array, the weights and one block of all
-points, and no bit of a value depends on the block size.  An axis pair
-{p, -p} evaluates half of p's grid; the other half is its mirror image
-across the pair's axis, and -p's grid is p's turned half a turn, both
-exact.  The block and grid arrays are scratch arrays of the calling
-thread, reused across blocks and calls, and every element is written
-before it is read.  Monte-Carlo sampling has one estimator,
-:func:`_mc_info`, for the points of :func:`mi_awgn` and the axis labels of
-:func:`mi_axis` alike; it needs at least two samples for its error
-estimate.  Quadrature and Monte-Carlo sampling raise ``ValueError`` naming
-Es/N0 and sigma2 when a squared distance overflows (noise variances near
-the float range).
+the line ``y`` is one point's nodes (at most 256) in one piece; in the
+plane the tensor grid is evaluated in blocks of whole rows of about
+``_BLOCK_NODES`` nodes, into one grid-sized array of log densities whose
+weighted sum is still one ``np.sum`` over the grid.  The working set is
+that array, the weights and one block of all points, and no bit of a value
+depends on the block size.  An axis pair {p, -p} evaluates half of p's
+grid; the other half is its mirror image across the pair's axis, and -p's
+grid is p's turned half a turn, both exact.  The block and grid arrays
+are scratch arrays of the calling thread, reused across blocks and calls,
+and every element is written before it is read.  Quadrature raises
+``ValueError`` naming Es/N0 and sigma2 when a squared distance overflows
+(noise variances near the float range).
 :func:`mi_axis_and_joint` gives the axis and joint four-point values from
 one quadrature of the four-point H(Y), which both subtract from;
-:func:`mi_axis` by quadrature is its first value, and
+:func:`mi_axis` is its first value, and
 :func:`mi_joint_4point` equals its second bit for bit.
 MI values and entropies are never cached: asking twice integrates twice.
 
@@ -89,9 +84,9 @@ CLAIMED_GAIN_DB = (0.052, 0.52)
 #: (half an ulp) exceeds this fraction of the offset.
 _RESOLUTION = 1e-6
 
-#: The log density is evaluated in blocks of this many values (in the
-#: plane, of whole rows of about this many nodes, at least one row): a call
-#: holds every point's distances of one block, not of the whole input.
+#: The plane's log density is evaluated in blocks of whole rows of about
+#: this many nodes (at least one row): a call holds every point's distances
+#: of one block, not of the whole grid.
 _BLOCK_NODES = 8192
 
 
@@ -100,14 +95,12 @@ class MiResult:
     """Mutual information estimate in bits per channel use.
 
     ``value`` lies in [0, log2 of the number of inputs (or labels)], the
-    entropy of equally likely inputs: quadrature and sampling errors can
-    step outside that range, and are clamped back into it.  ``est_error``
-    is a 95% half-width for Monte-Carlo; for quadrature it is at least
+    entropy of equally likely inputs: quadrature errors can step outside
+    that range, and are clamped back into it.  ``est_error`` is at least
     ``tol``, and above ``tol`` when the node cap stopped convergence.
     """
 
     value: float
-    method: str
     est_error: float
 
 
@@ -117,11 +110,9 @@ def awgn_entropy(sigma2: float) -> float:
     return math.log2(math.sqrt(2.0 * math.pi * math.e * sigma2))
 
 
-def _check(sigma2: float, method: str = "quadrature") -> None:
+def _check(sigma2: float) -> None:
     if not (sigma2 > 0 and math.isfinite(sigma2)):
         raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
-    if method not in ("quadrature", "monte_carlo"):
-        raise ValueError(f"unknown method {method!r}; use 'quadrature' or 'monte_carlo'")
 
 
 def _clamp(value, size: int) -> float:
@@ -181,18 +172,6 @@ def _log_density(y: np.ndarray, points: np.ndarray, sigma2: float, out: np.ndarr
             np.logaddexp(out, e, out=out)
 
 
-def _log_mixture(y: np.ndarray, points: np.ndarray, sigma2: float) -> np.ndarray:
-    """Log density of the received point over equally likely ``points``; real
-    ``points`` mean the line.  ``y`` is evaluated in flat slices of
-    ``_BLOCK_NODES`` values.  A squared distance that overflows gives -inf
-    without a warning; callers check."""
-    flat = y.reshape(-1)
-    out = np.empty(flat.shape)
-    for i in range(0, flat.size, _BLOCK_NODES):
-        _log_density(flat[i:i + _BLOCK_NODES], points, sigma2, out[i:i + _BLOCK_NODES])
-    return out.reshape(y.shape)
-
-
 def _entropy(points: np.ndarray, sigma2: float, nodes: int) -> float:
     """H(Y) in bits by Gauss-Hermite quadrature around each point, on the line
     or on the tensor grid in the plane."""
@@ -207,8 +186,7 @@ def _entropy(points: np.ndarray, sigma2: float, nodes: int) -> float:
                          f"smallest {nodes}-node Gauss-Hermite offset")
     offs = scale * t
     if _dim(points) == 1:
-        sums = (w @ _log_mixture(xk + offs, points, sigma2) for xk in points)
-        norm = math.sqrt(math.pi)
+        sums, norm = _line_sums(points, sigma2, offs, w), math.sqrt(math.pi)
     else:
         sums, norm = _plane_sums(points, sigma2, offs, w), math.pi
     pk = 1.0 / points.size
@@ -217,8 +195,17 @@ def _entropy(points: np.ndarray, sigma2: float, nodes: int) -> float:
         for s in sums:
             acc += pk * float(s)
     if not math.isfinite(acc):
-        raise _overflow("quadrature", points, sigma2)
+        raise _overflow(points, sigma2)
     return -acc / norm / LN2
+
+
+def _line_sums(points: np.ndarray, sigma2: float, offs: np.ndarray, w: np.ndarray):
+    """``w @ logp`` over the nodes ``xk + offs`` around each point ``xk``, in
+    point order, the log densities written into one scratch array."""
+    logp = _scratch("logp", offs.shape, np.float64)
+    for xk in points:
+        _log_density(xk + offs, points, sigma2, logp)
+        yield w @ logp
 
 
 def _plane_sums(points: np.ndarray, sigma2: float, offs: np.ndarray, w: np.ndarray):
@@ -287,10 +274,10 @@ def _where(points: np.ndarray, sigma2: float) -> str:
     return f"Es/N0 = {es_n0_db:.4g} dB (sigma2 = {sigma2:.3g})"
 
 
-def _overflow(method: str, points: np.ndarray, sigma2: float) -> ValueError:
-    """The error of a ``method`` whose mixture went non-finite because a
+def _overflow(points: np.ndarray, sigma2: float) -> ValueError:
+    """The error of a quadrature whose mixture went non-finite because a
     squared distance overflowed."""
-    return ValueError(f"{method} cannot integrate the mixture at {_where(points, sigma2)}: "
+    return ValueError(f"quadrature cannot integrate the mixture at {_where(points, sigma2)}: "
                       f"a squared distance to a point overflows")
 
 
@@ -311,48 +298,6 @@ def _mixture_entropy(points, sigma2, tol: float):
 
 
 # ---------------------------------------------------------------------------
-# Monte-Carlo sampling
-# ---------------------------------------------------------------------------
-
-def _mc_draw(points, sigma2: float, samples: int, seed: int):
-    """Seeded draw of transmitted point indices and received samples, the
-    samples in the points' own dimension."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    # explicit equal weights: without ``p``, ``choice`` reads another stream
-    idx = rng.choice(points.size, size=samples, p=np.full(points.size, 1.0 / points.size))
-    x = points[idx]
-    if _dim(x) == 1:
-        return idx, x + rng.standard_normal(samples) * math.sqrt(sigma2)
-    noise = rng.standard_normal(2 * samples) * math.sqrt(sigma2)
-    return idx, x + noise[0::2] + 1j * noise[1::2]
-
-
-def _mc_info(points: np.ndarray, classes: np.ndarray, sigma2: float, samples: int,
-             seed: int) -> MiResult:
-    """I(C;Y) for the labels ``classes`` (0, 1, ...) of equally likely
-    ``points``, by Monte-Carlo: the mean of ln p(y|c) - ln p(y) over seeded
-    samples, in bits, with a 95% half-width.  A class's density is the
-    mixture over its own points; a ratio that is not finite comes from a
-    squared distance that overflowed."""
-    if samples < 2:
-        raise ValueError(f"mc_samples must be at least 2 for an error estimate, got {samples}")
-    idx, y = _mc_draw(points, sigma2, samples, seed)
-    drawn = classes[idx]
-    log_cond = np.empty(samples)
-    size = int(classes.max()) + 1
-    for c in range(size):
-        rows = drawn == c
-        log_cond[rows] = _log_mixture(y[rows], points[classes == c], sigma2)
-    with np.errstate(invalid="ignore"):  # -inf - -inf, checked below
-        log_ratio = log_cond - _log_mixture(y, points, sigma2)
-    if not np.isfinite(log_ratio).all():
-        raise _overflow("Monte-Carlo sampling", points, sigma2)
-    bits = log_ratio / LN2
-    half = 1.96 * float(np.std(bits, ddof=1)) / math.sqrt(samples)
-    return MiResult(value=_clamp(np.mean(bits), size), method="monte_carlo", est_error=half)
-
-
-# ---------------------------------------------------------------------------
 # Mutual information
 # ---------------------------------------------------------------------------
 
@@ -360,56 +305,46 @@ def _quad_joint(h_y, pts, sigma2: float, tol: float) -> MiResult:
     """I(X;Y) = H(Y) - H(N) from ``h_y`` = (H(Y), its last change)."""
     value, err = h_y
     h_n = awgn_entropy(sigma2) * _dim(pts)
-    return MiResult(value=_clamp(value - h_n, pts.size), method="quadrature",
-                    est_error=float(max(err, tol)))
+    return MiResult(value=_clamp(value - h_n, pts.size), est_error=float(max(err, tol)))
 
 
-def mi_awgn(inp: Constellation, sigma2: float, method: str = "quadrature", *,
-            tol: float = 1e-6, mc_samples: int = 200_000, seed: int = 0) -> MiResult:
+def mi_awgn(inp: Constellation, sigma2: float, *, tol: float = 1e-6) -> MiResult:
     """I(X;Y) in bits per channel use for equally likely inputs over AWGN.
 
     ``sigma2`` is per real dimension.  Real-axis inputs are integrated on the
     line against one-dimensional noise entropy; otherwise in the plane
     against the two-dimensional noise entropy.
     """
-    _check(sigma2, method)
+    _check(sigma2)
     pts = inp.points.real if inp.is_real else inp.points
-    if method == "quadrature":
-        return _quad_joint(_mixture_entropy(pts, sigma2, tol), pts, sigma2, tol)
-    return _mc_info(pts, np.arange(pts.size), sigma2, mc_samples, seed)
+    return _quad_joint(_mixture_entropy(pts, sigma2, tol), pts, sigma2, tol)
 
 
 # ---------------------------------------------------------------------------
 # Named curves (symbol SNR in dB, complex-N0 convention)
 # ---------------------------------------------------------------------------
 
-def mi_bpsk(es_n0_db: float, es: float = 1.0, **kw) -> MiResult:
+def mi_bpsk(es_n0_db: float, es: float = 1.0, *, tol: float = 1e-6) -> MiResult:
     sigma2 = snr_to_sigma2(es_n0_db, es)
-    return mi_awgn(Constellation.bpsk(es), sigma2, **kw)
+    return mi_awgn(Constellation.bpsk(es), sigma2, tol=tol)
 
 
-def mi_qpsk(es_n0_db: float, es: float = 1.0, **kw) -> MiResult:
+def mi_qpsk(es_n0_db: float, es: float = 1.0, *, tol: float = 1e-6) -> MiResult:
     sigma2 = snr_to_sigma2(es_n0_db, es)
-    return mi_awgn(Constellation.qpsk(es), sigma2, **kw)
+    return mi_awgn(Constellation.qpsk(es), sigma2, tol=tol)
 
 
-def mi_axis(es_n0_db: float, es: float = 1.0, *, method: str = "quadrature",
-            tol: float = 1e-6, mc_samples: int = 200_000, seed: int = 0) -> MiResult:
+def mi_axis(es_n0_db: float, es: float = 1.0, *, tol: float = 1e-6) -> MiResult:
     """Information carried by the axis bit of the four-point rotated set:
     I(B;Y) = H(Y) - H(Y|B), the points inside each axis pair acting as
     self-interference to a receiver that decides the axis first."""
-    if method == "quadrature":
-        return mi_axis_and_joint(es_n0_db, es, tol=tol)[0]
-    sigma2 = snr_to_sigma2(es_n0_db, es)
-    _check(sigma2, method)
-    c = Constellation.quadrature_pair(es)
-    return _mc_info(c.points, c.axis_labels, sigma2, mc_samples, seed)
+    return mi_axis_and_joint(es_n0_db, es, tol=tol)[0]
 
 
-def mi_joint_4point(es_n0_db: float, es: float = 1.0, **kw) -> MiResult:
+def mi_joint_4point(es_n0_db: float, es: float = 1.0, *, tol: float = 1e-6) -> MiResult:
     """Joint information of the full four-point rotated set (both bits)."""
     sigma2 = snr_to_sigma2(es_n0_db, es)
-    return mi_awgn(Constellation.quadrature_pair(es), sigma2, **kw)
+    return mi_awgn(Constellation.quadrature_pair(es), sigma2, tol=tol)
 
 
 def mi_axis_and_joint(es_n0_db: float, es: float = 1.0, *, tol: float = 1e-6):
@@ -427,6 +362,5 @@ def mi_axis_and_joint(es_n0_db: float, es: float = 1.0, *, tol: float = 1e-6):
         h_b, err_b = _mixture_entropy(c.points[labels == lab], sigma2, tol)
         h_cond += 0.5 * h_b
         err += 0.5 * err_b
-    axis = MiResult(value=_clamp(h_y[0] - h_cond, 2), method="quadrature",
-                    est_error=float(max(err, tol)))
+    axis = MiResult(value=_clamp(h_y[0] - h_cond, 2), est_error=float(max(err, tol)))
     return axis, _quad_joint(h_y, c.points, sigma2, tol)

@@ -8,6 +8,10 @@ generator per frame, elimination on one byte per bit, and mixtures and
 LLRs as a ``np.logaddexp.reduce`` over the point axis.  A rewrite is
 checked against the definitional reference; a snapshot of replaced code
 stays only while it is the one check of some input.
+
+:func:`mc_info_reference` is the Monte-Carlo estimate of mutual
+information, a seeded sampling of the mixture densities that the
+package's Gauss-Hermite values must agree with within both error bars.
 """
 
 import math
@@ -326,6 +330,38 @@ def mixture_entropy_reference(points, probs, sigma2, tol):
             break
         prev = cur
     return cur, delta
+
+
+def mc_info_reference(points, classes, sigma2, samples, seed):
+    """I(C;Y) in bits for the labels ``classes`` (0, 1, ...) of equally likely
+    ``points`` (real points mean the line), by seeded Monte-Carlo sampling:
+    the mean of ln p(y|c) - ln p(y) over the samples, a class's density
+    being the mixture over its own points.  Returns (value clamped to
+    [0, log2 classes], 95% half-width).
+
+    Independent of the package's quadrature: it checks the Gauss-Hermite
+    values within their error bounds.  The draw is one Philox stream:
+    ``choice`` with explicit equal weights, then the normals, one per
+    sample on the line and interleaved re/im pairs in the plane.
+    """
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    idx = rng.choice(points.size, size=samples, p=np.full(points.size, 1.0 / points.size))
+    if _dim(points) == 1:
+        y = points[idx] + rng.standard_normal(samples) * math.sqrt(sigma2)
+    else:
+        noise = rng.standard_normal(2 * samples) * math.sqrt(sigma2)
+        y = points[idx] + noise[0::2] + 1j * noise[1::2]
+    drawn = classes[idx]
+    log_cond = np.empty(samples)
+    size = int(classes.max()) + 1
+    for c in range(size):
+        own, rows = points[classes == c], drawn == c
+        log_cond[rows] = log_mixture_reference(y[rows], own, np.full(own.size, 1.0 / own.size),
+                                               sigma2)
+    log_y = log_mixture_reference(y, points, np.full(points.size, 1.0 / points.size), sigma2)
+    bits = (log_cond - log_y) / math.log(2.0)
+    half = 1.96 * float(np.std(bits, ddof=1)) / math.sqrt(samples)
+    return float(min(max(np.mean(bits), 0.0), math.log2(size))), half
 
 
 def mi_bpsk_quad_oracle(es, sigma2):

@@ -15,7 +15,7 @@ from dmmsim.channel import ChannelConfig, snr_to_sigma2
 from dmmsim.cli import main as cli_main
 from dmmsim.linear_code import gf2_rank
 
-from oracles import bpsk_ber_theory, gf2_matmul, ml_decode_batch
+from oracles import bpsk_ber_theory, gf2_matmul, mc_info_reference, ml_decode_batch
 
 
 def _report(num: int, desc: str, passed: bool, detail: str = "") -> bool:
@@ -163,10 +163,11 @@ def test_criterion_5_mi_checkpoints():
     qpsk_ok = worst <= 1e-5
 
     mc_ok = True
+    bpsk = d.Constellation.bpsk().points.real
     for db in (-2.8, 3.0):
         quad = d.mi_bpsk(db)
-        mc = d.mi_bpsk(db, method="monte_carlo", mc_samples=200_000, seed=6)
-        mc_ok &= abs(quad.value - mc.value) <= 3.0 * (quad.est_error + mc.est_error)
+        mc, mc_err = mc_info_reference(bpsk, np.arange(2), snr_to_sigma2(db), 200_000, 6)
+        mc_ok &= abs(quad.value - mc) <= 3.0 * (quad.est_error + mc_err)
 
     ok = crossing_ok and sat_ok and qpsk_ok and mc_ok
     assert _report(5, "MI checkpoints: half-bit crossing, saturation, QPSK identity",

@@ -1,4 +1,4 @@
-import functools
+import inspect
 import math
 import re
 import sys
@@ -26,6 +26,7 @@ from dmmsim.config import CapacityConfig
 from oracles import (
     entropy_reference,
     log_mixture_reference,
+    mc_info_reference,
     mi_bpsk_quad_oracle,
     mixture_entropy_reference,
 )
@@ -75,16 +76,13 @@ def test_mi_respects_entropy_ceiling():
     # four-point set and 1.0000000000000036 for BPSK, as numpy floats
     for fn, ceiling in ((mi_bpsk, 1.0), (mi_qpsk, 2.0), (mi_axis, 1.0),
                         (mi_joint_4point, 2.0)):
-        for method in ("quadrature", "monte_carlo"):
-            r = fn(40.0, method=method, mc_samples=2000)
-            assert type(r.value) is float
-            assert r.value == ceiling
+        r = fn(40.0)
+        assert type(r.value) is float
+        assert r.value == ceiling
     # three equally likely points: the ceiling is log2 3
     r = mi_awgn(UNIFORM_LINE, snr_to_sigma2(40.0, 1.0))
     assert 0.0 <= r.value <= math.log2(3)
     assert r.value == pytest.approx(math.log2(3), abs=1e-9)
-    assert type(mi_bpsk(-40.0, method="monte_carlo", mc_samples=2000).value) is float
-    assert mi_bpsk(-40.0, method="monte_carlo", mc_samples=2000).value >= 0.0
 
 
 def test_mi_bpsk_against_scipy_quadrature():
@@ -161,19 +159,21 @@ def test_quadrature_refuses_noise_below_the_point_resolution():
 
 
 def test_quadrature_vs_monte_carlo():
+    bpsk = Constellation.bpsk().points.real
     for db in (-6.0, 0.0, 6.0):
         quad = mi_bpsk(db)
-        mc = mi_bpsk(db, method="monte_carlo", mc_samples=150_000, seed=3)
-        assert abs(quad.value - mc.value) <= 3.0 * (quad.est_error + mc.est_error)
+        mc, mc_err = mc_info_reference(bpsk, np.arange(2), snr_to_sigma2(db), 150_000, 3)
+        assert abs(quad.value - mc) <= 3.0 * (quad.est_error + mc_err)
     quad = mi_joint_4point(0.0)
-    mc = mi_joint_4point(0.0, method="monte_carlo", mc_samples=150_000, seed=4)
-    assert abs(quad.value - mc.value) <= 3.0 * (quad.est_error + mc.est_error)
+    mc, mc_err = mc_info_reference(FOUR_POINT, np.arange(4), snr_to_sigma2(0.0), 150_000, 4)
+    assert abs(quad.value - mc) <= 3.0 * (quad.est_error + mc_err)
 
 
 def test_binary_label_monte_carlo_agrees():
     quad = mi_axis(1.5)
-    mc = mi_axis(1.5, method="monte_carlo", mc_samples=150_000, seed=5)
-    assert abs(quad.value - mc.value) <= 3.0 * (quad.est_error + mc.est_error)
+    c = Constellation.quadrature_pair(1.0)
+    mc, mc_err = mc_info_reference(c.points, c.axis_labels, snr_to_sigma2(1.5), 150_000, 5)
+    assert abs(quad.value - mc) <= 3.0 * (quad.est_error + mc_err)
 
 
 def test_axis_below_joint_everywhere():
@@ -272,20 +272,24 @@ def test_discrete_input_validation():
 def test_mi_awgn_validation():
     with pytest.raises(ValueError):
         mi_awgn(Constellation.bpsk(), 0.0)
-    with pytest.raises(ValueError):
-        mi_awgn(Constellation.bpsk(), 1.0, method="bogus")
-    with pytest.raises(ValueError, match="bogus"):
-        mi_axis(0.0, method="bogus")
 
 
-@pytest.mark.parametrize("samples", [0, 1])
-def test_monte_carlo_needs_two_samples(samples):
-    # one sample used to give a NaN error estimate, none a numpy warning and
-    # then "mutual information estimate is not finite: nan"
-    kw = dict(method="monte_carlo", mc_samples=samples)
-    for call in (lambda: mi_awgn(UNIFORM_PLANE, 0.5, **kw), lambda: mi_bpsk(0.0, **kw),
-                 lambda: mi_axis(0.0, **kw)):
-        with pytest.raises(ValueError, match=f"mc_samples must be at least 2.*got {samples}"):
+def test_mi_call_forms():
+    # perfbench and the capacity rows call the curves as f(snr, es, tol=...);
+    # quadrature is the only method, so tol is the only keyword
+    curve = ["es_n0_db", "es", "tol"]
+    for fn in (*NAMED_CURVES, mi_axis_and_joint):
+        params = inspect.signature(fn).parameters
+        assert list(params) == curve
+        assert [params[n].default for n in curve[1:]] == [1.0, 1e-6]
+        assert params["tol"].kind is inspect.Parameter.KEYWORD_ONLY
+    params = inspect.signature(mi_awgn).parameters
+    assert list(params) == ["inp", "sigma2", "tol"]
+    assert params["tol"].kind is inspect.Parameter.KEYWORD_ONLY and params["tol"].default == 1e-6
+    for call in (lambda: mi_bpsk(0.0, method="quadrature"), lambda: mi_bpsk(0.0, 1.0, 1e-6),
+                 lambda: mi_awgn(Constellation.bpsk(), 1.0, "quadrature"),
+                 lambda: mi_axis(0.0, mc_samples=2000), lambda: mi_joint_4point(0.0, seed=3)):
+        with pytest.raises(TypeError):
             call()
 
 
@@ -314,11 +318,9 @@ def _results():
             for es in (1.0, 2.0):
                 out.append(fn(db, es))
     for sigma2 in (0.1, 1.0):
-        for method in ("quadrature", "monte_carlo"):
-            kw = dict(method=method, mc_samples=5000, seed=3)
-            out.append(mi_awgn(UNIFORM_LINE, sigma2, **kw))
-            out.append(mi_awgn(UNIFORM_PLANE, sigma2, **kw))
-            out.append(mi_axis(sigma2_to_snr_db(sigma2, 1.0), **kw))
+        out.append(mi_awgn(UNIFORM_LINE, sigma2))
+        out.append(mi_awgn(UNIFORM_PLANE, sigma2))
+        out.append(mi_axis(sigma2_to_snr_db(sigma2, 1.0)))
     return out
 
 
@@ -356,21 +358,18 @@ def test_mi_bit_identical_to_reference_mixture(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(mutual_info, "_mixture_entropy", _recording(seen, lambda points, sigma2, tol:
                   mixture_entropy_reference(points, _equal(points), sigma2, tol), at=0))
-        m.setattr(mutual_info, "_log_mixture", lambda y, points, sigma2:
-                  log_mixture_reference(y, points, _equal(points), sigma2))
         ref = _results()
     # every set was integrated by the reference, not by the package
     assert seen == _plane_sets_of_results() | _line_sets_of_results()
-    assert len(mine) == len(ref) == 52
+    assert len(mine) == len(ref) == 46
     for a, b in zip(mine, ref):
-        assert a.method == b.method
         assert np.array_equal(_bits(a), _bits(b))
 
 
 def test_mi_bit_identical_to_point_last_mixture(monkeypatch):
-    # every path (line, plane blocks with mirrored axis pairs, label classes,
-    # Monte-Carlo) against the reference mixture, a np.logaddexp.reduce over
-    # a last point axis
+    # every path (line, plane blocks with mirrored axis pairs, label classes)
+    # against the reference mixture, a np.logaddexp.reduce over a last point
+    # axis
     def point_last_density(y, points, sigma2, out):
         out[...] = log_mixture_reference(y, points, _equal(points), sigma2)
 
@@ -379,15 +378,10 @@ def test_mi_bit_identical_to_point_last_mixture(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(mutual_info, "_log_density", _recording(seen, point_last_density, at=1))
         ref = _results()
-    # every path calls the one patched kernel: for every set it integrates,
-    # and for Monte-Carlo for each single point of the sampled sets, whose
-    # classes in mi_awgn are the points themselves
-    singles = {pts[[i]].tobytes() for pts in (UNIFORM_LINE.points.real, UNIFORM_PLANE.points)
-               for i in range(pts.size)}
-    assert seen == _plane_sets_of_results() | _line_sets_of_results() | singles
-    assert len(mine) == len(ref) == 52
+    # every path calls the one patched kernel, for every set it integrates
+    assert seen == _plane_sets_of_results() | _line_sets_of_results()
+    assert len(mine) == len(ref) == 46
     for a, b in zip(mine, ref):
-        assert a.method == b.method
         assert np.array_equal(_bits(a), _bits(b))
 
 
@@ -396,19 +390,24 @@ def test_mi_bit_identical_to_point_last_mixture(monkeypatch):
                          ids=["bpsk", "three_point_line", "four_point", "five_point_plane"])
 def test_log_mixture_point_major_matches_point_last(inp):
     # the log densities themselves, bit for bit: on a quadrature grid (a
-    # line of nodes or the plane's tensor grid), on Monte-Carlo samples and
-    # at a point where the mixture underflows in every term
+    # line of nodes or the plane's tensor grid), on noisy received points
+    # and at a point where the mixture underflows in every term
     pts = inp.points.real if inp.is_real else inp.points
     sigma2 = 0.3
     t, _ = mutual_info._gauss_hermite(64)
     scale = math.sqrt(2.0 * sigma2)
     grid = scale * t if pts.dtype.kind == "f" else scale * (t[:, None] + 1j * t[None, :])
-    _, samples = mutual_info._mc_draw(pts, sigma2, 500, seed=4)
-    # more samples than one block of _BLOCK_NODES, and not a multiple of it
-    _, many = mutual_info._mc_draw(pts, sigma2, 20_000, seed=5)
+
+    def received(samples, seed):
+        rng = np.random.default_rng(seed)
+        noise = rng.standard_normal((2, samples)) * math.sqrt(sigma2)
+        y = rng.choice(pts, size=samples) + noise[0]
+        return y if pts.dtype.kind == "f" else y + 1j * noise[1]
+
     far = np.array([1e3], dtype=pts.dtype)
-    for y in (pts[0] + grid, samples, many, far):
-        got = mutual_info._log_mixture(y, pts, sigma2)
+    for y in (pts[0] + grid, received(500, 4), received(20_000, 5), far):
+        got = np.empty(y.shape)
+        mutual_info._log_density(y, pts, sigma2, got)
         want = log_mixture_reference(y, pts, _equal(pts), sigma2)
         assert got.shape == y.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -436,24 +435,6 @@ def test_row_blocks_leave_capacity_rows_unchanged(monkeypatch, block):
     monkeypatch.setattr(mutual_info, "_BLOCK_NODES", block)
     got = cli.run_capacity(cfg)
     assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
-
-
-@pytest.mark.parametrize("block", ROW_BLOCKS.values(), ids=ROW_BLOCKS.keys())
-def test_blocks_leave_line_and_monte_carlo_bits_unchanged(monkeypatch, block):
-    # 5000 samples leave a short last block of 768 values (and fit in one
-    # default block); at 3 samples the five points cannot all be drawn, so a
-    # class of mi_awgn is empty
-    def results():
-        return [*_results(), *(mi_awgn(UNIFORM_PLANE, 0.5, method="monte_carlo", mc_samples=3,
-                                       seed=seed) for seed in range(4))]
-
-    want = results()
-    monkeypatch.setattr(mutual_info, "_BLOCK_NODES", block)
-    got = results()
-    assert len(got) == len(want) == 56
-    for a, b in zip(got, want):
-        assert a.method == b.method
-        assert np.array_equal(_bits(a), _bits(b))
 
 
 @pytest.mark.parametrize("block", [mutual_info._BLOCK_NODES, *ROW_BLOCKS.values()],
@@ -614,26 +595,22 @@ def test_clamp_rejects_nonfinite():
 
 def test_quadrature_refuses_overflowing_distances():
     # at -3079 dB (sigma2 = 3.97e307) a squared distance to a point
-    # overflows: every curve names the operating point, without a warning,
-    # by quadrature and by Monte-Carlo sampling
+    # overflows: every curve names the operating point, without a warning
     curves = (mi_bpsk, mi_qpsk, mi_axis, mi_joint_4point, mi_axis_and_joint)
-    sampled = [functools.partial(f, method="monte_carlo", mc_samples=2000)
-               for f in curves[:4]]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for f in (*curves, *sampled):
-            with pytest.raises(ValueError, match=r"Es/N0 = -3079 dB \(sigma2 = 3\.97e\+307\): "
+        for f in curves:
+            with pytest.raises(ValueError, match=r"quadrature cannot integrate the mixture at "
+                                                 r"Es/N0 = -3079 dB \(sigma2 = 3\.97e\+307\): "
                                                  r"a squared distance to a point overflows"):
                 f(-3079.0)
-        assert [f(-3000.0).value for f in (*curves[:4], *sampled)] == [0.0] * 8
+        assert [f(-3000.0).value for f in curves[:4]] == [0.0] * 4
 
 
 def test_est_error_is_python_float():
-    for method in ("quadrature", "monte_carlo"):
-        kw = dict(method=method, mc_samples=2000)
-        for r in (mi_awgn(UNIFORM_PLANE, 0.5, **kw), mi_awgn(UNIFORM_LINE, 0.5, **kw),
-                  mi_axis(0.0, **kw), mi_bpsk(0.0, **kw)):
-            assert type(r.value) is float
-            assert type(r.est_error) is float
+    for r in (mi_awgn(UNIFORM_PLANE, 0.5), mi_awgn(UNIFORM_LINE, 0.5), mi_axis(0.0),
+              mi_bpsk(0.0)):
+        assert type(r.value) is float
+        assert type(r.est_error) is float
     for r in mi_axis_and_joint(0.0):
         assert type(r.value) is float and type(r.est_error) is float
