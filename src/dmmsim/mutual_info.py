@@ -6,36 +6,41 @@ receiver demaps against, and like the demapper this module takes its points
 to be equally likely.  The received-signal density is a Gaussian mixture
 over its points.  I(X;Y) is evaluated as H(Y) - H(N), with H(Y) integrated
 by adaptive Gauss-Hermite quadrature (node count doubled until the estimate
-moves by less than ``tol`` bits).  One code path serves both dimensions: a
-real-axis-only set is carried as float points and integrated on the line
-against one-dimensional noise entropy, anything else as complex points in
-the plane against the two-dimensional noise entropy, so one-dimensional and
-complex bookkeeping never mix.
+moves by less than ``tol`` bits, which must be positive and finite).  One
+code path serves both dimensions: a real-axis-only set is carried as float
+points and integrated on the line against one-dimensional noise entropy,
+anything else as complex points in the plane against the two-dimensional
+noise entropy, so one-dimensional and complex bookkeeping never mix.
 
-Quadrature shares what it can within a call, and memoizes nothing
-across calls.  The Gauss-Hermite nodes and weights of each node count
-(64, 128, 256) are computed on first use, checked to be symmetric to the
-bit, and then shared as read-only arrays.  One kernel,
-:func:`_log_density`, computes the mixture's log density for every path:
-every point's exponents of a block of ``y`` at once (one ufunc call per
-step on a (points, *y.shape) array), folded by a chain of ``np.logaddexp``
-in point order, bitwise the ``np.logaddexp.reduce`` over a point axis.  On
-the line ``y`` is one point's nodes (at most 256) in one piece; in the
-plane the tensor grid is evaluated in blocks of whole rows of about
-``_BLOCK_NODES`` nodes, into one grid-sized array of log densities whose
-weighted sum is still one ``np.sum`` over the grid.  The working set is
-that array, the weights and one block of all points, and no bit of a value
-depends on the block size.  An axis pair {p, -p} evaluates half of p's
-grid; the other half is its mirror image across the pair's axis, and -p's
-grid is p's turned half a turn, both exact.  The block and grid arrays
-are scratch arrays of the calling thread, reused across blocks and calls,
-and every element is written before it is read.  Quadrature raises
-``ValueError`` naming Es/N0 and sigma2 when a squared distance overflows
-(noise variances near the float range).
+Quadrature shares what it can within a call, and memoizes nothing across
+calls.  The Gauss-Hermite nodes and weights of each node count (64, 128,
+256) are computed on first use, checked to be symmetric to the bit, and then
+shared as read-only arrays.  One kernel, :func:`_log_density`, computes the
+mixture's log density for every path: every point's exponents of a block of
+``y`` at once (the distances point by point, then one ufunc call per step on
+a (points, *y.shape) array), folded by a chain of ``np.logaddexp`` in point
+order, bitwise the ``np.logaddexp.reduce`` over a point axis.  On the line
+``y`` is one point's nodes (at most 256) in one piece; in the plane the
+tensor grid is evaluated in blocks of whole rows of about ``_BLOCK_NODES``
+nodes, into one grid-sized array of log densities whose weighted sum is
+still one ``np.sum`` over the grid.  The grid around -p is p's turned half
+a turn, exactly, so for a set that lists each point's opposite P/2 places
+later (QPSK, the four-point set) one pass over p's grid folds the same
+exponents twice: in point order for the log density at each node, and from
+point P/2 on for the one at its negation, a node of -p's grid, which goes
+into a second grid-sized array.  The working set is those arrays, the
+weights, one block of all points' exponents and one block of distances,
+and no bit of a value depends on the block size.
+An axis pair {p, -p} evaluates half of p's grid; the other half is its
+mirror image across the pair's axis, and -p's grid is p's reversed.  The
+block and grid arrays are scratch arrays of the calling thread, reused
+across blocks and calls, and every element is written before it is read.
+Quadrature raises ``ValueError`` naming Es/N0 and sigma2 when a squared
+distance overflows (noise variances near the float range).
 :func:`mi_axis_and_joint` gives the axis and joint four-point values from
 one quadrature of the four-point H(Y), which both subtract from;
-:func:`mi_axis` is its first value, and
-:func:`mi_joint_4point` equals its second bit for bit.
+:func:`mi_axis` is its first value, and :func:`mi_joint_4point` equals its
+second bit for bit.
 MI values and entropies are never cached: asking twice integrates twice.
 
 The functions are safe to call from several threads at once, and a value
@@ -106,13 +111,16 @@ class MiResult:
 
 def awgn_entropy(sigma2: float) -> float:
     """Differential entropy, in bits, of N(0, sigma2) in one real dimension."""
-    _check(sigma2)
+    _check(sigma2=sigma2)
     return math.log2(math.sqrt(2.0 * math.pi * math.e * sigma2))
 
 
-def _check(sigma2: float) -> None:
-    if not (sigma2 > 0 and math.isfinite(sigma2)):
-        raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
+def _check(**values: float) -> None:
+    """Raise ValueError naming the first of ``values`` that is not positive
+    and finite."""
+    for name, value in values.items():
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def _clamp(value, size: int) -> float:
@@ -149,27 +157,37 @@ def _gauss_hermite(nodes: int):
     return t, w
 
 
-def _log_density(y: np.ndarray, points: np.ndarray, sigma2: float, out: np.ndarray) -> None:
+def _log_density(y: np.ndarray, points: np.ndarray, sigma2: float, out: np.ndarray,
+                 neg: np.ndarray | None = None) -> None:
     """Write into ``out`` the log density at ``y`` (any shape) over equally
     likely ``points``: each point's exponent
-    ``ln(1/P) - |y - p|^2 / (2 sigma2) - (dim/2) ln(2 pi sigma2)``, for every
-    point at once, one ufunc call per step on a (points, *y.shape) scratch
-    array, then a chain of ``np.logaddexp`` in point order, bitwise the
+    ``ln(1/P) - |y - p|^2 / (2 sigma2) - (dim/2) ln(2 pi sigma2)``, the
+    distances point by point through a block-sized scratch array and the
+    rest one ufunc call per step on a (points, *y.shape) scratch array, then
+    a chain of ``np.logaddexp`` in point order, bitwise the
     ``np.logaddexp.reduce`` over the point axis.  A squared distance that
-    overflows gives -inf without a warning; callers check."""
+    overflows gives -inf without a warning; callers check.
+
+    ``neg``, if given, gets the log density at ``-y`` from the same
+    exponents, which needs ``points[P//2:] == -points[:P//2]``: then
+    ``|(-y) - p[l]|`` is ``|y - p[l + P/2]|`` to the bit, so the chain that
+    starts at point P/2 and wraps round is the one in point order at -y."""
     expo = _scratch("expo", (points.size, *y.shape), np.float64)
     kind = np.result_type(y, points)  # float on the line, complex in the plane
-    diff = _scratch("diff" + kind.char, expo.shape, kind)
+    diff = _scratch("diff" + kind.char, y.shape, kind)
     with np.errstate(over="ignore", invalid="ignore"):
-        np.subtract(y, points.reshape(-1, *(1,) * y.ndim), out=diff)
-        np.abs(diff, out=expo)
+        for p, e in zip(points, expo):
+            np.subtract(y, p, out=diff)
+            np.abs(diff, out=e)
         np.square(expo, out=expo)
         np.divide(expo, 2.0 * sigma2, out=expo)
         np.subtract(math.log(1.0 / points.size), expo, out=expo)
         np.subtract(expo, 0.5 * _dim(points) * math.log(2.0 * math.pi * sigma2), out=expo)
-        np.add(expo[0], 0.0, out=out)
-        for e in expo[1:]:
-            np.logaddexp(out, e, out=out)
+        for o, first in ((out, 0), (neg, points.size // 2)):
+            if o is not None:
+                np.add(expo[first], 0.0, out=o)
+                for e in (*expo[first + 1:], *expo[:first]):
+                    np.logaddexp(o, e, out=o)
 
 
 def _entropy(points: np.ndarray, sigma2: float, nodes: int) -> float:
@@ -210,22 +228,37 @@ def _line_sums(points: np.ndarray, sigma2: float, offs: np.ndarray, w: np.ndarra
 
 def _plane_sums(points: np.ndarray, sigma2: float, offs: np.ndarray, w: np.ndarray):
     """``sum(w2 * logp)`` over the tensor grid ``xk + offs[i] + 1j * offs[j]``
-    around each point ``xk``, in point order, each one pairwise sum over the
-    grid as if taken in one piece.  The log densities of a grid are written
-    into one grid-sized scratch array.  For an axis pair {p, -p}, the grid
-    around -p is the grid around p turned half a turn, and the log density is
-    symmetric across the pair's own axis, both to the bit; so half of p's
-    grid is evaluated, the other half is its mirror copy, and -p's grid is
-    p's reversed."""
+    around each point ``xk``, in point order, each one pairwise sum over a
+    contiguous grid as if taken in one piece.  The log densities of a grid
+    are written into one grid-sized scratch array.  The grid around -p is
+    the grid around p turned half a turn, to the bit, since the nodes are
+    antisymmetric.  So for a set with ``points[P//2:] == -points[:P//2]``,
+    one pass over p[k]'s grid fills its log densities and, through a view
+    reversed on both axes, those at the negated nodes, which are
+    p[k + P/2]'s grid, into a second grid-sized scratch array: P/2 passes
+    instead of P.  An axis pair {p, -p} goes further: the log density is
+    symmetric across the pair's own axis, so half of p's grid is evaluated,
+    the other half is its mirror copy, and -p's grid is p's reversed.  Any
+    other set takes a whole grid per point."""
     nodes = offs.size
     w2 = w[:, None] * w[None, :]
     logp = _scratch("logp", (nodes, nodes), np.float64)
-    p = points[0]
-    # anything but two points p and -p on an axis takes a whole grid per point
-    if points.size != 2 or points[1] != -p or (p.real != 0.0 and p.imag != 0.0):
+    pairs = points.size // 2
+    if points.size % 2 or not np.array_equal(points[pairs:], -points[:pairs]):
         for xk in points:
             _fill_plane(logp, points, sigma2, xk.real + offs, xk.imag + offs)
             yield np.sum(np.multiply(w2, logp, out=logp))
+        return
+    p = points[0]
+    if pairs > 1 or (p.real != 0.0 and p.imag != 0.0):
+        # -xk's grid, filled through a view turned half a turn
+        logn = _scratch("logn", (nodes, nodes), np.float64)
+        opposite = []
+        for xk in points[:pairs]:
+            _fill_plane(logp, points, sigma2, xk.real + offs, xk.imag + offs, logn[::-1, ::-1])
+            yield np.sum(np.multiply(w2, logp, out=logp))
+            opposite.append(np.sum(np.multiply(w2, logn, out=logn)))
+        yield from opposite
         return
     half = (nodes + 1) // 2
     if p.imag == 0.0:  # on the real axis: column j mirrors column nodes-1-j
@@ -241,16 +274,18 @@ def _plane_sums(points: np.ndarray, sigma2: float, offs: np.ndarray, w: np.ndarr
 
 
 def _fill_plane(logp: np.ndarray, points: np.ndarray, sigma2: float, re: np.ndarray,
-                im: np.ndarray) -> None:
-    """Write into ``logp[i, j]`` the log density at ``re[i] + 1j * im[j]``, in
-    blocks of whole rows of about ``_BLOCK_NODES`` nodes built in a scratch
-    array."""
+                im: np.ndarray, neg: np.ndarray | None = None) -> None:
+    """Write into ``logp[i, j]`` the log density at ``re[i] + 1j * im[j]``,
+    and into ``neg[i, j]``, if given, the one at its negation (see
+    :func:`_log_density`), in blocks of whole rows of about ``_BLOCK_NODES``
+    nodes built in a scratch array."""
     rows = max(1, _BLOCK_NODES // im.size)
     for r in range(0, re.size, rows):
         y = _scratch("y", (min(rows, re.size - r), im.size), np.complex128)
         y.real = re[r:r + rows, None]
         y.imag = im
-        _log_density(y, points, sigma2, logp[r:r + rows])
+        _log_density(y, points, sigma2, logp[r:r + rows],
+                     None if neg is None else neg[r:r + rows])
 
 
 _THREAD = threading.local()
@@ -315,7 +350,7 @@ def mi_awgn(inp: Constellation, sigma2: float, *, tol: float = 1e-6) -> MiResult
     line against one-dimensional noise entropy; otherwise in the plane
     against the two-dimensional noise entropy.
     """
-    _check(sigma2)
+    _check(sigma2=sigma2, tol=tol)
     pts = inp.points.real if inp.is_real else inp.points
     return _quad_joint(_mixture_entropy(pts, sigma2, tol), pts, sigma2, tol)
 
@@ -353,7 +388,7 @@ def mi_axis_and_joint(es_n0_db: float, es: float = 1.0, *, tol: float = 1e-6):
     averages the entropies of the real and the imaginary axis pair, each
     with weight 1/2."""
     sigma2 = snr_to_sigma2(es_n0_db, es)
-    _check(sigma2)
+    _check(sigma2=sigma2, tol=tol)
     c = Constellation.quadrature_pair(es)
     labels = c.axis_labels
     h_y = _mixture_entropy(c.points, sigma2, tol)

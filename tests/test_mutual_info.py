@@ -274,6 +274,17 @@ def test_mi_awgn_validation():
         mi_awgn(Constellation.bpsk(), 0.0)
 
 
+def test_mi_rejects_bad_tol():
+    # MiResult promises est_error >= tol, which a tol <= 0 or NaN cannot keep
+    calls = (*(lambda tol, f=f: f(0.0, tol=tol) for f in (*NAMED_CURVES, mi_axis_and_joint)),
+             lambda tol: mi_awgn(UNIFORM_PLANE, 0.5, tol=tol))
+    for call in calls:
+        for bad in (0.0, -1e-6, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=re.escape(f"tol must be positive and finite, "
+                                                           f"got {bad}")):
+                call(bad)
+
+
 def test_mi_call_forms():
     # perfbench and the capacity rows call the curves as f(snr, es, tol=...);
     # quadrature is the only method, so tol is the only keyword
@@ -300,6 +311,7 @@ def test_mi_call_forms():
 NAMED_CURVES = (mi_bpsk, mi_qpsk, mi_axis, mi_joint_4point)
 UNIFORM_LINE = Constellation(points=np.array([1.0, -0.5, 2.0]))
 UNIFORM_PLANE = Constellation(points=np.array([1, 1j, -1, -1j, 0.5 + 0.5j]))
+OFF_AXIS_PAIR = Constellation(points=np.array([1.0 + 1.0j, -1.0 - 1.0j]) / math.sqrt(2.0))
 
 
 def _equal(points):
@@ -370,8 +382,10 @@ def test_mi_bit_identical_to_point_last_mixture(monkeypatch):
     # every path (line, plane blocks with mirrored axis pairs, label classes)
     # against the reference mixture, a np.logaddexp.reduce over a last point
     # axis
-    def point_last_density(y, points, sigma2, out):
+    def point_last_density(y, points, sigma2, out, neg=None):
         out[...] = log_mixture_reference(y, points, _equal(points), sigma2)
+        if neg is not None:
+            neg[...] = log_mixture_reference(-y, points, _equal(points), sigma2)
 
     mine = _results()
     seen = set()
@@ -386,12 +400,15 @@ def test_mi_bit_identical_to_point_last_mixture(monkeypatch):
 
 
 @pytest.mark.parametrize("inp", [Constellation.bpsk(2.0), UNIFORM_LINE,
-                                 Constellation.quadrature_pair(1.0), UNIFORM_PLANE],
-                         ids=["bpsk", "three_point_line", "four_point", "five_point_plane"])
+                                 Constellation.quadrature_pair(1.0), Constellation.qpsk(),
+                                 OFF_AXIS_PAIR, UNIFORM_PLANE],
+                         ids=["bpsk", "three_point_line", "four_point", "qpsk", "off_axis_pair",
+                              "five_point_plane"])
 def test_log_mixture_point_major_matches_point_last(inp):
     # the log densities themselves, bit for bit: on a quadrature grid (a
     # line of nodes or the plane's tensor grid), on noisy received points
-    # and at a point where the mixture underflows in every term
+    # and at a point where the mixture underflows in every term; for a set
+    # with points[P//2:] == -points[:P//2], also the second output at -y
     pts = inp.points.real if inp.is_real else inp.points
     sigma2 = 0.3
     t, _ = mutual_info._gauss_hermite(64)
@@ -404,13 +421,21 @@ def test_log_mixture_point_major_matches_point_last(inp):
         y = rng.choice(pts, size=samples) + noise[0]
         return y if pts.dtype.kind == "f" else y + 1j * noise[1]
 
+    half = pts.size // 2
+    antipodal = pts.size % 2 == 0 and np.array_equal(pts[half:], -pts[:half])
+    assert antipodal == (inp is not UNIFORM_LINE and inp is not UNIFORM_PLANE)
     far = np.array([1e3], dtype=pts.dtype)
     for y in (pts[0] + grid, received(500, 4), received(20_000, 5), far):
-        got = np.empty(y.shape)
+        got, got_neg = np.empty(y.shape), np.empty(y.shape)
         mutual_info._log_density(y, pts, sigma2, got)
         want = log_mixture_reference(y, pts, _equal(pts), sigma2)
         assert got.shape == y.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        if antipodal:
+            mutual_info._log_density(y, pts, sigma2, got, got_neg)
+            want_neg = log_mixture_reference(-y, pts, _equal(pts), sigma2)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert np.array_equal(got_neg.view(np.int64), want_neg.view(np.int64))
 
 
 FOUR_POINT = Constellation.quadrature_pair(1.0).points
@@ -418,10 +443,13 @@ FOUR_POINT_ES2 = Constellation.quadrature_pair(2.0).points
 # the axis pairs of the four-point set in both orders; the pair path
 # evaluates half of the first point's grid
 AXIS_PAIRS = (FOUR_POINT[[0, 2]], FOUR_POINT[[2, 0]], FOUR_POINT[[1, 3]], FOUR_POINT_ES2[[3, 1]])
-# near-pairs that take the general path: {p, -p} off the axes, {a, -1.5a}
-NEAR_PAIRS = (np.array([1.0 + 1.0j, -1.0 - 1.0j]) / math.sqrt(2.0), np.array([1.0 + 0j, -1.5 + 0j]))
-PLANE_SETS = (FOUR_POINT, Constellation.qpsk().points, UNIFORM_PLANE.points, *AXIS_PAIRS,
-              *NEAR_PAIRS)
+# near-pairs that take no axis-pair path: {p, -p} off the axes (one pass
+# over p's grid gives both), {a, -1.5a} (a whole grid per point)
+NEAR_PAIRS = (OFF_AXIS_PAIR.points, np.array([1.0 + 0j, -1.5 + 0j]))
+QPSK = Constellation.qpsk().points
+# sets with points[P//2:] == -points[:P//2] that are not axis pairs
+ANTIPODAL = (FOUR_POINT, QPSK, NEAR_PAIRS[0])
+PLANE_SETS = (FOUR_POINT, QPSK, UNIFORM_PLANE.points, *AXIS_PAIRS, *NEAR_PAIRS)
 
 # _BLOCK_NODES = 1 gives one-row blocks; 768 gives 3, 6 and 12 rows at 256,
 # 128 and 64 nodes, none of which divides the grid, so the last block is short
@@ -437,35 +465,62 @@ def test_row_blocks_leave_capacity_rows_unchanged(monkeypatch, block):
     assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
 
 
+def _recorded_fills(monkeypatch):
+    """The list to which a patched ``_fill_plane`` appends (grid size, -y grid
+    given) on each call."""
+    grids = []
+    fill_plane = mutual_info._fill_plane
+
+    def recording_fill_plane(logp, points, sigma2, re, im, neg=None):
+        grids.append((logp.size, neg is not None))
+        return fill_plane(logp, points, sigma2, re, im, neg)
+
+    monkeypatch.setattr(mutual_info, "_fill_plane", recording_fill_plane)
+    return grids
+
+
 @pytest.mark.parametrize("block", [mutual_info._BLOCK_NODES, *ROW_BLOCKS.values()],
                          ids=["default", *ROW_BLOCKS.keys()])
 def test_blocked_plane_entropy_matches_reference(monkeypatch, block):
     # the grid-sized sums of the reference, at each node count up to 256 and
     # in the adaptive sequence
-    grids = []
-    fill_plane = mutual_info._fill_plane
-
-    def recording_fill_plane(logp, *args):
-        grids.append(logp.size)
-        return fill_plane(logp, *args)
-
+    grids = _recorded_fills(monkeypatch)
     monkeypatch.setattr(mutual_info, "_BLOCK_NODES", block)
-    monkeypatch.setattr(mutual_info, "_fill_plane", recording_fill_plane)
     for points in PLANE_SETS:
         pair = any(points is p for p in AXIS_PAIRS)
+        opposite = any(points is p for p in ANTIPODAL)
         for sigma2 in (0.05, 0.5, 3.0):
             for nodes in (64, 128, 256):
                 got = mutual_info._entropy(points, sigma2, nodes)
                 want = entropy_reference(points, _equal(points), sigma2, nodes)
                 assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
-                # an axis pair fills half of one grid, any other set one
-                # whole grid per point
-                assert grids == ([nodes * nodes // 2] if pair else [nodes * nodes] * points.size)
+                # an axis pair fills half of one grid; any other antipodal
+                # set one whole grid and its -y grid per opposite pair; any
+                # other set one whole grid per point
+                if pair:
+                    assert grids == [(nodes * nodes // 2, False)]
+                elif opposite:
+                    assert grids == [(nodes * nodes, True)] * (points.size // 2)
+                else:
+                    assert grids == [(nodes * nodes, False)] * points.size
                 grids.clear()
             got = mutual_info._mixture_entropy(points, sigma2, 1e-9)
             want = mixture_entropy_reference(points, _equal(points), sigma2, 1e-9)
             assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
             grids.clear()
+
+
+def test_permuted_qpsk_takes_one_grid_per_point(monkeypatch):
+    # QPSK in the order [0, 1, 3, 2] is antipodal as a set but not in point
+    # order, so no pass is shared
+    points = QPSK[[0, 1, 3, 2]]
+    grids = _recorded_fills(monkeypatch)
+    for nodes in (64, 128, 256):
+        got = mutual_info._entropy(points, 0.5, nodes)
+        want = entropy_reference(points, _equal(points), 0.5, nodes)
+        assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+        assert grids == [(nodes * nodes, False)] * 4
+        grids.clear()
 
 
 def _on_fresh_thread(fn, *args):
@@ -476,12 +531,13 @@ def _on_fresh_thread(fn, *args):
 
 def test_plane_quadrature_working_set_is_bounded():
     # a fresh thread allocates its scratch arrays: one block of every
-    # point's distances and the grid's log densities, next to the weights
-    # (~2.0 MB for the four-point set, ~2.1 MB for an axis pair); every
+    # point's exponents, one block of distances, and the grid's log
+    # densities (for QPSK and the four-point set also the -y grid), next to
+    # the weights (~2.1 MB for those two, ~2.0 MB for an axis pair); every
     # point's distances over the whole grid at once take 8.9 MB, an axis
     # pair's half grid in one piece 3.7 MB
     mutual_info._gauss_hermite(256)
-    for pts in (FOUR_POINT, *AXIS_PAIRS[::2]):
+    for pts in (FOUR_POINT, QPSK, *AXIS_PAIRS[::2]):
         tracemalloc.start()
         try:
             _on_fresh_thread(mutual_info._entropy, pts, 0.5, 256)
