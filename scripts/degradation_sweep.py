@@ -83,7 +83,10 @@ def main(argv=None) -> int:
     ap.add_argument("--max-frames", type=int, default=20_000)
     ap.add_argument("--target-ber", type=float, default=1e-4)
     ap.add_argument("--outdir", default="results")
-    return run(ap.parse_args(argv))
+    args = ap.parse_args(argv)
+    if not 0.0 < args.target_ber < 1.0:  # before the sweeps, not after them
+        ap.error("--target-ber must be in (0, 1)")
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -48,13 +48,6 @@ from .mutual_info import (
     mi_joint_4point,
     mi_qpsk,
 )
-from .receiver import (
-    PairedRun,
-    SimResult,
-    paired_genie_vs_bpsk,
-    run_point,
-    snr_at_ber,
-    wilson_interval,
-)
+from .receiver import SimResult, run_point, snr_at_ber, wilson_interval
 
 __version__ = "0.1.0"

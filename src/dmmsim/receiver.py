@@ -5,20 +5,18 @@ codeword (BPSK polarity) and one bit of the second (quarter-turn rotation).
 The receiver stores the whole frame because every symbol is used twice:
 
 1. axis-bit soft information -> decode the second stream;
-2. re-encode the decoded info word to rebuild the rotation pattern
-   (realistic mode) or take the true pattern (genie mode);
+2. re-encode the decoded info word to rebuild the rotation pattern;
 3. derotate the stored symbols, demap polarity -> decode the first stream.
 
-Genie mode models the idealised error-free rotation estimate.  Because the
-quarter-turn derotation is implemented exactly, a genie-aided frame yields
-polarity LLRs that are bit-identical to a plain BPSK link observing the
-same (isometrically re-expressed) noise, which is what
-:func:`paired_genie_vs_bpsk` exercises.
-
-:func:`_receive_batch` is the only receiver: it serves all four schemes
-and both sides of the genie/BPSK pairing.  ``bpsk_baseline`` is the same
-receiver with no axis stream, and ``uncoded`` additionally has no code and
-decides polarity by hard sign.  Frames come in from :func:`_frame_batch`.
+:func:`_receive_batch` is the only receiver.  One pass of it gives both
+rotation modes on the same frames: genie mode (the idealised error-free
+rotation estimate) derotates by the true pattern, and realistic mode
+differs from it only on the frames whose rebuilt pattern is wrong.  The
+quarter-turn derotation is exact, so genie polarity LLRs are bit-identical
+to a plain BPSK link observing the same (isometrically re-expressed) noise.
+``bpsk_baseline`` is the same receiver with no axis stream, and ``uncoded``
+additionally has no code and decides polarity by hard sign.  Frames come
+in from :func:`_frame_batch`.
 
 Frames are keyed by index: data bits come from stream 1 and channel noise
 from stream 0 of a counter-based generator, so results do not depend on
@@ -131,8 +129,9 @@ def _share_cpus(share: int) -> None:
 # Point-level Monte-Carlo
 # ---------------------------------------------------------------------------
 
-def wilson_interval(k: int, n: int, z: float = 1.96):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(k: int, n: int):
+    """Wilson score 95% interval for a binomial proportion."""
+    z = 1.96  # the normal quantile of a two-sided 95% interval
     if n == 0:
         return (math.nan, math.nan)
     center = (k + z * z / 2.0) / (n + z * z)
@@ -142,7 +141,9 @@ def wilson_interval(k: int, n: int, z: float = 1.96):
 
 @dataclass(frozen=True)
 class SimResult:
-    """One SNR point of a sweep with full provenance."""
+    """One SNR point of a sweep with full provenance.  ``errors1_genie`` is
+    the genie receiver's ``errors1`` on the same frames (``errors1`` itself
+    for every scheme but ``dmm_realistic``)."""
 
     scheme: str
     code1_name: str
@@ -163,6 +164,7 @@ class SimResult:
     frame_errors: int
     bits1: int
     errors1: int
+    errors1_genie: int
     bits2: int
     errors2: int
     beta_symbols: int
@@ -247,15 +249,6 @@ def _accumulate(stop_min_fe, stop_max_frames, frames_done, fe_done, frame_err_fl
     return take, reason
 
 
-def _check_lengths(code1, code2) -> None:
-    """Raise ValueError unless the two streams' codewords are equally long."""
-    if code1.n != code2.n:
-        raise ValueError(
-            f"codeword lengths must match (one symbol carries one bit of each): "
-            f"{code1.n} != {code2.n}"
-        )
-
-
 def run_point(scheme: str, code1=None, code2=None, *, snr_db: float,
               snr_convention: str = "es_n0_complex", es: float = 1.0,
               seed: int = 0, min_frame_errors: int = 100,
@@ -283,8 +276,9 @@ def run_point(scheme: str, code1=None, code2=None, *, snr_db: float,
     polarity_code = code1 if "code1" in sent else None
     axis_code = code2 if "code2" in sent else None
     dmm = axis_code is not None
-    if dmm:
-        _check_lengths(code1, code2)
+    if dmm and code1.n != code2.n:
+        raise ValueError(f"codeword lengths must match (one symbol carries one bit of "
+                         f"each): {code1.n} != {code2.n}")
     rate1 = 1.0 if polarity_code is None else code1.rate
     rate2 = code2.rate if dmm else 0.0
     rate_overall = rate1 + rate2
@@ -299,24 +293,29 @@ def run_point(scheme: str, code1=None, code2=None, *, snr_db: float,
     def receive(idx):
         # frames, noise and LLRs go with their batch
         return _receive_batch(polarity_code, axis_code, cfg, *_frame_batch(cfg, idx, n_sym, ks),
-                              max_iter, genie=(scheme == "dmm_genie"))[:3]
+                              max_iter)[:4]
 
+    realistic = scheme == "dmm_realistic"
     t0 = time.perf_counter()
-    frames = fe = errors1 = errors2 = beta_errors = 0
+    frames = fe = errors1 = errors1_genie = errors2 = beta_errors = 0
     stop_reason = "max_frames"
 
     workers = _cpu_share or _usable_cpus()
     # closed on the stop, which ends the window's threads before run_point returns
     with contextlib.closing(_in_frame_order(receive, _batches(max_frames, n_sym),
                                             workers)) as results:
-        for e1, e2, berr in results:
+        for e1, e1_genie, e2, berr in results:
+            if not realistic:
+                e1 = e1_genie
             bflags = (e1 + e2) > 0
             take, reason = _accumulate(min_frame_errors, max_frames, frames, fe, bflags)
             frames += take
             fe += int(np.sum(bflags[:take]))
             errors1 += int(np.sum(e1[:take]))
             errors2 += int(np.sum(e2[:take]))
-            beta_errors += int(np.sum(berr[:take]))
+            if realistic:
+                errors1_genie += int(np.sum(e1_genie[:take]))
+                beta_errors += int(np.sum(berr[:take]))
             if reason is not None:
                 stop_reason = reason
                 break
@@ -333,6 +332,7 @@ def run_point(scheme: str, code1=None, code2=None, *, snr_db: float,
         es=es, sigma2=sigma2, seed=seed, max_iter=max_iter,
         frames=frames, frame_errors=fe,
         bits1=frames * k1, errors1=errors1,
+        errors1_genie=errors1_genie if realistic else errors1,
         bits2=frames * k2, errors2=errors2,
         beta_symbols=frames * n_sym if dmm else 0,
         beta_errors=beta_errors,
@@ -483,21 +483,26 @@ def _batches(count, n):
         yield np.arange(start, min(start + size, count), dtype=np.int64)
 
 
-def _receive_batch(code1, code2, cfg, words, noise, max_iter, genie: bool):
+def _receive_batch(code1, code2, cfg, words, noise, max_iter):
     """Transmit and receive a batch of frames: the info words ``words``
     (stream 1, then stream 2) over the (B, n) channel noise ``noise``.
 
+    Stream 2 is decoded and re-encoded first.  Stream 1 is decoded once
+    derotated by the true rotations (genie), and again derotated by the
+    rebuilt ones (realistic) only on the frames with rotation errors: on the
+    others the two select the same samples, and BP decodes a row alike in
+    any batch.
     Without ``code2`` there is no axis stream: every symbol stays on the real
     axis (``bpsk_baseline``).  Without ``code1`` the polarity bits are sent
     uncoded and decided by the sign of their LLR (``uncoded``).
     The batch consumes ``noise``: the received symbols are built in its
     array (``noise + x`` is ``x + noise`` bit for bit: an IEEE sum commutes).
-    Returns per-frame (stream-1 bit errors, stream-2 bit errors, rotation
-    errors) and the (B, n) stream-1 LLRs.
+    Returns per-frame (stream-1 bit errors, realistic then genie; stream-2
+    bit errors; rotation errors) and the (B, n) genie stream-1 LLRs.
     """
     c1 = words[0]
     v1 = c1 if code1 is None else linear_code.encode(code1, c1)
-    v2 = v2_hat = 0 if code2 is None else linear_code.encode(code2, words[1])
+    v2 = 0 if code2 is None else linear_code.encode(code2, words[1])
     y = noise
     y += modem.dmm_map(v1, v2, cfg.es)
 
@@ -506,66 +511,42 @@ def _receive_batch(code1, code2, cfg, words, noise, max_iter, genie: bool):
         llr2 = modem.llr_v2(y, modem.Constellation.quadrature_pair(cfg.es), cfg.sigma2)
         c2_hat, _, _ = linear_code.decode_soft_batch(code2, llr2, max_iter=max_iter)
         errors2 = np.count_nonzero(c2_hat != words[1], axis=1)
-        if not genie:
-            v2_hat = linear_code.encode(code2, c2_hat)
-            beta_errors = np.count_nonzero(v2_hat != v2, axis=1)
+        v2_hat = linear_code.encode(code2, c2_hat)
+        beta_errors = np.count_nonzero(v2_hat != v2, axis=1)
 
-    llr1 = modem.derotate_and_llr_v1(y, modem.beta_from_bits(v2_hat), cfg.es, cfg.sigma2)
+    llr1 = modem.derotate_and_llr_v1(y, modem.beta_from_bits(v2), cfg.es, cfg.sigma2)
+    errors1 = errors1_genie = _stream1_errors(code1, llr1, c1, max_iter)
+    if beta_errors.any():
+        wrong = np.flatnonzero(beta_errors)
+        errors1 = errors1_genie.copy()
+        llr1_hat = modem.derotate_and_llr_v1(y[wrong], modem.beta_from_bits(v2_hat[wrong]),
+                                             cfg.es, cfg.sigma2)
+        errors1[wrong] = _stream1_errors(code1, llr1_hat, c1[wrong], max_iter)
+    return errors1, errors1_genie, errors2, beta_errors, llr1
+
+
+def _stream1_errors(code1, llr1, c1, max_iter):
+    """Per-frame bit errors of the stream-1 LLRs decoded by ``code1`` (by sign if None)."""
     if code1 is None:
         c1_hat = llr1 < 0
     else:
         c1_hat, _, _ = linear_code.decode_soft_batch(code1, llr1, max_iter=max_iter)
-    return np.count_nonzero(c1_hat != c1, axis=1), errors2, beta_errors, llr1
+    return np.count_nonzero(c1_hat != c1, axis=1)
 
 
 # ---------------------------------------------------------------------------
-# Exact genie/BPSK pairing and curve utilities
+# Curve utilities
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PairedRun:
-    """Genie-aided stream-1 LLRs next to a plain BPSK link fed the same
-    noise realization (re-expressed through the same derotation isometry)."""
-
-    llr_genie: np.ndarray
-    llr_bpsk: np.ndarray
-    errors_genie: np.ndarray
-    errors_bpsk: np.ndarray
-
-
-def paired_genie_vs_bpsk(code1, code2, cfg: ChannelConfig, frames: int,
-                         max_iter: int = 50) -> PairedRun:
-    """Run ``frames`` frames through both links with shared noise.
-
-    Both links are :func:`_receive_batch`, the receiver of every sweep row.
-    The ``dmm_genie`` side sees y = Rot(x1) + n and derotates by the true
-    rotation; the ``bpsk_baseline`` side sees x1 + Rot^{-1}(n), the same noise
-    expressed in the derotated frame by the general-angle ``modem.rotate``.
-    Rotation is an isometry, so the two LLR streams should agree bit for bit;
-    any difference is an implementation defect.
-    """
-    if frames < 1:
-        raise ValueError(f"frames must be >= 1, got {frames}")
-    _check_lengths(code1, code2)
-    parts = []
-    for idx in _batches(frames, code1.n):
-        words, noise = _frame_batch(cfg, idx, code1.n, (code1.k, code2.k))
-        beta = modem.beta_from_bits(linear_code.encode(code2, words[1]))
-        derotated = modem.rotate(noise, -beta)  # before the genie side consumes noise
-        e_genie, _, _, llr_genie = _receive_batch(code1, code2, cfg, words, noise, max_iter,
-                                                  genie=True)
-        e_bpsk, _, _, llr_bpsk = _receive_batch(code1, None, cfg, words[:1], derotated,
-                                                max_iter, genie=False)
-        parts.append((llr_genie, llr_bpsk, e_genie, e_bpsk))
-    return PairedRun(*(np.concatenate(field) for field in zip(*parts)))
-
 
 def snr_at_ber(snr_db: np.ndarray, ber: np.ndarray, target: float):
     """SNR at which a monotone BER curve crosses ``target``.
 
     Linear interpolation of log10(BER) against dB.  Returns None when the
-    curve does not bracket the target.
+    curve does not bracket the target; a target outside (0, 1) is a
+    ValueError.
     """
+    if not 0.0 < target < 1.0:
+        raise ValueError(f"target must be a BER in (0, 1), got {target}")
     snr_db = np.asarray(snr_db, dtype=np.float64)
     ber = np.asarray(ber, dtype=np.float64)
     keep = ber > 0

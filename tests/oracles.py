@@ -242,6 +242,25 @@ def paired_batch_reference(code1, code2, cfg, indices, max_iter):
             np.count_nonzero(b_hat != c1, axis=1))
 
 
+def realistic_batch_reference(code1, code2, cfg, indices, max_iter):
+    """Realistic stream-1, stream-2 and rotation errors of one batch of frames.
+
+    The realistic receiver by its definition: decode stream 2, re-encode
+    the decoded word, derotate every frame by the rebuilt rotations and
+    decode stream 1 on all of them.
+    """
+    (c1, c2), n = _frame_batch(cfg, indices, code1.n, (code1.k, code2.k))
+    v2 = linear_code.encode(code2, c2)
+    y = modem.dmm_map(linear_code.encode(code1, c1), v2, cfg.es) + n
+    llr2 = modem.llr_v2(y, modem.Constellation.quadrature_pair(cfg.es), cfg.sigma2)
+    c2_hat, _, _ = linear_code.decode_soft_batch(code2, llr2, max_iter=max_iter)
+    v2_hat = linear_code.encode(code2, c2_hat)
+    llr1 = modem.derotate_and_llr_v1(y, modem.beta_from_bits(v2_hat), cfg.es, cfg.sigma2)
+    c1_hat, _, _ = linear_code.decode_soft_batch(code1, llr1, max_iter=max_iter)
+    return (np.count_nonzero(c1_hat != c1, axis=1), np.count_nonzero(c2_hat != c2, axis=1),
+            np.count_nonzero(v2_hat != v2, axis=1))
+
+
 def llr_v2_bruteforce(y, points, labels, sigma2):
     """Axis-bit LLR by direct evaluation of the four Gaussian likelihoods."""
     y = complex(y)

@@ -59,10 +59,18 @@ def test_criterion_2_genie_bit_identical():
     ok = True
     detail = []
     for snr_db, seed in ((-1.0, 7), (1.5, 8)):
+        # the receiver's genie side sees y = Rot(x1) + n; the BPSK link sees
+        # x1 + Rot^{-1}(n), the same noise in the derotated frame
         cfg = ChannelConfig(sigma2=snr_to_sigma2(snr_db), seed=seed)
-        pr = d.paired_genie_vs_bpsk(code1, code2, cfg, frames=150)
-        same_llr = np.array_equal(pr.llr_genie, pr.llr_bpsk)
-        same_err = np.array_equal(pr.errors_genie, pr.errors_bpsk)
+        words, noise = d.receiver._frame_batch(cfg, np.arange(150), code1.n,
+                                               (code1.k, code2.k))
+        derotated = d.rotate(noise, -d.beta_from_bits(d.encode(code2, words[1])))
+        _, e_genie, _, _, llr_genie = d.receiver._receive_batch(code1, code2, cfg, words,
+                                                                noise, 50)
+        _, e_bpsk, _, _, llr_bpsk = d.receiver._receive_batch(code1, None, cfg, words[:1],
+                                                              derotated, 50)
+        same_llr = np.array_equal(llr_genie, llr_bpsk)
+        same_err = np.array_equal(e_genie, e_bpsk)
         ok &= same_llr and same_err
         detail.append(f"{snr_db:g}dB: llr identical={same_llr}, "
                       f"errors identical={same_err}")
@@ -188,21 +196,20 @@ def test_criterion_6_realistic_penalty_at_1e4():
     sweep engine reports.  Checks: the interpolated 1e-4 crossing of the
     realistic curve sits above the genie curve's, and at the bracketing grid
     points the realistic BER exceeds the genie BER with disjoint intervals.
+    One ``dmm_realistic`` run per grid value gives both curves on the same
+    frames: its ``errors1_genie`` is the genie receiver's count.
     """
     code1 = d.builtin_code("ldpc_r12_n2048")
     code2 = d.extend_repetition(d.builtin_code("ldpc_r14_n512"), 4)
     grid = ((-1.5, 2500), (-1.3, 8000), (-1.0, 6000))
 
-    results = {}
-    for mode in ("dmm_genie", "dmm_realistic"):
-        for snr_db, frames in grid:
-            results[(mode, snr_db)] = d.run_point(
-                mode, code1, code2, snr_db=snr_db, seed=1,
-                min_frame_errors=10 ** 9, max_frames=frames)
+    results = {snr_db: d.run_point("dmm_realistic", code1, code2, snr_db=snr_db, seed=1,
+                                   min_frame_errors=10 ** 9, max_frames=frames)
+               for snr_db, frames in grid}
 
     snrs = [g[0] for g in grid]
-    ber_g = [results[("dmm_genie", s)].ber1 for s in snrs]
-    ber_r = [results[("dmm_realistic", s)].ber1 for s in snrs]
+    ber_g = [results[s].errors1_genie / results[s].bits1 for s in snrs]
+    ber_r = [results[s].ber1 for s in snrs]
     cross_g = d.snr_at_ber(snrs, ber_g, 1e-4)
     cross_r = d.snr_at_ber(snrs, ber_r, 1e-4)
     crossings_ok = cross_g is not None and cross_r is not None
@@ -210,9 +217,8 @@ def test_criterion_6_realistic_penalty_at_1e4():
 
     separated = []
     for s in (-1.5, -1.3):
-        g = results[("dmm_genie", s)]
-        r = results[("dmm_realistic", s)]
-        separated.append(r.ber1_ci[0] > g.ber1_ci[1])
+        r = results[s]
+        separated.append(r.ber1_ci[0] > d.wilson_interval(r.errors1_genie, r.bits1)[1])
     sep_ok = all(separated)
 
     ok = crossings_ok and penalty > 0 and sep_ok

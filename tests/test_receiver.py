@@ -16,7 +16,7 @@ from dmmsim import (
     dmm_map,
     encode,
     extend_repetition,
-    paired_genie_vs_bpsk,
+    rotate,
     run_point,
     snr_at_ber,
     wilson_interval,
@@ -27,6 +27,7 @@ from oracles import (
     bpsk_ber_theory,
     frame_batch_reference,
     paired_batch_reference,
+    realistic_batch_reference,
     two_proportion_z,
 )
 
@@ -40,11 +41,40 @@ def _cfg(es_n0_db, seed, es=1.0):
     return ChannelConfig(sigma2=snr_to_sigma2(es_n0_db, es), seed=seed, es=es)
 
 
-def _receive(code1, code2, cfg, frames, genie):
-    """Per-frame error counts of frames 0..frames-1 through the receiver."""
+def _receive(code1, code2, cfg, frames):
+    """Per-frame error counts of frames 0..frames-1 through the receiver:
+    stream 1 realistic, stream 1 genie, stream 2 and rotations."""
     words, noise = receiver_mod._frame_batch(cfg, np.arange(frames), code1.n,
                                              (code1.k, code2.k))
-    return receiver_mod._receive_batch(code1, code2, cfg, words, noise, 50, genie=genie)[:3]
+    return receiver_mod._receive_batch(code1, code2, cfg, words, noise, 50)[:4]
+
+
+#: what :func:`_paired` returns, in the order of ``paired_batch_reference``
+#: and then the realistic side
+PAIRED_FIELDS = ("llr_genie", "llr_bpsk", "errors_genie", "errors_bpsk", "errors1",
+                 "beta_errors")
+
+
+def _paired(code1, code2, cfg, frames):
+    """Frames 0..frames-1 through the receiver twice, batch by batch.
+
+    The ``dmm_genie`` side sees y = Rot(x1) + n and derotates by the true
+    rotation; the ``bpsk_baseline`` side sees x1 + Rot^{-1}(n), the same
+    noise expressed in the derotated frame by the general-angle ``rotate``.
+    Rotation is an isometry, so the two LLR streams agree bit for bit.
+    Returns the ``PAIRED_FIELDS`` arrays over all frames, by name.
+    """
+    parts = []
+    for idx in receiver_mod._batches(frames, code1.n):
+        words, noise = receiver_mod._frame_batch(cfg, idx, code1.n, (code1.k, code2.k))
+        # the BPSK side's noise, taken before the genie side consumes noise
+        derotated = rotate(noise, -beta_from_bits(encode(code2, words[1])))
+        e1, e_genie, _, berr, llr_genie = receiver_mod._receive_batch(
+            code1, code2, cfg, words, noise, 50)
+        _, e_bpsk, _, _, llr_bpsk = receiver_mod._receive_batch(code1, None, cfg, words[:1],
+                                                                derotated, 50)
+        parts.append((llr_genie, llr_bpsk, e_genie, e_bpsk, e1, berr))
+    return dict(zip(PAIRED_FIELDS, (np.concatenate(field) for field in zip(*parts))))
 
 
 # ---------------------------------------------------------------------------
@@ -54,11 +84,8 @@ def _receive(code1, code2, cfg, frames, genie):
 def test_noiseless_frame_exact(dmm_pair):
     code1, code2 = dmm_pair
     cfg = ChannelConfig(sigma2=1e-20, seed=0)
-    for genie in (False, True):
-        e1, e2, berr = _receive(code1, code2, cfg, 4, genie)
-        assert not e1.any()
-        assert not e2.any()
-        assert not berr.any()
+    for errors in _receive(code1, code2, cfg, 4):
+        assert errors.shape == (4,) and not errors.any()
 
 
 def test_receive_frame_rejects_unknown_mode(dmm_pair):
@@ -71,9 +98,10 @@ def test_receive_frame_rejects_unknown_mode(dmm_pair):
 def test_reencoding_consistency(dmm_pair):
     # exact second-stream decode implies the exact rotation pattern (linearity)
     code1, code2 = dmm_pair
-    e1, e2, berr = _receive(code1, code2, _cfg(3.0, 7), 8, genie=False)
+    e1, e1_genie, e2, berr = _receive(code1, code2, _cfg(3.0, 7), 8)
     assert e2[4] == 0 and berr[4] == 0
     assert not berr[e2 == 0].any()
+    assert np.array_equal(e1, e1_genie)
 
 
 def test_fault_injection_flips_exactly_affected_symbols(dmm_pair):
@@ -153,9 +181,9 @@ def test_frame_batch_guard_names_numpy_version(monkeypatch):
 
 def test_genie_llrs_bit_identical_to_bpsk(dmm_pair):
     code1, code2 = dmm_pair
-    pr = paired_genie_vs_bpsk(code1, code2, _cfg(1.0, 11), frames=40)
-    assert np.array_equal(pr.llr_genie, pr.llr_bpsk)
-    assert np.array_equal(pr.errors_genie, pr.errors_bpsk)
+    pair = _paired(code1, code2, _cfg(1.0, 11), 40)
+    assert np.array_equal(pair["llr_genie"], pair["llr_bpsk"])
+    assert np.array_equal(pair["errors_genie"], pair["errors_bpsk"])
 
 
 def test_paired_run_batch_size_invariance(dmm_pair, monkeypatch):
@@ -164,7 +192,7 @@ def test_paired_run_batch_size_invariance(dmm_pair, monkeypatch):
     code1, code2 = dmm_pair
     cfg = _cfg(-1.5, 12)
     monkeypatch.setattr(receiver_mod, "_BATCH_FRAMES", 20)
-    whole = paired_genie_vs_bpsk(code1, code2, cfg, frames=20)
+    whole = _paired(code1, code2, cfg, 20)
     monkeypatch.setattr(receiver_mod, "_BATCH_FRAMES", 7)
     decode, rows = receiver_mod.linear_code.decode_soft_batch, {id(code1): [], id(code2): []}
 
@@ -173,25 +201,25 @@ def test_paired_run_batch_size_invariance(dmm_pair, monkeypatch):
         return decode(code, llr, **kw)
 
     monkeypatch.setattr(receiver_mod.linear_code, "decode_soft_batch", counting_decode)
-    chunked = paired_genie_vs_bpsk(code1, code2, cfg, frames=20)
-    assert rows[id(code1)] == [7, 7, 7, 7, 6, 6]  # genie and BPSK decode per chunk
-    assert rows[id(code2)] == [7, 7, 6]  # the genie receiver also decodes stream 2
-    assert chunked.llr_genie.shape == (20, code1.n)
-    for field in ("llr_genie", "llr_bpsk", "errors_genie", "errors_bpsk"):
-        a, b = getattr(whole, field), getattr(chunked, field)
+    chunked = _paired(code1, code2, cfg, 20)
+    # per chunk: the genie decode, the realistic one of the frames with
+    # rotation errors (if any), and the BPSK link's
+    wrong = [np.count_nonzero(whole["beta_errors"][a:a + 7]) for a in (0, 7, 14)]
+    assert sum(w > 0 for w in wrong) >= 2
+    assert rows[id(code1)] == [r for size, w in zip((7, 7, 6), wrong)
+                               for r in (size, w, size) if r]
+    assert rows[id(code2)] == [7, 7, 6]  # the two-stream receiver decodes stream 2 once
+    assert chunked["llr_genie"].shape == (20, code1.n)
+    for field in PAIRED_FIELDS:
+        a, b = whole[field], chunked[field]
         assert a.dtype == b.dtype
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
-    assert 0 < np.count_nonzero(whole.errors_genie) < 20
-    with pytest.raises(ValueError):
-        paired_genie_vs_bpsk(code1, code2, cfg, frames=0)
+    assert 0 < np.count_nonzero(whole["errors_genie"]) < 20
 
 
 def test_codeword_lengths_must_match(code256, code64_r14):
-    # one symbol carries one bit of each stream, in a sweep point and in the
-    # genie/BPSK pairing alike
+    # one symbol carries one bit of each stream
     match = r"codeword lengths must match \(one symbol carries one bit of each\): 256 != 64"
-    with pytest.raises(ValueError, match=match):
-        paired_genie_vs_bpsk(code256, code64_r14, _cfg(1.0, 0), frames=1)
     for scheme in ("dmm_genie", "dmm_realistic"):
         with pytest.raises(ValueError, match=match):
             run_point(scheme, code256, code64_r14, snr_db=1.0, max_frames=1)
@@ -199,15 +227,33 @@ def test_codeword_lengths_must_match(code256, code64_r14):
 
 @pytest.mark.parametrize("snr_db", [-3.0, -1.0, 1.5])
 def test_paired_run_bitwise_equal_to_reference(dmm_pair, snr_db):
-    # both sides now run the sweep receiver; the old second copy is the oracle
+    # both sides run the sweep receiver; the definition of the pair is the oracle
     code1, code2 = dmm_pair
     cfg, frames = _cfg(snr_db, 7), 150  # not a multiple of the batch size
-    pr = paired_genie_vs_bpsk(code1, code2, cfg, frames=frames)
+    pair = _paired(code1, code2, cfg, frames)
     want = paired_batch_reference(code1, code2, cfg, np.arange(frames), 50)
-    for field, w in zip(("llr_genie", "llr_bpsk", "errors_genie", "errors_bpsk"), want):
-        got = getattr(pr, field)
+    for field, w in zip(PAIRED_FIELDS, want):
+        got = pair[field]
         assert got.dtype == w.dtype and got.shape == w.shape
         assert np.array_equal(got.view(np.int64), w.view(np.int64))
+
+
+@pytest.mark.parametrize("snr_db", [-3.0, -1.5, -1.0])
+def test_one_pass_realistic_bitwise_equal_to_reference(dmm_pair, snr_db):
+    # the realistic side decodes again only the frames with rotation
+    # errors; the reference derotates every frame by the rebuilt rotations
+    # and decodes them all.  Elsewhere the two sides agree frame for frame
+    code1, code2 = dmm_pair
+    cfg, frames = _cfg(snr_db, 5), 150
+    pair = _paired(code1, code2, cfg, frames)
+    e1, e2, berr = realistic_batch_reference(code1, code2, cfg, np.arange(frames), 50)
+    assert np.array_equal(pair["errors1"], e1)
+    assert np.array_equal(pair["beta_errors"], berr)
+    wrong = berr > 0
+    assert 0 < np.count_nonzero(wrong) < frames  # frames of both kinds
+    assert np.array_equal(pair["errors1"][~wrong], pair["errors_genie"][~wrong])
+    assert (pair["errors1"][wrong] > pair["errors_genie"][wrong]).any()
+    assert np.array_equal(_receive(code1, code2, cfg, frames)[2], e2)
 
 
 def test_genie_statistically_equal_to_bpsk_baseline(dmm_pair):
@@ -615,6 +661,50 @@ def test_run_point_realistic_not_better_than_genie(dmm_pair):
     assert real.errors1 >= genie.errors1  # same noise, extra rotation errors
 
 
+@pytest.mark.parametrize("snr_db,genie_errors1", [(-3.0, 2331), (-1.5, 638)])
+def test_run_point_realistic_carries_the_genie_count(dmm_pair, snr_db, genie_errors1):
+    # under a frame-count stop both modes see the same frames, so the
+    # realistic point's genie count is the genie point's errors1
+    code1, code2 = dmm_pair
+    kwargs = dict(snr_db=snr_db, seed=5, min_frame_errors=10 ** 9, max_frames=150)
+    genie = run_point("dmm_genie", code1, code2, **kwargs)
+    real = run_point("dmm_realistic", code1, code2, **kwargs)
+    assert real.errors1_genie == genie.errors1 == genie.errors1_genie == genie_errors1
+    assert real.beta_errors > 0 and real.errors1 > real.errors1_genie
+    assert genie.beta_errors == 0
+
+
+#: (scheme, snr_db, min_frame_errors) -> (frames, frame_errors, errors1,
+#: errors2, beta_errors, errors1_genie) at the n = 256 pair, seed 9: the
+#: stop fires inside the first 64-frame batch.  All but errors1_genie were
+#: recorded before the two modes shared one receiver pass
+STOPPED_POINTS = {
+    ("dmm_realistic", -1.5, 15): (45, 15, 281, 25, 632, 140),
+    ("dmm_genie", -1.5, 15): (45, 15, 140, 25, 0, 140),
+    ("dmm_realistic", -2.5, 40): (47, 40, 933, 64, 2000, 540),
+    ("dmm_genie", -2.5, 40): (47, 40, 540, 64, 0, 540),
+}
+
+
+@pytest.mark.parametrize("scheme,snr_db,min_frame_errors", list(STOPPED_POINTS))
+def test_run_point_stop_inside_a_batch_keeps_its_fields(dmm_pair, scheme, snr_db,
+                                                        min_frame_errors):
+    code1, code2 = dmm_pair
+    res = run_point(scheme, code1, code2, snr_db=snr_db, seed=9,
+                    min_frame_errors=min_frame_errors, max_frames=300)
+    assert res.stop_reason == "min_frame_errors"
+    assert (res.frames, res.frame_errors, res.errors1, res.errors2, res.beta_errors,
+            res.errors1_genie) == STOPPED_POINTS[scheme, snr_db, min_frame_errors]
+
+
+@pytest.mark.parametrize("scheme", ["bpsk_baseline", "uncoded"])
+def test_run_point_genie_count_is_errors1_without_an_axis_stream(code256, scheme):
+    res = run_point(scheme, None if scheme == "uncoded" else code256, snr_db=-1.0,
+                    seed=4, min_frame_errors=10, max_frames=100, uncoded_block_bits=256)
+    assert res.errors1 > 0 and res.errors1_genie == res.errors1
+    assert res.beta_errors == res.beta_symbols == 0
+
+
 def test_run_point_validation(dmm_pair):
     code1, code2 = dmm_pair
     with pytest.raises(ValueError):
@@ -699,6 +789,11 @@ def test_wilson_interval_behaviour():
     lo, hi = wilson_interval(500, 1000)
     assert lo < 0.5 < hi
     assert wilson_interval(0, 0) == (pytest.approx(math.nan, nan_ok=True),) * 2
+    # the fixed 95% interval, to the bit
+    assert wilson_interval(7, 1000) == (0.0033948250792319966, 0.014378496926949057)
+    assert wilson_interval(278, 12288000) == (2.0115963603440316e-05, 2.5444048194790368e-05)
+    with pytest.raises(TypeError):
+        wilson_interval(7, 1000, z=2.576)
 
 
 def test_snr_at_ber_interpolation():
@@ -708,3 +803,11 @@ def test_snr_at_ber_interpolation():
     assert snr_at_ber(snr, ber, 1e-4) == pytest.approx(1.5)
     assert snr_at_ber(snr, ber, 1e-7) is None
     assert snr_at_ber([0.0], [1e-3], 1e-3) is None
+
+
+@pytest.mark.parametrize("target", [0.0, -1e-4, 1.0, 2.0, math.nan, math.inf])
+def test_snr_at_ber_rejects_targets_outside_the_unit_interval(target):
+    # 0 and negative targets raised a bare math domain error, and NaN
+    # returned None
+    with pytest.raises(ValueError, match=r"target must be a BER in \(0, 1\), got"):
+        snr_at_ber([0.0, 1.0, 2.0], [1e-2, 1e-3, 1e-5], target)

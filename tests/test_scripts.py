@@ -43,6 +43,18 @@ def test_degradation_sweep_csvs_are_dmmsim_sweep(script, tmp_path, monkeypatch, 
     assert printed.count("K=2: ") == printed.count("K=4: ") == 1
 
 
+@pytest.mark.parametrize("target", ["0", "-1e-4", "1", "nan", "inf"])
+def test_degradation_sweep_rejects_a_bad_target_before_sweeping(script, tmp_path, capsys,
+                                                                 target):
+    # --target-ber 0 used to run every sweep and then fail on log10(0)
+    outdir = tmp_path / "results"
+    with pytest.raises(SystemExit) as exc:
+        script("degradation_sweep").main([f"--target-ber={target}", "--outdir", str(outdir)])
+    assert exc.value.code == 2
+    assert "error: --target-ber must be in (0, 1)" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("argv,named", [
     (["--step", "0"], "--step"), (["--step", "-1"], "--step"), (["--step", "nan"], "--step"),
     (["--hi", "inf"], "--hi"), (["--lo=-inf"], "--lo"), (["--lo", "1", "--hi", "0"], "--lo"),
