@@ -13,8 +13,8 @@ import math
 import pathlib
 import sys
 
-from dmmsim import CLAIMED_GAIN_DB, RECORD_GAP_DB
 from dmmsim.cli import main as cli_main
+from dmmsim.mutual_info import CLAIMED_GAIN_DB, RECORD_GAP_DB
 
 #: Most grid points one run may ask for; at tens of milliseconds per point
 #: this is well over half an hour of quadrature.

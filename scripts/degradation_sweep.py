@@ -20,8 +20,8 @@ import csv
 import pathlib
 import sys
 
-import dmmsim as d
 from dmmsim.cli import main as cli_main
+from dmmsim.receiver import snr_at_ber
 
 CODE1 = "ldpc_r12_n2048"
 BASES = {2: "ldpc_r14_n1024", 4: "ldpc_r14_n512"}
@@ -60,9 +60,9 @@ def run(args) -> int:
                 print(f"K={k_rep} {mode:14s} {float(row['snr_db']):+.2f} dB: "
                       f"ber1={float(row['ber1']):.3e} ber2={float(row['ber2']):.3e} "
                       f"frames={row['frames']}", flush=True)
-            crossings[mode] = d.snr_at_ber([float(row["snr_db"]) for row in rows],
-                                           [float(row["ber1"]) for row in rows],
-                                           args.target_ber)
+            crossings[mode] = snr_at_ber([float(row["snr_db"]) for row in rows],
+                                         [float(row["ber1"]) for row in rows],
+                                         args.target_ber)
         g, r = crossings["dmm_genie"], crossings["dmm_realistic"]
         if g is not None and r is not None:
             print(f"K={k_rep}: genie@{args.target_ber:g}={g:.3f} dB, "

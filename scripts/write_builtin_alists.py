@@ -20,7 +20,6 @@ import pathlib
 
 import numpy as np
 
-from dmmsim import save_alist
 from dmmsim.linear_code import gf2_rank
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "src" / "dmmsim" / "codes"
@@ -109,6 +108,31 @@ def fixture_parity(name: str) -> np.ndarray:
         if gf2_rank(h) == h.shape[0]:
             return h
     raise RuntimeError(f"no full-rank PEG matrix found for {name} near seed {seed}")
+
+
+def save_alist(parity: np.ndarray, path) -> None:
+    """Write a parity-check matrix in canonical padded alist form.
+
+    Adjacency lines are padded with 0 to the maximum degree, entries in
+    ascending order, single spaces, trailing newline: load followed by save
+    reproduces a canonical file byte for byte.
+    """
+    m, n = parity.shape
+    col_lists = [list(np.nonzero(parity[:, j])[0] + 1) for j in range(n)]
+    row_lists = [list(np.nonzero(parity[i, :])[0] + 1) for i in range(m)]
+    max_col = max(len(c) for c in col_lists)
+    max_row = max(len(r) for r in row_lists)
+
+    def pad(vals: list[int], width: int) -> str:
+        return " ".join(str(v) for v in vals + [0] * (width - len(vals)))
+
+    out = [f"{n} {m}", f"{max_col} {max_row}",
+           " ".join(str(len(c)) for c in col_lists),
+           " ".join(str(len(r)) for r in row_lists)]
+    out += [pad(c, max_col) for c in col_lists]
+    out += [pad(r, max_row) for r in row_lists]
+    with open(str(path), "w", encoding="ascii") as fh:
+        fh.write("\n".join(out) + "\n")
 
 
 def main() -> int:

@@ -1,7 +1,8 @@
 """GF(2) linear block codes, each defined by its parity-check matrix H: a
 systematic generator derived from H, generator-matrix encoding, batched
 sum-product belief-propagation decoding, repetition-extended low-rate codes,
-and the alist interchange format for sparse parity-check matrices.
+and a reader of the alist interchange format for sparse parity-check
+matrices (``scripts/write_builtin_alists.py`` writes it).
 
 Bit vectors are plain numpy arrays with values in {0, 1}; LLR vectors are
 float arrays with the package-wide sign convention (positive favours bit 0).
@@ -421,7 +422,6 @@ def _bp_batch(graph: _BpGraph, llr: np.ndarray, max_iter: int):
     rows = np.arange(b)
     base = llr.clip(-LLR_MAX, LLR_MAX)
     lq = base.take(graph.var_of_slot, axis=1)
-    lq.clip(-LLR_MAX, LLR_MAX, out=lq)
 
     for it in range(1, max_iter + 1):
         # check update on the (rows, dc, m) grid, in place where a message
@@ -604,31 +604,3 @@ def _parse_alist(data: bytes, path: str, name: str | None = None) -> BinaryCode:
     except ValueError as exc:
         raise AlistFormatError(f"{path}: {exc}") from exc
 
-
-def save_alist(code_or_parity, path) -> None:
-    """Write a parity-check matrix in canonical padded alist form.
-
-    Adjacency lines are padded with 0 to the maximum degree, entries in
-    ascending order, single spaces, trailing newline: load followed by save
-    reproduces a canonical file byte for byte.
-    """
-    if isinstance(code_or_parity, BinaryCode):
-        h = code_or_parity.parity
-    else:
-        h = np.asarray(code_or_parity, dtype=np.uint8) & 1
-    m, n = h.shape
-    col_lists = [list(np.nonzero(h[:, j])[0] + 1) for j in range(n)]
-    row_lists = [list(np.nonzero(h[i, :])[0] + 1) for i in range(m)]
-    max_col = max(len(c) for c in col_lists)
-    max_row = max(len(r) for r in row_lists)
-
-    def pad(vals: list[int], width: int) -> str:
-        return " ".join(str(v) for v in vals + [0] * (width - len(vals)))
-
-    out = [f"{n} {m}", f"{max_col} {max_row}",
-           " ".join(str(len(c)) for c in col_lists),
-           " ".join(str(len(r)) for r in row_lists)]
-    out += [pad(c, max_col) for c in col_lists]
-    out += [pad(r, max_row) for r in row_lists]
-    with open(str(path), "w", encoding="ascii") as fh:
-        fh.write("\n".join(out) + "\n")

@@ -14,9 +14,10 @@ noise entropy, so one-dimensional and complex bookkeeping never mix.
 
 Quadrature shares what it can within a call, and memoizes nothing across
 calls.  The Gauss-Hermite nodes and weights of each node count (64, 128,
-256) are computed on first use, checked to be symmetric to the bit, and then
-shared as read-only arrays.  One kernel, :func:`_log_density`, computes the
-mixture's log density for every path: every point's exponents of a block of
+256) are computed on first use and checked to be symmetric to the bit; they
+and the plane's tensor-grid weights are then shared as read-only arrays.
+One kernel, :func:`_log_density`, computes the mixture's log density for
+every path: every point's exponents of a block of
 ``y`` at once (the distances point by point, then one ufunc call per step on
 a (points, *y.shape) array), folded by a chain of ``np.logaddexp`` in point
 order, bitwise the ``np.logaddexp.reduce`` over a point axis.  On the line
@@ -143,18 +144,20 @@ def _dim(points: np.ndarray) -> int:
 
 @functools.cache
 def _gauss_hermite(nodes: int):
-    """Gauss-Hermite nodes and weights for ``nodes`` points, computed on first
-    use and shared read-only after that.  The plane quadrature mirrors axis
-    pairs, which needs the nodes antisymmetric and the weights symmetric to
-    the bit: a table that is not raises RuntimeError."""
+    """Gauss-Hermite nodes ``t`` and weights ``w`` for ``nodes`` points, and
+    the plane's tensor-grid weights ``w2[i, j] = w[i] * w[j]``, computed on
+    first use and shared read-only after that.  The plane quadrature mirrors
+    axis pairs, which needs the nodes antisymmetric and the weights
+    symmetric to the bit: a table that is not raises RuntimeError."""
     t, w = np.polynomial.hermite.hermgauss(nodes)
     if not (np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])):
         raise RuntimeError(
             f"numpy {np.__version__}: hermgauss({nodes}) no longer returns nodes and "
             f"weights that are symmetric to the bit")
-    t.flags.writeable = False
-    w.flags.writeable = False
-    return t, w
+    w2 = w[:, None] * w[None, :]
+    for arr in (t, w, w2):
+        arr.flags.writeable = False
+    return t, w, w2
 
 
 def _log_density(y: np.ndarray, points: np.ndarray, sigma2: float, out: np.ndarray,
@@ -193,7 +196,7 @@ def _log_density(y: np.ndarray, points: np.ndarray, sigma2: float, out: np.ndarr
 def _entropy(points: np.ndarray, sigma2: float, nodes: int) -> float:
     """H(Y) in bits by Gauss-Hermite quadrature around each point, on the line
     or on the tensor grid in the plane."""
-    t, w = _gauss_hermite(nodes)
+    t, w, w2 = _gauss_hermite(nodes)
     scale = math.sqrt(2.0 * sigma2)
     # an offset added to a point is rounded to the point's ulp; the nodes are
     # sorted and symmetric, so the two middle ones give the smallest offset
@@ -206,7 +209,7 @@ def _entropy(points: np.ndarray, sigma2: float, nodes: int) -> float:
     if _dim(points) == 1:
         sums, norm = _line_sums(points, sigma2, offs, w), math.sqrt(math.pi)
     else:
-        sums, norm = _plane_sums(points, sigma2, offs, w), math.pi
+        sums, norm = _plane_sums(points, sigma2, offs, w2), math.pi
     pk = 1.0 / points.size
     acc = 0.0
     with np.errstate(invalid="ignore"):  # 0 * -inf where a squared distance overflowed
@@ -226,7 +229,7 @@ def _line_sums(points: np.ndarray, sigma2: float, offs: np.ndarray, w: np.ndarra
         yield w @ logp
 
 
-def _plane_sums(points: np.ndarray, sigma2: float, offs: np.ndarray, w: np.ndarray):
+def _plane_sums(points: np.ndarray, sigma2: float, offs: np.ndarray, w2: np.ndarray):
     """``sum(w2 * logp)`` over the tensor grid ``xk + offs[i] + 1j * offs[j]``
     around each point ``xk``, in point order, each one pairwise sum over a
     contiguous grid as if taken in one piece.  The log densities of a grid
@@ -241,7 +244,6 @@ def _plane_sums(points: np.ndarray, sigma2: float, offs: np.ndarray, w: np.ndarr
     the other half is its mirror copy, and -p's grid is p's reversed.  Any
     other set takes a whole grid per point."""
     nodes = offs.size
-    w2 = w[:, None] * w[None, :]
     logp = _scratch("logp", (nodes, nodes), np.float64)
     pairs = points.size // 2
     if points.size % 2 or not np.array_equal(points[pairs:], -points[:pairs]):
@@ -262,15 +264,21 @@ def _plane_sums(points: np.ndarray, sigma2: float, offs: np.ndarray, w: np.ndarr
         return
     half = (nodes + 1) // 2
     if p.imag == 0.0:  # on the real axis: column j mirrors column nodes-1-j
-        _fill_plane(logp[:, :half], points, sigma2, p.real + offs, p.imag + offs[:half])
-        logp[:, half:] = logp[:, :nodes - half][:, ::-1]
+        # the half grid is filled contiguously in the second grid's scratch:
+        # numpy buffers a ufunc writing into a block of columns, and copies
+        # between interleaved columns of one array through a temporary
+        left = _scratch("logn", (nodes, half), np.float64)
+        _fill_plane(left, points, sigma2, p.real + offs, p.imag + offs[:half])
+        logp[:, :half] = left
+        logp[:, half:] = left[:, :nodes - half][:, ::-1]
     else:  # on the imaginary axis: row i mirrors row nodes-1-i
         _fill_plane(logp[:half], points, sigma2, p.real + offs[:half], p.imag + offs)
         logp[half:] = logp[:nodes - half][::-1]
     yield np.sum(np.multiply(w2, logp, out=logp))
     # the weights are symmetric too, so -p's products are p's reversed
-    logp[:] = logp[::-1, ::-1]
-    yield np.sum(logp)
+    logn = _scratch("logn", (nodes, nodes), np.float64)
+    logn[:] = logp[::-1, ::-1]
+    yield np.sum(logn)
 
 
 def _fill_plane(logp: np.ndarray, points: np.ndarray, sigma2: float, re: np.ndarray,

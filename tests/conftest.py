@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dmmsim import BinaryCode, builtin_code, extend_repetition
+from dmmsim.builtin_codes import builtin_code
+from dmmsim.linear_code import BinaryCode, extend_repetition
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 

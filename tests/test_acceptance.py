@@ -10,10 +10,14 @@ import time
 
 import numpy as np
 
-import dmmsim as d
+from dmmsim import receiver
+from dmmsim.builtin_codes import BUILTIN_CODE_NAMES, builtin_code
 from dmmsim.channel import ChannelConfig, snr_to_sigma2
 from dmmsim.cli import main as cli_main
-from dmmsim.linear_code import gf2_rank
+from dmmsim.linear_code import decode_soft_batch, encode, extend_repetition, gf2_rank
+from dmmsim.modem import Constellation, beta_from_bits, dmm_map, rotate
+from dmmsim.mutual_info import mi_bpsk, mi_qpsk
+from dmmsim.receiver import run_point, snr_at_ber, wilson_interval
 
 from oracles import bpsk_ber_theory, gf2_matmul, mc_info_reference, ml_decode_batch
 
@@ -34,10 +38,10 @@ def test_criterion_1_uncoded_bpsk_oracle():
     details = []
     ok = True
     for eb_n0_db in (2.0, 4.0, 6.0):
-        res = d.run_point("uncoded", snr_db=eb_n0_db,
-                          snr_convention="eb_n0_stream1", seed=101,
-                          min_frame_errors=10 ** 9, max_frames=250,
-                          uncoded_block_bits=8192)
+        res = run_point("uncoded", snr_db=eb_n0_db,
+                        snr_convention="eb_n0_stream1", seed=101,
+                        min_frame_errors=10 ** 9, max_frames=250,
+                        uncoded_block_bits=8192)
         expected = float(bpsk_ber_theory(eb_n0_db))
         rel = abs(res.ber1 - expected) / expected
         ok &= res.errors1 >= 100 and rel <= 0.05
@@ -54,21 +58,21 @@ def test_criterion_1_uncoded_bpsk_oracle():
 # ---------------------------------------------------------------------------
 
 def test_criterion_2_genie_bit_identical():
-    code1 = d.builtin_code("ldpc_r12_n256")
-    code2 = d.extend_repetition(d.builtin_code("ldpc_r14_n64"), 4)
+    code1 = builtin_code("ldpc_r12_n256")
+    code2 = extend_repetition(builtin_code("ldpc_r14_n64"), 4)
     ok = True
     detail = []
     for snr_db, seed in ((-1.0, 7), (1.5, 8)):
         # the receiver's genie side sees y = Rot(x1) + n; the BPSK link sees
         # x1 + Rot^{-1}(n), the same noise in the derotated frame
         cfg = ChannelConfig(sigma2=snr_to_sigma2(snr_db), seed=seed)
-        words, noise = d.receiver._frame_batch(cfg, np.arange(150), code1.n,
-                                               (code1.k, code2.k))
-        derotated = d.rotate(noise, -d.beta_from_bits(d.encode(code2, words[1])))
-        _, e_genie, _, _, llr_genie = d.receiver._receive_batch(code1, code2, cfg, words,
-                                                                noise, 50)
-        _, e_bpsk, _, _, llr_bpsk = d.receiver._receive_batch(code1, None, cfg, words[:1],
-                                                              derotated, 50)
+        words, noise = receiver._frame_batch(cfg, np.arange(150), code1.n,
+                                             (code1.k, code2.k))
+        derotated = rotate(noise, -beta_from_bits(encode(code2, words[1])))
+        _, e_genie, _, _, llr_genie = receiver._receive_batch(code1, code2, cfg, words,
+                                                              noise, 50)
+        _, e_bpsk, _, _, llr_bpsk = receiver._receive_batch(code1, None, cfg, words[:1],
+                                                            derotated, 50)
         same_llr = np.array_equal(llr_genie, llr_bpsk)
         same_err = np.array_equal(e_genie, e_bpsk)
         ok &= same_llr and same_err
@@ -88,18 +92,18 @@ def test_criterion_3_rotation_energy_invariants():
     z = rng.normal(scale=3.0, size=n) + 1j * rng.normal(scale=3.0, size=n)
     beta = rng.uniform(-math.pi, math.pi, size=n)
 
-    rot = d.rotate(z, beta)
+    rot = rotate(z, beta)
     mag_ok = np.max(np.abs(np.abs(rot) - np.abs(z)) / np.abs(z)) < 1e-12
-    back = d.rotate(rot, -beta)
+    back = rotate(rot, -beta)
     inv_ok = np.max(np.abs(back - z) / np.abs(z)) < 1e-12
 
     es = rng.uniform(0.1, 10.0, size=n)
     v1 = rng.integers(0, 2, size=n)
     v2 = rng.integers(0, 2, size=n)
-    pts = d.dmm_map(v1, v2, 1.0) * np.sqrt(es)
+    pts = dmm_map(v1, v2, 1.0) * np.sqrt(es)
     energy_ok = np.max(np.abs(np.abs(pts) ** 2 - es) / es) < 1e-12
     # and at unit energy through the public map directly
-    pts1 = d.dmm_map(v1, v2, 1.0)
+    pts1 = dmm_map(v1, v2, 1.0)
     energy1_ok = np.max(np.abs(np.abs(pts1) ** 2 - 1.0)) < 1e-12
 
     ok = mag_ok and inv_ok and energy_ok and energy1_ok
@@ -114,26 +118,26 @@ def test_criterion_3_rotation_energy_invariants():
 def test_criterion_4_code_algebra_and_ml_agreement():
     rng = np.random.default_rng(11)
     algebra_ok = True
-    for name in d.BUILTIN_CODE_NAMES:
-        code = d.builtin_code(name)
+    for name in BUILTIN_CODE_NAMES:
+        code = builtin_code(name)
         a = rng.integers(0, 2, (8, code.k), dtype=np.uint8)
         b = rng.integers(0, 2, (8, code.k), dtype=np.uint8)
-        lin = np.array_equal(d.encode(code, a ^ b),
-                             d.encode(code, a) ^ d.encode(code, b))
-        null = not gf2_matmul(d.encode(code, a), code.parity.T).any()
+        lin = np.array_equal(encode(code, a ^ b),
+                             encode(code, a) ^ encode(code, b))
+        null = not gf2_matmul(encode(code, a), code.parity.T).any()
         full_rank = gf2_rank(code.generator) == code.k
         algebra_ok &= lin and null and full_rank
 
-    code = d.builtin_code("ldpc_r12_n24")
+    code = builtin_code("ldpc_r12_n24")
     trials = 10_000
     es_n0_db = 6.0
     sigma2 = snr_to_sigma2(es_n0_db)
     infos = rng.integers(0, 2, (trials, code.k), dtype=np.uint8)
-    cws = d.encode(code, infos)
+    cws = encode(code, infos)
     noise = rng.normal(scale=math.sqrt(sigma2), size=(trials, code.n))
     y = (1.0 - 2.0 * cws.astype(np.float64)) + noise
     llrs = 2.0 * y / sigma2
-    bp_info, _, _ = d.decode_soft_batch(code, llrs)
+    bp_info, _, _ = decode_soft_batch(code, llrs)
     ml_info, _ = ml_decode_batch(code, llrs)
     agree = float(np.mean(np.all(bp_info == ml_info, axis=1)))
     ml_ok = agree >= 0.99
@@ -149,7 +153,7 @@ def test_criterion_4_code_algebra_and_ml_agreement():
 
 def test_criterion_5_mi_checkpoints():
     lo, hi = -4.0, -1.0
-    f = lambda db: d.mi_bpsk(db).value - 0.5
+    f = lambda db: mi_bpsk(db).value - 0.5
     for _ in range(48):
         mid = 0.5 * (lo + hi)
         if f(mid) < 0:
@@ -159,21 +163,21 @@ def test_criterion_5_mi_checkpoints():
     crossing = 0.5 * (lo + hi)
     crossing_ok = abs(crossing - (-2.8)) <= 0.1
 
-    sat = d.mi_bpsk(10.0).value
+    sat = mi_bpsk(10.0).value
     sat_ok = sat >= 0.999
 
     grid = np.linspace(-10, 10, 21)
     worst = 0.0
     for db in grid:
-        q = d.mi_qpsk(db).value
-        b = d.mi_bpsk(db - 10 * math.log10(2)).value
+        q = mi_qpsk(db).value
+        b = mi_bpsk(db - 10 * math.log10(2)).value
         worst = max(worst, abs(q - 2 * b))
     qpsk_ok = worst <= 1e-5
 
     mc_ok = True
-    bpsk = d.Constellation.bpsk().points.real
+    bpsk = Constellation.bpsk().points.real
     for db in (-2.8, 3.0):
-        quad = d.mi_bpsk(db)
+        quad = mi_bpsk(db)
         mc, mc_err = mc_info_reference(bpsk, np.arange(2), snr_to_sigma2(db), 200_000, 6)
         mc_ok &= abs(quad.value - mc) <= 3.0 * (quad.est_error + mc_err)
 
@@ -199,26 +203,26 @@ def test_criterion_6_realistic_penalty_at_1e4():
     One ``dmm_realistic`` run per grid value gives both curves on the same
     frames: its ``errors1_genie`` is the genie receiver's count.
     """
-    code1 = d.builtin_code("ldpc_r12_n2048")
-    code2 = d.extend_repetition(d.builtin_code("ldpc_r14_n512"), 4)
+    code1 = builtin_code("ldpc_r12_n2048")
+    code2 = extend_repetition(builtin_code("ldpc_r14_n512"), 4)
     grid = ((-1.5, 2500), (-1.3, 8000), (-1.0, 6000))
 
-    results = {snr_db: d.run_point("dmm_realistic", code1, code2, snr_db=snr_db, seed=1,
-                                   min_frame_errors=10 ** 9, max_frames=frames)
+    results = {snr_db: run_point("dmm_realistic", code1, code2, snr_db=snr_db, seed=1,
+                                 min_frame_errors=10 ** 9, max_frames=frames)
                for snr_db, frames in grid}
 
     snrs = [g[0] for g in grid]
     ber_g = [results[s].errors1_genie / results[s].bits1 for s in snrs]
     ber_r = [results[s].ber1 for s in snrs]
-    cross_g = d.snr_at_ber(snrs, ber_g, 1e-4)
-    cross_r = d.snr_at_ber(snrs, ber_r, 1e-4)
+    cross_g = snr_at_ber(snrs, ber_g, 1e-4)
+    cross_r = snr_at_ber(snrs, ber_r, 1e-4)
     crossings_ok = cross_g is not None and cross_r is not None
     penalty = (cross_r - cross_g) if crossings_ok else float("nan")
 
     separated = []
     for s in (-1.5, -1.3):
         r = results[s]
-        separated.append(r.ber1_ci[0] > d.wilson_interval(r.errors1_genie, r.bits1)[1])
+        separated.append(r.ber1_ci[0] > wilson_interval(r.errors1_genie, r.bits1)[1])
     sep_ok = all(separated)
 
     ok = crossings_ok and penalty > 0 and sep_ok

@@ -99,12 +99,15 @@ def test_sweep_workload_matches_golden_rows(perfbench, name):
 
 def test_setup_path_imports_no_cli_and_no_executor():
     # the benchmark's cold set-up imports dmmsim and resolves builtin codes;
-    # the CLI and its executors load only when a verb runs, so setup_s
-    # does not pay for them
+    # the package loads no submodule of its own, and the codes load only
+    # what they import, so setup_s pays for no receiver, MI, CLI or executor
     probe = ("import json, sys\n"
+             "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'dmmsim')\n"
              "import dmmsim\n"
+             "alone = loaded()\n"
              "from dmmsim.builtin_codes import builtin_code\n"
-             "print(json.dumps([m in sys.modules for m in ('dmmsim.cli', 'concurrent.futures')]))")
+             "print(json.dumps([alone, loaded(), 'concurrent.futures' in sys.modules]))")
     out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(SRC)},
                          capture_output=True, text=True, check=True, timeout=60)
-    assert json.loads(out.stdout) == [False, False]
+    assert json.loads(out.stdout) == [
+        ["dmmsim"], ["dmmsim", "dmmsim.builtin_codes", "dmmsim.linear_code"], False]

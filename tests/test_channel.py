@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from dmmsim import (
+from dmmsim.channel import (
     ChannelConfig,
     block_rng,
     ebn0_to_esn0,

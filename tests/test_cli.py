@@ -4,11 +4,12 @@ import pickle
 import sys
 import threading
 import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from dmmsim import __version__, builtin_codes, cli, mutual_info, receiver, save_alist
+from dmmsim import __version__, builtin_codes, cli, mutual_info, receiver
 from dmmsim.channel import GAUSSIAN_METHOD
 from dmmsim.cli import fmt, main
 from dmmsim.config import (
@@ -20,6 +21,12 @@ from dmmsim.config import (
 )
 
 DATA = __file__.rsplit("/", 1)[0] + "/data"
+
+
+def copy_shipped_alist(name, path):
+    """Write the alist file the package ships for builtin code ``name`` to ``path``."""
+    path.write_bytes(resources.files("dmmsim").joinpath("codes", f"{name}.alist").read_bytes())
+
 
 SWEEP_CFG = """\
 scheme = dmm_realistic
@@ -263,7 +270,7 @@ def test_sweep_parses_an_alist_code_once(tmp_path, monkeypatch):
     parse = builtin_codes._parse_alist
     monkeypatch.setattr(builtin_codes, "_parse_alist", counting_parse)
     alist = tmp_path / "c24.alist"
-    save_alist(builtin_codes.builtin_code("ldpc_r12_n24"), alist)
+    copy_shipped_alist("ldpc_r12_n24", alist)
     path = write(tmp_path, "s.cfg", f"scheme = bpsk_baseline\ncode1 = {alist}\n"
                                     "snr_grid_db = 2 3\nstop_max_frames = 16\n")
     assert main(["sweep", path, "--out", str(tmp_path / "out.csv")]) == 0
@@ -272,10 +279,10 @@ def test_sweep_parses_an_alist_code_once(tmp_path, monkeypatch):
 
 def test_edited_alist_code_reloads(tmp_path):
     alist = tmp_path / "c.alist"
-    save_alist(builtin_codes.builtin_code("ldpc_r12_n24"), alist)
+    copy_shipped_alist("ldpc_r12_n24", alist)
     first = builtin_codes.resolve_code(str(alist))
     assert builtin_codes.resolve_code(str(alist)) is first
-    save_alist(builtin_codes.builtin_code("hamming_7_4"), alist)
+    copy_shipped_alist("hamming_7_4", alist)
     second = builtin_codes.resolve_code(str(alist))
     assert (first.n, second.n) == (24, 7) and second.name == "c.alist"
     assert np.array_equal(second.parity, builtin_codes.builtin_code("hamming_7_4").parity)
@@ -616,11 +623,9 @@ def test_capacity_columns_and_monotonicity(capacity_csv):
 def test_capacity_qpsk_decomposition(capacity_csv):
     lines = body(capacity_csv).strip().split("\n")
     rows = [list(map(float, r.split(","))) for r in lines[1:]]
-    from dmmsim import mi_bpsk
-
     for r in rows:
         snr, _, qpsk = r[0], r[1], r[2]
-        half = mi_bpsk(snr - 10 * math.log10(2)).value
+        half = mutual_info.mi_bpsk(snr - 10 * math.log10(2)).value
         assert qpsk == pytest.approx(2 * half, abs=1e-5)
 
 

@@ -11,21 +11,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmmsim import (
+from dmmsim.builtin_codes import BUILTIN_CODE_NAMES, builtin_code
+from dmmsim.linear_code import (
+    LLR_MAX,
     AlistFormatError,
-    RankDeficiencyError,
     BinaryCode,
+    RankDeficiencyError,
     RepetitionExtendedCode,
-    builtin_code,
+    _bp_batch,
+    _degree_sum,
     decode_soft_batch,
     encode,
     extend_repetition,
+    gf2_rank,
+    gf2_rref,
     load_alist,
-    run_point,
-    save_alist,
 )
-from dmmsim.builtin_codes import BUILTIN_CODE_NAMES
-from dmmsim.linear_code import LLR_MAX, _bp_batch, _degree_sum, gf2_rank, gf2_rref
+from dmmsim.receiver import run_point
 
 from oracles import (
     all_codewords,
@@ -39,11 +41,12 @@ from oracles import (
 
 DATA = __file__.rsplit("/", 1)[0] + "/data"
 
-# the PEG construction and fixture parameters live in the script that
-# writes the shipped alist files
+# the PEG construction, fixture parameters and alist writer live in the
+# script that writes the shipped alist files
 with pytest.MonkeyPatch.context() as _mp:
     _mp.syspath_prepend(str(Path(__file__).resolve().parent.parent / "scripts"))
     write_builtin_alists = importlib.import_module("write_builtin_alists")
+save_alist = write_builtin_alists.save_alist
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +638,7 @@ def test_builtin_alist_matches_peg(name, tmp_path):
     assert (tmp_path / "peg.alist").read_bytes() == shipped
     code = builtin_code(name)
     assert code.name == name
-    save_alist(code, tmp_path / "again.alist")
+    save_alist(code.parity, tmp_path / "again.alist")
     assert (tmp_path / "again.alist").read_bytes() == shipped
 
 
@@ -722,7 +725,7 @@ def test_alist_roundtrip_is_canonical(tmp_path):
     fixture = f"{DATA}/hamming74.alist"
     code = load_alist(fixture)
     out = tmp_path / "again.alist"
-    save_alist(code, out)
+    save_alist(code.parity, out)
     assert out.read_bytes() == open(fixture, "rb").read()
 
 
@@ -806,8 +809,6 @@ def test_alist_error_message_and_line(tmp_path, case):
 @pytest.mark.parametrize("name", ["hamming_7_4", "ldpc_r12_n24", "ldpc_r14_n64",
                                   "ldpc_r12_n256"])
 def test_builtin_code_invariants(name):
-    from dmmsim import builtin_code
-
     code = builtin_code(name)
     assert 0 < code.rate < 1
     assert gf2_rank(code.generator) == code.k

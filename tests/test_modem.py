@@ -5,17 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmmsim import (
+from dmmsim.modem import (
     Constellation,
     beta_from_bits,
     demod_v2_hard,
     derotate_and_llr_v1,
     dmm_map,
     llr_v2,
+    log_sum_exp,
     map_bpsk,
     rotate,
 )
-from dmmsim.modem import log_sum_exp
 
 from oracles import (
     llr_v2_bruteforce,

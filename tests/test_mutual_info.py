@@ -9,8 +9,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from dmmsim import (
-    Constellation,
+from dmmsim import cli, mutual_info
+from dmmsim.channel import sigma2_to_snr_db, snr_to_sigma2
+from dmmsim.config import CapacityConfig
+from dmmsim.modem import Constellation
+from dmmsim.mutual_info import (
     awgn_entropy,
     mi_awgn,
     mi_axis,
@@ -19,9 +22,6 @@ from dmmsim import (
     mi_joint_4point,
     mi_qpsk,
 )
-from dmmsim import cli, mutual_info
-from dmmsim.channel import sigma2_to_snr_db, snr_to_sigma2
-from dmmsim.config import CapacityConfig
 
 from oracles import (
     entropy_reference,
@@ -411,7 +411,7 @@ def test_log_mixture_point_major_matches_point_last(inp):
     # with points[P//2:] == -points[:P//2], also the second output at -y
     pts = inp.points.real if inp.is_real else inp.points
     sigma2 = 0.3
-    t, _ = mutual_info._gauss_hermite(64)
+    t, _, _ = mutual_info._gauss_hermite(64)
     scale = math.sqrt(2.0 * sigma2)
     grid = scale * t if pts.dtype.kind == "f" else scale * (t[:, None] + 1j * t[None, :])
 
@@ -547,6 +547,22 @@ def test_plane_quadrature_working_set_is_bounded():
         assert peak < 2.5e6
 
 
+def test_warm_plane_quadrature_allocates_no_grid():
+    # once a call has grown this thread's scratch arrays and cached the
+    # tensor-grid weights, a 256-node plane H(Y) allocates nothing near a
+    # grid's 0.52 MB: no weight product per call, and no hidden copy for an
+    # axis pair's mirror or reversal (1.05 MB and 0.66 MB traced before)
+    for pts in (FOUR_POINT, *AXIS_PAIRS[::2]):
+        mutual_info._entropy(pts, 0.5, 256)
+        tracemalloc.start()
+        try:
+            mutual_info._entropy(pts, 0.5, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e3
+
+
 def test_scratch_arrays_carry_no_value_between_calls():
     # two threads interleave quadratures of every size and kind at a 10 us
     # switch interval; each value equals the same call on a fresh thread
@@ -586,7 +602,7 @@ def test_axis_and_joint_share_bits_with_separate_calls():
 def test_gauss_hermite_tables_must_be_symmetric(monkeypatch):
     # the mirrored axis pairs need t == -t[::-1] and w == w[::-1] to the bit
     for nodes in (64, 128, 256):
-        t, w = mutual_info._gauss_hermite.__wrapped__(nodes)
+        t, w, _ = mutual_info._gauss_hermite.__wrapped__(nodes)
         assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
     hermgauss = np.polynomial.hermite.hermgauss
 
@@ -603,16 +619,17 @@ def test_gauss_hermite_tables_must_be_symmetric(monkeypatch):
         with pytest.raises(RuntimeError, match="symmetric"):
             mutual_info._gauss_hermite.__wrapped__(64)
     monkeypatch.undo()
-    t, w = mutual_info._gauss_hermite(66)
+    t, _, _ = mutual_info._gauss_hermite(66)
     assert np.array_equal(t, hermgauss(66)[0])
 
 
 def test_gauss_hermite_tables_are_cached_read_only():
-    t, w = mutual_info._gauss_hermite(64)
+    t, w, w2 = mutual_info._gauss_hermite(64)
     assert mutual_info._gauss_hermite(64)[0] is t
     ref_t, ref_w = np.polynomial.hermite.hermgauss(64)
     assert np.array_equal(t, ref_t) and np.array_equal(w, ref_w)
-    for arr in (t, w):
+    assert np.array_equal(w2, ref_w[:, None] * ref_w[None, :])
+    for arr in (t, w, w2):
         with pytest.raises(ValueError):
             arr[0] = 1.0
 

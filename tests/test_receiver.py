@@ -8,20 +8,11 @@ import numpy as np
 import pytest
 
 import dmmsim.receiver as receiver_mod
-from dmmsim import (
-    ChannelConfig,
-    beta_from_bits,
-    builtin_code,
-    derotate_and_llr_v1,
-    dmm_map,
-    encode,
-    extend_repetition,
-    rotate,
-    run_point,
-    snr_at_ber,
-    wilson_interval,
-)
-from dmmsim.channel import block_rng, frame_keys, snr_to_sigma2
+from dmmsim.builtin_codes import builtin_code
+from dmmsim.channel import ChannelConfig, block_rng, frame_keys, noise_block, snr_to_sigma2
+from dmmsim.linear_code import encode, extend_repetition
+from dmmsim.modem import beta_from_bits, demod_v2_hard, derotate_and_llr_v1, dmm_map, rotate
+from dmmsim.receiver import run_point, snr_at_ber, wilson_interval
 
 from oracles import (
     bpsk_ber_theory,
@@ -293,8 +284,6 @@ def test_run_point_zero_noise(dmm_pair):
 
 def test_run_point_heavy_noise_axis_rate(dmm_pair):
     # at -20 dB the hard axis decision is a coin flip
-    from dmmsim import demod_v2_hard, dmm_map, noise_block
-
     cfg = _cfg(-20.0, 5)
     rng_bits = np.random.default_rng(0)
     v1 = rng_bits.integers(0, 2, 20000)
