@@ -12,7 +12,10 @@ Conventions used throughout the package:
 
 Both conventions are exposed because published SNR axes do not always say
 which one they use; every result record is stamped with the convention it
-was produced under.
+was produced under.  A sweep's grid may also be in Eb/N0 per stream-1 or
+overall info bit; :func:`resolve_grid_snr` reads all four conventions.
+Symbol energy, noise variance, rates and tolerances must be positive and
+finite, as :func:`require_positive`, the package's one such check, enforces.
 
 Noise is drawn from a counter-based Philox generator keyed by
 ``(seed, block_index, stream)``.  Trial *i* therefore sees the same noise no
@@ -20,7 +23,8 @@ matter how many workers run a sweep or in which order blocks complete.
 :func:`block_rng` and :func:`noise_block` define one block's streams;
 :func:`frame_keys` works out the same Philox keys for a whole batch of
 blocks at once, so a batch can re-key one generator per block instead of
-building a new one.
+building a new one.  It takes the seed's half of the SeedSequence hash from
+numpy (``SeedSequence(seed).pool``) and runs only the spawn-key half itself.
 """
 
 from __future__ import annotations
@@ -32,9 +36,19 @@ from dataclasses import dataclass
 import numpy as np
 
 SNR_CONVENTIONS = ("es_n0_complex", "es_n0_per_dim")
+#: the conventions a sweep's grid SNR values may be declared in
+GRID_CONVENTIONS = SNR_CONVENTIONS + ("eb_n0_overall", "eb_n0_stream1")
 
 #: How Gaussian variates are produced; stamped into result metadata.
 GAUSSIAN_METHOD = "philox+ziggurat(numpy.standard_normal)"
+
+
+def require_positive(**values: float) -> None:
+    """Raise ValueError naming the first of ``values`` that is not positive
+    and finite."""
+    for name, value in values.items():
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -46,10 +60,7 @@ class ChannelConfig:
     es: float = 1.0
 
     def __post_init__(self):
-        if not (self.sigma2 > 0 and math.isfinite(self.sigma2)):
-            raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
-        if not (self.es > 0 and math.isfinite(self.es)):
-            raise ValueError(f"es must be positive and finite, got {self.es}")
+        require_positive(sigma2=self.sigma2, es=self.es)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -70,7 +81,7 @@ _POOL_WORDS = 4
 _INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
 _INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
 _MIX_L, _MIX_R = 0xCA01_F9DD, 0x4973_F715
-_STREAMS = 2  # noise on stream 0, data bits on stream 1
+_STREAMS = np.arange(2, dtype=np.uint64)  # noise on stream 0, data bits on stream 1
 
 
 def _hashmix(value, const):
@@ -92,11 +103,13 @@ def frame_keys(seed: int, indices) -> np.ndarray:
 
     Returns a (B, 2, 2) uint64 array whose ``[b, s]`` row equals
     ``SeedSequence(entropy=seed, spawn_key=(indices[b], s)).generate_state(2,
-    np.uint64)``, the key of ``block_rng(seed, indices[b], s)``.  The seed's
-    part of the SeedSequence hash runs once, in Python ints; the spawn-key
-    words and the output mix run for all blocks at once, in uint64 arrays
-    masked to 32 bits.  Each index must be one spawn-key word, i.e. lie in
-    [0, 2**32).
+    np.uint64)``, the key of ``block_rng(seed, indices[b], s)``.  The hash
+    mixes the seed's words into its pool before the spawn key's, so the pool
+    after the seed is ``SeedSequence(seed).pool``, and the hash constant has
+    then stepped 4 times to fill the pool, 12 to mix it and 4 per seed word
+    past the pool's 4.  The spawn-key words and the output mix run here for
+    all blocks and both streams at once, in uint64 arrays masked to 32 bits.
+    Each index must be one spawn-key word, i.e. lie in [0, 2**32).
     """
     seed = operator.index(seed)
     if seed < 0:
@@ -107,44 +120,26 @@ def frame_keys(seed: int, indices) -> np.ndarray:
     if indices.size and (indices.min() < 0 or indices.max() > _MASK32):
         raise ValueError("block indices must lie in [0, 2**32)")
 
-    # the seed's 32-bit words, zero-padded to the pool size (a spawn key follows)
-    words = [seed & _MASK32]
-    while seed := seed >> 32:
-        words.append(seed & _MASK32)
-    words += [0] * (_POOL_WORDS - len(words))
-    pool, const = [], _INIT_A
-    for word in words[:_POOL_WORDS]:
-        h, const = _hashmix(word, const)
-        pool.append(h)
-    for src in range(_POOL_WORDS):
-        for dst in range(_POOL_WORDS):
-            if src != dst:
-                h, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], h)
-    for word in words[_POOL_WORDS:]:
-        for dst in range(_POOL_WORDS):
-            h, const = _hashmix(word, const)
-            pool[dst] = _mix(pool[dst], h)
+    pool = np.random.SeedSequence(seed).pool.tolist()
+    extra_words = max(0, -(-seed.bit_length() // 32) - _POOL_WORDS)
+    const = _INIT_A * pow(_MULT_A, 16 + 4 * extra_words, 1 << 32) & _MASK32
 
-    # spawn-key word 0: the block index, for every block at once
-    index_words = indices.astype(np.uint64)
+    # spawn-key word 0: the block index, one row per block
+    index_words = indices.astype(np.uint64)[:, None]
     for dst in range(_POOL_WORDS):
         h, const = _hashmix(index_words, const)
         pool[dst] = _mix(pool[dst], h)
 
-    keys = np.empty((indices.size, _STREAMS, 2), dtype=np.uint64)
-    for stream in range(_STREAMS):
-        # spawn-key word 1, then generate_state's four words, paired little-endian
-        stream_const, out_const, state = const, _INIT_B, []
-        for dst in range(_POOL_WORDS):
-            h, stream_const = _hashmix(stream, stream_const)
-            word = _mix(pool[dst], h) ^ out_const
-            out_const = out_const * _MULT_B & _MASK32
-            word = word * out_const & _MASK32
-            state.append(word ^ word >> 16)
-        keys[:, stream, 0] = state[0] | state[1] << 32
-        keys[:, stream, 1] = state[2] | state[3] << 32
-    return keys
+    # spawn-key word 1, the stream, along the columns; then generate_state's
+    # four words, paired little-endian
+    out_const, state = _INIT_B, []
+    for dst in range(_POOL_WORDS):
+        h, const = _hashmix(_STREAMS, const)
+        word = _mix(pool[dst], h) ^ out_const
+        out_const = out_const * _MULT_B & _MASK32
+        word = word * out_const & _MASK32
+        state.append(word ^ word >> 16)
+    return np.stack((state[0] | state[1] << 32, state[2] | state[3] << 32), axis=-1)
 
 
 def noise_block(cfg: ChannelConfig, block_index: int, n: int) -> np.ndarray:
@@ -157,8 +152,7 @@ def noise_block(cfg: ChannelConfig, block_index: int, n: int) -> np.ndarray:
 def snr_to_sigma2(es_n0_db: float, es: float = 1.0,
                   convention: str = "es_n0_complex") -> float:
     """Per-real-dimension noise variance for a symbol-SNR value in dB."""
-    if not (es > 0 and math.isfinite(es)):
-        raise ValueError(f"es must be positive and finite, got {es}")
+    require_positive(es=es)
     if not math.isfinite(es_n0_db):
         raise ValueError(f"es_n0_db must be finite, got {es_n0_db}")
     if convention not in SNR_CONVENTIONS:
@@ -177,26 +171,38 @@ def snr_to_sigma2(es_n0_db: float, es: float = 1.0,
 def sigma2_to_snr_db(sigma2: float, es: float = 1.0,
                      convention: str = "es_n0_complex") -> float:
     """Inverse of :func:`snr_to_sigma2`."""
-    if not (sigma2 > 0 and math.isfinite(sigma2)):
-        raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
-    if convention == "es_n0_complex":
-        n0 = 2.0 * sigma2
-    elif convention == "es_n0_per_dim":
-        n0 = sigma2
-    else:
+    require_positive(sigma2=sigma2, es=es)
+    if convention not in SNR_CONVENTIONS:
         raise ValueError(f"unknown SNR convention {convention!r}; pick one of {SNR_CONVENTIONS}")
+    n0 = 2.0 * sigma2 if convention == "es_n0_complex" else sigma2
     return 10.0 * math.log10(es / n0)
 
 
 def ebn0_to_esn0(eb_n0_db: float, rate: float) -> float:
     """Es/N0 in dB from Eb/N0 in dB at the given info rate."""
-    if not rate > 0:
-        raise ValueError(f"rate must be positive, got {rate}")
+    require_positive(rate=rate)
     return eb_n0_db + 10.0 * math.log10(rate)
 
 
 def esn0_to_ebn0(es_n0_db: float, rate: float) -> float:
     """Eb/N0 in dB from Es/N0 in dB at the given info rate."""
-    if not rate > 0:
-        raise ValueError(f"rate must be positive, got {rate}")
+    require_positive(rate=rate)
     return es_n0_db - 10.0 * math.log10(rate)
+
+
+def resolve_grid_snr(snr_db, convention, es, rate1, rate_overall):
+    """Read a grid value in one of :data:`GRID_CONVENTIONS`, at info rates
+    ``rate1`` (stream 1) and ``rate_overall`` (both streams) per symbol.
+
+    Returns (es_n0_db in the complex reading, sigma2).  The per-dim reading
+    changes sigma2 only; Eb/N0 readings are rate-shifted complex Es/N0.
+    """
+    if convention == "es_n0_complex":
+        return snr_db, snr_to_sigma2(snr_db, es, "es_n0_complex")
+    if convention == "es_n0_per_dim":
+        sigma2 = snr_to_sigma2(snr_db, es, "es_n0_per_dim")
+        return sigma2_to_snr_db(sigma2, es, "es_n0_complex"), sigma2
+    if convention in ("eb_n0_stream1", "eb_n0_overall"):
+        es_n0 = ebn0_to_esn0(snr_db, rate1 if convention == "eb_n0_stream1" else rate_overall)
+        return es_n0, snr_to_sigma2(es_n0, es, "es_n0_complex")
+    raise ValueError(f"unknown SNR convention {convention!r}; pick one of {GRID_CONVENTIONS}")

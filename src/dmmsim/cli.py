@@ -34,7 +34,6 @@ import numpy as np
 
 from . import __version__ as _version
 from . import receiver
-from .builtin_codes import resolve_code
 from .channel import GAUSSIAN_METHOD
 from .config import (
     CapacityConfig,
@@ -42,8 +41,9 @@ from .config import (
     SweepConfig,
     load_capacity_config,
     load_sweep_config,
+    sweep_codes,
 )
-from .linear_code import AlistFormatError, extend_repetition, load_alist
+from .linear_code import AlistFormatError, load_alist
 from .mutual_info import mi_axis_and_joint, mi_bpsk, mi_qpsk
 
 ENV_PREFIX = "DMMSIM_"
@@ -132,16 +132,6 @@ def _metadata(cfg, schema: str, *notes: str) -> list:
 # sweep
 # ---------------------------------------------------------------------------
 
-def _sweep_codes(cfg: SweepConfig):
-    code1 = resolve_code(cfg.code1) if cfg.code1 else None
-    code2 = None
-    if cfg.code2:
-        code2 = resolve_code(cfg.code2)
-        if cfg.code2_repeat > 1:
-            code2 = extend_repetition(code2, cfg.code2_repeat)
-    return code1, code2
-
-
 def _sweep_one(cfg: SweepConfig, code1, code2, snr_db: float):
     res = receiver.run_point(
         cfg.scheme, code1, code2,
@@ -175,7 +165,7 @@ def _sweep_one(cfg: SweepConfig, code1, code2, snr_db: float):
 
 def _pool_worker(job):
     cfg, snr_db = job
-    return _sweep_one(cfg, *_sweep_codes(cfg), snr_db)
+    return _sweep_one(cfg, *sweep_codes(cfg), snr_db)
 
 
 def run_sweep(cfg: SweepConfig, threads: int = 1):
@@ -188,7 +178,7 @@ def run_sweep(cfg: SweepConfig, threads: int = 1):
     A point decodes its batches on one thread per usable CPU; in a pool of
     N workers each decodes on its share, usable CPUs // N (at least one),
     so the workers do not oversubscribe the CPUs."""
-    code1, code2 = _sweep_codes(cfg)
+    code1, code2 = sweep_codes(cfg)
     workers = min(threads, len(cfg.snr_grid_db))
     if workers > 1:
         jobs = [(cfg, snr) for snr in cfg.snr_grid_db]

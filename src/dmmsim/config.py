@@ -15,8 +15,9 @@ import math
 from dataclasses import MISSING, dataclass, field, fields
 
 from .builtin_codes import resolve_code
-from .channel import snr_to_sigma2
-from .receiver import GRID_CONVENTIONS, MAX_FRAMES, SCHEME_CODES, SCHEMES, _resolve_point
+from .channel import GRID_CONVENTIONS, require_positive, resolve_grid_snr, snr_to_sigma2
+from .linear_code import extend_repetition
+from .receiver import MAX_FRAMES, SCHEME_CODES, SCHEMES
 
 
 class ConfigError(ValueError):
@@ -122,8 +123,14 @@ def _checker(kv: dict, path: str):
     return require
 
 
-def _positive(x: float) -> bool:
-    return x > 0 and math.isfinite(x)
+def _require_positive(require, cfg, *keys):
+    """Raise at the line of the first of ``keys`` whose value
+    ``require_positive`` rejects."""
+    for key in keys:
+        try:
+            require_positive(**{key: getattr(cfg, key)})
+        except ValueError as exc:
+            require(False, key, str(exc))
 
 
 def _check_grid(require, grid, sigma2_of):
@@ -135,6 +142,24 @@ def _check_grid(require, grid, sigma2_of):
         except ValueError:
             require(False, "snr_grid_db", f"snr_grid_db must be small enough in magnitude "
                     f"for a positive, finite sigma2, got {snr}")
+
+
+def _sweep_code(cfg: SweepConfig, key: str):
+    """The code a sweep sends as ``key`` (``code1`` or ``code2``), None when
+    the config names none; code2 is repeated ``code2_repeat`` times."""
+    ref = getattr(cfg, key)
+    if not ref:
+        return None
+    code = resolve_code(ref)
+    if key == "code2" and cfg.code2_repeat > 1:
+        code = extend_repetition(code, cfg.code2_repeat)
+    return code
+
+
+def sweep_codes(cfg: SweepConfig):
+    """``(code1, code2)``, the codes a sweep sends, each None when the config
+    names none."""
+    return _sweep_code(cfg, "code1"), _sweep_code(cfg, "code2")
 
 
 def load_sweep_config(path) -> SweepConfig:
@@ -168,23 +193,22 @@ def load_sweep_config(path) -> SweepConfig:
     require(cfg.stop_max_frames <= MAX_FRAMES, "stop_max_frames",
             "stop_max_frames must be <= 2**32 (a frame index is one 32-bit seed word)")
     require(cfg.master_seed >= 0, "master_seed", "master_seed must be >= 0")
-    require(_positive(cfg.symbol_energy), "symbol_energy",
-            "symbol_energy must be positive and finite")
-    codes = {}
-    for key in sent:
+    _require_positive(require, cfg, "symbol_energy")
+    codes = []
+    for key in ("code1", "code2"):
         try:
-            codes[key] = resolve_code(getattr(cfg, key))
+            codes.append(_sweep_code(cfg, key))
         except (ValueError, OSError) as exc:
             require(False, key, f"{key}: {exc}")
-    if len(codes) == 2:
-        n1, n2 = codes["code1"].n, codes["code2"].n
-        require(n1 == n2 * cfg.code2_repeat, "code2",
-                f"code2 length {n2} x code2_repeat {cfg.code2_repeat} must "
-                f"equal code1 length {n1}")
+    code1, code2 = codes
+    if code2 is not None:
+        require(code1.n == code2.n, "code2",
+                f"code2 length {code2.n // cfg.code2_repeat} x code2_repeat "
+                f"{cfg.code2_repeat} must equal code1 length {code1.n}")
     # each grid value as run_point reads it, at the rates of the codes sent
-    rate1 = codes["code1"].rate if "code1" in codes else 1.0
-    rate2 = codes["code2"].rate / cfg.code2_repeat if "code2" in codes else 0.0
-    _check_grid(require, cfg.snr_grid_db, lambda snr: _resolve_point(
+    rate1 = 1.0 if code1 is None else code1.rate
+    rate2 = 0.0 if code2 is None else code2.rate
+    _check_grid(require, cfg.snr_grid_db, lambda snr: resolve_grid_snr(
         snr, cfg.snr_convention, cfg.symbol_energy, rate1, rate1 + rate2))
     return cfg
 
@@ -201,7 +225,6 @@ def load_capacity_config(path) -> CapacityConfig:
     _reject_unknown(kv, path)
     require(all(map(math.isfinite, cfg.snr_grid_db)), "snr_grid_db",
             "snr_grid_db must be finite")
-    for key in ("symbol_energy", "quadrature_tol_bits"):
-        require(_positive(getattr(cfg, key)), key, f"{key} must be positive and finite")
+    _require_positive(require, cfg, "symbol_energy", "quadrature_tol_bits")
     _check_grid(require, cfg.snr_grid_db, lambda snr: snr_to_sigma2(snr, cfg.symbol_energy))
     return cfg

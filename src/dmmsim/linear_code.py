@@ -201,7 +201,7 @@ class _BpGraph:
         return not np.bitwise_xor.reduce(at_slot.reshape(*self.check_shape, -1), axis=0).any()
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class BinaryCode:
     """A binary linear block code defined by its parity-check matrix.
 
@@ -215,13 +215,13 @@ class BinaryCode:
 
     A code keeps neither matrix dense (4 MiB of bytes at n = 2048):
     ``parity`` is rebuilt from the BP graph's edges and ``generator`` from
-    the encode table, on each access.
+    the encode table, on each access.  Codes compare and hash by identity.
     """
 
     name: str
     info_positions: np.ndarray
-    _graph: _BpGraph = field(repr=False, compare=False)
-    _encode_table: np.ndarray = field(repr=False, compare=False)
+    _graph: _BpGraph = field(repr=False)
+    _encode_table: np.ndarray = field(repr=False)
 
     def __init__(self, parity: np.ndarray, name: str = ""):
         h = np.ascontiguousarray(np.asarray(parity, dtype=np.uint8) & 1)
@@ -421,6 +421,9 @@ def _bp_batch(graph: _BpGraph, llr: np.ndarray, max_iter: int):
     # rows still iterating; converged rows are dropped from the working set
     rows = np.arange(b)
     base = llr.clip(-LLR_MAX, LLR_MAX)
+    if np.isnan(np.add.reduce(base, axis=None)):  # clipped LLRs sum to NaN iff one is
+        bad = np.flatnonzero(np.isnan(base).any(axis=1))[0]
+        raise ValueError(f"LLR row {bad} holds NaN, which BP cannot decode")
     lq = base.take(graph.var_of_slot, axis=1)
 
     for it in range(1, max_iter + 1):
@@ -497,6 +500,7 @@ def decode_soft_batch(code, llrs: np.ndarray, max_iter: int = 50):
     Early exit per row on a zero syndrome; inputs and messages are clipped
     at +-LLR_MAX, and a row whose posterior is identically zero carries no
     decision, so a total erasure reports ``max_iter`` without converging.
+    A NaN input has no sign to decide by: it raises ValueError naming its row.
     Messages live in the fixed-degree, slot-major layout described in the
     module docstring; bits, flags and iteration counts equal those of the
     edge-list ``reduceat`` decoder kept as ``tests/oracles.bp_reference``.

@@ -35,6 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import require_positive
+
 HALF_PI = math.pi / 2.0
 
 _EXACT_PHASORS = (
@@ -62,17 +64,20 @@ class Constellation:
 
     @classmethod
     def bpsk(cls, es: float = 1.0) -> "Constellation":
+        require_positive(es=es)
         a = math.sqrt(es)
         return cls([a, -a])
 
     @classmethod
     def qpsk(cls, es: float = 1.0) -> "Constellation":
+        require_positive(es=es)
         a = math.sqrt(es / 2.0)
         return cls([a + 1j * a, -a + 1j * a, -a - 1j * a, a - 1j * a])
 
     @classmethod
     def quadrature_pair(cls, es: float = 1.0) -> "Constellation":
         """The rotation-keyed four-point set: +re, +im, -re, -im, each at energy es."""
+        require_positive(es=es)
         a = math.sqrt(es)
         return cls([a, 1j * a, -a, -1j * a])
 
@@ -88,8 +93,7 @@ class Constellation:
 
 def map_bpsk(bits, es: float = 1.0) -> np.ndarray:
     """Antipodal map: bit 0 -> +sqrt(es), bit 1 -> -sqrt(es), on the real axis."""
-    if not es > 0:
-        raise ValueError(f"es must be positive, got {es}")
+    require_positive(es=es)
     bits = np.asarray(bits)
     return (1.0 - 2.0 * bits.astype(np.float64)) * math.sqrt(es) + 0.0j
 
@@ -163,8 +167,7 @@ def llr_v2(y, constellation: Constellation, sigma2: float) -> np.ndarray:
     distance overflowed, which raises ``ValueError``; a class without points
     gives its defined infinite LLR.
     """
-    if not sigma2 > 0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
+    require_positive(sigma2=sigma2)
     y = np.asarray(y, dtype=np.complex128)
     pts = constellation.points
     labels = constellation.axis_labels
@@ -191,8 +194,7 @@ def derotate_and_llr_v1(y, beta_hat, es: float, sigma2: float) -> np.ndarray:
     ``beta_hat`` must be 0 or pi/2 per symbol, so derotation selects Re(y)
     or Im(y).
     """
-    if not sigma2 > 0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
+    require_positive(es=es, sigma2=sigma2)
     beta_hat = np.asarray(beta_hat, dtype=np.float64)
     axis = beta_hat == HALF_PI
     if not np.all(axis | (beta_hat == 0.0)):

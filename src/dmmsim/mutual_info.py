@@ -73,7 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import snr_to_sigma2
+from .channel import require_positive, snr_to_sigma2
 from .modem import Constellation
 
 LN2 = math.log(2.0)
@@ -112,16 +112,8 @@ class MiResult:
 
 def awgn_entropy(sigma2: float) -> float:
     """Differential entropy, in bits, of N(0, sigma2) in one real dimension."""
-    _check(sigma2=sigma2)
+    require_positive(sigma2=sigma2)
     return math.log2(math.sqrt(2.0 * math.pi * math.e * sigma2))
-
-
-def _check(**values: float) -> None:
-    """Raise ValueError naming the first of ``values`` that is not positive
-    and finite."""
-    for name, value in values.items():
-        if not (value > 0 and math.isfinite(value)):
-            raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def _clamp(value, size: int) -> float:
@@ -358,7 +350,7 @@ def mi_awgn(inp: Constellation, sigma2: float, *, tol: float = 1e-6) -> MiResult
     line against one-dimensional noise entropy; otherwise in the plane
     against the two-dimensional noise entropy.
     """
-    _check(sigma2=sigma2, tol=tol)
+    require_positive(sigma2=sigma2, tol=tol)
     pts = inp.points.real if inp.is_real else inp.points
     return _quad_joint(_mixture_entropy(pts, sigma2, tol), pts, sigma2, tol)
 
@@ -396,7 +388,7 @@ def mi_axis_and_joint(es_n0_db: float, es: float = 1.0, *, tol: float = 1e-6):
     averages the entropies of the real and the imaginary axis pair, each
     with weight 1/2."""
     sigma2 = snr_to_sigma2(es_n0_db, es)
-    _check(sigma2=sigma2, tol=tol)
+    require_positive(sigma2=sigma2, tol=tol)
     c = Constellation.quadrature_pair(es)
     labels = c.axis_labels
     h_y = _mixture_entropy(c.points, sigma2, tol)

@@ -74,15 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linear_code, modem
-from .channel import (
-    SNR_CONVENTIONS,
-    ChannelConfig,
-    ebn0_to_esn0,
-    esn0_to_ebn0,
-    frame_keys,
-    sigma2_to_snr_db,
-    snr_to_sigma2,
-)
+from .channel import ChannelConfig, esn0_to_ebn0, frame_keys, resolve_grid_snr
 
 DATA_STREAM = 1  # channel noise occupies stream 0 of each frame's generator
 
@@ -206,31 +198,6 @@ class SimResult:
         return wilson_interval(self.frame_errors, self.frames)
 
 
-#: The conventions a grid SNR value may be declared in; _resolve_point reads
-#: each of them
-GRID_CONVENTIONS = SNR_CONVENTIONS + ("eb_n0_overall", "eb_n0_stream1")
-
-
-def _resolve_point(snr_db, convention, es, rate1, rate_overall):
-    """Interpret a grid value under the declared convention.
-
-    Returns (es_n0_db in the complex reading, sigma2).  The per-dim reading
-    changes sigma2 only; Eb/N0 readings are rate-shifted complex Es/N0.
-    """
-    if convention == "es_n0_complex":
-        return snr_db, snr_to_sigma2(snr_db, es, "es_n0_complex")
-    if convention == "es_n0_per_dim":
-        sigma2 = snr_to_sigma2(snr_db, es, "es_n0_per_dim")
-        return sigma2_to_snr_db(sigma2, es, "es_n0_complex"), sigma2
-    if convention == "eb_n0_stream1":
-        es_n0 = ebn0_to_esn0(snr_db, rate1)
-        return es_n0, snr_to_sigma2(es_n0, es, "es_n0_complex")
-    if convention == "eb_n0_overall":
-        es_n0 = ebn0_to_esn0(snr_db, rate_overall)
-        return es_n0, snr_to_sigma2(es_n0, es, "es_n0_complex")
-    raise ValueError(f"unknown SNR convention {convention!r}; pick one of {GRID_CONVENTIONS}")
-
-
 def _accumulate(stop_min_fe, stop_max_frames, frames_done, fe_done, frame_err_flags):
     """How many frames of this batch count, and why we stop (or None).
 
@@ -287,7 +254,7 @@ def run_point(scheme: str, code1=None, code2=None, *, snr_db: float,
     k2 = code2.k if dmm else 0
     ks = (k1, k2) if dmm else (k1,)
 
-    es_n0_db, sigma2 = _resolve_point(snr_db, snr_convention, es, rate1, rate_overall)
+    es_n0_db, sigma2 = resolve_grid_snr(snr_db, snr_convention, es, rate1, rate_overall)
     cfg = ChannelConfig(sigma2=sigma2, seed=seed, es=es)
 
     def receive(idx):

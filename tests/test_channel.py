@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from dmmsim import modem
 from dmmsim.channel import (
     ChannelConfig,
     block_rng,
@@ -14,9 +15,21 @@ from dmmsim.channel import (
     esn0_to_ebn0,
     frame_keys,
     noise_block,
+    resolve_grid_snr,
     sigma2_to_snr_db,
     snr_to_sigma2,
 )
+from dmmsim.modem import Constellation
+from dmmsim.mutual_info import (
+    awgn_entropy,
+    mi_awgn,
+    mi_axis,
+    mi_axis_and_joint,
+    mi_bpsk,
+    mi_joint_4point,
+    mi_qpsk,
+)
+from dmmsim.receiver import run_point
 
 
 def test_near_noiseless_limit():
@@ -117,6 +130,52 @@ def test_invalid_parameters():
         esn0_to_ebn0(0.0, 0.0)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         ChannelConfig(sigma2=1.0, seed=-4)
+
+
+Y = np.array([0.3 - 1.2j, -0.7 + 0.1j])
+MI_CURVES = (mi_bpsk, mi_qpsk, mi_axis, mi_joint_4point, mi_axis_and_joint)
+
+#: (entry point, parameter, the entry point called with a value for that
+#: parameter), one for each parameter that must be positive and finite
+POSITIVE_PARAMETERS = [
+    ("ChannelConfig", "es", lambda v: ChannelConfig(sigma2=1.0, seed=0, es=v)),
+    ("snr_to_sigma2", "es", lambda v: snr_to_sigma2(0.0, v)),
+    ("sigma2_to_snr_db", "es", lambda v: sigma2_to_snr_db(0.5, v)),
+    ("resolve_grid_snr", "es", lambda v: resolve_grid_snr(0.0, "es_n0_per_dim", v, 0.5, 0.75)),
+    ("bpsk", "es", Constellation.bpsk),
+    ("qpsk", "es", Constellation.qpsk),
+    ("quadrature_pair", "es", Constellation.quadrature_pair),
+    ("map_bpsk", "es", lambda v: modem.map_bpsk([0, 1], v)),
+    ("dmm_map", "es", lambda v: modem.dmm_map([0, 1], [1, 0], v)),
+    ("derotate_and_llr_v1", "es", lambda v: modem.derotate_and_llr_v1(Y, 0.0, v, 1.0)),
+    ("run_point", "es", lambda v: run_point("uncoded", snr_db=0.0, es=v, max_frames=8)),
+    *((f.__name__, "es", lambda v, f=f: f(0.0, v)) for f in MI_CURVES),
+    ("ChannelConfig", "sigma2", lambda v: ChannelConfig(sigma2=v, seed=0)),
+    ("sigma2_to_snr_db", "sigma2", sigma2_to_snr_db),
+    ("llr_v2", "sigma2", lambda v: modem.llr_v2(Y, Constellation.quadrature_pair(), v)),
+    ("derotate_and_llr_v1", "sigma2", lambda v: modem.derotate_and_llr_v1(Y, 0.0, 1.0, v)),
+    ("mi_awgn", "sigma2", lambda v: mi_awgn(Constellation.bpsk(), v)),
+    ("awgn_entropy", "sigma2", awgn_entropy),
+    ("ebn0_to_esn0", "rate", lambda v: ebn0_to_esn0(0.0, v)),
+    ("esn0_to_ebn0", "rate", lambda v: esn0_to_ebn0(0.0, v)),
+    ("resolve_grid_snr-stream1", "rate",
+     lambda v: resolve_grid_snr(0.0, "eb_n0_stream1", 1.0, v, 1.0)),
+    ("resolve_grid_snr-overall", "rate",
+     lambda v: resolve_grid_snr(0.0, "eb_n0_overall", 1.0, 1.0, v)),
+    ("mi_awgn", "tol", lambda v: mi_awgn(Constellation.bpsk(), 0.5, tol=v)),
+    *((f.__name__, "tol", lambda v, f=f: f(0.0, tol=v)) for f in MI_CURVES),
+]
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("name,call", [entry[1:] for entry in POSITIVE_PARAMETERS],
+                         ids=[f"{where}-{name}" for where, name, _ in POSITIVE_PARAMETERS])
+def test_positive_parameters_reject_what_is_not(name, call, bad):
+    # llr_v2 and map_bpsk let inf through, and derotate_and_llr_v1 checked
+    # no es: es = -1 raised "math domain error", nan gave NaN LLRs
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be positive and finite, "
+                                                   f"got {bad}")):
+        call(bad)
 
 
 def test_block_rng_streams_differ():

@@ -131,6 +131,7 @@ BAD_SWEEP_VALUES = [
     (("master_seed = 42", "master_seed = 42\nuncoded_block_bits = 0"), 10),
     (("master_seed = 42", "master_seed = 42\nsymbol_energy = 0"), 10),
     (("master_seed = 42", "master_seed = 42\nsymbol_energy = nan"), 10),
+    (("master_seed = 42", "master_seed = 42\nsymbol_energy = inf"), 10),
     (("scheme = dmm_realistic\ncode1 = ldpc_r12_n256\ncode2 = ldpc_r14_n64\ncode2_repeat = 4",
       "scheme = bpsk_baseline\ncode1 = ldpc_r12_n256\ncode2_repeat = 4"), 3),
 ]
@@ -149,6 +150,8 @@ BAD_CAPACITY_VALUES = [
     # (text replaced, the bad "key = value"), line of that key
     (("quadrature_tol_bits = 1e-6", "symbol_energy = 0"), 2),
     (("quadrature_tol_bits = 1e-6", "quadrature_tol_bits = -1e-6"), 2),
+    (("quadrature_tol_bits = 1e-6", "quadrature_tol_bits = inf"), 2),
+    (("quadrature_tol_bits = 1e-6", "quadrature_tol_bits = nan"), 2),
     (("snr_grid_db = -6 -3 0 3 6", "snr_grid_db = 0 nan 1"), 1),
     (("snr_grid_db = -6 -3 0 3 6", "snr_grid_db = -inf 0"), 1),
     (("snr_grid_db = -6 -3 0 3 6", "snr_grid_db = 0 1e300"), 1),

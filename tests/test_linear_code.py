@@ -318,6 +318,17 @@ def test_extend_repetition_invalid(hamming):
         extend_repetition(hamming, 0)
 
 
+def test_codes_compare_and_hash_by_identity(hamming):
+    # equality used to compare info_positions arrays: == between two codes of
+    # one name raised "truth value of an array is ambiguous", hash() TypeError
+    twin = BinaryCode(hamming.parity, name=hamming.name)
+    assert hamming == hamming and hamming != twin
+    assert len({hamming, twin, hamming}) == 2
+    rep = extend_repetition(hamming, 2)
+    assert rep == extend_repetition(hamming, 2) and rep != extend_repetition(twin, 2)
+    assert hash(rep) == hash(extend_repetition(hamming, 2))
+
+
 # ---------------------------------------------------------------------------
 # BP decoding
 # ---------------------------------------------------------------------------
@@ -349,6 +360,22 @@ def test_decode_total_erasure(hamming):
     est, conv, iters = decode_soft_batch(hamming, np.zeros((1, hamming.n)))
     assert not conv[0]
     assert iters[0] == 50
+
+
+def test_decode_rejects_nan_llrs(hamming, code64_r14):
+    # a NaN row used to come back converged after one iteration, all zeros
+    llrs = np.full((3, hamming.n), 3.0)
+    llrs[1, 4] = math.nan
+    with pytest.raises(ValueError, match="LLR row 1 holds NaN"):
+        decode_soft_batch(hamming, llrs)
+    rep = extend_repetition(code64_r14, 2)
+    llrs = np.full((2, rep.n), -2.0)
+    llrs[1, 7] = math.nan
+    with pytest.raises(ValueError, match="LLR row 1 holds NaN"):
+        decode_soft_batch(rep, llrs)
+    # infinite LLRs are clipped to +-LLR_MAX and stay legal
+    bits, conv, _ = decode_soft_batch(hamming, np.full((1, hamming.n), math.inf))
+    assert conv[0] and not bits.any()
 
 
 def test_decode_rejects_nonpositive_max_iter(hamming):
