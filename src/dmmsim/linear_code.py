@@ -417,6 +417,8 @@ def _bp_batch(graph: _BpGraph, llr: np.ndarray, max_iter: int):
     bits = np.zeros(llr.shape, dtype=np.uint8)
     converged = np.zeros(b, dtype=bool)
     iterations = np.full(b, max_iter, dtype=np.int64)
+    if not b:  # an empty batch has no message to reduce
+        return bits, converged, iterations
 
     # rows still iterating; converged rows are dropped from the working set
     rows = np.arange(b)
@@ -494,9 +496,11 @@ def _bp_batch(graph: _BpGraph, llr: np.ndarray, max_iter: int):
 def decode_soft_batch(code, llrs: np.ndarray, max_iter: int = 50):
     """Sum-product decode a batch; rows of ``llrs`` are independent frames.
 
-    A row decodes the same in any batch, including a batch of one.  For a
-    repetition-extended code the copies of each base bit are independent
-    observations of it, so their LLRs add before BP on the base code.
+    A row decodes the same in any batch, including a batch of one and an
+    empty one.  For a repetition-extended code the copies of each base bit
+    are independent observations of it, so their LLRs add before BP on the
+    base code; an infinite copy adds as +-LLR_MAX, so copies of +inf and
+    -inf cancel instead of summing to NaN.
     Early exit per row on a zero syndrome; inputs and messages are clipped
     at +-LLR_MAX, and a row whose posterior is identically zero carries no
     decision, so a total erasure reports ``max_iter`` without converging.
@@ -512,6 +516,7 @@ def decode_soft_batch(code, llrs: np.ndarray, max_iter: int = 50):
     if llrs.ndim != 2 or llrs.shape[1] != code.n:
         raise ValueError(f"expected (B, {code.n}) LLRs, got {llrs.shape}")
     if isinstance(code, RepetitionExtendedCode):
+        llrs = np.nan_to_num(llrs, nan=np.nan, posinf=LLR_MAX, neginf=-LLR_MAX)
         llrs = llrs.reshape(llrs.shape[0], code.base.n, code.k_rep).sum(axis=2)
         inner = code.base
     else:

@@ -8,12 +8,13 @@ The receiver stores the whole frame because every symbol is used twice:
 2. re-encode the decoded info word to rebuild the rotation pattern;
 3. derotate the stored symbols, demap polarity -> decode the first stream.
 
-:func:`_receive_batch` is the only receiver.  One pass of it gives both
-rotation modes on the same frames: genie mode (the idealised error-free
-rotation estimate) derotates by the true pattern, and realistic mode
-differs from it only on the frames whose rebuilt pattern is wrong.  The
-quarter-turn derotation is exact, so genie polarity LLRs are bit-identical
-to a plain BPSK link observing the same (isometrically re-expressed) noise.
+:func:`_receive_batch` is the only receiver.  Genie mode (the idealised
+error-free rotation estimate) derotates by the true pattern; realistic
+mode, which ``dmm_realistic`` alone asks for, redoes only the frames whose
+rebuilt pattern is wrong, so one pass gives both modes on the same frames.
+The quarter-turn derotation is exact, so genie polarity LLRs are
+bit-identical to a plain BPSK link observing the same (isometrically
+re-expressed) noise.
 ``bpsk_baseline`` is the same receiver with no axis stream, and ``uncoded``
 additionally has no code and decides polarity by hard sign.  Frames come
 in from :func:`_frame_batch`.
@@ -134,8 +135,9 @@ def wilson_interval(k: int, n: int):
 @dataclass(frozen=True)
 class SimResult:
     """One SNR point of a sweep with full provenance.  ``errors1_genie`` is
-    the genie receiver's ``errors1`` on the same frames (``errors1`` itself
-    for every scheme but ``dmm_realistic``)."""
+    the genie receiver's ``errors1`` on the same frames.  Only
+    ``dmm_realistic`` rebuilds the rotations, so for every other scheme
+    ``errors1_genie`` is ``errors1`` itself and ``beta_errors`` is 0."""
 
     scheme: str
     code1_name: str
@@ -260,9 +262,8 @@ def run_point(scheme: str, code1=None, code2=None, *, snr_db: float,
     def receive(idx):
         # frames, noise and LLRs go with their batch
         return _receive_batch(polarity_code, axis_code, cfg, *_frame_batch(cfg, idx, n_sym, ks),
-                              max_iter)[:4]
+                              max_iter, realistic=scheme == "dmm_realistic")[:4]
 
-    realistic = scheme == "dmm_realistic"
     t0 = time.perf_counter()
     frames = fe = errors1 = errors1_genie = errors2 = beta_errors = 0
     stop_reason = "max_frames"
@@ -272,17 +273,14 @@ def run_point(scheme: str, code1=None, code2=None, *, snr_db: float,
     with contextlib.closing(_in_frame_order(receive, _batches(max_frames, n_sym),
                                             workers)) as results:
         for e1, e1_genie, e2, berr in results:
-            if not realistic:
-                e1 = e1_genie
             bflags = (e1 + e2) > 0
             take, reason = _accumulate(min_frame_errors, max_frames, frames, fe, bflags)
             frames += take
             fe += int(np.sum(bflags[:take]))
             errors1 += int(np.sum(e1[:take]))
+            errors1_genie += int(np.sum(e1_genie[:take]))
             errors2 += int(np.sum(e2[:take]))
-            if realistic:
-                errors1_genie += int(np.sum(e1_genie[:take]))
-                beta_errors += int(np.sum(berr[:take]))
+            beta_errors += int(np.sum(berr[:take]))
             if reason is not None:
                 stop_reason = reason
                 break
@@ -298,8 +296,7 @@ def run_point(scheme: str, code1=None, code2=None, *, snr_db: float,
         eb_n0_overall_db=esn0_to_ebn0(es_n0_db, rate_overall),
         es=es, sigma2=sigma2, seed=seed, max_iter=max_iter,
         frames=frames, frame_errors=fe,
-        bits1=frames * k1, errors1=errors1,
-        errors1_genie=errors1_genie if realistic else errors1,
+        bits1=frames * k1, errors1=errors1, errors1_genie=errors1_genie,
         bits2=frames * k2, errors2=errors2,
         beta_symbols=frames * n_sym if dmm else 0,
         beta_errors=beta_errors,
@@ -450,22 +447,23 @@ def _batches(count, n):
         yield np.arange(start, min(start + size, count), dtype=np.int64)
 
 
-def _receive_batch(code1, code2, cfg, words, noise, max_iter):
+def _receive_batch(code1, code2, cfg, words, noise, max_iter, *, realistic=False):
     """Transmit and receive a batch of frames: the info words ``words``
     (stream 1, then stream 2) over the (B, n) channel noise ``noise``.
 
-    Stream 2 is decoded and re-encoded first.  Stream 1 is decoded once
-    derotated by the true rotations (genie), and again derotated by the
-    rebuilt ones (realistic) only on the frames with rotation errors: on the
-    others the two select the same samples, and BP decodes a row alike in
-    any batch.
+    Stream 2 is decoded first.  Stream 1 is decoded derotated by the true
+    rotations (genie).  With ``realistic``, stream 2 is also re-encoded, and
+    stream 1 decoded again derotated by the rebuilt rotations only on the
+    frames with rotation errors: on the others the two select the same
+    samples, and BP decodes a row alike in any batch.
     Without ``code2`` there is no axis stream: every symbol stays on the real
     axis (``bpsk_baseline``).  Without ``code1`` the polarity bits are sent
     uncoded and decided by the sign of their LLR (``uncoded``).
     The batch consumes ``noise``: the received symbols are built in its
     array (``noise + x`` is ``x + noise`` bit for bit: an IEEE sum commutes).
-    Returns per-frame (stream-1 bit errors, realistic then genie; stream-2
-    bit errors; rotation errors) and the (B, n) genie stream-1 LLRs.
+    Returns per-frame (stream-1 bit errors, then the genie's; stream-2 bit
+    errors; rotation errors), the first the genie's and the last 0 without
+    ``realistic``, and the (B, n) genie stream-1 LLRs.
     """
     c1 = words[0]
     v1 = c1 if code1 is None else linear_code.encode(code1, c1)
@@ -478,8 +476,9 @@ def _receive_batch(code1, code2, cfg, words, noise, max_iter):
         llr2 = modem.llr_v2(y, modem.Constellation.quadrature_pair(cfg.es), cfg.sigma2)
         c2_hat, _, _ = linear_code.decode_soft_batch(code2, llr2, max_iter=max_iter)
         errors2 = np.count_nonzero(c2_hat != words[1], axis=1)
-        v2_hat = linear_code.encode(code2, c2_hat)
-        beta_errors = np.count_nonzero(v2_hat != v2, axis=1)
+        if realistic:
+            v2_hat = linear_code.encode(code2, c2_hat)
+            beta_errors = np.count_nonzero(v2_hat != v2, axis=1)
 
     llr1 = modem.derotate_and_llr_v1(y, modem.beta_from_bits(v2), cfg.es, cfg.sigma2)
     errors1 = errors1_genie = _stream1_errors(code1, llr1, c1, max_iter)

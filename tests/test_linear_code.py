@@ -376,6 +376,30 @@ def test_decode_rejects_nan_llrs(hamming, code64_r14):
     # infinite LLRs are clipped to +-LLR_MAX and stay legal
     bits, conv, _ = decode_soft_batch(hamming, np.full((1, hamming.n), math.inf))
     assert conv[0] and not bits.any()
+    # so are a repeated bit's copies of +inf and -inf, which once summed to
+    # NaN: an infinite copy adds as +-LLR_MAX.  A NaN beside one is refused
+    from dmmsim.linear_code import LLR_MAX
+
+    llrs = np.full((3, rep.n), 4.0)
+    llrs[1, :2] = math.inf, -math.inf
+    llrs[2, 3] = -math.inf
+    got = decode_soft_batch(rep, llrs)
+    want = decode_soft_batch(rep, llrs.clip(-LLR_MAX, LLR_MAX))
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    llrs[2, 2] = math.nan
+    with pytest.raises(ValueError, match="LLR row 2 holds NaN"):
+        decode_soft_batch(rep, llrs)
+
+
+def test_decode_empty_batch(code64_r14):
+    # no frames decode to no bits, flags or counts, as encode returns no words
+    for code in (code64_r14, extend_repetition(code64_r14, 3)):
+        bits, conv, iters = decode_soft_batch(code, np.empty((0, code.n)))
+        assert bits.shape == (0, code.k) and bits.dtype == np.uint8
+        assert conv.shape == iters.shape == (0,)
+        assert conv.dtype == bool and iters.dtype == np.int64
+        assert encode(code, bits).shape == (0, code.n)
 
 
 def test_decode_rejects_nonpositive_max_iter(hamming):

@@ -37,7 +37,7 @@ def _receive(code1, code2, cfg, frames):
     stream 1 realistic, stream 1 genie, stream 2 and rotations."""
     words, noise = receiver_mod._frame_batch(cfg, np.arange(frames), code1.n,
                                              (code1.k, code2.k))
-    return receiver_mod._receive_batch(code1, code2, cfg, words, noise, 50)[:4]
+    return receiver_mod._receive_batch(code1, code2, cfg, words, noise, 50, realistic=True)[:4]
 
 
 #: what :func:`_paired` returns, in the order of ``paired_batch_reference``
@@ -61,7 +61,7 @@ def _paired(code1, code2, cfg, frames):
         # the BPSK side's noise, taken before the genie side consumes noise
         derotated = rotate(noise, -beta_from_bits(encode(code2, words[1])))
         e1, e_genie, _, berr, llr_genie = receiver_mod._receive_batch(
-            code1, code2, cfg, words, noise, 50)
+            code1, code2, cfg, words, noise, 50, realistic=True)
         _, e_bpsk, _, _, llr_bpsk = receiver_mod._receive_batch(code1, None, cfg, words[:1],
                                                                 derotated, 50)
         parts.append((llr_genie, llr_bpsk, e_genie, e_bpsk, e1, berr))
@@ -206,6 +206,33 @@ def test_paired_run_batch_size_invariance(dmm_pair, monkeypatch):
         assert a.dtype == b.dtype
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
     assert 0 < np.count_nonzero(whole["errors_genie"]) < 20
+
+
+@pytest.mark.parametrize("scheme", ["dmm_genie", "dmm_realistic"])
+def test_run_point_decodes_stream1_once_per_frame(dmm_pair, monkeypatch, scheme):
+    # a dmm_genie point decodes stream 1 once per frame; a dmm_realistic
+    # point decodes again, and only, the frames whose rebuilt rotations are
+    # wrong.  Both decode stream 2 once per frame
+    code1, code2 = dmm_pair
+    snr_db, seed, frames = -2.5, 5, 150
+    e1, e1_genie, e2, berr = _receive(code1, code2, _cfg(snr_db, seed), frames)
+    wrong = np.count_nonzero(berr)
+    assert 0 < wrong < frames
+    decode, rows = receiver_mod.linear_code.decode_soft_batch, {id(code1): [], id(code2): []}
+
+    def counting_decode(code, llr, **kw):
+        rows[id(code)].append(llr.shape[0])
+        return decode(code, llr, **kw)
+
+    monkeypatch.setattr(receiver_mod.linear_code, "decode_soft_batch", counting_decode)
+    res = run_point(scheme, code1, code2, snr_db=snr_db, seed=seed,
+                    min_frame_errors=10 ** 9, max_frames=frames)
+    realistic = scheme == "dmm_realistic"
+    assert (res.frames, res.errors2) == (frames, e2.sum())
+    assert (res.errors1, res.errors1_genie) == ((e1 if realistic else e1_genie).sum(),
+                                                e1_genie.sum())
+    assert sum(rows[id(code2)]) == frames
+    assert sum(rows[id(code1)]) == frames + (wrong if realistic else 0)
 
 
 def test_codeword_lengths_must_match(code256, code64_r14):
