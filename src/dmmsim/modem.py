@@ -135,50 +135,45 @@ def demod_v2_hard(y) -> np.ndarray:
     return (np.abs(y.imag) > np.abs(y.real)).astype(np.uint8)
 
 
-def log_sum_exp(terms, shape=()) -> np.ndarray:
-    """ln of the sum of exp(t) over the exponent arrays ``terms``, taken one
-    at a time in order; ``shape`` is the shape of an empty sum.
-
-    A chain of ``np.logaddexp`` into one accumulator, each step one long
-    array op: over the rows of a (points, ...) array of exponents it is
-    bitwise ``np.logaddexp.reduce`` over that leading axis (a ufunc reduce
-    applies its operator in order, and ``logaddexp`` is symmetric in its
-    arguments), and ``terms`` may be a generator that refills one buffer
-    per term, since a term is folded in before the next is asked for.  The
-    reduce starts from the identity, and ``logaddexp(-inf, v)`` is
-    ``v + 0.0``, which turns -0.0 into 0.0; so does the chain.
-    """
-    terms = iter(terms)
-    first = next(terms, None)
-    if first is None:
-        return np.full(shape, -np.inf)  # the reduce's identity
-    acc = np.add(first, 0.0, out=np.empty_like(first))  # an array even for a 0-d term
-    for t in terms:
-        np.logaddexp(acc, t, out=acc)
-    return acc
-
-
 def llr_v2(y, constellation: Constellation, sigma2: float) -> np.ndarray:
     """Soft axis-bit information: ln of the real-axis-pair likelihood over the
     imaginary-axis-pair likelihood under Gaussian noise.
 
-    Evaluated with log-sum-exp so widely separated exponents cannot underflow
-    to a 0/0.  With points in both classes an LLR is finite unless a squared
-    distance overflowed, which raises ``ValueError``; a class without points
-    gives its defined infinite LLR.
+    Each class's log-sum-exp is a chain of ``np.logaddexp`` over its points'
+    exponents ``-(|y - p| ** 2) / (2 sigma2)``, taken point by point through
+    one array of ``y``'s size and folded in from ``x0 + 0.0`` in point
+    order: bitwise ``np.logaddexp.reduce`` over the class's points (a ufunc
+    reduce applies its operator in order from the identity, and
+    ``logaddexp(-inf, v)`` is ``v + 0.0``), so widely separated exponents
+    cannot underflow to a 0/0.  With points in both classes an LLR is
+    finite unless a squared distance overflowed, which raises
+    ``ValueError``; a class without points gives its defined infinite LLR.
     """
     require_positive(sigma2=sigma2)
     y = np.asarray(y, dtype=np.complex128)
-    pts = constellation.points
     labels = constellation.axis_labels
-    real_pair, imag_pair = np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)
+    diff = np.empty_like(y)  # one point's differences at a time
+    expo = np.empty(y.shape)
+    sums = []
     # an overflowing squared distance is left to the finite check below
     with np.errstate(over="ignore", invalid="ignore"):
-        # -|y - s_k|^2 / (2 sigma2), one row per point
-        expo = -np.abs(y - pts.reshape(pts.shape + (1,) * y.ndim)) ** 2 / (2.0 * sigma2)
-        llr = (log_sum_exp((expo[j] for j in real_pair), y.shape)
-               - log_sum_exp((expo[j] for j in imag_pair), y.shape))
-    if real_pair.size and imag_pair.size and not np.isfinite(llr).all():
+        for label in (0, 1):
+            points = constellation.points[labels == label]
+            acc = np.empty(y.shape) if points.size else np.full(y.shape, -np.inf)
+            for j, p in enumerate(points):
+                e = expo if j else acc
+                np.subtract(y, p, out=diff)
+                np.abs(diff, out=e)
+                np.square(e, out=e)
+                np.negative(e, out=e)
+                np.divide(e, 2.0 * sigma2, out=e)
+                if j:
+                    np.logaddexp(acc, e, out=acc)
+                else:
+                    np.add(acc, 0.0, out=acc)
+            sums.append(acc)
+        llr = np.subtract(*sums, out=sums[0])
+    if (labels == 0).any() and (labels == 1).any() and not np.isfinite(llr).all():
         raise ValueError(f"axis LLRs are not finite at sigma2 = {sigma2:.3g}: "
                          f"a squared distance to a point overflows")
     return llr

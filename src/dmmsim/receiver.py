@@ -44,10 +44,13 @@ n = 256 to 0.50-0.53x its time per frame (45-50 to 24-27 us), and a
 
 A batch holds up to ``_BATCH_FRAMES`` frames and ``_BATCH_SYMBOLS`` symbols
 (:func:`_batches`): 64 frames up to n = 512, 16 at n = 2048, 8 for 4096-bit
-uncoded blocks.  The bound keeps one batch's BP message arrays within a
-core's L2 cache: at n = 2048 a 64-frame array is 3 MiB, and sum-product took
-~75 us per frame and iteration on 16-frame batches against ~100 us on
-64-frame ones (2-vCPU Xeon, 2 MiB L2 per core).
+uncoded blocks.  The bound holds down what a batch allocates (a realistic
+16-frame batch at n = 2048 traces 4.3 MiB, 3.7 of it stream-1 BP), and so a
+point's page faults and peak RSS: a serial 768-frame point at n = 2048 took
+1.2k, 35k and 80-89k minor faults and 44, 49 and 60 MiB peak RSS on 16-, 32-
+and 64-frame batches (2-vCPU Xeon, numpy 2.4), and larger batches ran no
+faster, also with glibc's trim and mmap thresholds at 256 MiB, where the
+faults fell to 0.3k-3.8k.
 
 A point's batches run on one thread per usable CPU (:func:`_usable_cpus`;
 in a worker of ``sweep --threads N``'s process pool, that worker's share of
@@ -84,10 +87,14 @@ SCHEME_CODES = {"dmm_realistic": ("code1", "code2"), "dmm_genie": ("code1", "cod
                 "bpsk_baseline": ("code1",), "uncoded": ()}
 SCHEMES = tuple(SCHEME_CODES)
 
+#: the rows of a batch's per-frame counts (:func:`_receive_batch`), which
+#: :func:`_fold` sums into :class:`SimResult`'s fields of the same names
+_COUNTS = ("errors1", "errors1_genie", "errors2", "beta_errors")
+
 # A batch, the internal work unit, holds at most _BATCH_FRAMES frames and
-# _BATCH_SYMBOLS symbols, so that its BP message arrays stay within a core's
-# L2 cache (768 KiB each at 16 frames of n = 2048); results do not depend on
-# its size.
+# _BATCH_SYMBOLS symbols, which bounds what it allocates and so a point's
+# page faults and peak RSS (module docstring); results do not depend on its
+# size.
 _BATCH_FRAMES = 64
 _BATCH_SYMBOLS = 1 << 15
 MAX_FRAMES = 2**32  # a frame index is one 32-bit SeedSequence spawn-key word
@@ -200,22 +207,32 @@ class SimResult:
         return wilson_interval(self.frame_errors, self.frames)
 
 
-def _accumulate(stop_min_fe, stop_max_frames, frames_done, fe_done, frame_err_flags):
-    """How many frames of this batch count, and why we stop (or None).
+def _fold(batches, min_frame_errors, max_frames):
+    """Sum the per-frame counts of ``batches``, (len(_COUNTS), B) arrays in
+    frame order, up to the frame the stop rule ends on.
 
-    When both rules fire on the same frame, the reason is ``max_frames``.
+    A frame is in error when either stream has a bit error.  The frames
+    taken end at frame ``max_frames`` or at the first frame that brings the
+    frame errors to ``min_frame_errors``, whichever comes first; when both
+    rules fire on the same frame, the reason is ``max_frames``.  Returns the
+    totals by count name, the frames and frame errors taken, and the stop
+    reason (None if the batches ran out first).
     """
-    take = len(frame_err_flags)
+    totals = np.zeros(len(_COUNTS), dtype=np.int64)
+    frames = frame_errors = 0
     reason = None
-    cum = fe_done + np.cumsum(frame_err_flags)
-    hit = np.nonzero(cum >= stop_min_fe)[0]
-    if hit.size:
-        take = min(take, int(hit[0]) + 1)
-        reason = "min_frame_errors"
-    if frames_done + take >= stop_max_frames:
-        take = stop_max_frames - frames_done
-        reason = "max_frames"
-    return take, reason
+    for counts in batches:
+        in_error = (counts[_COUNTS.index("errors1")] + counts[_COUNTS.index("errors2")]) > 0
+        through = frame_errors + np.cumsum(in_error)  # frame errors through each frame
+        take = min(in_error.size, max_frames - frames)
+        take = min(take, int(np.searchsorted(through[:take], min_frame_errors)) + 1)
+        totals += counts[:, :take].sum(axis=1)
+        frames += take
+        frame_errors += int(np.count_nonzero(in_error[:take]))
+        if frames == max_frames or frame_errors >= min_frame_errors:
+            reason = "max_frames" if frames == max_frames else "min_frame_errors"
+            break
+    return dict(zip(_COUNTS, totals.tolist())), frames, frame_errors, reason
 
 
 def run_point(scheme: str, code1=None, code2=None, *, snr_db: float,
@@ -261,29 +278,18 @@ def run_point(scheme: str, code1=None, code2=None, *, snr_db: float,
 
     def receive(idx):
         # frames, noise and LLRs go with their batch
-        return _receive_batch(polarity_code, axis_code, cfg, *_frame_batch(cfg, idx, n_sym, ks),
-                              max_iter, realistic=scheme == "dmm_realistic")[:4]
+        counts, _ = _receive_batch(polarity_code, axis_code, cfg,
+                                   *_frame_batch(cfg, idx, n_sym, ks), max_iter,
+                                   realistic=scheme == "dmm_realistic")
+        return counts
 
     t0 = time.perf_counter()
-    frames = fe = errors1 = errors1_genie = errors2 = beta_errors = 0
-    stop_reason = "max_frames"
-
     workers = _cpu_share or _usable_cpus()
     # closed on the stop, which ends the window's threads before run_point returns
     with contextlib.closing(_in_frame_order(receive, _batches(max_frames, n_sym),
                                             workers)) as results:
-        for e1, e1_genie, e2, berr in results:
-            bflags = (e1 + e2) > 0
-            take, reason = _accumulate(min_frame_errors, max_frames, frames, fe, bflags)
-            frames += take
-            fe += int(np.sum(bflags[:take]))
-            errors1 += int(np.sum(e1[:take]))
-            errors1_genie += int(np.sum(e1_genie[:take]))
-            errors2 += int(np.sum(e2[:take]))
-            beta_errors += int(np.sum(berr[:take]))
-            if reason is not None:
-                stop_reason = reason
-                break
+        totals, frames, frame_errors, stop_reason = _fold(results, min_frame_errors,
+                                                          max_frames)
 
     return SimResult(
         scheme=scheme,
@@ -295,11 +301,9 @@ def run_point(scheme: str, code1=None, code2=None, *, snr_db: float,
         eb_n0_stream1_db=esn0_to_ebn0(es_n0_db, rate1),
         eb_n0_overall_db=esn0_to_ebn0(es_n0_db, rate_overall),
         es=es, sigma2=sigma2, seed=seed, max_iter=max_iter,
-        frames=frames, frame_errors=fe,
-        bits1=frames * k1, errors1=errors1, errors1_genie=errors1_genie,
-        bits2=frames * k2, errors2=errors2,
+        frames=frames, frame_errors=frame_errors, **totals,
+        bits1=frames * k1, bits2=frames * k2,
         beta_symbols=frames * n_sym if dmm else 0,
-        beta_errors=beta_errors,
         stop_reason=stop_reason,
         wall_time_s=time.perf_counter() - t0,
     )
@@ -461,9 +465,9 @@ def _receive_batch(code1, code2, cfg, words, noise, max_iter, *, realistic=False
     uncoded and decided by the sign of their LLR (``uncoded``).
     The batch consumes ``noise``: the received symbols are built in its
     array (``noise + x`` is ``x + noise`` bit for bit: an IEEE sum commutes).
-    Returns per-frame (stream-1 bit errors, then the genie's; stream-2 bit
-    errors; rotation errors), the first the genie's and the last 0 without
-    ``realistic``, and the (B, n) genie stream-1 LLRs.
+    Returns the per-frame counts, rows named by ``_COUNTS`` (without
+    ``realistic``, ``errors1`` is the genie's and ``beta_errors`` 0), and
+    the (B, n) genie stream-1 LLRs.
     """
     c1 = words[0]
     v1 = c1 if code1 is None else linear_code.encode(code1, c1)
@@ -471,24 +475,24 @@ def _receive_batch(code1, code2, cfg, words, noise, max_iter, *, realistic=False
     y = noise
     y += modem.dmm_map(v1, v2, cfg.es)
 
-    errors2 = beta_errors = np.zeros(len(noise), dtype=np.int64)
+    counts = np.zeros((len(_COUNTS), len(noise)), dtype=np.int64)
+    rows = dict(zip(_COUNTS, counts))  # views, filled in place
     if code2 is not None:
         llr2 = modem.llr_v2(y, modem.Constellation.quadrature_pair(cfg.es), cfg.sigma2)
         c2_hat, _, _ = linear_code.decode_soft_batch(code2, llr2, max_iter=max_iter)
-        errors2 = np.count_nonzero(c2_hat != words[1], axis=1)
+        rows["errors2"][:] = np.count_nonzero(c2_hat != words[1], axis=1)
         if realistic:
             v2_hat = linear_code.encode(code2, c2_hat)
-            beta_errors = np.count_nonzero(v2_hat != v2, axis=1)
+            rows["beta_errors"][:] = np.count_nonzero(v2_hat != v2, axis=1)
 
     llr1 = modem.derotate_and_llr_v1(y, modem.beta_from_bits(v2), cfg.es, cfg.sigma2)
-    errors1 = errors1_genie = _stream1_errors(code1, llr1, c1, max_iter)
-    if beta_errors.any():
-        wrong = np.flatnonzero(beta_errors)
-        errors1 = errors1_genie.copy()
+    rows["errors1"][:] = rows["errors1_genie"][:] = _stream1_errors(code1, llr1, c1, max_iter)
+    if rows["beta_errors"].any():
+        wrong = np.flatnonzero(rows["beta_errors"])
         llr1_hat = modem.derotate_and_llr_v1(y[wrong], modem.beta_from_bits(v2_hat[wrong]),
                                              cfg.es, cfg.sigma2)
-        errors1[wrong] = _stream1_errors(code1, llr1_hat, c1[wrong], max_iter)
-    return errors1, errors1_genie, errors2, beta_errors, llr1
+        rows["errors1"][wrong] = _stream1_errors(code1, llr1_hat, c1[wrong], max_iter)
+    return counts, llr1
 
 
 def _stream1_errors(code1, llr1, c1, max_iter):

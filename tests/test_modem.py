@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from dmmsim.modem import (
     derotate_and_llr_v1,
     dmm_map,
     llr_v2,
-    log_sum_exp,
     map_bpsk,
     rotate,
 )
@@ -160,47 +160,54 @@ def test_llr_v2_against_bruteforce():
 
 def test_llr_v2_bit_identical_to_reference():
     rng = np.random.default_rng(21)
-    # every combination of +-0.0 and +-1.0 parts (complex() keeps -0.0)
+    # every combination of +-0.0 and +-1.0 parts (complex() keeps -0.0): at
+    # es = 1 some lie on a point, whose exponent is -0.0
     signed_zeros = np.array([complex(a, b) for a in (0.0, -0.0, 1.0, -1.0)
                              for b in (0.0, -0.0, 1.0, -1.0)])
-    for es in (1.0, 2.0):
-        c = Constellation.quadrature_pair(es)
+    # on an axis, the other axis pair's two exponents tie exactly and take
+    # logaddexp's x == y branch
+    t = rng.normal(scale=2.0, size=200)
+    ties = np.concatenate([t + 0j, 1j * t, t + 1j * t])
+    for c in (Constellation.quadrature_pair(1.0), Constellation.quadrature_pair(2.0),
+              # one point per class: a one-point reduce turns -0.0 into 0.0
+              Constellation([1.0, 1.0j]),
+              # three points per class, in mixed order
+              Constellation([1.0, 1.0j, -1.0, -1.0j, 2.0, -2.0j]),
+              # no imaginary-axis point: the axis bit is certainly 0
+              Constellation.bpsk()):
+        es = abs(c.points[0]) ** 2
         noisy = dmm_map(rng.integers(0, 2, (64, 2048)), rng.integers(0, 2, (64, 2048)), es)
         noisy = noisy + rng.normal(scale=0.8, size=noisy.shape) \
             + 1j * rng.normal(scale=0.8, size=noisy.shape)
         for y, sigma2 in ((noisy, 0.64), (noisy, 1e-6), (signed_zeros, 0.5),
-                          (signed_zeros, 1e-6)):
+                          (signed_zeros, 1e-6), (ties, 0.3), (ties.reshape(3, 10, 20), 1e-6)):
             mine = llr_v2(y, c, sigma2)
             ref = llr_v2_reference(y, c.points, c.axis_labels, sigma2)
             assert mine.shape == ref.shape
             assert np.array_equal(mine.view(np.int64), ref.view(np.int64))
+    assert np.all(llr_v2(noisy, Constellation.bpsk(), 1.0) == np.inf)
     # at sigma2 = 1e-6 all four likelihoods of nearly every sample underflow,
     # so only the log domain gives finite LLRs
+    c = Constellation.quadrature_pair(1.0)
     expo = -np.abs(noisy[..., None] - c.points) ** 2 / (2.0 * 1e-6)
     assert np.mean(~np.any(np.exp(expo), axis=-1)) > 0.99
     assert np.all(np.isfinite(llr_v2(noisy, c, 1e-6)))
 
 
-def test_log_sum_exp_bit_identical_to_reduce():
-    # the points are the leading axis
-    rng = np.random.default_rng(5)
-    x = rng.normal(scale=30.0, size=(6, 1000))
-    x[1, ::7] = -np.inf
-    x[2, ::11] = x[0, ::11]  # exact ties take logaddexp's x == y branch
-    x[:, ::13] = -0.0  # a one-row reduce turns -0.0 into 0.0
-    x[3, ::17] = np.inf
-    for cols in ([], [0], [1], [3], [0, 1], [2, 0], [0, 2, 4], [1, 3], list(range(6))):
-        ref = np.logaddexp.reduce(x[cols], axis=0)  # -inf for the empty class
-        got = log_sum_exp((x[j] for j in cols), x.shape[1:])
-        assert got.shape == (1000,)
-        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
-    x3 = x.reshape(6, 10, 100)
-    assert np.all(log_sum_exp([], (10, 100)) == -np.inf)
-    assert log_sum_exp([], (10, 100)).shape == (10, 100)
-    assert log_sum_exp((x3[j] for j in (1, 4)), (10, 100)).shape == (10, 100)
-    # a set without imaginary-axis points: the axis bit is certainly 0
-    y = rng.normal(size=100) + 1j * rng.normal(size=100)
-    assert np.all(llr_v2(y, Constellation.bpsk(), 1.0) == np.inf)
+def test_llr_v2_working_set_is_bounded():
+    # a 16 x 2048 batch (n = 2048's) takes one point's differences (0.5 MiB
+    # complex), one point's exponents and the two class sums (0.25 MiB each):
+    # 1.28 MiB traced; every point's exponents at once took 3.0 MiB
+    rng = np.random.default_rng(4)
+    y = rng.normal(size=(16, 2048)) + 1j * rng.normal(size=(16, 2048))
+    c = Constellation.quadrature_pair(1.0)
+    tracemalloc.start()
+    try:
+        llr_v2(y, c, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2 ** 20
 
 
 def test_llr_v2_rejects_bad_sigma():

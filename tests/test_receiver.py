@@ -3,9 +3,12 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dmmsim.receiver as receiver_mod
 from dmmsim.builtin_codes import builtin_code
@@ -33,11 +36,14 @@ def _cfg(es_n0_db, seed, es=1.0):
 
 
 def _receive(code1, code2, cfg, frames):
-    """Per-frame error counts of frames 0..frames-1 through the receiver:
-    stream 1 realistic, stream 1 genie, stream 2 and rotations."""
+    """Per-frame counts of frames 0..frames-1 through the realistic receiver,
+    by row name: stream 1 realistic, stream 1 genie, stream 2 and rotations."""
     words, noise = receiver_mod._frame_batch(cfg, np.arange(frames), code1.n,
                                              (code1.k, code2.k))
-    return receiver_mod._receive_batch(code1, code2, cfg, words, noise, 50, realistic=True)[:4]
+    counts, _ = receiver_mod._receive_batch(code1, code2, cfg, words, noise, 50,
+                                            realistic=True)
+    assert counts.shape == (4, frames) and counts.dtype == np.int64
+    return dict(zip(receiver_mod._COUNTS, counts))
 
 
 #: what :func:`_paired` returns, in the order of ``paired_batch_reference``
@@ -60,11 +66,12 @@ def _paired(code1, code2, cfg, frames):
         words, noise = receiver_mod._frame_batch(cfg, idx, code1.n, (code1.k, code2.k))
         # the BPSK side's noise, taken before the genie side consumes noise
         derotated = rotate(noise, -beta_from_bits(encode(code2, words[1])))
-        e1, e_genie, _, berr, llr_genie = receiver_mod._receive_batch(
-            code1, code2, cfg, words, noise, 50, realistic=True)
-        _, e_bpsk, _, _, llr_bpsk = receiver_mod._receive_batch(code1, None, cfg, words[:1],
-                                                                derotated, 50)
-        parts.append((llr_genie, llr_bpsk, e_genie, e_bpsk, e1, berr))
+        counts, llr_genie = receiver_mod._receive_batch(code1, code2, cfg, words, noise, 50,
+                                                        realistic=True)
+        bpsk, llr_bpsk = receiver_mod._receive_batch(code1, None, cfg, words[:1], derotated, 50)
+        dmm, bpsk = (dict(zip(receiver_mod._COUNTS, c)) for c in (counts, bpsk))
+        parts.append((llr_genie, llr_bpsk, dmm["errors1_genie"], bpsk["errors1_genie"],
+                       dmm["errors1"], dmm["beta_errors"]))
     return dict(zip(PAIRED_FIELDS, (np.concatenate(field) for field in zip(*parts))))
 
 
@@ -75,7 +82,7 @@ def _paired(code1, code2, cfg, frames):
 def test_noiseless_frame_exact(dmm_pair):
     code1, code2 = dmm_pair
     cfg = ChannelConfig(sigma2=1e-20, seed=0)
-    for errors in _receive(code1, code2, cfg, 4):
+    for errors in _receive(code1, code2, cfg, 4).values():
         assert errors.shape == (4,) and not errors.any()
 
 
@@ -89,10 +96,10 @@ def test_receive_frame_rejects_unknown_mode(dmm_pair):
 def test_reencoding_consistency(dmm_pair):
     # exact second-stream decode implies the exact rotation pattern (linearity)
     code1, code2 = dmm_pair
-    e1, e1_genie, e2, berr = _receive(code1, code2, _cfg(3.0, 7), 8)
-    assert e2[4] == 0 and berr[4] == 0
-    assert not berr[e2 == 0].any()
-    assert np.array_equal(e1, e1_genie)
+    rows = _receive(code1, code2, _cfg(3.0, 7), 8)
+    assert rows["errors2"][4] == 0 and rows["beta_errors"][4] == 0
+    assert not rows["beta_errors"][rows["errors2"] == 0].any()
+    assert np.array_equal(rows["errors1"], rows["errors1_genie"])
 
 
 def test_fault_injection_flips_exactly_affected_symbols(dmm_pair):
@@ -215,8 +222,8 @@ def test_run_point_decodes_stream1_once_per_frame(dmm_pair, monkeypatch, scheme)
     # wrong.  Both decode stream 2 once per frame
     code1, code2 = dmm_pair
     snr_db, seed, frames = -2.5, 5, 150
-    e1, e1_genie, e2, berr = _receive(code1, code2, _cfg(snr_db, seed), frames)
-    wrong = np.count_nonzero(berr)
+    counts = _receive(code1, code2, _cfg(snr_db, seed), frames)
+    wrong = np.count_nonzero(counts["beta_errors"])
     assert 0 < wrong < frames
     decode, rows = receiver_mod.linear_code.decode_soft_batch, {id(code1): [], id(code2): []}
 
@@ -228,9 +235,9 @@ def test_run_point_decodes_stream1_once_per_frame(dmm_pair, monkeypatch, scheme)
     res = run_point(scheme, code1, code2, snr_db=snr_db, seed=seed,
                     min_frame_errors=10 ** 9, max_frames=frames)
     realistic = scheme == "dmm_realistic"
-    assert (res.frames, res.errors2) == (frames, e2.sum())
-    assert (res.errors1, res.errors1_genie) == ((e1 if realistic else e1_genie).sum(),
-                                                e1_genie.sum())
+    assert (res.frames, res.errors2) == (frames, counts["errors2"].sum())
+    assert (res.errors1, res.errors1_genie) == (
+        counts["errors1" if realistic else "errors1_genie"].sum(), counts["errors1_genie"].sum())
     assert sum(rows[id(code2)]) == frames
     assert sum(rows[id(code1)]) == frames + (wrong if realistic else 0)
 
@@ -271,7 +278,24 @@ def test_one_pass_realistic_bitwise_equal_to_reference(dmm_pair, snr_db):
     assert 0 < np.count_nonzero(wrong) < frames  # frames of both kinds
     assert np.array_equal(pair["errors1"][~wrong], pair["errors_genie"][~wrong])
     assert (pair["errors1"][wrong] > pair["errors_genie"][wrong]).any()
-    assert np.array_equal(_receive(code1, code2, cfg, frames)[2], e2)
+    assert np.array_equal(_receive(code1, code2, cfg, frames)["errors2"], e2)
+
+
+def test_receive_batch_working_set_is_bounded():
+    # one realistic 16-frame batch of the criterion-6 codes at -1.3 dB traces
+    # 4.26 MiB, 3.66 of them stream-1 BP's; peak RSS and the batch bound
+    # rest on this per-batch footprint
+    code1 = builtin_code("ldpc_r12_n2048")
+    code2 = extend_repetition(builtin_code("ldpc_r14_n512"), 4)
+    cfg = _cfg(-1.3, 1)
+    words, noise = receiver_mod._frame_batch(cfg, np.arange(16), code1.n, (code1.k, code2.k))
+    tracemalloc.start()
+    try:
+        receiver_mod._receive_batch(code1, code2, cfg, words, noise, 50, realistic=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 2 ** 20
 
 
 def test_genie_statistically_equal_to_bpsk_baseline(dmm_pair):
@@ -371,6 +395,63 @@ def test_batches_cover_every_frame_once_in_order(count):
             count % size > 0)
         assert all(p.dtype == np.int64 for p in parts)
         assert np.array_equal(np.concatenate([np.empty(0, np.int64), *parts]), np.arange(count))
+
+
+def _fold_reference(counts, min_frame_errors, max_frames):
+    """The stop rule one frame at a time over the (4, F) per-frame counts:
+    the totals by name, frames, frame errors and stop reason (None if the
+    frames ran out first)."""
+    names = receiver_mod._COUNTS
+    totals, frames, frame_errors = dict.fromkeys(names, 0), 0, 0
+    for column in counts.T:
+        frame = dict(zip(names, column.tolist()))
+        for name in names:
+            totals[name] += frame[name]
+        frames += 1
+        frame_errors += frame["errors1"] + frame["errors2"] > 0
+        if frames == max_frames:
+            return totals, frames, frame_errors, "max_frames"
+        if frame_errors >= min_frame_errors:
+            return totals, frames, frame_errors, "min_frame_errors"
+    return totals, frames, frame_errors, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(frames=st.integers(1, 40), cuts=st.lists(st.integers(1, 39), max_size=8),
+       zero_rows=st.sets(st.integers(0, 3)), density=st.floats(0.0, 1.0),
+       min_frame_errors=st.integers(1, 45), max_frames=st.integers(1, 45),
+       seed=st.integers(0, 2 ** 32 - 1))
+# max_frames at the end of a batch, on all-zero rows
+@example(frames=10, cuts=[5], zero_rows={0, 1, 2, 3}, density=0.0, min_frame_errors=1,
+         max_frames=5, seed=0)
+# max_frames inside a batch, with no frame in error (zero stream rows)
+@example(frames=10, cuts=[3], zero_rows={0, 2}, density=1.0, min_frame_errors=1,
+         max_frames=5, seed=0)
+# a stop on the first frame
+@example(frames=10, cuts=[4], zero_rows=set(), density=1.0, min_frame_errors=1,
+         max_frames=10, seed=0)
+# both rules on one frame inside a batch: the reason is max_frames
+@example(frames=10, cuts=[3], zero_rows=set(), density=1.0, min_frame_errors=5,
+         max_frames=5, seed=0)
+# the batches run out before either rule fires
+@example(frames=10, cuts=[3, 7], zero_rows={1, 3}, density=0.1, min_frame_errors=40,
+         max_frames=12, seed=1)
+def test_fold_equals_the_stop_rule_frame_by_frame(frames, cuts, zero_rows, density,
+                                                  min_frame_errors, max_frames, seed):
+    # per-frame counts split into batches of random sizes fold to what the
+    # stop rule gives one frame at a time, and no batch past the stopping
+    # one is read
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(1, 6, (4, frames)) * (rng.random((4, frames)) < density)
+    counts[sorted(zero_rows)] = 0
+    batches = np.split(counts, sorted({cut for cut in cuts if cut < frames}), axis=1)
+    source = iter(batches)
+    got = receiver_mod._fold(source, min_frame_errors, max_frames)
+    want = _fold_reference(counts, min_frame_errors, max_frames)
+    assert got == want
+    ends = np.cumsum([batch.shape[1] for batch in batches])
+    unread = len(batches) - 1 - int(np.searchsorted(ends, want[1])) if want[3] else 0
+    assert len(list(source)) == unread
 
 
 def test_run_point_equal_at_any_frames_per_batch(monkeypatch):
