@@ -41,6 +41,7 @@ from .config import (
     SweepConfig,
     load_capacity_config,
     load_sweep_config,
+    run_args,
     sweep_codes,
 )
 from .linear_code import AlistFormatError, load_alist
@@ -133,17 +134,7 @@ def _metadata(cfg, schema: str, *notes: str) -> list:
 # ---------------------------------------------------------------------------
 
 def _sweep_one(cfg: SweepConfig, code1, code2, snr_db: float):
-    res = receiver.run_point(
-        cfg.scheme, code1, code2,
-        snr_db=snr_db,
-        snr_convention=cfg.snr_convention,
-        es=cfg.symbol_energy,
-        seed=cfg.master_seed,
-        min_frame_errors=cfg.stop_min_frame_errors,
-        max_frames=cfg.stop_max_frames,
-        max_iter=cfg.max_bp_iterations,
-        uncoded_block_bits=cfg.uncoded_block_bits,
-    )
+    res = receiver.run_point(cfg.scheme, code1, code2, **run_args(cfg, snr_db))
     row = (
         res.scheme, res.code1_name, res.code2_name, res.snr_convention, res.snr_db,
         res.es_n0_db, res.eb_n0_stream1_db, res.eb_n0_overall_db,
@@ -285,8 +276,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_out(args, cfg) -> str | None:
-    """The output path (None for stdout).  Its directory is checked here, so
-    a bad path fails before the run, naming the setting it came from."""
+    """The output path (None for stdout).  It is checked here, so a bad path
+    fails before the run, naming the setting it came from: its directory
+    must exist, and the path must be neither a directory nor the config
+    file itself."""
     out, where = _setting(args, "out", str)
     if out is None:
         out, where = cfg.out or None, f"{cfg.source}: out"
@@ -294,6 +287,8 @@ def _resolve_out(args, cfg) -> str | None:
         raise UsageError(f"{where}: no directory {os.path.dirname(out)!r} for {out!r}")
     if out and os.path.isdir(out):
         raise UsageError(f"{where}: {out!r} is a directory, not a file")
+    if out and os.path.exists(out) and os.path.samefile(out, cfg.source):
+        raise UsageError(f"{where}: {out!r} is the config file, not an output file")
     return out
 
 

@@ -2,22 +2,32 @@
 
 The format is deliberately plain: one ``key = value`` per line, ``#``
 comments, blank lines ignored.  Units live in the key names (``*_db``,
-``*_frames``) so a config diff is self-explanatory.  Unknown keys are
-errors, reported with the file name and line number; so are code keys that
-the scheme does not send, or that do not resolve to a code of the right
-length, a ``code2_repeat`` other than 1 for a scheme without ``code2``, and
-an SNR grid value whose noise variance leaves the float range.
+``*_frames``) so a config diff is self-explanatory.  Both kinds are read by
+one reader, :func:`_read`, from their dataclass's fields: a field without a
+default is a required key, and a value is converted by the type its field
+is annotated with.  Errors are reported with the file name and the line of
+the offending key.
+
+A sweep's keys are ``run_point``'s arguments under other names:
+:data:`RUN_ARGS` maps one to the other, and :func:`run_args` turns a sweep
+and a grid value into ``run_point``'s keywords.  The loader checks each
+grid value with ``receiver.resolve_point``, the rule set ``run_point``
+checks its own arguments with, and reports a broken rule at its key's
+line.  It checks itself only what no run reads: code keys that the scheme
+does not send or that do not resolve to a code, a ``code2_repeat`` other
+than 1 for a scheme without ``code2``, and ``code2_repeat``,
+``max_bp_iterations`` and ``uncoded_block_bits`` >= 1 for every scheme (the
+CSV echoes them).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import MISSING, dataclass, field, fields
 
 from .builtin_codes import resolve_code
-from .channel import GRID_CONVENTIONS, require_positive, resolve_grid_snr, snr_to_sigma2
+from .channel import require_positive, snr_to_sigma2
 from .linear_code import extend_repetition
-from .receiver import MAX_FRAMES, SCHEME_CODES, SCHEMES
+from .receiver import SCHEME_CODES, resolve_point
 
 
 class ConfigError(ValueError):
@@ -59,10 +69,11 @@ class CapacityConfig:
 
 
 def read_kv_file(path) -> dict:
-    """Parse ``key = value`` lines into {key: (value, lineno)}."""
+    """Parse ``key = value`` lines into {key: (value, lineno)}.  A leading
+    UTF-8 byte-order mark is not part of the first key."""
     path = str(path)
     out: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -79,26 +90,6 @@ def read_kv_file(path) -> dict:
     return out
 
 
-def _take(kv: dict, path: str, key: str, conv, default=None, required=False):
-    if key not in kv:
-        if required:
-            raise ConfigError(path, None, f"missing required key {key!r}")
-        return default
-    value, lineno = kv.pop(key)
-    try:
-        return conv(value)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(path, lineno, f"bad value for {key!r}: {exc}") from None
-
-
-def _defaulted(cls, kv: dict, path: str) -> dict:
-    """Keyword values for each field of ``cls`` with a default, ``source``
-    aside, in field order: the key's value converted by the type of the
-    default, or the default itself when the key is absent."""
-    return {f.name: _take(kv, path, f.name, type(f.default), default=f.default)
-            for f in fields(cls) if f.default is not MISSING and f.name != "source"}
-
-
 def _grid(value: str) -> tuple:
     toks = [t for t in value.replace(",", " ").split() if t]
     if not toks:
@@ -106,10 +97,8 @@ def _grid(value: str) -> tuple:
     return tuple(float(t) for t in toks)
 
 
-def _reject_unknown(kv: dict, path: str):
-    if kv:
-        key, (_, lineno) = next(iter(kv.items()))
-        raise ConfigError(path, lineno, f"unknown key {key!r}")
+#: how a key's value is read, by the type its field is annotated with
+_CONVERTERS = {"str": str, "int": int, "float": float, "tuple": _grid}
 
 
 def _checker(kv: dict, path: str):
@@ -123,25 +112,48 @@ def _checker(kv: dict, path: str):
     return require
 
 
-def _require_positive(require, cfg, *keys):
-    """Raise at the line of the first of ``keys`` whose value
-    ``require_positive`` rejects."""
-    for key in keys:
+def _read(cls, path):
+    """``(config, require)``: the ``cls`` that the file at ``path`` holds,
+    and the :func:`_checker` of its keys.
+
+    Each field of ``cls`` but ``source`` is a key.  A key whose field has
+    no default is required, an absent one takes its field's default, and a
+    value is converted by :data:`_CONVERTERS` of its field's type.  A key
+    that no field names is an error at its line."""
+    path = str(path)
+    kv = read_kv_file(path)
+    require = _checker(kv, path)
+    values = {}
+    for f in fields(cls):
+        if f.name == "source":
+            continue
+        if f.name not in kv:
+            require(f.default is not MISSING, f.name, f"missing required key {f.name!r}")
+            continue
+        value, _ = kv.pop(f.name)
         try:
-            require_positive(**{key: getattr(cfg, key)})
+            values[f.name] = _CONVERTERS[f.type](value)
         except ValueError as exc:
-            require(False, key, str(exc))
+            require(False, f.name, f"bad value for {f.name!r}: {exc}")
+    for key in kv:  # no field took it
+        require(False, key, f"unknown key {key!r}")
+    return cls(**values, source=path), require
 
 
-def _check_grid(require, grid, sigma2_of):
-    """Raise at the ``snr_grid_db`` line for the first grid value whose
-    noise variance ``sigma2_of`` cannot compute (it leaves the float range)."""
-    for snr in grid:
-        try:
-            sigma2_of(snr)
-        except ValueError:
-            require(False, "snr_grid_db", f"snr_grid_db must be small enough in magnitude "
-                    f"for a positive, finite sigma2, got {snr}")
+#: the ``run_point`` argument each sweep key sets; the grid sets ``snr_db``
+#: one value at a time, and ``scheme``, ``code1`` and ``code2`` are named
+#: alike in both
+RUN_ARGS = {"snr_grid_db": "snr_db", "snr_convention": "snr_convention",
+            "symbol_energy": "es", "master_seed": "seed",
+            "stop_min_frame_errors": "min_frame_errors", "stop_max_frames": "max_frames",
+            "max_bp_iterations": "max_iter", "uncoded_block_bits": "uncoded_block_bits"}
+_KEYS = {arg: key for key, arg in RUN_ARGS.items()}
+
+
+def run_args(cfg: SweepConfig, snr_db: float) -> dict:
+    """``run_point``'s keyword arguments for grid value ``snr_db`` of ``cfg``."""
+    return {arg: snr_db if key == "snr_grid_db" else getattr(cfg, key)
+            for key, arg in RUN_ARGS.items()}
 
 
 def _sweep_code(cfg: SweepConfig, key: str):
@@ -163,68 +175,48 @@ def sweep_codes(cfg: SweepConfig):
 
 
 def load_sweep_config(path) -> SweepConfig:
-    path = str(path)
-    kv = read_kv_file(path)
-    require = _checker(kv, path)
-    scheme = _take(kv, path, "scheme", str, required=True)
-    require(scheme in SCHEMES, "scheme", f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    cfg = SweepConfig(
-        scheme=scheme,
-        snr_grid_db=_take(kv, path, "snr_grid_db", _grid, required=True),
-        **_defaulted(SweepConfig, kv, path),
-        source=path,
-    )
-    _reject_unknown(kv, path)
-    require(all(map(math.isfinite, cfg.snr_grid_db)), "snr_grid_db",
-            "snr_grid_db must be finite")
-    require(cfg.snr_convention in GRID_CONVENTIONS, "snr_convention",
-            f"snr_convention must be one of {GRID_CONVENTIONS}")
-    sent = SCHEME_CODES[cfg.scheme]
-    require(all(getattr(cfg, key) for key in sent), "scheme",
-            f"scheme {cfg.scheme} requires {' and '.join(sent)}")
-    for key in ("code1", "code2"):
-        require(key in sent or not getattr(cfg, key), key,
-                f"{key} is not sent by scheme {cfg.scheme}")
-    require("code2" in sent or cfg.code2_repeat == 1, "code2_repeat",
-            f"code2_repeat must be 1 for scheme {cfg.scheme}, which sends no code2")
-    for key in ("code2_repeat", "stop_min_frame_errors", "stop_max_frames",
-                "max_bp_iterations", "uncoded_block_bits"):
-        require(getattr(cfg, key) >= 1, key, f"{key} must be >= 1")
-    require(cfg.stop_max_frames <= MAX_FRAMES, "stop_max_frames",
-            "stop_max_frames must be <= 2**32 (a frame index is one 32-bit seed word)")
-    require(cfg.master_seed >= 0, "master_seed", "master_seed must be >= 0")
-    _require_positive(require, cfg, "symbol_energy")
+    """The sweep the file at ``path`` holds; each grid value is checked by
+    ``receiver.resolve_point`` on the codes the file names."""
+    cfg, require = _read(SweepConfig, path)
+    for key in ("code2_repeat", "max_bp_iterations", "uncoded_block_bits"):
+        value = getattr(cfg, key)
+        require(value >= 1, key, f"{key} must be >= 1, got {value}")
     codes = []
     for key in ("code1", "code2"):
         try:
             codes.append(_sweep_code(cfg, key))
         except (ValueError, OSError) as exc:
             require(False, key, f"{key}: {exc}")
-    code1, code2 = codes
-    if code2 is not None:
-        require(code1.n == code2.n, "code2",
-                f"code2 length {code2.n // cfg.code2_repeat} x code2_repeat "
-                f"{cfg.code2_repeat} must equal code1 length {code1.n}")
-    # each grid value as run_point reads it, at the rates of the codes sent
-    rate1 = 1.0 if code1 is None else code1.rate
-    rate2 = 0.0 if code2 is None else code2.rate
-    _check_grid(require, cfg.snr_grid_db, lambda snr: resolve_grid_snr(
-        snr, cfg.snr_convention, cfg.symbol_energy, rate1, rate1 + rate2))
+
+    def require_arg(ok, arg, problem):
+        key = _KEYS.get(arg, arg)
+        require(ok, key, f"{key} {problem}")
+
+    for snr_db in cfg.snr_grid_db:
+        resolve_point(require_arg, cfg.scheme, *codes, **run_args(cfg, snr_db))
+    sent = SCHEME_CODES[cfg.scheme]
+    for key in ("code1", "code2"):
+        require(key in sent or not getattr(cfg, key), key,
+                f"{key} is not sent by scheme {cfg.scheme}")
+    require("code2" in sent or cfg.code2_repeat == 1, "code2_repeat",
+            f"code2_repeat must be 1 for scheme {cfg.scheme}, which sends no code2")
     return cfg
 
 
 def load_capacity_config(path) -> CapacityConfig:
-    path = str(path)
-    kv = read_kv_file(path)
-    require = _checker(kv, path)
-    cfg = CapacityConfig(
-        snr_grid_db=_take(kv, path, "snr_grid_db", _grid, required=True),
-        **_defaulted(CapacityConfig, kv, path),
-        source=path,
-    )
-    _reject_unknown(kv, path)
-    require(all(map(math.isfinite, cfg.snr_grid_db)), "snr_grid_db",
-            "snr_grid_db must be finite")
-    _require_positive(require, cfg, "symbol_energy", "quadrature_tol_bits")
-    _check_grid(require, cfg.snr_grid_db, lambda snr: snr_to_sigma2(snr, cfg.symbol_energy))
+    """The capacity grid the file at ``path`` holds: ``symbol_energy`` and
+    ``quadrature_tol_bits`` positive and finite, and each grid value giving
+    a positive, finite sigma2."""
+    cfg, require = _read(CapacityConfig, path)
+    for key in ("symbol_energy", "quadrature_tol_bits"):
+        try:
+            require_positive(**{key: getattr(cfg, key)})
+        except ValueError as exc:
+            require(False, key, str(exc))
+    for snr in cfg.snr_grid_db:
+        try:
+            snr_to_sigma2(snr, cfg.symbol_energy)
+        except ValueError:
+            require(False, "snr_grid_db", f"snr_grid_db must be finite and small enough in "
+                    f"magnitude for a positive, finite sigma2, got {snr}")
     return cfg

@@ -78,7 +78,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linear_code, modem
-from .channel import ChannelConfig, esn0_to_ebn0, frame_keys, resolve_grid_snr
+from .channel import (GRID_CONVENTIONS, ChannelConfig, esn0_to_ebn0, frame_keys,
+                      require_positive, resolve_grid_snr)
 
 DATA_STREAM = 1  # channel noise occupies stream 0 of each frame's generator
 
@@ -235,6 +236,66 @@ def _fold(batches, min_frame_errors, max_frames):
     return dict(zip(_COUNTS, totals.tolist())), frames, frame_errors, reason
 
 
+def _raise(ok, name: str, problem: str) -> None:
+    """The ``require`` of :func:`run_point`: ValueError naming the argument."""
+    if not ok:
+        raise ValueError(f"{name} {problem}")
+
+
+def resolve_point(require, scheme: str, code1, code2, *, snr_db, snr_convention, es, seed,
+                  min_frame_errors, max_frames, max_iter, uncoded_block_bits):
+    """Check the arguments of one :func:`run_point` point and resolve them.
+
+    This is the one rule set of a point: ``run_point`` checks its arguments
+    here, and ``config.load_sweep_config`` each grid value of a sweep.  A
+    broken rule is reported as ``require(False, name, problem)``, ``name``
+    the argument's and ``problem`` the phrase that follows it ("must be >=
+    1, got 0"); ``require`` raises.  A code the scheme does not send is
+    ignored, and ``uncoded_block_bits`` is read only when no code is sent.
+
+    Returns ``(code1, code2, k1, k2, n, es_n0_db, rate1, rate2, channel)``:
+    the codes sent (None for one not sent), the info bits per frame of
+    each stream, the frame length in symbols, the grid value as complex
+    Es/N0 in dB, the streams' rates and the point's ``ChannelConfig``.
+    """
+    require(scheme in SCHEMES, "scheme", f"must be one of {SCHEMES}, got {scheme!r}")
+    codes = {"code1": code1, "code2": code2}
+    sent = SCHEME_CODES[scheme]
+    require(all(codes[key] is not None for key in sent), "scheme",
+            f"{scheme} needs {' and '.join(sent)}")
+    code1, code2 = (codes[key] if key in sent else None for key in codes)
+    if code2 is not None:
+        require(code2.n == code1.n, "code2", f"length {code2.n} must equal code1 length "
+                f"{code1.n} (one symbol carries one bit of each)")
+    require(1 <= max_frames <= MAX_FRAMES, "max_frames",
+            f"must be in [1, 2**32], got {max_frames}")
+    require(min_frame_errors >= 1, "min_frame_errors", f"must be >= 1, got {min_frame_errors}")
+    if code1 is None:
+        require(uncoded_block_bits >= 1, "uncoded_block_bits",
+                f"must be >= 1, got {uncoded_block_bits}")
+    else:
+        require(max_iter >= 1, "max_iter", f"must be >= 1, got {max_iter}")
+    require(seed >= 0, "seed", f"must be >= 0, got {seed}")
+    try:
+        require_positive(es=es)
+    except ValueError as exc:
+        require(False, "es", str(exc).removeprefix("es "))
+    require(snr_convention in GRID_CONVENTIONS, "snr_convention",
+            f"must be one of {GRID_CONVENTIONS}, got {snr_convention!r}")
+    rate1 = 1.0 if code1 is None else code1.rate
+    rate2 = 0.0 if code2 is None else code2.rate
+    try:
+        es_n0_db, sigma2 = resolve_grid_snr(snr_db, snr_convention, es, rate1, rate1 + rate2)
+    except ValueError:
+        require(False, "snr_db", f"must be finite and small enough in magnitude for a "
+                f"positive, finite sigma2, got {snr_db}")
+    n = uncoded_block_bits if code1 is None else code1.n
+    k1 = n if code1 is None else code1.k
+    k2 = 0 if code2 is None else code2.k
+    return (code1, code2, k1, k2, n, es_n0_db, rate1, rate2,
+            ChannelConfig(sigma2=sigma2, seed=seed, es=es))
+
+
 def run_point(scheme: str, code1=None, code2=None, *, snr_db: float,
               snr_convention: str = "es_n0_complex", es: float = 1.0,
               seed: int = 0, min_frame_errors: int = 100,
@@ -243,42 +304,22 @@ def run_point(scheme: str, code1=None, code2=None, *, snr_db: float,
     """Monte-Carlo one SNR point until ``min_frame_errors`` frames are in
     error or ``max_frames`` frames have been simulated, whichever is first.
 
-    The result is fully determined by the arguments; batch size and worker
-    scheduling cannot change it.  The batches run on one thread per usable
-    CPU (:func:`_in_frame_order`), and the stop rule reads them in frame
-    order.
+    The arguments are checked by :func:`resolve_point`, and a broken rule
+    raises ValueError naming its argument.  The result is fully determined
+    by the arguments; batch size and worker scheduling cannot change it.
+    The batches run on one thread per usable CPU (:func:`_in_frame_order`),
+    and the stop rule reads them in frame order.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
-    if not 1 <= max_frames <= MAX_FRAMES:
-        raise ValueError(f"max_frames must be in [1, 2**32], got {max_frames}")
-    if min_frame_errors < 1:
-        raise ValueError(f"min_frame_errors must be >= 1, got {min_frame_errors}")
-    if scheme == "uncoded" and uncoded_block_bits < 1:
-        raise ValueError(f"uncoded_block_bits must be >= 1, got {uncoded_block_bits}")
-    sent = SCHEME_CODES[scheme]
-    if any({"code1": code1, "code2": code2}[key] is None for key in sent):
-        raise ValueError(f"{scheme} needs {' and '.join(sent)}")
-    polarity_code = code1 if "code1" in sent else None
-    axis_code = code2 if "code2" in sent else None
-    dmm = axis_code is not None
-    if dmm and code1.n != code2.n:
-        raise ValueError(f"codeword lengths must match (one symbol carries one bit of "
-                         f"each): {code1.n} != {code2.n}")
-    rate1 = 1.0 if polarity_code is None else code1.rate
-    rate2 = code2.rate if dmm else 0.0
+    code1, code2, k1, k2, n_sym, es_n0_db, rate1, rate2, cfg = resolve_point(
+        _raise, scheme, code1, code2, snr_db=snr_db, snr_convention=snr_convention, es=es,
+        seed=seed, min_frame_errors=min_frame_errors, max_frames=max_frames,
+        max_iter=max_iter, uncoded_block_bits=uncoded_block_bits)
     rate_overall = rate1 + rate2
-    n_sym = uncoded_block_bits if polarity_code is None else code1.n
-    k1 = n_sym if polarity_code is None else code1.k
-    k2 = code2.k if dmm else 0
-    ks = (k1, k2) if dmm else (k1,)
-
-    es_n0_db, sigma2 = resolve_grid_snr(snr_db, snr_convention, es, rate1, rate_overall)
-    cfg = ChannelConfig(sigma2=sigma2, seed=seed, es=es)
+    ks = (k1,) if code2 is None else (k1, k2)
 
     def receive(idx):
         # frames, noise and LLRs go with their batch
-        counts, _ = _receive_batch(polarity_code, axis_code, cfg,
+        counts, _ = _receive_batch(code1, code2, cfg,
                                    *_frame_batch(cfg, idx, n_sym, ks), max_iter,
                                    realistic=scheme == "dmm_realistic")
         return counts
@@ -293,17 +334,17 @@ def run_point(scheme: str, code1=None, code2=None, *, snr_db: float,
 
     return SimResult(
         scheme=scheme,
-        code1_name=(code1.name or "code1") if polarity_code is not None else "",
-        code2_name=(code2.name or "code2") if dmm else "",
+        code1_name="" if code1 is None else code1.name or "code1",
+        code2_name="" if code2 is None else code2.name or "code2",
         rate1=rate1, rate2=rate2, rate_overall=rate_overall,
         snr_db=snr_db, snr_convention=snr_convention,
         es_n0_db=es_n0_db,
         eb_n0_stream1_db=esn0_to_ebn0(es_n0_db, rate1),
         eb_n0_overall_db=esn0_to_ebn0(es_n0_db, rate_overall),
-        es=es, sigma2=sigma2, seed=seed, max_iter=max_iter,
+        es=es, sigma2=cfg.sigma2, seed=seed, max_iter=max_iter,
         frames=frames, frame_errors=frame_errors, **totals,
         bits1=frames * k1, bits2=frames * k2,
-        beta_symbols=frames * n_sym if dmm else 0,
+        beta_symbols=0 if code2 is None else frames * n_sym,
         stop_reason=stop_reason,
         wall_time_s=time.perf_counter() - t0,
     )

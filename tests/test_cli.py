@@ -1,15 +1,17 @@
 import dataclasses
 import math
 import pickle
+import re
 import sys
 import threading
 import warnings
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dmmsim import __version__, builtin_codes, cli, mutual_info, receiver
+from dmmsim import __version__, builtin_codes, cli, linear_code, mutual_info, receiver
 from dmmsim.channel import GAUSSIAN_METHOD
 from dmmsim.cli import fmt, main
 from dmmsim.config import (
@@ -230,7 +232,7 @@ BAD_CODE_KEYS = [
     (("code1 = ldpc_r12_n256", "code1 = missing.alist"), 2, "code1: .*No such file"),
     (("code1 = ldpc_r12_n256", "code1 = {tmp}/empty.alist"), 2, "code1: .*empty file"),
     (("code2_repeat = 4", "code2_repeat = 2"), 3,
-     "code2 length 64 x code2_repeat 2 must equal code1 length 256"),
+     r"code2 length 128 must equal code1 length 256 \(one symbol carries one bit of each\)"),
 ]
 
 
@@ -259,6 +261,83 @@ def test_code2_repeat_without_code2_rejected(tmp_path, capsys, scheme, codes):
     assert f"s.cfg:{line}: code2_repeat must be 1 for scheme {scheme}" in capsys.readouterr().err
     assert not out.exists()
     assert load_sweep_config(write(tmp_path, "ok.cfg", text.replace("= 4", "= 1"))).code2_repeat == 1
+
+
+def test_config_with_a_byte_order_mark_loads(tmp_path):
+    # a leading UTF-8 BOM used to become part of the first key, so a valid
+    # sweep was refused with "missing required key 'scheme'"
+    for text, load in ((SWEEP_CFG, load_sweep_config), (CAPACITY_CFG, load_capacity_config)):
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert load(bom) == load(write(tmp_path, "plain.cfg", text))
+
+
+# The shared rules of a sweep point, each just inside and just outside its
+# bound: (the keys set over DRIFT_BASE, the key whose line a rejection is
+# reported at, whether the value breaks the rule).
+DRIFT_BASE = {"scheme": "dmm_realistic", "code1": "ldpc_r12_n256", "code2": "ldpc_r14_n64",
+              "code2_repeat": "4", "snr_grid_db": "-5", "snr_convention": "es_n0_complex",
+              "symbol_energy": "1", "stop_min_frame_errors": "1", "stop_max_frames": "4",
+              "master_seed": "0", "max_bp_iterations": "5"}
+DRIFT_CASES = [
+    *(({"stop_max_frames": v}, "stop_max_frames", bad)
+      for v, bad in (("-1", True), ("0", True), ("1", False), (str(2**32), False),
+                     (str(2**32 + 1), True))),
+    *(({"stop_min_frame_errors": v}, "stop_min_frame_errors", bad)
+      for v, bad in (("0", True), ("1", False))),
+    *(({"master_seed": v}, "master_seed", bad) for v, bad in (("-1", True), ("0", False))),
+    *(({"symbol_energy": v}, "symbol_energy", bad)
+      for v, bad in (("0", True), ("-1", True), ("inf", True), ("nan", True), ("1", False))),
+    *(({"snr_grid_db": v}, "snr_grid_db", bad)
+      for v, bad in (("nan", True), ("inf", True), ("-inf", True), ("1e300", True),
+                     ("-1e300", True), ("-5", False))),
+    *(({"snr_convention": "eb_n0_overall", "snr_grid_db": v}, "snr_grid_db", bad)
+      for v, bad in (("-3081", True), ("-3000", False))),
+    ({"snr_convention": "db_per_furlong"}, "snr_convention", True),
+    ({"code2_repeat": "2"}, "code2", True),  # code2 is 128 long, code1 256
+]
+# the run_point argument each key sets, written out here rather than read
+# from the config module, whose map this test checks
+DRIFT_ARGS = {"snr_grid_db": ("snr_db", float), "snr_convention": ("snr_convention", str),
+              "symbol_energy": ("es", float), "master_seed": ("seed", int),
+              "stop_min_frame_errors": ("min_frame_errors", int),
+              "stop_max_frames": ("max_frames", int), "max_bp_iterations": ("max_iter", int)}
+
+
+@pytest.mark.parametrize("edits,key,bad", DRIFT_CASES,
+                         ids=[" ".join(f"{k}={v}" for k, v in e.items()) for e, _, _ in DRIFT_CASES])
+def test_loader_rejects_what_run_point_rejects(tmp_path, edits, key, bad):
+    # the loader checks a grid value with run_point's own rules: it refuses
+    # a value at its key's line exactly when run_point, given the same codes
+    # and the arguments the keys set, raises ValueError naming the argument
+    values = {**DRIFT_BASE, **edits}
+    path = write(tmp_path, "s.cfg", "".join(f"{k} = {v}\n" for k, v in values.items()))
+    code2 = linear_code.extend_repetition(builtin_codes.builtin_code(values["code2"]),
+                                          int(values["code2_repeat"]))
+    kwargs = {arg: conv(values[k]) for k, (arg, conv) in DRIFT_ARGS.items()}
+    code1 = builtin_codes.builtin_code(values["code1"])
+    try:
+        receiver.run_point(values["scheme"], code1, code2, **kwargs)
+    except ValueError as exc:
+        arg = DRIFT_ARGS[key][0] if key in DRIFT_ARGS else key  # code2 is named alike
+        assert bad and str(exc).startswith(f"{arg} ")
+        with pytest.raises(ConfigError) as err:
+            load_sweep_config(path)
+        assert err.value.line == list(values).index(key) + 1
+        assert str(err.value).startswith(f"{path}:{err.value.line}: {key} ")
+    else:
+        assert not bad
+        load_sweep_config(path)
+
+
+def test_readme_lists_every_config_key():
+    # the README's key blocks are the reference for writing a config
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    listed = [sorted(line.split(" =")[0] for line in block.splitlines()
+                     if line and not line[0].isspace()) for block in blocks]
+    assert listed == [sorted(f.name for f in dataclasses.fields(cls) if f.name != "source")
+                      for cls in (SweepConfig, CapacityConfig)]
 
 
 def test_sweep_parses_an_alist_code_once(tmp_path, monkeypatch):
@@ -434,6 +513,34 @@ def test_missing_out_directory_rejected_before_the_run(tmp_path, capsys, monkeyp
         assert not any(bad.iterdir())
     else:
         assert not bad.parent.exists()
+
+
+@pytest.mark.parametrize("verb", ["sweep", "capacity"])
+@pytest.mark.parametrize("source,named", [("flag", "--out"), ("env", "DMMSIM_OUT"),
+                                          ("config", ".cfg: out")])
+def test_out_that_is_the_config_file_rejected_before_the_run(tmp_path, capsys, monkeypatch,
+                                                             verb, source, named):
+    # used to exit 0 and overwrite the config with the CSV, so the
+    # "# config:" line named a file that no longer held the config
+    def never(*args, **kwargs):
+        raise AssertionError(f"{verb} ran with the config file as its output")
+
+    monkeypatch.setattr(cli, "run_sweep", never)
+    monkeypatch.setattr(cli, "run_capacity", never)
+    monkeypatch.delenv("DMMSIM_OUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / f"{verb}.cfg"
+    text = SHORT_CFGS[verb] + (f"out = {path}\n" if source == "config" else "")
+    write(tmp_path, path.name, text)
+    argv = [verb, str(path)]
+    if source == "flag":
+        argv += ["--out", f"./{path.name}"]  # the same file under another name
+    if source == "env":
+        monkeypatch.setenv("DMMSIM_OUT", path.name)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert named in err and "is the config file" in err
+    assert path.read_text() == text
 
 
 @pytest.mark.parametrize("verb", ["sweep", "capacity"])

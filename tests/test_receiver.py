@@ -244,7 +244,7 @@ def test_run_point_decodes_stream1_once_per_frame(dmm_pair, monkeypatch, scheme)
 
 def test_codeword_lengths_must_match(code256, code64_r14):
     # one symbol carries one bit of each stream
-    match = r"codeword lengths must match \(one symbol carries one bit of each\): 256 != 64"
+    match = r"code2 length 64 must equal code1 length 256 \(one symbol carries one bit of each\)"
     for scheme in ("dmm_genie", "dmm_realistic"):
         with pytest.raises(ValueError, match=match):
             run_point(scheme, code256, code64_r14, snr_db=1.0, max_frames=1)
