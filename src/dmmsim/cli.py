@@ -278,8 +278,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_out(args, cfg) -> str | None:
     """The output path (None for stdout).  It is checked here, so a bad path
     fails before the run, naming the setting it came from: its directory
-    must exist, and the path must be neither a directory nor the config
-    file itself."""
+    must exist, and the path must be neither a directory nor a file the run
+    reads, the config file or a code file it names."""
     out, where = _setting(args, "out", str)
     if out is None:
         out, where = cfg.out or None, f"{cfg.source}: out"
@@ -287,8 +287,12 @@ def _resolve_out(args, cfg) -> str | None:
         raise UsageError(f"{where}: no directory {os.path.dirname(out)!r} for {out!r}")
     if out and os.path.isdir(out):
         raise UsageError(f"{where}: {out!r} is a directory, not a file")
-    if out and os.path.exists(out) and os.path.samefile(out, cfg.source):
-        raise UsageError(f"{where}: {out!r} is the config file, not an output file")
+    if out and os.path.exists(out):
+        for what, path in (("the config file", cfg.source),
+                           ("code1's alist file", getattr(cfg, "code1", "")),
+                           ("code2's alist file", getattr(cfg, "code2", ""))):
+            if path and os.path.exists(path) and os.path.samefile(out, path):
+                raise UsageError(f"{where}: {out!r} is {what}, not an output file")
     return out
 
 

@@ -25,12 +25,22 @@ and are bitwise equal to the :func:`rotate`-based forms.
 equally likely points: the axis demapper reads its points and axis labels,
 and ``mutual_info`` integrates over its points.
 
+:func:`_log_density` is the package's one Gaussian-mixture kernel: the
+axis demapper folds each axis class of a block of received samples
+through it, and ``mutual_info``'s quadrature the whole set at its nodes.
+It works in scratch arrays of the calling thread (:func:`_scratch`),
+which both callers share and reuse across blocks and calls; every element
+is written before it is read, so no value passes from one call to the
+next, and each call sets its own ``np.errstate``, which numpy keeps per
+thread, so the functions are safe to call from several threads at once.
+
 LLR sign convention everywhere: positive LLR means bit 0 is more likely.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +56,10 @@ _EXACT_PHASORS = (
     (math.pi, -1.0 + 0.0j),
     (-math.pi, -1.0 + 0.0j),
 )
+
+#: The axis LLR is evaluated in blocks of this many values of ``y``: a call
+#: holds every class point's exponents of one block, not of the whole batch.
+_LLR_BLOCK = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -135,45 +149,96 @@ def demod_v2_hard(y) -> np.ndarray:
     return (np.abs(y.imag) > np.abs(y.real)).astype(np.uint8)
 
 
+_THREAD = threading.local()
+
+
+def _scratch(name: str, shape: tuple, dtype) -> np.ndarray:
+    """A ``shape`` view on this thread's scratch array ``name``, grown when
+    too small and otherwise reused across blocks and calls.  Callers write
+    every element before they read it, so no value passes between calls."""
+    size = math.prod(shape)
+    buf = getattr(_THREAD, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size, dtype)
+        setattr(_THREAD, name, buf)
+    return buf[:size].reshape(shape)
+
+
+def _dim(points: np.ndarray) -> int:
+    """1 for points on the line (float), 2 for points in the plane (complex)."""
+    return 1 if points.dtype.kind == "f" else 2
+
+
+def _log_density(y: np.ndarray, points: np.ndarray, sigma2: float, out: np.ndarray,
+                 neg: np.ndarray | None = None, offsets: tuple | None = None) -> None:
+    """Write into ``out`` the log-sum-exp at ``y`` (any shape) of each point's
+    exponent ``(a - |y - p|^2 / (2 sigma2)) - c...`` for ``offsets = (a,
+    c...)``; the default offsets ``(ln(1/P), (dim/2) ln(2 pi sigma2))`` make
+    it the log density of the mixture over equally likely ``points``.  The
+    distances go point by point through a block-sized scratch array and the
+    rest one ufunc call per step on a (points, *y.shape) scratch array, then
+    a chain of ``np.logaddexp`` from ``x0 + 0.0`` in point order, bitwise
+    the ``np.logaddexp.reduce`` over the point axis (a ufunc reduce applies
+    its operator in order from the identity, and ``logaddexp(-inf, v)`` is
+    ``v + 0.0``).  A squared distance that overflows gives -inf without a
+    warning; callers check.
+
+    ``neg``, if given, gets the log-sum-exp at ``-y`` from the same
+    exponents, which needs ``points[P//2:] == -points[:P//2]``: then
+    ``|(-y) - p[l]|`` is ``|y - p[l + P/2]|`` to the bit, so the chain that
+    starts at point P/2 and wraps round is the one in point order at -y."""
+    if offsets is None:
+        offsets = (math.log(1.0 / points.size),
+                   0.5 * _dim(points) * math.log(2.0 * math.pi * sigma2))
+    expo = _scratch("expo", (points.size, *y.shape), np.float64)
+    kind = np.result_type(y, points)  # float on the line, complex in the plane
+    diff = _scratch("diff" + kind.char, y.shape, kind)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p, e in zip(points, expo):
+            np.subtract(y, p, out=diff)
+            np.abs(diff, out=e)
+        np.square(expo, out=expo)
+        np.divide(expo, 2.0 * sigma2, out=expo)
+        np.subtract(offsets[0], expo, out=expo)
+        for c in offsets[1:]:
+            np.subtract(expo, c, out=expo)
+        for o, first in ((out, 0), (neg, points.size // 2)):
+            if o is not None:
+                np.add(expo[first], 0.0, out=o)
+                for e in (*expo[first + 1:], *expo[:first]):
+                    np.logaddexp(o, e, out=o)
+
+
 def llr_v2(y, constellation: Constellation, sigma2: float) -> np.ndarray:
     """Soft axis-bit information: ln of the real-axis-pair likelihood over the
     imaginary-axis-pair likelihood under Gaussian noise.
 
-    Each class's log-sum-exp is a chain of ``np.logaddexp`` over its points'
-    exponents ``-(|y - p| ** 2) / (2 sigma2)``, taken point by point through
-    one array of ``y``'s size and folded in from ``x0 + 0.0`` in point
-    order: bitwise ``np.logaddexp.reduce`` over the class's points (a ufunc
-    reduce applies its operator in order from the identity, and
-    ``logaddexp(-inf, v)`` is ``v + 0.0``), so widely separated exponents
-    cannot underflow to a 0/0.  With points in both classes an LLR is
-    finite unless a squared distance overflowed, which raises
-    ``ValueError``; a class without points gives its defined infinite LLR.
+    Each class's log-sum-exp is one :func:`_log_density` of its points with
+    exponents ``0.0 - |y - p| ** 2 / (2 sigma2)``, on blocks of
+    ``_LLR_BLOCK`` values of ``y`` in this thread's scratch arrays: a chain
+    of ``np.logaddexp`` from ``x0 + 0.0`` in point order, bitwise
+    ``np.logaddexp.reduce`` over the class's points, so widely separated
+    exponents cannot underflow to a 0/0, and no bit depends on the block
+    size.  With points in both classes an LLR is finite unless a squared
+    distance overflowed, which raises ``ValueError``; a class without points
+    gives its defined infinite LLR for every ``y``.
     """
     require_positive(sigma2=sigma2)
     y = np.asarray(y, dtype=np.complex128)
     labels = constellation.axis_labels
-    diff = np.empty_like(y)  # one point's differences at a time
-    expo = np.empty(y.shape)
-    sums = []
-    # an overflowing squared distance is left to the finite check below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for label in (0, 1):
-            points = constellation.points[labels == label]
-            acc = np.empty(y.shape) if points.size else np.full(y.shape, -np.inf)
-            for j, p in enumerate(points):
-                e = expo if j else acc
-                np.subtract(y, p, out=diff)
-                np.abs(diff, out=e)
-                np.square(e, out=e)
-                np.negative(e, out=e)
-                np.divide(e, 2.0 * sigma2, out=e)
-                if j:
-                    np.logaddexp(acc, e, out=acc)
-                else:
-                    np.add(acc, 0.0, out=acc)
-            sums.append(acc)
-        llr = np.subtract(*sums, out=sums[0])
-    if (labels == 0).any() and (labels == 1).any() and not np.isfinite(llr).all():
+    num, den = (constellation.points[labels == label] for label in (0, 1))
+    if not (num.size and den.size):
+        return np.full(y.shape, np.inf if num.size else -np.inf)
+    llr = np.empty(y.shape)
+    ys, flat = y.reshape(-1), llr.reshape(-1)
+    with np.errstate(invalid="ignore"):  # -inf - -inf is left to the check below
+        for s in range(0, y.size, _LLR_BLOCK):
+            block, out = ys[s:s + _LLR_BLOCK], flat[s:s + _LLR_BLOCK]
+            den_sum = _scratch("den_sum", block.shape, np.float64)
+            _log_density(block, num, sigma2, out, offsets=(0.0,))
+            _log_density(block, den, sigma2, den_sum, offsets=(0.0,))
+            np.subtract(out, den_sum, out=out)
+    if not np.isfinite(llr).all():
         raise ValueError(f"axis LLRs are not finite at sigma2 = {sigma2:.3g}: "
                          f"a squared distance to a point overflows")
     return llr

@@ -16,11 +16,12 @@ Quadrature shares what it can within a call, and memoizes nothing across
 calls.  The Gauss-Hermite nodes and weights of each node count (64, 128,
 256) are computed on first use and checked to be symmetric to the bit; they
 and the plane's tensor-grid weights are then shared as read-only arrays.
-One kernel, :func:`_log_density`, computes the mixture's log density for
-every path: every point's exponents of a block of
-``y`` at once (the distances point by point, then one ufunc call per step on
-a (points, *y.shape) array), folded by a chain of ``np.logaddexp`` in point
-order, bitwise the ``np.logaddexp.reduce`` over a point axis.  On the line
+One kernel, :func:`dmmsim.modem._log_density`, the one the axis demapper
+folds its classes through, computes the mixture's log density for every
+path: every point's exponents of a block of ``y`` at once (the distances
+point by point, then one ufunc call per step on a (points, *y.shape)
+array), folded by a chain of ``np.logaddexp`` in point order, bitwise the
+``np.logaddexp.reduce`` over a point axis.  On the line
 ``y`` is one point's nodes (at most 256) in one piece; in the plane the
 tensor grid is evaluated in blocks of whole rows of about ``_BLOCK_NODES``
 nodes, into one grid-sized array of log densities whose weighted sum is
@@ -34,7 +35,8 @@ weights, one block of all points' exponents and one block of distances,
 and no bit of a value depends on the block size.
 An axis pair {p, -p} evaluates half of p's grid; the other half is its
 mirror image across the pair's axis, and -p's grid is p's reversed.  The
-block and grid arrays are scratch arrays of the calling thread, reused
+block and grid arrays are scratch arrays of the calling thread
+(:func:`dmmsim.modem._scratch`, shared with the axis demapper), reused
 across blocks and calls, and every element is written before it is read.
 Quadrature raises ``ValueError`` naming Es/N0 and sigma2 when a squared
 distance overflows (noise variances near the float range).
@@ -46,7 +48,7 @@ MI values and entropies are never cached: asking twice integrates twice.
 
 The functions are safe to call from several threads at once, and a value
 does not depend on what other threads compute, nor on earlier calls: the
-module's only mutable state is each thread's own scratch arrays, which
+only mutable state is each thread's own scratch arrays in ``modem``, which
 carry no value from one call to the next, the cached ``_gauss_hermite``
 arrays are read-only, and each call sets its own ``np.errstate``, which
 numpy keeps per thread.
@@ -68,13 +70,12 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import require_positive, snr_to_sigma2
-from .modem import Constellation
+from .modem import Constellation, _dim, _log_density, _scratch
 
 LN2 = math.log(2.0)
 
@@ -125,11 +126,6 @@ def _clamp(value, size: int) -> float:
     return float(min(max(value, 0.0), math.log2(size)))
 
 
-def _dim(points: np.ndarray) -> int:
-    """1 for points on the line (float), 2 for points in the plane (complex)."""
-    return 1 if points.dtype.kind == "f" else 2
-
-
 # ---------------------------------------------------------------------------
 # Gaussian-mixture entropies
 # ---------------------------------------------------------------------------
@@ -150,39 +146,6 @@ def _gauss_hermite(nodes: int):
     for arr in (t, w, w2):
         arr.flags.writeable = False
     return t, w, w2
-
-
-def _log_density(y: np.ndarray, points: np.ndarray, sigma2: float, out: np.ndarray,
-                 neg: np.ndarray | None = None) -> None:
-    """Write into ``out`` the log density at ``y`` (any shape) over equally
-    likely ``points``: each point's exponent
-    ``ln(1/P) - |y - p|^2 / (2 sigma2) - (dim/2) ln(2 pi sigma2)``, the
-    distances point by point through a block-sized scratch array and the
-    rest one ufunc call per step on a (points, *y.shape) scratch array, then
-    a chain of ``np.logaddexp`` in point order, bitwise the
-    ``np.logaddexp.reduce`` over the point axis.  A squared distance that
-    overflows gives -inf without a warning; callers check.
-
-    ``neg``, if given, gets the log density at ``-y`` from the same
-    exponents, which needs ``points[P//2:] == -points[:P//2]``: then
-    ``|(-y) - p[l]|`` is ``|y - p[l + P/2]|`` to the bit, so the chain that
-    starts at point P/2 and wraps round is the one in point order at -y."""
-    expo = _scratch("expo", (points.size, *y.shape), np.float64)
-    kind = np.result_type(y, points)  # float on the line, complex in the plane
-    diff = _scratch("diff" + kind.char, y.shape, kind)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for p, e in zip(points, expo):
-            np.subtract(y, p, out=diff)
-            np.abs(diff, out=e)
-        np.square(expo, out=expo)
-        np.divide(expo, 2.0 * sigma2, out=expo)
-        np.subtract(math.log(1.0 / points.size), expo, out=expo)
-        np.subtract(expo, 0.5 * _dim(points) * math.log(2.0 * math.pi * sigma2), out=expo)
-        for o, first in ((out, 0), (neg, points.size // 2)):
-            if o is not None:
-                np.add(expo[first], 0.0, out=o)
-                for e in (*expo[first + 1:], *expo[:first]):
-                    np.logaddexp(o, e, out=o)
 
 
 def _entropy(points: np.ndarray, sigma2: float, nodes: int) -> float:
@@ -286,21 +249,6 @@ def _fill_plane(logp: np.ndarray, points: np.ndarray, sigma2: float, re: np.ndar
         y.imag = im
         _log_density(y, points, sigma2, logp[r:r + rows],
                      None if neg is None else neg[r:r + rows])
-
-
-_THREAD = threading.local()
-
-
-def _scratch(name: str, shape: tuple, dtype) -> np.ndarray:
-    """A ``shape`` view on this thread's scratch array ``name``, grown when
-    too small and otherwise reused across blocks and calls.  Callers write
-    every element before they read it, so no value passes between calls."""
-    size = math.prod(shape)
-    buf = getattr(_THREAD, name, None)
-    if buf is None or buf.size < size:
-        buf = np.empty(size, dtype)
-        setattr(_THREAD, name, buf)
-    return buf[:size].reshape(shape)
 
 
 def _where(points: np.ndarray, sigma2: float) -> str:

@@ -521,6 +521,7 @@ def _receive_batch(code1, code2, cfg, words, noise, max_iter, *, realistic=False
     if code2 is not None:
         llr2 = modem.llr_v2(y, modem.Constellation.quadrature_pair(cfg.es), cfg.sigma2)
         c2_hat, _, _ = linear_code.decode_soft_batch(code2, llr2, max_iter=max_iter)
+        del llr2  # freed before stream-1 BP, the batch's peak
         rows["errors2"][:] = np.count_nonzero(c2_hat != words[1], axis=1)
         if realistic:
             v2_hat = linear_code.encode(code2, c2_hat)

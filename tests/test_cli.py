@@ -543,6 +543,35 @@ def test_out_that_is_the_config_file_rejected_before_the_run(tmp_path, capsys, m
     assert path.read_text() == text
 
 
+@pytest.mark.parametrize("key,name", [("code1", "ldpc_r12_n256"), ("code2", "ldpc_r14_n64")])
+@pytest.mark.parametrize("source,named", [("flag", "--out"), ("env", "DMMSIM_OUT"),
+                                          ("config", ".cfg: out")])
+def test_out_that_is_a_code_file_rejected_before_the_run(tmp_path, capsys, monkeypatch, key,
+                                                         name, source, named):
+    # used to exit 0 and write the CSV over the alist, so the next run of the
+    # config exited 2 with "code1: c.alist:1: non-integer token"
+    def never(*args, **kwargs):
+        raise AssertionError("sweep ran with a code file as its output")
+
+    monkeypatch.setattr(cli, "run_sweep", never)
+    monkeypatch.delenv("DMMSIM_OUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    alist = tmp_path / "c.alist"
+    copy_shipped_alist(name, alist)
+    shipped = alist.read_bytes()
+    text = SHORT_CFGS["sweep"].replace(f"{key} = {name}", f"{key} = {alist}")
+    text += f"out = {alist}\n" if source == "config" else ""
+    argv = ["sweep", write(tmp_path, "sweep.cfg", text)]
+    if source == "flag":
+        argv += ["--out", f"./{alist.name}"]  # the same file under another name
+    if source == "env":
+        monkeypatch.setenv("DMMSIM_OUT", alist.name)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert named in err and f"is {key}'s alist file" in err
+    assert alist.read_bytes() == shipped
+
+
 @pytest.mark.parametrize("verb", ["sweep", "capacity"])
 @pytest.mark.parametrize("source,named", [("flag", "--out"), ("env", "DMMSIM_OUT")])
 def test_empty_out_rejected_naming_its_source(tmp_path, capsys, monkeypatch, verb, source,

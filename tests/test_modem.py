@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -179,8 +180,10 @@ def test_llr_v2_bit_identical_to_reference():
         noisy = dmm_map(rng.integers(0, 2, (64, 2048)), rng.integers(0, 2, (64, 2048)), es)
         noisy = noisy + rng.normal(scale=0.8, size=noisy.shape) \
             + 1j * rng.normal(scale=0.8, size=noisy.shape)
-        for y, sigma2 in ((noisy, 0.64), (noisy, 1e-6), (signed_zeros, 0.5),
-                          (signed_zeros, 1e-6), (ties, 0.3), (ties.reshape(3, 10, 20), 1e-6)):
+        # noisy[:, :1000] is a strided view whose last block is short
+        for y, sigma2 in ((noisy, 0.64), (noisy, 1e-6), (noisy[:, :1000], 0.64),
+                          (signed_zeros, 0.5), (signed_zeros, 1e-6), (ties, 0.3),
+                          (ties.reshape(3, 10, 20), 1e-6)):
             mine = llr_v2(y, c, sigma2)
             ref = llr_v2_reference(y, c.points, c.axis_labels, sigma2)
             assert mine.shape == ref.shape
@@ -195,19 +198,39 @@ def test_llr_v2_bit_identical_to_reference():
 
 
 def test_llr_v2_working_set_is_bounded():
-    # a 16 x 2048 batch (n = 2048's) takes one point's differences (0.5 MiB
-    # complex), one point's exponents and the two class sums (0.25 MiB each):
-    # 1.28 MiB traced; every point's exponents at once took 3.0 MiB
+    # a fresh thread allocates its scratch arrays: a 16 x 2048 batch (n =
+    # 2048's) takes one block of 2**13 values' differences (0.125 MiB
+    # complex), a class's two exponents (0.125 MiB) and the other class's
+    # sums (0.0625 MiB) next to the output (0.25 MiB): 0.61 MiB traced;
+    # every point's exponents at once took 3.0 MiB
     rng = np.random.default_rng(4)
     y = rng.normal(size=(16, 2048)) + 1j * rng.normal(size=(16, 2048))
     c = Constellation.quadrature_pair(1.0)
+    tracemalloc.start()
+    try:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pool.submit(llr_v2, y, c, 0.5).result(timeout=60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2 ** 20
+
+
+def test_warm_llr_v2_allocates_only_its_output():
+    # once a call has grown this thread's scratch arrays, a 16 x 2048 call
+    # allocates its 0.25 MiB of LLRs and nothing near a block's arrays
+    # (1.28 MiB traced when each call allocated its own)
+    rng = np.random.default_rng(4)
+    y = rng.normal(size=(16, 2048)) + 1j * rng.normal(size=(16, 2048))
+    c = Constellation.quadrature_pair(1.0)
+    llr_v2(y, c, 0.5)
     tracemalloc.start()
     try:
         llr_v2(y, c, 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * 2 ** 20
+    assert peak <= y.size * 8 + 64 * 2 ** 10
 
 
 def test_llr_v2_rejects_bad_sigma():
@@ -222,6 +245,15 @@ def test_llr_v2_rejects_overflowing_distances():
     with pytest.raises(ValueError, match="not finite at sigma2 = 2"):
         llr_v2(np.array([0.5 + 0j, 1e155 + 1e155j]), c, 2.0)
     assert np.all(np.isfinite(llr_v2(np.array([0.5 + 0j, 1e150 + 1e150j]), c, 2.0)))
+
+
+def test_llr_v2_of_a_class_without_points_is_infinite():
+    # a far sample's squared distance overflows, which gave NaN from -inf
+    # minus -inf; a class without points decides every sample, near or far
+    y = np.array([0.5 + 0j, 1e155 + 1e155j, -0.0 + 0j])
+    for c, llr in ((Constellation.bpsk(), np.inf), (Constellation([1.0j, -1.0j]), -np.inf)):
+        assert np.array_equal(llr_v2(y, c, 2.0), np.full(3, llr))
+        assert llr_v2(1e300 + 0j, c, 1e-6) == llr
 
 
 def test_hard_decision_agrees_with_llr_sign():

@@ -12,7 +12,7 @@ import pytest
 from dmmsim import cli, mutual_info
 from dmmsim.channel import sigma2_to_snr_db, snr_to_sigma2
 from dmmsim.config import CapacityConfig
-from dmmsim.modem import Constellation
+from dmmsim.modem import Constellation, llr_v2
 from dmmsim.mutual_info import (
     awgn_entropy,
     mi_awgn,
@@ -564,16 +564,25 @@ def test_warm_plane_quadrature_allocates_no_grid():
 
 
 def test_scratch_arrays_carry_no_value_between_calls():
-    # two threads interleave quadratures of every size and kind at a 10 us
-    # switch interval; each value equals the same call on a fresh thread
-    calls = [(pts, sigma2, nodes)
+    # two threads interleave quadratures of every size and kind and axis
+    # LLRs of the two batch shapes, which share the kernel's scratch arrays,
+    # at a 10 us switch interval; each value equals the same call on a
+    # fresh thread
+    calls = [(mutual_info._entropy, pts, sigma2, nodes)
              for pts in (Constellation.qpsk().points, FOUR_POINT, *AXIS_PAIRS[::2])
              for sigma2 in (0.05, 2.0) for nodes in (64, 256, 128)]
+    rng = np.random.default_rng(8)
+    ys = [rng.normal(size=shape) + 1j * rng.normal(size=shape)
+          for shape in ((16, 2048), (64, 256))]
+    llr_calls = [(llr_v2, y, Constellation.quadrature_pair(1.0), sigma2)
+                 for y in ys for sigma2 in (0.05, 2.0)]
+    for k, call in enumerate(llr_calls):  # each after six quadratures
+        calls.insert(7 * k + 6, call)
 
     def run(order):
-        return np.array([mutual_info._entropy(*calls[i]) for i in order])
+        return [calls[i][0](*calls[i][1:]) for i in order]
 
-    want = np.array([_on_fresh_thread(mutual_info._entropy, *c) for c in calls])
+    want = [_on_fresh_thread(*c) for c in calls]
     orders = (range(len(calls)), range(len(calls) - 1, -1, -1))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -584,7 +593,9 @@ def test_scratch_arrays_carry_no_value_between_calls():
     finally:
         sys.setswitchinterval(interval)
     for order, values in zip(orders, got):
-        assert np.array_equal(values.view(np.int64), want[list(order)].view(np.int64))
+        for i, value in zip(order, values):
+            assert np.array_equal(np.float64(value).view(np.int64),
+                                  np.float64(want[i]).view(np.int64))
 
 
 def test_axis_and_joint_share_bits_with_separate_calls():
