@@ -34,7 +34,11 @@ to the bits of an edge-list decoder with ``reduceat`` sums; wider padded
 checks or variables may round differently in the last bit.
 
 Code objects are immutable after construction.  Decoding allocates its own
-message buffers per call, so codes can be shared freely across workers.
+message buffers per call, so codes can be shared freely across workers.  A
+decode keeps one (B, dc, m) message array live, updated in place, and at most
+one more edge-sized float array beside it, the variable side's gather of it
+or the next messages: a 16-frame batch at n = 2048 traces 2.15 MiB on a
+fresh thread (see ``_bp_batch``).
 """
 
 from __future__ import annotations
@@ -144,7 +148,8 @@ class _BpGraph:
     so slot j of check i is ``j * m + i``.  The variable side is a (dv, n)
     grid of slot indices, dv the largest variable degree, each column in
     ascending check order and padded at the end with slot ``dc * m``, one
-    past the grid.  ``parity`` is a uint8 0/1 matrix.  All arrays are
+    past the grid.  ``pad_slots`` and ``var_pad`` mark the padded check and
+    variable slots, each None for a side with one degree.  All arrays are
     immutable after construction.
     """
 
@@ -177,6 +182,10 @@ class _BpGraph:
         v = var_of[by_var]
         self.slot_of_var = np.full(dv * n, dc * m, dtype=np.intp)
         self.slot_of_var[(edge - (np.cumsum(deg_v) - deg_v)[v]) * n + v] = slot[by_var]
+        # padded variable slots, or None for a code with one variable degree
+        self.var_pad = None
+        if slot.size < dv * n:
+            self.var_pad = self.slot_of_var == dc * m
 
     def dense(self) -> np.ndarray:
         """The m x n uint8 0/1 parity-check matrix: a 1 at each real slot's
@@ -385,20 +394,57 @@ def _degree_sum(x: np.ndarray) -> np.ndarray:
     contiguous axis, so the other widths sum a copy with the degree axis
     last.  That sum gives ``reduceat``'s bits with one exception: at widths
     1, 2 and above eight, a column of -0.0 terms sums to +0.0, where
-    ``reduceat`` keeps -0.0."""
+    ``reduceat`` keeps -0.0.  The first term is added in place into the sum
+    of the rest, which is the result."""
     if 2 < x.shape[1] <= 8:
-        return x[:, 0] + np.add.reduce(x[:, 1:], axis=1, initial=-0.0)
-    return x[:, 0] + np.moveaxis(x[:, 1:], 1, -1).copy().sum(axis=-1)
+        rest = np.add.reduce(x[:, 1:], axis=1, initial=-0.0)
+    else:
+        rest = np.moveaxis(x[:, 1:], 1, -1).copy().sum(axis=-1)
+    return np.add(x[:, 0], rest, out=rest)
+
+
+def _check_update(graph: _BpGraph, msg: np.ndarray) -> None:
+    """Turn the variable-to-check messages ``msg`` (rows, slots) into the
+    check-to-variable messages, in place.
+
+    The tanh product runs in log-magnitude/sign form with explicit zero
+    counting, so exact-zero messages (erasures) propagate as exact zeros
+    instead of being floored to small values.  Every step writes into
+    ``msg``; the only other arrays are one byte per edge (signs and, when an
+    exact zero exists, its mask) and one (rows, m) degree sum.
+    """
+    np.tanh(np.multiply(msg, 0.5, out=msg), out=msg)  # msg / 2, exactly
+    if graph.pad_slots is not None:
+        msg[:, graph.pad_slots] = 1.0  # log-magnitude 0, not zero, not negative
+    t = msg.reshape(-1, *graph.check_shape)
+    neg = np.less(t, 0.0)  # each edge's sign; +-0.0 counts as non-negative
+    np.absolute(t, out=t)
+    # exact-zero messages are rare; skip their bookkeeping
+    zero = None if np.minimum.reduce(t, axis=None) else np.equal(t, 0.0)
+    if zero is not None:
+        np.copyto(t, 1.0, where=zero)
+    np.log(t, out=t)
+    np.exp(np.subtract(_degree_sum(t)[:, None], t, out=t), out=t)
+    if zero is not None:  # another edge of the check is an erasure
+        np.copyto(t, 0.0, where=np.count_nonzero(zero, axis=1)[:, None] > zero)
+    # the sign of the check's other edges: the parity of the check's negative
+    # edges XOR the edge's own, one byte per edge.  It is applied as a
+    # multiply by exactly +-1, so an odd sign turns 0.0 into -0.0; np.where
+    # or where= took ~45x as long on random masks.  The +-1 factors stay
+    # int8, which the multiply casts in buffered chunks, so no edge-sized
+    # float array is allocated for them.
+    neg ^= np.bitwise_xor.reduce(neg, axis=1)[:, None]
+    t *= 1 - 2 * neg.view(np.int8)
+    np.arctanh(t.clip(-_TANH_CAP, _TANH_CAP, out=t), out=t)
+    np.multiply(2.0, t, out=t)
 
 
 def _bp_batch(graph: _BpGraph, llr: np.ndarray, max_iter: int):
     """Sum-product decoding of a batch of LLR rows.
 
-    Check updates use the tanh product in log-magnitude/sign form with
-    explicit zero counting, so exact-zero messages (erasures) propagate as
-    exact zeros instead of being floored to small values.  A frame converges
-    when its hard decision satisfies every check and its posterior carries
-    any information at all; a total erasure therefore reports max-iter.
+    Check updates follow ``_check_update``.  A frame converges when its hard
+    decision satisfies every check and its posterior carries any
+    information at all; a total erasure therefore reports max-iter.
 
     Each iteration is a fixed, short list of long array operations: every
     fold over a degree axis is one ``ufunc.reduce``, ufuncs and array
@@ -408,10 +454,16 @@ def _bp_batch(graph: _BpGraph, llr: np.ndarray, max_iter: int):
     ``max_iter``).  numpy releases the interpreter lock inside each
     call, so fewer and longer calls let batches on other threads overlap.
 
+    One message array of (rows, slots) floats is live at a time.  The check
+    update runs in it, the variable side's gather of it is freed once
+    summed, and the next variable-to-check messages, gathered from the
+    posterior, replace it.  So a decode holds at most two edge-sized float
+    arrays, the messages and their gather or successor, besides its
+    (rows, n) clipped input, posterior and degree sum.
+
     Returns (hard codewords, converged flags, iteration counts).
     """
     b = llr.shape[0]
-    slots = graph.var_of_slot.size
     real_slots = None if graph.pad_slots is None else ~graph.pad_slots
 
     bits = np.zeros(llr.shape, dtype=np.uint8)
@@ -426,54 +478,35 @@ def _bp_batch(graph: _BpGraph, llr: np.ndarray, max_iter: int):
     if np.isnan(np.add.reduce(base, axis=None)):  # clipped LLRs sum to NaN iff one is
         bad = np.flatnonzero(np.isnan(base).any(axis=1))[0]
         raise ValueError(f"LLR row {bad} holds NaN, which BP cannot decode")
-    lq = base.take(graph.var_of_slot, axis=1)
+    msg = base.take(graph.var_of_slot, axis=1)
 
     for it in range(1, max_iter + 1):
-        # check update on the (rows, dc, m) grid, in place where a message
-        # is not read again
-        t = np.tanh(np.multiply(lq, 0.5, out=lq), out=lq)  # lq / 2, exactly
-        if graph.pad_slots is not None:
-            t[:, graph.pad_slots] = 1.0  # log-magnitude 0, not zero, not negative
-        t = t.reshape(-1, *graph.check_shape)
-        neg = np.less(t, 0.0)  # each edge's sign; +-0.0 counts as non-negative
-        mag = np.absolute(t, out=t)
-        # exact-zero messages are rare; skip their bookkeeping
-        zero = None if np.minimum.reduce(mag, axis=None) else np.equal(mag, 0.0)
-        if zero is not None:
-            mag = np.where(zero, 1.0, mag)
-        log_abs = np.log(mag, out=mag)
-        ext = np.exp(np.subtract(_degree_sum(log_abs)[:, None], log_abs, out=log_abs),
-                     out=log_abs)
-        if zero is not None:  # another edge of the check is an erasure
-            ext = np.where(np.count_nonzero(zero, axis=1)[:, None] > zero, 0.0, ext)
-        # the sign of the check's other edges: the parity of the check's
-        # negative edges XOR the edge's own, one byte per edge.  It is applied
-        # as a multiply by exactly +-1, so an odd sign turns 0.0 into -0.0;
-        # np.where or where= took ~45x as long on random masks.  The +-1
-        # factors stay int8, which the multiply casts in buffered chunks, so
-        # no edge-sized float array is allocated for them.
-        neg ^= np.bitwise_xor.reduce(neg, axis=1)[:, None]
-        ext *= 1 - 2 * neg.view(np.int8)
-        ext = np.arctanh(ext.clip(-_TANH_CAP, _TANH_CAP, out=ext), out=ext)
-        # one trailing 0.0 column: the message of every padded variable slot
-        lr = np.empty((rows.size, slots + 1))
-        lr[:, slots] = 0.0
-        np.multiply(2.0, ext.reshape(-1, slots), out=lr[:, :slots])
+        _check_update(graph, msg)
 
-        # variable update and posterior; the syndrome reads the posterior
-        # gathered to the check slots
-        post = base + _degree_sum(
-            lr.take(graph.slot_of_var, axis=1).reshape(-1, *graph.var_shape))
-        lq = post.take(graph.var_of_slot, axis=1)
-        on_check = np.less(lq, 0.0)
+        # variable update and posterior: a padded variable slot points one
+        # past the grid, which the gather clips and then sets to a 0.0
+        # message
+        gather = msg.take(graph.slot_of_var, axis=1, mode="clip")
+        if graph.var_pad is not None:
+            gather[:, graph.var_pad] = 0.0
+        post = _degree_sum(gather.reshape(-1, *graph.var_shape))
+        del gather
+        np.add(base, post, out=post)
+        # the posterior gathered to the check slots: the syndrome reads its
+        # signs, and less the check-to-variable messages it is the next
+        # variable-to-check messages
+        succ = post.take(graph.var_of_slot, axis=1)
+        on_check = np.less(succ, 0.0)
         if real_slots is not None:
             on_check &= real_slots
         unsatisfied = np.logical_or.reduce(
             np.bitwise_xor.reduce(on_check.reshape(-1, *graph.check_shape), axis=1), axis=1)
+        del on_check
         # informative and not unsatisfied
         ok = np.greater(np.logical_or.reduce(post, axis=1), unsatisfied)
-        lq -= lr[:, :slots]
-        lq.clip(-LLR_MAX, LLR_MAX, out=lq)
+        msg = np.subtract(succ, msg, out=succ)
+        del succ
+        msg.clip(-LLR_MAX, LLR_MAX, out=msg)
 
         if it == max_iter:
             converged[rows[ok]] = True
@@ -486,9 +519,12 @@ def _bp_batch(graph: _BpGraph, llr: np.ndarray, max_iter: int):
             keep = ~ok
             if not np.logical_or.reduce(keep):
                 break
+            del post  # freed before the working set shrinks
             rows = rows[keep]
             base = base[keep]
-            lq = lq[keep]
+            msg = msg[keep]
+            continue
+        del post  # freed before the next gather
 
     return bits, converged, iterations
 

@@ -45,12 +45,14 @@ n = 256 to 0.50-0.53x its time per frame (45-50 to 24-27 us), and a
 A batch holds up to ``_BATCH_FRAMES`` frames and ``_BATCH_SYMBOLS`` symbols
 (:func:`_batches`): 64 frames up to n = 512, 16 at n = 2048, 8 for 4096-bit
 uncoded blocks.  The bound holds down what a batch allocates (a realistic
-16-frame batch at n = 2048 traces 4.3 MiB, 3.7 of it stream-1 BP), and so a
-point's page faults and peak RSS: a serial 768-frame point at n = 2048 took
-1.2k, 35k and 80-89k minor faults and 44, 49 and 60 MiB peak RSS on 16-, 32-
-and 64-frame batches (2-vCPU Xeon, numpy 2.4), and larger batches ran no
-faster, also with glibc's trim and mmap thresholds at 256 MiB, where the
-faults fell to 0.3k-3.8k.
+16-frame batch at n = 2048 traces 2.8 MiB on a fresh thread, 2.15 of it
+stream-1 BP, which keeps one message array and its gather or successor
+live), and so a point's page faults and peak RSS: a serial 768-frame point
+at n = 2048 took 1.2k, 35k and 80-89k minor faults and 44, 49 and 60 MiB
+peak RSS on 16-, 32- and 64-frame batches (2-vCPU Xeon, numpy 2.4, before
+BP kept one message array), and larger batches ran no faster, also with
+glibc's trim and mmap thresholds at 256 MiB, where the faults fell to
+0.3k-3.8k.
 
 A point's batches run on one thread per usable CPU (:func:`_usable_cpus`;
 in a worker of ``sweep --threads N``'s process pool, that worker's share of

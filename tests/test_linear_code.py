@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmmsim.builtin_codes import BUILTIN_CODE_NAMES, builtin_code
+from dmmsim.channel import ChannelConfig, snr_to_sigma2
 from dmmsim.linear_code import (
     LLR_MAX,
     AlistFormatError,
@@ -27,7 +29,7 @@ from dmmsim.linear_code import (
     gf2_rref,
     load_alist,
 )
-from dmmsim.receiver import run_point
+from dmmsim.receiver import _frame_batch, _receive_batch, run_point
 
 from oracles import (
     all_codewords,
@@ -637,6 +639,10 @@ def test_slot_major_graph_transposes_check_major_reference(name, toy_code):
         slot_of_var[:checks.size, v] = [
             np.searchsorted(vars_of_check[i], v) * m + i for i in checks]
     assert np.array_equal(graph.slot_of_var, slot_of_var.ravel())
+    if (slot_of_var == dc * m).any():
+        assert np.array_equal(graph.var_pad, slot_of_var.ravel() == dc * m)
+    else:
+        assert graph.var_pad is None
 
 
 @pytest.mark.parametrize("name", BUILTIN_CODE_NAMES + (
@@ -673,6 +679,32 @@ def test_slot_major_decode_matches_check_major_reference(name, toy_code):
     _, converged, iterations = _bp_batch(inner._graph, zero_free, 50)
     assert len(set(iterations[converged])) >= 2
     assert not _bp_batch(inner._graph, llrs, 3)[1].all()
+
+
+@pytest.mark.parametrize("erasures", [False, True])
+def test_bp_batch_working_set_is_bounded(erasures):
+    # a 16-frame batch of criterion-6 stream-1 LLRs (ldpc_r12_n2048 at
+    # -1.3 dB, genie derotation), decoded on a fresh thread, traces 2.15 MiB:
+    # one (16, 6, 1024) message array (0.75 MiB) and its gather or its
+    # successor, besides the (16, 2048) clipped input, posterior and degree
+    # sum.  Exact zeros on every 7th bit take the erasure branch, which works
+    # in the message array too
+    code1 = builtin_code("ldpc_r12_n2048")
+    code2 = extend_repetition(builtin_code("ldpc_r14_n512"), 4)
+    cfg = ChannelConfig(sigma2=snr_to_sigma2(-1.3, 1.0), seed=1, es=1.0)
+    words, noise = _frame_batch(cfg, np.arange(16), code1.n, (code1.k, code2.k))
+    _, llr1 = _receive_batch(code1, code2, cfg, words, noise, 50)
+    if erasures:
+        llr1[:, ::7] = 0.0
+    tracemalloc.start()
+    try:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            _, converged, _ = pool.submit(_bp_batch, code1._graph, llr1, 50).result(timeout=60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.75 * 2 ** 20
+    assert converged.all() == (not erasures)  # erased rows run to max_iter
 
 
 def test_builtin_names_are_peg_fixtures_and_hamming():
