@@ -25,6 +25,8 @@ matter how many workers run a sweep or in which order blocks complete.
 blocks at once, so a batch can re-key one generator per block instead of
 building a new one.  It takes the seed's half of the SeedSequence hash from
 numpy (``SeedSequence(seed).pool``) and runs only the spawn-key half itself.
+Both turn their standard-normal draws into complex noise through
+:func:`noise_from_draws`, which keeps each draw's sign, -0.0 included.
 """
 
 from __future__ import annotations
@@ -81,11 +83,12 @@ _POOL_WORDS = 4
 _INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
 _INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
 _MIX_L, _MIX_R = 0xCA01_F9DD, 0x4973_F715
-_STREAMS = np.arange(2, dtype=np.uint64)  # noise on stream 0, data bits on stream 1
+_STREAMS = (0, 1)  # noise on stream 0, data bits on stream 1
 
 
 def _hashmix(value, const):
-    """SeedSequence's hashmix: (mixed value, next hash constant)."""
+    """SeedSequence's hashmix: (mixed value, next hash constant), in Python
+    ints or elementwise in uint64 arrays."""
     value = value ^ const
     const = const * _MULT_A & _MASK32
     value = value * const & _MASK32
@@ -98,6 +101,18 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
+def _steps(const, mult, count):
+    """A hash constant and the ``count`` constants it steps through."""
+    out = [const]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return out
+
+
+#: generate_state's output constants, one per pool word, and the one after
+_OUT_CONSTS = np.array(_steps(_INIT_B, _MULT_B, _POOL_WORDS), dtype=np.uint64)[:, None, None]
+
+
 def frame_keys(seed: int, indices) -> np.ndarray:
     """Philox keys of blocks ``indices`` on streams 0 and 1.
 
@@ -107,8 +122,11 @@ def frame_keys(seed: int, indices) -> np.ndarray:
     mixes the seed's words into its pool before the spawn key's, so the pool
     after the seed is ``SeedSequence(seed).pool``, and the hash constant has
     then stepped 4 times to fill the pool, 12 to mix it and 4 per seed word
-    past the pool's 4.  The spawn-key words and the output mix run here for
-    all blocks and both streams at once, in uint64 arrays masked to 32 bits.
+    past the pool's 4.  The constants the spawn key's 8 hashes use are known
+    from there on, so the index word is hashed into all four pool words at
+    once, in (4, B) uint64 arrays masked to 32 bits; the stream word, one
+    of two values, is hashed in Python ints; and the output mix runs on a
+    (4, B, 2) array of pool word, block and stream.
     Each index must be one spawn-key word, i.e. lie in [0, 2**32).
     """
     seed = operator.index(seed)
@@ -120,33 +138,51 @@ def frame_keys(seed: int, indices) -> np.ndarray:
     if indices.size and (indices.min() < 0 or indices.max() > _MASK32):
         raise ValueError("block indices must lie in [0, 2**32)")
 
-    pool = np.random.SeedSequence(seed).pool.tolist()
     extra_words = max(0, -(-seed.bit_length() // 32) - _POOL_WORDS)
-    const = _INIT_A * pow(_MULT_A, 16 + 4 * extra_words, 1 << 32) & _MASK32
+    consts = _steps(_INIT_A * pow(_MULT_A, 16 + 4 * extra_words, 1 << 32) & _MASK32,
+                    _MULT_A, 2 * _POOL_WORDS)
+    pool = np.random.SeedSequence(seed).pool.astype(np.uint64)[:, None]
 
-    # spawn-key word 0: the block index, one row per block
-    index_words = indices.astype(np.uint64)[:, None]
-    for dst in range(_POOL_WORDS):
-        h, const = _hashmix(index_words, const)
-        pool[dst] = _mix(pool[dst], h)
+    # spawn-key word 0, the block index: pool word along the rows, block
+    # along the columns
+    h, _ = _hashmix(indices.astype(np.uint64),
+                    np.array(consts[:_POOL_WORDS], dtype=np.uint64)[:, None])
+    pool = _mix(pool, h)[..., None]
+    # spawn-key word 1, the stream; then generate_state's four words,
+    # paired little-endian
+    h = np.array([[_hashmix(s, c)[0] for s in _STREAMS] for c in consts[_POOL_WORDS:-1]],
+                 dtype=np.uint64)
+    word = _mix(pool, h[:, None]) ^ _OUT_CONSTS[:-1]
+    word = word * _OUT_CONSTS[1:] & _MASK32
+    word ^= word >> 16
+    return np.stack((word[0] | word[1] << 32, word[2] | word[3] << 32), axis=-1)
 
-    # spawn-key word 1, the stream, along the columns; then generate_state's
-    # four words, paired little-endian
-    out_const, state = _INIT_B, []
-    for dst in range(_POOL_WORDS):
-        h, const = _hashmix(_STREAMS, const)
-        word = _mix(pool[dst], h) ^ out_const
-        out_const = out_const * _MULT_B & _MASK32
-        word = word * out_const & _MASK32
-        state.append(word ^ word >> 16)
-    return np.stack((state[0] | state[1] << 32, state[2] | state[3] << 32), axis=-1)
+
+def noise_from_draws(z: np.ndarray, sigma2: float) -> np.ndarray:
+    """Complex AWGN from standard-normal draws ``z``, real and imaginary
+    parts interleaved along its contiguous last axis: ``z`` is scaled by
+    sqrt(sigma2) in place and returned as its complex view.
+
+    Sample i is the pair of draws 2i and 2i+1 as they are, signed zeros
+    included.  Assembling ``re + 1j*im`` differs in one case only: its
+    complex sum turns a -0.0 imaginary part into +0.0, and a -0.0 real part
+    too unless the imaginary part's sign bit is set.  A draw is -0.0 only
+    when the ziggurat's 52 magnitude bits are zero and its sign bit is set,
+    probability 2**-53.  :func:`noise_block` and the receiver's batches
+    both assemble here, so they agree to the bit.  No LLR reads the sign of
+    a zero noise part: the polarity LLR multiplies the other part by 0.0,
+    and the axis LLR takes ``|y - p|``.
+    """
+    z *= math.sqrt(sigma2)
+    return z.view(np.complex128)
 
 
 def noise_block(cfg: ChannelConfig, block_index: int, n: int) -> np.ndarray:
-    """Complex AWGN vector of length ``n`` for the given block index."""
+    """Complex AWGN vector of length ``n`` for the given block index: the
+    first 2n standard normals of the block's stream 0, assembled by
+    :func:`noise_from_draws`."""
     z = block_rng(cfg.seed, block_index, stream=0).standard_normal(2 * n)
-    z *= math.sqrt(cfg.sigma2)
-    return z[0::2] + 1j * z[1::2]
+    return noise_from_draws(z, cfg.sigma2)
 
 
 def snr_to_sigma2(es_n0_db: float, es: float = 1.0,

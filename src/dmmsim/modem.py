@@ -17,9 +17,13 @@ Pairing bit1=0 with the positive imaginary axis makes derotation by -pi/2
 map the imaginary-axis pair back onto standard BPSK with no polarity flip.
 
 Quarter-turn rotations are implemented as exact multiplications by the unit
-constants 1, 1j, -1, -1j, which IEEE-754 evaluates without rounding; the
-mapper and the receiver's derotate-then-demap step select by the axis bit
-and are bitwise equal to the :func:`rotate`-based forms.
+constants 1, 1j, -1, -1j, which IEEE-754 evaluates without rounding.  The
+map and the derotate-then-demap step select by the axis bit instead and
+are bitwise equal to the :func:`rotate`-based forms, signed zeros
+included: :func:`symbol_parts` is the one definition of the map (the
+real and imaginary parts that :func:`dmm_map` assembles and the receiver
+adds into its noise), and :func:`llr_v1` the one derotation (selected by
+axis bits; :func:`derotate_and_llr_v1` reads the bits off the angles).
 
 :class:`Constellation` is the package's only finite-input type, a set of
 equally likely points: the axis demapper reads its points and axis labels,
@@ -105,11 +109,20 @@ class Constellation:
         return demod_v2_hard(self.points)
 
 
+def _amplitudes(bits, es: float) -> np.ndarray:
+    """The polarity amplitudes ``(1 - 2 bits) sqrt(es)`` of ``bits``: bit 0
+    -> +sqrt(es), bit 1 -> -sqrt(es), as a new float array."""
+    require_positive(es=es)
+    a = np.array(bits, dtype=np.float64)
+    a *= 2.0
+    np.subtract(1.0, a, out=a)
+    a *= math.sqrt(es)
+    return a
+
+
 def map_bpsk(bits, es: float = 1.0) -> np.ndarray:
     """Antipodal map: bit 0 -> +sqrt(es), bit 1 -> -sqrt(es), on the real axis."""
-    require_positive(es=es)
-    bits = np.asarray(bits)
-    return (1.0 - 2.0 * bits.astype(np.float64)) * math.sqrt(es) + 0.0j
+    return _amplitudes(bits, es) + 0.0j
 
 
 def beta_from_bits(bits) -> np.ndarray:
@@ -135,10 +148,35 @@ def rotate(z, beta) -> np.ndarray:
     return np.asarray(z, dtype=np.complex128) * _phasor(beta)
 
 
+def symbol_parts(v1, v2, es: float = 1.0):
+    """The real and imaginary parts of the four-point symbols of bit pairs
+    ``(v1, v2)``, two new float arrays of their broadcast shape:
+    ``re = a * (1 - v2)`` and ``im = a * v2 + 0.0``, ``a`` the polarity
+    amplitude +-sqrt(es) of :func:`map_bpsk`.
+
+    This is the one definition of the map.  :func:`dmm_map` assembles its
+    symbols from these parts, and the receiver adds them into the real and
+    imaginary parts of its noise in place.  The zeros carry the signs of the
+    quarter-turn product ``map_bpsk(v1) * 1j``: a rotated symbol's real part
+    is ``a * 0.0``, -0.0 for v1 = 1, and an unrotated one's imaginary part
+    is +0.0.
+    """
+    v1, v2 = np.broadcast_arrays(v1, v2)
+    re = _amplitudes(v1, es)
+    im = re * v2
+    im += 0.0
+    re *= 1.0 - v2
+    return re, im
+
+
 def dmm_map(v1, v2, es: float = 1.0) -> np.ndarray:
-    """Map one bit pair (or arrays of pairs) onto the four-point set."""
-    s = map_bpsk(v1, es)
-    return np.where(np.asarray(v2, dtype=bool), s * 1j, s)
+    """Map one bit pair (or arrays of pairs) onto the four-point set: the
+    complex symbols whose parts are :func:`symbol_parts`."""
+    re, im = symbol_parts(v1, v2, es)
+    s = np.empty(re.shape, dtype=np.complex128)
+    s.real = re
+    s.imag = im
+    return s
 
 
 def demod_v2_hard(y) -> np.ndarray:
@@ -244,23 +282,41 @@ def llr_v2(y, constellation: Constellation, sigma2: float) -> np.ndarray:
     return llr
 
 
-def derotate_and_llr_v1(y, beta_hat, es: float, sigma2: float) -> np.ndarray:
-    """Undo the estimated rotation and demap the polarity bit.
+def llr_v1(y, axis, es: float, sigma2: float) -> np.ndarray:
+    """Polarity LLRs of received symbols ``y`` derotated by their axis bits.
 
-    After derotation the symbol is ordinary BPSK in the real dimension, so
-    the per-bit information is ``2 sqrt(es) Re(y') / sigma2``.  Rotation
+    A quarter-turn derotation selects a part of each symbol: Re(y) where
+    ``axis`` is false, Im(y) where it is true (``axis`` a bool array
+    broadcast against ``y``, or None for symbols all on the real axis).
+    Each LLR is ``2 sqrt(es) sel / sigma2``, the BPSK LLR of the selected
+    part ``sel``, computed in that order into one new array.  Rotation
     preserves amplitudes, so no SNR is lost in this step.
-
-    ``beta_hat`` must be 0 or pi/2 per symbol, so derotation selects Re(y)
-    or Im(y).
     """
     require_positive(es=es, sigma2=sigma2)
+    y = np.asarray(y, dtype=np.complex128)
+    shape = np.broadcast_shapes(y.shape, np.shape(axis))
+    # subtracting the other part times 0.0 gives zeros the sign that the
+    # complex product with the unit constant 1 or -1j would give them
+    llr = np.multiply(y.imag, 0.0, out=np.empty(shape))
+    np.subtract(y.real, llr, out=llr)
+    if axis is not None:
+        sel = np.multiply(y.real, 0.0, out=np.empty(shape))
+        np.subtract(y.imag, sel, out=sel)
+        np.copyto(llr, sel, where=axis)
+    llr *= 2.0 * math.sqrt(es)
+    llr /= sigma2
+    return llr
+
+
+def derotate_and_llr_v1(y, beta_hat, es: float, sigma2: float) -> np.ndarray:
+    """Undo the estimated rotation ``beta_hat`` and demap the polarity bit:
+    :func:`llr_v1` with the axis bits the angles stand for.
+
+    ``beta_hat`` must be 0 or pi/2 per symbol, the angles of
+    :func:`beta_from_bits`.
+    """
     beta_hat = np.asarray(beta_hat, dtype=np.float64)
     axis = beta_hat == HALF_PI
     if not np.all(axis | (beta_hat == 0.0)):
         raise ValueError("beta_hat must be 0 or pi/2 for every symbol")
-    y = np.asarray(y, dtype=np.complex128)
-    # subtracting the other component times 0.0 gives zeros the sign that the
-    # complex product with the unit constant 1 or -1j would give them
-    y_back = np.where(axis, y.imag - y.real * 0.0, y.real - y.imag * 0.0)
-    return 2.0 * math.sqrt(es) * y_back / sigma2
+    return llr_v1(y, axis, es, sigma2)

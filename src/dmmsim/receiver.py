@@ -36,11 +36,26 @@ word, and a frame's words are one ``random_raw`` call.  ``integers`` costs
 8-10 us a call whatever k is, ``random_raw`` about 1.2 us.  The first frame
 of every batch is drawn through ``integers`` as well, and a mismatch raises
 RuntimeError naming the numpy version, so the rule is checked on the numpy
-installed.  The noise is drawn into one (B, 2n) buffer, then scaled and
-assembled as ``re + 1j*im`` for the whole batch.  On a 2-vCPU Xeon with
-numpy 2.4, interleaved in one process, this took a 64-frame batch at
-n = 256 to 0.50-0.53x its time per frame (45-50 to 24-27 us), and a
-16-frame batch at n = 2048 to 0.82-0.85x (122-165 to 105-143 us).
+installed.  The generator is re-keyed from Python lists (the state setter
+reads a list in ~0.4 us, a uint64 array in ~1.3 us), and each frame's
+noise is drawn into its row of the batch's float draws, scaled there and
+returned as their complex view (``channel.noise_from_draws``, which
+``noise_block`` assembles through as well), so no second buffer and no
+``re + 1j*im`` pass are made.  A noise part keeps its draw's sign, -0.0
+included, where ``re + 1j*im`` would turn some -0.0 parts into +0.0 (a
+draw is -0.0 with probability 2**-53; see ``noise_from_draws``).  On a
+2-vCPU Xeon with numpy 2.4, interleaved in one process, this and the
+cheaper ``frame_keys`` took a 64-frame batch at n = 256 from 18.5 to
+13.1 us per frame (medians of 12 rounds), and a 16-frame batch at
+n = 2048 from 111 to 78 us.
+
+The link stages around the decoders write into the batch's own arrays:
+:func:`_receive_batch` adds ``modem.symbol_parts``, the one definition of
+the four-point map, into the real and imaginary parts of the noise, and
+``modem.llr_v1`` selects the stream-1 LLRs by the axis bits the receiver
+already holds, into one array, with no angle array.  Both are bitwise
+the complex forms ``noise + dmm_map(v1, v2)`` and
+``derotate_and_llr_v1(y, beta_from_bits(v2))``.
 
 A batch holds up to ``_BATCH_FRAMES`` frames and ``_BATCH_SYMBOLS`` symbols
 (:func:`_batches`): 64 frames up to n = 512, 16 at n = 2048, 8 for 4096-bit
@@ -81,7 +96,7 @@ import numpy as np
 
 from . import linear_code, modem
 from .channel import (GRID_CONVENTIONS, ChannelConfig, esn0_to_ebn0, frame_keys,
-                      require_positive, resolve_grid_snr)
+                      noise_from_draws, require_positive, resolve_grid_snr)
 
 DATA_STREAM = 1  # channel noise occupies stream 0 of each frame's generator
 
@@ -359,44 +374,45 @@ def _frame_batch(cfg, indices, n, ks):
     stream DATA_STREAM of block i, and its n noise samples from stream 0:
     the streams of ``block_rng`` and ``noise_block``.  The batch's Philox
     keys are worked out at once by ``frame_keys``, and one generator is
-    re-keyed per frame and stream (counter 0, empty buffer) instead of being
-    built anew.  A frame's info words are the top bits of the bytes of one
-    ``random_raw`` draw, the bytes ``integers(0, 2, dtype=uint8)`` reads
-    (module docstring); the first frame of the batch is drawn both ways, and
-    a mismatch raises RuntimeError.  Returns (list of (B, k) uint8 arrays,
-    (B, n) complex noise).
+    re-keyed from their Python lists per frame and stream (counter 0, empty
+    buffer) instead of being built anew.  A frame's info words are the top
+    bits of the bytes of one ``random_raw`` draw, the bytes
+    ``integers(0, 2, dtype=uint8)`` reads (module docstring); the first
+    frame of the batch is drawn both ways, and a mismatch raises
+    RuntimeError.  A frame's 2n standard normals are drawn into its row of
+    the batch's (B, 2n) draws, which ``noise_from_draws`` scales in place
+    and returns as their complex view, bitwise ``noise_block``'s, signed
+    zeros included.  Returns (list of (B, k) uint8 arrays, (B, n) complex
+    noise).
     """
-    keys = frame_keys(cfg.seed, indices)
+    keys = frame_keys(cfg.seed, indices).tolist()
     bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)
-    key = {"counter": np.zeros(4, dtype=np.uint64), "key": None}
+    key = {"counter": [0, 0, 0, 0], "key": None}
     state = {"bit_generator": "Philox", "state": key,
-             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,  # empty
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,  # empty
              "has_uint32": 0, "uinteger": 0}
     # word w starts at byte 4 * s_w, s_w the uint32s the earlier words drew
     starts = np.cumsum([0, *(4 * -(-k // 4) for k in ks)])
     raw = np.empty((indices.size, -(-int(starts[-1]) // 8)), dtype=np.uint64)
     z = np.empty((indices.size, 2 * n))
-    for j in range(indices.size):
-        key["key"] = keys[j, DATA_STREAM]
+    for j, frame in enumerate(keys):
+        key["key"] = frame[DATA_STREAM]
         bitgen.state = state
         raw[j] = bitgen.random_raw(raw.shape[1])
-        key["key"] = keys[j, 0]
+        key["key"] = frame[0]
         bitgen.state = state
         rng.standard_normal(out=z[j])
     data = raw.astype("<u8", copy=False).view(np.uint8)
     words = [data[:, s:s + k] >> 7 for s, k in zip(starts, ks)]
-    key["key"] = keys[0, DATA_STREAM]
+    key["key"] = keys[0][DATA_STREAM]
     bitgen.state = state
     for w in words:
         if not np.array_equal(w[0], rng.integers(0, 2, size=w.shape[1], dtype=np.uint8)):
             raise RuntimeError(
                 f"numpy {np.__version__}: Generator.integers(0, 2, dtype=uint8) no "
                 f"longer returns the top bits of its generator's bytes")
-    z *= math.sqrt(cfg.sigma2)
-    noise = 1j * z[:, 1::2]
-    noise += z[:, 0::2]  # re + 1j * im, bit for bit: an IEEE sum commutes
-    return words, noise
+    return words, noise_from_draws(z, cfg.sigma2)
 
 
 def _in_frame_order(work, batches, workers):
@@ -507,7 +523,10 @@ def _receive_batch(code1, code2, cfg, words, noise, max_iter, *, realistic=False
     axis (``bpsk_baseline``).  Without ``code1`` the polarity bits are sent
     uncoded and decided by the sign of their LLR (``uncoded``).
     The batch consumes ``noise``: the received symbols are built in its
-    array (``noise + x`` is ``x + noise`` bit for bit: an IEEE sum commutes).
+    array, ``modem.symbol_parts`` added into its real and imaginary parts
+    (bitwise ``noise + dmm_map(v1, v2)``: a complex sum adds the parts).
+    The stream-1 LLRs are ``modem.llr_v1`` of the received symbols and the
+    (true or rebuilt) axis bits, viewed as bool.
     Returns the per-frame counts, rows named by ``_COUNTS`` (without
     ``realistic``, ``errors1`` is the genie's and ``beta_errors`` 0), and
     the (B, n) genie stream-1 LLRs.
@@ -516,7 +535,10 @@ def _receive_batch(code1, code2, cfg, words, noise, max_iter, *, realistic=False
     v1 = c1 if code1 is None else linear_code.encode(code1, c1)
     v2 = 0 if code2 is None else linear_code.encode(code2, words[1])
     y = noise
-    y += modem.dmm_map(v1, v2, cfg.es)
+    re, im = modem.symbol_parts(v1, v2, cfg.es)
+    np.add(y.real, re, out=y.real)
+    np.add(y.imag, im, out=y.imag)
+    del re, im  # freed before the decodes
 
     counts = np.zeros((len(_COUNTS), len(noise)), dtype=np.int64)
     rows = dict(zip(_COUNTS, counts))  # views, filled in place
@@ -529,12 +551,12 @@ def _receive_batch(code1, code2, cfg, words, noise, max_iter, *, realistic=False
             v2_hat = linear_code.encode(code2, c2_hat)
             rows["beta_errors"][:] = np.count_nonzero(v2_hat != v2, axis=1)
 
-    llr1 = modem.derotate_and_llr_v1(y, modem.beta_from_bits(v2), cfg.es, cfg.sigma2)
+    axis = None if code2 is None else v2.view(bool)  # codeword bits are 0 or 1
+    llr1 = modem.llr_v1(y, axis, cfg.es, cfg.sigma2)
     rows["errors1"][:] = rows["errors1_genie"][:] = _stream1_errors(code1, llr1, c1, max_iter)
     if rows["beta_errors"].any():
         wrong = np.flatnonzero(rows["beta_errors"])
-        llr1_hat = modem.derotate_and_llr_v1(y[wrong], modem.beta_from_bits(v2_hat[wrong]),
-                                             cfg.es, cfg.sigma2)
+        llr1_hat = modem.llr_v1(y[wrong], v2_hat[wrong].view(bool), cfg.es, cfg.sigma2)
         rows["errors1"][wrong] = _stream1_errors(code1, llr1_hat, c1[wrong], max_iter)
     return counts, llr1
 

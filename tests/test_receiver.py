@@ -15,7 +15,8 @@ import dmmsim.receiver as receiver_mod
 from dmmsim.builtin_codes import builtin_code
 from dmmsim.channel import ChannelConfig, block_rng, frame_keys, noise_block, snr_to_sigma2
 from dmmsim.linear_code import encode, extend_repetition
-from dmmsim.modem import beta_from_bits, demod_v2_hard, derotate_and_llr_v1, dmm_map, rotate
+from dmmsim.modem import (beta_from_bits, demod_v2_hard, derotate_and_llr_v1, dmm_map,
+                          map_bpsk, rotate)
 from dmmsim.receiver import run_point, snr_at_ber, wilson_interval
 
 from oracles import (
@@ -178,6 +179,77 @@ def test_frame_batch_guard_names_numpy_version(monkeypatch):
         receiver_mod._frame_batch(cfg, np.arange(4), 8, (128, 16))
 
 
+def _bits(a):
+    """The bits of a float or complex array, zero signs included."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("scheme", ["dmm_genie", "bpsk_baseline", "uncoded"])
+def test_link_stages_bit_identical_to_their_definitions(dmm_pair, scheme):
+    # the receiver adds the symbol parts into its noise array and selects
+    # the stream-1 LLRs by the axis bits; both equal the complex map and the
+    # angle derotation to the bit.  Noise parts of +0.0, -0.0 and -+sqrt(es)
+    # make received parts of either zero on every (v1, v2) pair
+    code1, code2 = {"dmm_genie": dmm_pair, "bpsk_baseline": (dmm_pair[0], None),
+                    "uncoded": (None, None)}[scheme]
+    es, frames, n = 2.5, 12, 256
+    cfg = ChannelConfig(sigma2=0.7, seed=0, es=es)
+    rng = np.random.default_rng(4)
+    words = [rng.integers(0, 2, (frames, code.k), dtype=np.uint8)
+             for code in (code1, code2) if code is not None] or [
+        rng.integers(0, 2, (frames, n), dtype=np.uint8)]
+    pool = np.concatenate([[0.0, -0.0, math.sqrt(es), -math.sqrt(es)], rng.normal(size=4)])
+    noise = np.empty((frames, n), dtype=np.complex128)
+    noise.real = rng.choice(pool, noise.shape)
+    noise.imag = rng.choice(pool, noise.shape)
+    sent = noise.copy()
+
+    _, llr1 = receiver_mod._receive_batch(code1, code2, cfg, words, noise, 50)
+    v1 = words[0] if code1 is None else encode(code1, words[0])
+    if code2 is None:
+        y = sent + map_bpsk(v1, es)
+        llr = derotate_and_llr_v1(y, 0.0, es, cfg.sigma2)
+    else:
+        v2 = encode(code2, words[1])
+        assert {(a, b) for a in (0, 1) for b in (0, 1)} <= set(zip(v1.flat, v2.flat))
+        y = sent + dmm_map(v1, v2, es)
+        llr = derotate_and_llr_v1(y, beta_from_bits(v2), es, cfg.sigma2)
+    assert np.array_equal(_bits(noise), _bits(y))  # the batch's received symbols
+    assert np.array_equal(_bits(llr1), _bits(llr))
+    # -0.0 + -0.0 is the one sum that gives -0.0: a rotated symbol's real
+    # part for v1 = 1 plus a -0.0 noise part
+    zeros = y.real[y.real == 0]
+    assert not np.signbit(zeros).all()
+    assert np.signbit(zeros).any() == (code2 is not None)
+    assert (y.imag == 0).any() and (llr == 0).any()
+
+
+class _SignedZeroDraws(np.random.Generator):
+    """Standard normals with exact zeros of both signs written over some draws."""
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        z = super().standard_normal(size, dtype, out)
+        z[::3] = -0.0
+        z[1::7] = 0.0
+        return z
+
+
+def test_frame_batch_noise_assembly_equals_noise_block(monkeypatch):
+    # the batch keeps each draw's sign, -0.0 too, as noise_block does;
+    # assembling re + 1j*im would turn some of these zeros into +0.0
+    monkeypatch.setattr(np.random, "Generator", _SignedZeroDraws)
+    cfg = ChannelConfig(sigma2=0.37, seed=5)
+    indices = np.arange(3, 12)
+    _, noise = receiver_mod._frame_batch(cfg, indices, 7, (5,))
+    for row, i in zip(noise, indices):
+        block = noise_block(cfg, int(i), 7)
+        assert np.array_equal(_bits(row), _bits(block))
+        assert np.signbit(block.real[block.real == 0]).any()
+        assert np.signbit(block.imag[block.imag == 0]).any()
+        z = block.view(np.float64)
+        assert not np.array_equal(_bits(z[0::2] + 1j * z[1::2]), _bits(block))
+
+
 def test_genie_llrs_bit_identical_to_bpsk(dmm_pair):
     code1, code2 = dmm_pair
     pair = _paired(code1, code2, _cfg(1.0, 11), 40)
@@ -301,6 +373,25 @@ def test_receive_batch_working_set_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 3.25 * 2 ** 20
+
+
+def test_frame_batch_working_set_is_bounded():
+    # a 16-frame batch at n = 2048 on a fresh thread traces its complex
+    # noise (512 KiB), into which each frame draws in place, its info words
+    # and their draws: no float buffer of the draws beside the noise, no
+    # assembly temporaries.  A warm-up batch first, so the trace holds no
+    # lazy import of numpy.random
+    cfg = _cfg(-1.3, 1)
+    receiver_mod._frame_batch(cfg, np.arange(2), 2048, (1024, 128))
+    tracemalloc.start()
+    try:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pool.submit(receiver_mod._frame_batch, cfg, np.arange(16), 2048,
+                        (1024, 128)).result(timeout=60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * 2 ** 20
 
 
 def test_genie_statistically_equal_to_bpsk_baseline(dmm_pair):
