@@ -206,19 +206,21 @@ def run_capacity(cfg: CapacityConfig):
     per grid point.
 
     Grid points are independent, so they run as the batches of
-    :func:`receiver._in_frame_order`: on the calling thread and one more
-    thread per further usable CPU, at most one thread per point.  Threads pay
-    because numpy releases the interpreter lock inside the quadrature's
-    ufuncs.  Each thread takes the next point as soon as it is free, since a
-    point at 256 nodes costs several times one at 64, and the calling thread
-    evaluates points too, so its ``mutual_info`` scratch arrays stay warm
-    from one call to the next.  The rows come back in grid order, and an
-    error is the first failing point's in grid order.  No bit of a row
-    depends on the thread count: ``mutual_info`` carries no value from one
-    call to the next (its only mutable state is each thread's own scratch
-    arrays), shares only its read-only Gauss-Hermite tables across threads,
-    and sets its floating-point error state per call, which numpy keeps per
-    thread.
+    :func:`receiver._in_frame_order`: queued in grid order on a pool of one
+    thread per further usable CPU, and evaluated by the calling thread too,
+    at most one thread per point in all.  Threads pay because numpy
+    releases the interpreter lock inside the quadrature's ufuncs.  While the
+    next row is not done, the calling thread evaluates the first queued
+    point no pool thread has started, so a point at 256 nodes, which costs
+    several times one at 64, holds up only its own thread, and the calling
+    thread's ``mutual_info`` scratch arrays stay warm from one call to the
+    next; the pool's threads end with the call.  The rows come back in grid
+    order, and an error is the first failing point's in grid order.  No bit
+    of a row depends on the thread count: ``mutual_info`` carries no value
+    from one call to the next (its only mutable state is each thread's own
+    scratch arrays), shares only its read-only Gauss-Hermite tables across
+    threads, and sets its floating-point error state per call, which numpy
+    keeps per thread.
     """
     point = functools.partial(_capacity_row, cfg)
     workers = max(1, min(receiver._usable_cpus(), len(cfg.snr_grid_db)))

@@ -301,6 +301,10 @@ class RepetitionExtendedCode:
     k_rep: int
 
     def __post_init__(self):
+        if not isinstance(self.base, BinaryCode):
+            raise ValueError(f"base must be a BinaryCode, got {type(self.base).__name__}; "
+                             f"to repeat a k_rep-fold repeated code j times, repeat its "
+                             f"base code k_rep * j times instead")
         if self.k_rep < 1:
             raise ValueError(f"k_rep must be >= 1, got {self.k_rep}")
 

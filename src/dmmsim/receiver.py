@@ -72,24 +72,27 @@ glibc's trim and mmap thresholds at 256 MiB, where the faults fell to
 A point's batches run on one thread per usable CPU (:func:`_usable_cpus`;
 in a worker of ``sweep --threads N``'s process pool, that worker's share of
 it), through :func:`_in_frame_order`, which ``cli.run_capacity`` also runs
-its grid points through, one point per batch.  The calling thread and each
-of the others take the next batch in frame order as soon as they are free,
-so a slow batch holds up only its own thread; a batch starts only within
-``_WINDOW_PER_THREAD`` batches per thread of the next one the stop rule
-reads, and no more batches decode at once than there are threads.  numpy
+its grid points through, one point per batch.  The batches are queued in
+frame order on a thread pool of one thread fewer, at most
+``_WINDOW_PER_THREAD`` per thread from the next result read, and while that
+result is not done the calling thread decodes the first queued batch no
+thread has started, so a slow batch holds up only its own thread.  numpy
 releases the interpreter lock inside BP's ufuncs, so the threads overlap.
-The stop rule reads the results in frame order; once it stops no batch
-starts, and a batch drawn past the stopping frame is discarded, its result
-or error unread, so a point's result does not depend on the thread count.
+The stop rule reads the results in frame order; once it stops the queued
+batches are cancelled, and a batch drawn past the stopping frame is
+discarded, its result or error unread, so a point's result does not depend
+on the thread count.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
+import itertools
 import math
 import os
-import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -417,89 +420,52 @@ def _frame_batch(cfg, indices, n, ks):
 
 def _in_frame_order(work, batches, workers):
     """``work(batch)`` for each of ``batches``, yielded in batch order, on
-    the calling thread and ``workers - 1`` threads of its own.
+    the calling thread and a pool of ``workers - 1`` threads.
 
-    Each thread takes the next batch in order as soon as it is free; the
-    caller takes batch 0 and, between batches, hands the stop rule every
-    result that is ready in order.  A batch may start only while it is fewer
-    than ``_WINDOW_PER_THREAD * workers`` batches past the next one to be
-    yielded, so at most ``workers`` batches hold their arrays at once and the
-    results waiting to be read stay few.  An exception a batch raises is
-    raised when that batch's turn comes, as in a serial loop.  Closing the
-    generator (``run_point`` does on its stop) starts no further batch,
+    The batches are queued on the pool in order, topped up before each
+    result is read to ``_WINDOW_PER_THREAD * workers`` batches from that
+    result's, so none starts further ahead and few results wait to be read.
+    While the next result is not done, the caller takes the first queued
+    batch no thread has started, so a slow batch holds up only its own
+    thread and at most ``workers`` batches decode at once.  A batch's
+    exception is raised at its turn, as in a serial loop.  Closing the
+    generator (``run_point`` does on its stop) cancels the queued batches,
     waits for those in flight and discards them unread, results and
-    exceptions alike.
+    exceptions alike.  One worker decodes serially on the caller, drawing
+    no batch past the last one read.
     """
+    if workers == 1:
+        yield from map(work, batches)
+        return
     window = _WINDOW_PER_THREAD * workers
-    source = enumerate(batches)
-    cond = threading.Condition()
-    done = {}  # batch number -> (result, exception), until its turn is read
-    drawn = read = 0  # batches drawn from the source, and yielded
-    stopped = exhausted = False
-
-    def draw():
-        """Under ``cond``: the next (number, batch) if it may start, else None."""
-        nonlocal drawn, exhausted
-        if stopped or exhausted or drawn >= read + window:
-            return None
-        item = next(source, None)
-        if item is None:
-            exhausted = True
-        else:
-            drawn += 1
-        return item
-
-    def run(i, batch):
-        try:
-            out = work(batch), None
-        except Exception as exc:  # raised when batch i's turn comes
-            out = None, exc
-        with cond:
-            done[i] = out
-            cond.notify_all()
-
-    def take_batches():
-        while True:
-            with cond:
-                while (item := draw()) is None:
-                    if stopped or exhausted:
-                        return
-                    cond.wait()
-            run(*item)
-
-    item = draw()  # batch 0 is the caller's, drawn before another thread starts
-    threads = [threading.Thread(target=take_batches, name=f"dmmsim-batch-{j}")
-               for j in range(1, workers)]
+    source = iter(batches)
+    pending = collections.deque()  # [batch, future] in batch order
+    pool = ThreadPoolExecutor(workers - 1, thread_name_prefix="dmmsim-batch")
     try:
-        for thread in threads:
-            thread.start()
         while True:
-            if item is not None:
-                run(*item)
-            with cond:
-                while read not in done:
-                    item = draw()
-                    if item is not None:
-                        break
-                    if exhausted and read == drawn:
-                        return
-                    cond.wait()
-                else:
-                    item = None
-                    result, exc = done.pop(read)
-                    read += 1
-                    cond.notify_all()  # the window moved on
-            if item is None:
-                if exc is not None:
-                    raise exc
-                yield result
+            pending.extend([batch, pool.submit(work, batch)]
+                           for batch in itertools.islice(source, window - len(pending)))
+            if not pending:
+                return
+            while not pending[0][1].done():
+                # cancel() succeeds only on a batch no thread has started
+                entry = next((entry for entry in pending if entry[1].cancel()), None)
+                if entry is None:
+                    break  # every queued batch has started: wait for the next
+                entry[1] = _ran(work, entry[0])
+            yield pending.popleft()[1].result()
     finally:
-        with cond:
-            stopped = True
-            cond.notify_all()
-        for thread in threads:
-            if thread.is_alive():
-                thread.join()
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _ran(work, batch) -> Future:
+    """A done future holding ``work(batch)``'s result or exception."""
+    future = Future()
+    try:
+        future.set_result(work(batch))
+    except Exception as exc:  # raised when the batch's turn comes
+        future.set_exception(exc)
+    return future
 
 
 def _batches(count, n):

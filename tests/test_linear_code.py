@@ -320,6 +320,18 @@ def test_extend_repetition_invalid(hamming):
         extend_repetition(hamming, 0)
 
 
+def test_extend_repetition_refuses_a_repeated_code(code64_r14):
+    # a repetition code has no encode table to repeat, so repeating one is
+    # refused; its base code repeated k_rep * j times is the code meant
+    twice = extend_repetition(code64_r14, 2)
+    with pytest.raises(ValueError, match=r"base must be a BinaryCode, got "
+                                         r"RepetitionExtendedCode.*k_rep \* j times"):
+        extend_repetition(twice, 2)
+    info = np.arange(code64_r14.k) % 2
+    assert np.array_equal(encode(extend_repetition(code64_r14, 4), info),
+                          np.repeat(encode(twice, info), 2))
+
+
 def test_codes_compare_and_hash_by_identity(hamming):
     # equality used to compare info_positions arrays: == between two codes of
     # one name raised "truth value of an array is ambiguous", hash() TypeError

@@ -690,68 +690,148 @@ class _Recorder:
                 self.now -= 1
 
 
+def _paced(batches, hold):
+    """``batches`` as a source for ``_in_frame_order`` that records what it
+    yields in ``drawn`` and, before it yields the batch after each key of
+    ``hold``, waits for that key's event."""
+    drawn = []
+
+    def source():
+        for batch in batches:
+            if batch - 1 in hold:
+                assert hold[batch - 1].wait(timeout=5.0), f"no go after batch {batch - 1}"
+            drawn.append(batch)
+            yield batch
+    return source(), drawn
+
+
 def test_window_decodes_past_a_slow_batch():
-    # the caller holds batch 0 until a window thread has decoded batches 1
-    # and 2; groups in lock step would have held batch 2 back
+    # whichever thread holds batch 0 until batches 1 and 2 are decoded,
+    # the other thread decodes both; groups in lock step would have held
+    # batch 2 back
     both = threading.Event()
 
-    def after(batch):
-        def hook():
-            if {1, 2} <= work.thread_of.keys():
-                both.set()
-        return hook
+    def after():
+        if {1, 2} <= work.thread_of.keys():
+            both.set()
 
     def slow():
         assert both.wait(timeout=5.0), "batches 1 and 2 waited for batch 0"
 
-    work = _Recorder({0: slow, 1: after(1), 2: after(2)})
+    work = _Recorder({0: slow, 1: after, 2: after})
     threads_before = threading.active_count()
-
-    def run():
-        return threading.get_ident(), list(receiver_mod._in_frame_order(work, range(8), 2))
-
-    caller, out = _within(run)
+    out = _within(lambda: list(receiver_mod._in_frame_order(work, range(8), 2)))
     assert out == list(range(8))
-    assert work.thread_of[0] == caller
-    assert work.thread_of[1] == work.thread_of[2] != caller
+    assert work.thread_of[1] == work.thread_of[2] != work.thread_of[0]
     assert work.most <= 2
     assert threading.active_count() == threads_before
 
 
-def test_window_stop_wakes_threads_waiting_for_room():
-    # three threads, a window of six batches.  The caller holds batch 0
-    # until batches 1-5 are decoded; taking batch 0 frees room for batch 6
-    # alone, and the stop comes once batch 6 is decoded and the other
-    # threads have gone back to wait for room, when no decode is left to
-    # wake them: the stop must, and it starts nothing more
+def test_window_close_cancels_the_queued_batches(monkeypatch):
+    # three threads, a window of six batches.  The source holds batch 3
+    # back until both pool threads are decoding batches 1 and 2, which
+    # wait for the close, so batch 0 is done and read with the window full
+    # and nothing left for the caller to take.  The close cancels batches
+    # 3-5 unrun, joins batches 1 and 2, and draws nothing past the window
     workers = 3
     window = receiver_mod._WINDOW_PER_THREAD * workers
-    filled, last = threading.Event(), threading.Event()
+    holding, release = threading.Event(), threading.Event()
 
-    def mark():
-        if set(range(1, window)) <= work.thread_of.keys():
-            filled.set()
+    def held():
+        if len(work.thread_of) == 3:
+            holding.set()
+        assert release.wait(timeout=5.0), "the close did not release batches 1 and 2"
+        time.sleep(0.05)  # a close that does not wait for them returns first
 
-    def slow():
-        assert filled.wait(timeout=5.0), "the window did not fill"
+    class Pool(ThreadPoolExecutor):
+        # the in-flight batches end only once the queued ones are cancelled
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            super().shutdown(wait=False, cancel_futures=cancel_futures)
+            release.set()
+            super().shutdown(wait=wait)
 
-    work = _Recorder({0: slow, **{b: mark for b in range(1, window)}, window: last.set})
+    monkeypatch.setattr(receiver_mod, "ThreadPoolExecutor", Pool)
+    work = _Recorder({1: held, 2: held})
+    source, drawn = _paced(range(100), {2: holding})
     threads_before = threading.active_count()
 
     def run():
-        results = receiver_mod._in_frame_order(work, range(100), workers)
+        results = receiver_mod._in_frame_order(work, source, workers)
         first = next(results)
-        assert last.wait(timeout=5.0), "batch 6 did not start"
-        while work.now:
-            time.sleep(0.001)
-        time.sleep(0.05)  # for its thread to store batch 6 and wait again
         results.close()
-        return first
+        assert work.now == 0, "the close returned before batches 1 and 2 ended"
+        return threading.get_ident(), first
 
-    assert _within(run) == 0
+    caller, first = _within(run)
+    assert first == 0 and drawn == list(range(window))
+    assert sorted(work.thread_of) == [0, 1, 2] and caller not in work.thread_of.values()
     assert threading.active_count() == threads_before
-    assert sorted(work.thread_of) == list(range(window + 1))
     assert work.most <= workers
+
+
+def test_window_caller_decodes_and_raises_at_its_turn():
+    # batch 0 runs on the pool thread (the source draws batch 1 only once it
+    # has started) and waits until batch 1 has run on the calling thread,
+    # which takes it while batch 0 is not done.  Batch 1 raises: the error
+    # comes at its turn, after batch 0 is read
+    started0, ran1 = threading.Event(), threading.Event()
+
+    def hold():
+        started0.set()
+        assert ran1.wait(timeout=5.0), "batch 1 did not run while batch 0 waited"
+
+    def fail():
+        ran1.set()
+        raise ValueError("batch 1")
+
+    work = _Recorder({0: hold, 1: fail})
+    source, _ = _paced(range(20), {0: started0})
+    threads_before = threading.active_count()
+    read, caller = [], []
+
+    def run():
+        caller.append(threading.get_ident())
+        for batch in receiver_mod._in_frame_order(work, source, 2):
+            read.append(batch)
+
+    with pytest.raises(ValueError, match="batch 1"):
+        _within(run)
+    assert read == [0]
+    assert work.thread_of[1] == caller[0] != work.thread_of[0]
+    assert work.most <= 2
+    assert threading.active_count() == threads_before
+
+
+def test_window_run_point_decodes_on_the_calling_thread(dmm_pair, monkeypatch):
+    # on two threads the pool's batch 0 waits until the calling thread has
+    # drawn a batch of its own, which it takes while batch 0 is not done;
+    # the point is the serial one
+    code1, _ = dmm_pair
+    monkeypatch.setattr(receiver_mod, "_BATCH_FRAMES", 3)
+    frame_batch = receiver_mod._frame_batch
+    caller, by_caller, drawn = threading.get_ident(), threading.Event(), []
+
+    def recording_frame_batch(cfg, indices, n, ks):
+        drawn.append((int(indices[0]), threading.get_ident()))
+        if threading.get_ident() == caller:
+            by_caller.set()
+        elif indices[0] == 0:
+            assert by_caller.wait(timeout=5.0), "the calling thread decoded no batch"
+        return frame_batch(cfg, indices, n, ks)
+
+    kwargs = dict(snr_db=-1.5, seed=3, min_frame_errors=10**9, max_frames=30)
+    monkeypatch.setattr(receiver_mod, "_usable_cpus", lambda: 1)
+    serial = run_point("bpsk_baseline", code1, **kwargs)
+    threads_before = threading.active_count()
+    monkeypatch.setattr(receiver_mod, "_frame_batch", recording_frame_batch)
+    monkeypatch.setattr(receiver_mod, "_usable_cpus", lambda: 2)
+    pooled = run_point("bpsk_baseline", code1, **kwargs)
+    assert dataclasses.replace(pooled, wall_time_s=0.0) == dataclasses.replace(
+        serial, wall_time_s=0.0)
+    assert sorted(first for first, _ in drawn) == list(range(0, 30, 3))
+    assert caller in {ident for _, ident in drawn}
+    assert len({ident for _, ident in drawn}) == 2
+    assert threading.active_count() == threads_before
 
 
 def test_window_raises_an_error_read_before_the_stop():
